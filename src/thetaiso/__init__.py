@@ -16,6 +16,7 @@ from .graphs import (
     association_graph,
     complement,
     complete_graph,
+    conflict_pairs,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -35,12 +36,10 @@ from .oracle import (
     is_permutation,
 )
 from .program import (
-    Constraint,
     Program,
     build_program,
     objective_value,
     program_to_json_dict,
-    zero_pattern,
 )
 from .lifts import (
     ConvexCombination,
@@ -81,14 +80,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "GraphParseError", "VertexPairIndex", "association_graph",
-    "complement", "complete_graph", "cycle_graph", "disjoint_union",
-    "empty_graph", "load_graph", "parse_dimacs", "parse_graph",
-    "parse_graph_text", "path_graph", "petersen_graph", "relabel",
-    "star_graph",
+    "complement", "complete_graph", "conflict_pairs", "cycle_graph",
+    "disjoint_union", "empty_graph", "load_graph", "parse_dimacs",
+    "parse_graph", "parse_graph_text", "path_graph", "petersen_graph",
+    "relabel", "star_graph",
     "brute_force_isomorphisms", "enumerate_isomorphisms", "is_isomorphism",
     "is_permutation",
-    "Constraint", "Program", "build_program", "objective_value",
-    "program_to_json_dict", "zero_pattern",
+    "Program", "build_program", "objective_value", "program_to_json_dict",
     "ConvexCombination", "DecompositionResult", "FeasibilityReport",
     "FeasibilityViolation", "PermutationLift", "check_feasible",
     "convex_decompose", "cp_factor_united", "is_united", "lift",

@@ -5,12 +5,13 @@ Subcommands: ``build`` compiles a graph pair to a JSON program description,
 directory against its manifest, ``oracle`` runs the exact search.  Exit codes
 from ``decide``/``oracle``: 0 isomorphic, 1 non-isomorphic, 2 bad input,
 3 inconclusive, 4 solver diverged.  Environment variables THETAISO_TOL,
-THETAISO_MAX_ITER, THETAISO_SEED, and THETAISO_ORACLE_FALLBACK override the
-corresponding defaults when the flag is not given explicitly.
+THETAISO_MAX_ITER, and THETAISO_ORACLE_FALLBACK override the corresponding
+defaults when the flag is not given explicitly; a value that does not parse
+is bad input (exit 2).
 
-Reports are serialized by a small JSON writer that renders every float with
-17 significant digits, so equal runs produce byte-identical files and
-round-trip exactly through any standards-compliant parser.
+Reports are serialized with ``json.dumps``, which prints every float as the
+shortest text that round-trips, so equal runs produce byte-identical files
+and parse back to the same values in any standards-compliant parser.
 """
 
 from __future__ import annotations
@@ -41,63 +42,31 @@ EXIT_DIVERGED = 4
 ENV_PREFIX = "THETAISO_"
 
 
-def _format_float(x):
-    text = format(float(x), ".17g")
-    if "inf" in text or "nan" in text:
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    if "." not in text and "e" not in text and "E" not in text:
-        text += ".0"
-    return text
-
-
-def _write_json(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for k, (key, value) in enumerate(items):
+def _check_keys(obj):
+    """json.dumps would silently stringify non-str keys; refuse them instead."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-            out.append(pad_in + json.dumps(key) + ": ")
-            _write_json(value, out, indent, level + 1)
-            out.append(",\n" if k + 1 < len(items) else "\n")
-        out.append(pad + "}")
+            _check_keys(value)
     elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, value in enumerate(obj):
-            out.append(pad_in)
-            _write_json(value, out, indent, level + 1)
-            out.append(",\n" if k + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)} to JSON")
+        for value in obj:
+            if isinstance(value, (dict, list, tuple)):
+                _check_keys(value)
+
+
+def _json_default(obj):
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot serialize {type(obj)} to JSON")
 
 
 def dumps_json(obj, indent=2):
-    """Deterministic JSON text with floats at 17 significant digits."""
-    out = []
-    _write_json(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text with round-trip floats; NaN and inf are errors."""
+    _check_keys(obj)
+    return json.dumps(obj, indent=indent, allow_nan=False, default=_json_default) + "\n"
 
 
 @dataclass(frozen=True)
@@ -133,7 +102,7 @@ def _env(name, cast, fallback):
             return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError as exc:
-        raise SystemExit(f"bad value for {ENV_PREFIX}{name}: {raw!r} ({exc})")
+        raise ValueError(f"bad value for {ENV_PREFIX}{name}: {raw!r} ({exc})") from None
 
 
 def _add_solver_flags(sub):
@@ -141,8 +110,6 @@ def _add_solver_flags(sub):
                      help="primal/dual stopping tolerance (default 1e-7)")
     sub.add_argument("--max-iter", type=int, default=None,
                      help="iteration cap (default 50000)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed recorded in the report (default 0)")
     sub.add_argument("--oracle-fallback", action="store_true", default=None,
                      help="settle inconclusive runs by exact search")
 
@@ -150,7 +117,6 @@ def _add_solver_flags(sub):
 def _config_from_args(args):
     tol = args.tol if args.tol is not None else _env("TOL", float, 1e-7)
     max_iter = args.max_iter if args.max_iter is not None else _env("MAX_ITER", int, 50000)
-    seed = args.seed if args.seed is not None else _env("SEED", int, 0)
     fallback = (
         args.oracle_fallback
         if args.oracle_fallback is not None
@@ -158,7 +124,7 @@ def _config_from_args(args):
     )
     return SolverConfig(
         tol_primal=tol, tol_dual=tol, max_iter=max_iter,
-        seed=seed, oracle_fallback=fallback,
+        oracle_fallback=fallback,
     )
 
 
@@ -169,7 +135,6 @@ def _config_dict(cfg):
         "max_iter": cfg.max_iter,
         "step_rho": cfg.step_rho,
         "zero_eps": cfg.zero_eps,
-        "seed": cfg.seed,
         "oracle_fallback": cfg.oracle_fallback,
         "eig_backend": cfg.eig_backend,
     }
@@ -178,6 +143,8 @@ def _config_dict(cfg):
 def _load_pair(path1, path2):
     g1 = load_graph(path1)
     g2 = load_graph(path2)
+    if g1.n != g2.n:
+        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     return g1, g2
 
 
@@ -213,7 +180,7 @@ def run_pair(g1, g2, cfg, want_oracle=False):
             "edges_1": g1.num_edges,
             "edges_2": g2.num_edges,
             "program_dim": program.dim,
-            "program_constraints": len(program.constraints),
+            "program_constraints": sum(program.constraint_counts().values()),
         },
         config=_config_dict(cfg),
         solver={
@@ -263,8 +230,6 @@ def cmd_decide(args):
     try:
         g1, g2 = _load_pair(args.graph1, args.graph2)
         cfg = _config_from_args(args)
-        if g1.n != g2.n:
-            raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     except (OSError, GraphParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -320,9 +285,9 @@ def cmd_bench(args):
     for entry in manifest["pairs"]:
         name = entry["name"]
         try:
-            g1 = load_graph(os.path.join(args.corpus, entry["g1"]))
-            g2 = load_graph(os.path.join(args.corpus, entry["g2"]))
-        except (OSError, GraphParseError) as exc:
+            g1, g2 = _load_pair(os.path.join(args.corpus, entry["g1"]),
+                                os.path.join(args.corpus, entry["g2"]))
+        except (OSError, ValueError) as exc:
             print(f"error: pair {name}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         truth = bool(entry["isomorphic"])

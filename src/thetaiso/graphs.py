@@ -1,7 +1,9 @@
-"""Simple undirected graphs, file parsing, and the association graph of a pair.
+"""Simple undirected graphs, file parsing, and the conflicts of a graph pair.
 
 Vertices are 0-based integers.  Graphs are immutable after construction and
-safe to share between threads.
+safe to share between threads.  ``conflict_pairs`` is the one definition of
+which assignment pairs conflict; the association graph, the compiled program
+and the feasibility check all read it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = [
     "parse_graph_text",
     "load_graph",
     "complement",
+    "conflict_pairs",
     "association_graph",
     "relabel",
     "empty_graph",
@@ -250,31 +253,60 @@ def complement(g):
     return Graph(n, zip(i[missing].tolist(), j[missing].tolist()))
 
 
-def association_graph(g1, g2):
-    """Pairwise-conflict graph on the n^2 assignment pairs of two graphs.
+def _cross(left, right, n):
+    """Assignment pairs {(a,j), (b,l)} for each left pair (a,b) against each
+    right pair (c,d) in both orientations (j,l) = (c,d), (d,c); a < b, so the
+    first flat index is always the smaller one."""
+    a, b = left
+    c, d = right
+    j = np.stack([c, d], axis=1)
+    l = np.stack([d, c], axis=1)
+    r = a[:, None, None] * n + j[None, :, :]
+    s = b[:, None, None] * n + l[None, :, :]
+    return r.reshape(-1), s.reshape(-1)
 
-    Vertex (i,j), meaning "map i to j", is flat-indexed by VertexPairIndex
-    (omega excluded).  Two assignments conflict, and are joined by an edge,
-    when they reuse a vertex (same i with different j, or same j with
-    different i) or when their adjacency classes disagree across the two
-    graphs.  Non-edges are exactly the compatible assignment pairs.
+
+def conflict_pairs(g1, g2):
+    """Conflicting assignment pairs of two equal-size graphs, by kind.
+
+    Assignment (i,j), meaning "map i to j", has flat index i*n + j (see
+    VertexPairIndex).  Returns a dict kind -> (r, s) of int arrays with
+    r < s elementwise.  The four kinds are disjoint and together cover every
+    conflict: "row-orth" pairs share a source vertex (ordered by that vertex,
+    then target pair j < k), "col-orth" pairs share a target vertex (by that
+    vertex, then source pair j < k), and the two mismatch kinds pair
+    assignments i -> j, k -> l with i != k, j != l whose adjacency disagrees:
+    "edge-mismatch-1" takes each edge of g1 (sorted) against each non-edge
+    of g2, "edge-mismatch-2" each non-edge of g1 against each edge of g2.
     """
     if g1.n != g2.n:
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     n = g1.n
-    first = np.repeat(np.arange(n), n)   # i of flat index
-    second = np.tile(np.arange(n), n)    # j of flat index
+    lo, hi = np.triu_indices(n, k=1)
+    base = np.arange(n)[:, None]
+    adj1 = g1.adjacency[lo, hi]
+    adj2 = g2.adjacency[lo, hi]
+    edges1, non1 = (lo[adj1], hi[adj1]), (lo[~adj1], hi[~adj1])
+    edges2, non2 = (lo[adj2], hi[adj2]), (lo[~adj2], hi[~adj2])
+    return {
+        "row-orth": ((base * n + lo).reshape(-1), (base * n + hi).reshape(-1)),
+        "col-orth": ((lo * n + base).reshape(-1), (hi * n + base).reshape(-1)),
+        "edge-mismatch-1": _cross(edges1, non2, n),
+        "edge-mismatch-2": _cross(non1, edges2, n),
+    }
 
-    same_i = first[:, None] == first[None, :]
-    same_j = second[:, None] == second[None, :]
-    adj1 = g1.adjacency[first[:, None], first[None, :]]
-    adj2 = g2.adjacency[second[:, None], second[None, :]]
 
-    conflict = (same_i & ~same_j) | (same_j & ~same_i) | (adj1 != adj2)
-    np.fill_diagonal(conflict, False)
+def association_graph(g1, g2):
+    """Pairwise-conflict graph on the n^2 assignment pairs of two graphs.
 
-    r, s = np.nonzero(np.triu(conflict, k=1))
-    return Graph(n * n, zip(r.tolist(), s.tolist()))
+    Vertex (i,j), meaning "map i to j", is flat-indexed by VertexPairIndex
+    (omega excluded); edges are the pairs of ``conflict_pairs``.  Non-edges
+    are exactly the compatible assignment pairs.
+    """
+    groups = conflict_pairs(g1, g2).values()
+    r = np.concatenate([r for r, _ in groups])
+    s = np.concatenate([s for _, s in groups])
+    return Graph(g1.n * g1.n, zip(r.tolist(), s.tolist()))
 
 
 def relabel(g, sigma):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .program import zero_pattern
+from .graphs import conflict_pairs
 
 __all__ = [
     "PermutationLift",
@@ -116,14 +116,13 @@ class FeasibilityReport:
         return "\n".join(lines)
 
 
-def _worst_at(Y, pairs):
-    """Largest |Y[r,s]| over a list of index pairs and where it occurs."""
-    if not pairs:
+def _worst_at(Y, rows, cols):
+    """Largest |Y[r,s]| over paired index arrays and where it first occurs."""
+    if not len(rows):
         return 0.0, None
-    rs = np.array(pairs, dtype=int)
-    vals = np.abs(Y[rs[:, 0], rs[:, 1]])
+    vals = np.abs(Y[rows, cols])
     k = int(np.argmax(vals))
-    return float(vals[k]), (int(rs[k, 0]), int(rs[k, 1]))
+    return float(vals[k]), (int(rows[k]), int(cols[k]))
 
 
 def check_feasible(Y, g1, g2, tol=1e-6):
@@ -169,10 +168,10 @@ def check_feasible(Y, g1, g2, tol=1e-6):
     magnitudes[4] = float(link[k])
     worst_where[4] = (k, omega)
 
-    pattern = zero_pattern(g1, g2)
-    for cond, kind in ((5, "row-orth"), (6, "col-orth"),
-                       (7, "edge-mismatch-1"), (8, "edge-mismatch-2")):
-        magnitudes[cond], worst_where[cond] = _worst_at(Y, pattern[kind])
+    conflicts = conflict_pairs(g1, g2)
+    for cond in (5, 6, 7, 8):
+        rows, cols = conflicts[CONDITION_NAMES[cond]]
+        magnitudes[cond], worst_where[cond] = _worst_at(Y, rows, cols)
 
     thresholds = {c: tol for c in range(1, 9)}
     thresholds[1] = tol * (1.0 + norm)

@@ -4,195 +4,85 @@ The decision variable is a symmetric (n^2+1) x (n^2+1) matrix Y indexed by
 vertex pairs (i,j) -> i*n+j plus a final slack index omega.  The objective sums
 the pair-diagonal entries; the affine rows pin the omega corner to 1, tie the
 omega column to the diagonal, and zero every entry whose index pair conflicts
-(same row, same column, or mismatched adjacency across the two graphs).  The
-two cone conditions (positive semidefinite, entrywise nonnegative) are not
-affine rows; the solver enforces them by projection.
+(``graphs.conflict_pairs``: same row, same column, or mismatched adjacency
+across the two graphs).  A ``Program`` holds these rows as index arrays only;
+``program_to_json_dict`` spells them out as explicit rows.  The two cone
+conditions (positive semidefinite, entrywise nonnegative) are not affine rows;
+the solver enforces them by projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .graphs import VertexPairIndex
+from .graphs import conflict_pairs
 
 __all__ = [
-    "Constraint",
     "Program",
     "build_program",
     "objective_value",
-    "zero_pattern",
     "program_to_json_dict",
 ]
 
-CONSTRAINT_KINDS = (
-    "omega-norm",
-    "diag-link",
-    "row-orth",
-    "col-orth",
-    "edge-mismatch-1",
-    "edge-mismatch-2",
-)
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One affine equality <A, Y> = rhs with sparse symmetric A.
-
-    entries holds (r, s, coeff) triples; off-diagonal positions appear as a
-    mirrored pair with coefficient 1/2 each so that A is symmetric and
-    <A, Y> reads off the matrix entry directly.
-    """
-
-    kind: str
-    entries: tuple
-    rhs: float
-
-    def value(self, Y):
-        return float(sum(c * Y[r, s] for r, s, c in self.entries))
-
 
 class Program:
-    """Immutable compiled program for one graph pair."""
+    """Immutable compiled program for one graph pair.
+
+    zero_rows/zero_cols scatter over both triangles of the zero pattern: the
+    first half lists each conflicting pair (r, s), r < s, grouped by kind in
+    the order of ``conflict_pairs``, and the second half mirrors it.
+    """
 
     __slots__ = (
-        "n", "dim", "index", "objective", "constraints",
-        "zero_rows", "zero_cols", "pair_diag", "omega",
+        "n", "dim", "omega", "objective", "pair_diag",
+        "zero_rows", "zero_cols", "zero_counts",
     )
 
-    def __init__(self, n, constraints, zero_pairs):
+    def __init__(self, n, conflicts):
         dim = n * n + 1
-        omega = n * n
         objective = np.zeros((dim, dim))
         pair_diag = np.arange(n * n)
         objective[pair_diag, pair_diag] = 1.0
-        objective.setflags(write=False)
-
-        # Scatter index arrays covering both triangles of the zero pattern;
-        # the solver's affine projection is a plain assignment through these.
-        if zero_pairs:
-            rs = np.array(zero_pairs, dtype=int)
-            zero_rows = np.concatenate([rs[:, 0], rs[:, 1]])
-            zero_cols = np.concatenate([rs[:, 1], rs[:, 0]])
-        else:
-            zero_rows = np.zeros(0, dtype=int)
-            zero_cols = np.zeros(0, dtype=int)
-        zero_rows.setflags(write=False)
-        zero_cols.setflags(write=False)
-        pair_diag.setflags(write=False)
+        upper_r = np.concatenate([r for r, _ in conflicts.values()])
+        upper_s = np.concatenate([s for _, s in conflicts.values()])
+        zero_rows = np.concatenate([upper_r, upper_s])
+        zero_cols = np.concatenate([upper_s, upper_r])
+        for a in (objective, pair_diag, zero_rows, zero_cols):
+            a.setflags(write=False)
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "index", VertexPairIndex(n))
+        object.__setattr__(self, "omega", n * n)
         object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", tuple(constraints))
+        object.__setattr__(self, "pair_diag", pair_diag)
         object.__setattr__(self, "zero_rows", zero_rows)
         object.__setattr__(self, "zero_cols", zero_cols)
-        object.__setattr__(self, "pair_diag", pair_diag)
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(
+            self, "zero_counts", {kind: len(r) for kind, (r, _) in conflicts.items()}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Program is immutable")
 
     def constraint_counts(self):
-        counts = {kind: 0 for kind in CONSTRAINT_KINDS}
-        for c in self.constraints:
-            counts[c.kind] += 1
-        return counts
+        """Number of affine rows of each kind, in output order."""
+        return {"omega-norm": 1, "diag-link": self.n * self.n, **self.zero_counts}
 
     def zero_pair_set(self):
         """Zeroed index pairs as a set of (r, s) with r < s."""
-        return {
-            (min(r, s), max(r, s))
-            for r, s in zip(self.zero_rows.tolist(), self.zero_cols.tolist())
-        }
+        m = len(self.zero_rows) // 2
+        return set(zip(self.zero_rows[:m].tolist(), self.zero_cols[:m].tolist()))
 
     def __repr__(self):
-        return f"Program(n={self.n}, dim={self.dim}, constraints={len(self.constraints)})"
-
-
-def _nonadjacent_pairs(g):
-    """Unordered pairs {a,b}, a != b, that are not edges of g."""
-    n = g.n
-    return [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if not g.adjacency[a, b]
-    ]
-
-
-def zero_pattern(g1, g2):
-    """Index pairs forced to zero, grouped by condition kind.
-
-    Returns a dict kind -> list of (r, s) flat index pairs with r < s.  The
-    same-row and same-column groups cover every conflict with a shared vertex;
-    the two mismatch groups cover i != k, j != l with adjacency disagreement,
-    split by which graph supplies the edge.
-    """
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
-    idx = VertexPairIndex(n)
-
-    row_orth = [
-        (idx.index(i, j), idx.index(i, k))
-        for i in range(n)
-        for j in range(n)
-        for k in range(j + 1, n)
-    ]
-    col_orth = [
-        (idx.index(j, i), idx.index(k, i))
-        for i in range(n)
-        for j in range(n)
-        for k in range(j + 1, n)
-    ]
-
-    def cross(pairs_left, pairs_right):
-        out = []
-        for a, b in pairs_left:
-            for c, d in pairs_right:
-                for j, l in ((c, d), (d, c)):
-                    r, s = idx.index(a, j), idx.index(b, l)
-                    out.append((r, s) if r < s else (s, r))
-        return out
-
-    mismatch_1 = cross(sorted(g1.edges), _nonadjacent_pairs(g2))
-    mismatch_2 = cross(_nonadjacent_pairs(g1), sorted(g2.edges))
-
-    return {
-        "row-orth": row_orth,
-        "col-orth": col_orth,
-        "edge-mismatch-1": mismatch_1,
-        "edge-mismatch-2": mismatch_2,
-    }
+        rows = sum(self.constraint_counts().values())
+        return f"Program(n={self.n}, dim={self.dim}, constraints={rows})"
 
 
 def build_program(g1, g2):
     """Compile the objective and affine rows for a pair of equal-size graphs."""
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
-    omega = n * n
-    pattern = zero_pattern(g1, g2)
-
-    constraints = [Constraint("omega-norm", ((omega, omega, 1.0),), 1.0)]
-    for d in range(n * n):
-        constraints.append(
-            Constraint("diag-link", ((d, omega, 0.5), (omega, d, 0.5), (d, d, -1.0)), 0.0)
-        )
-    seen = set()
-    all_pairs = []
-    for kind in ("row-orth", "col-orth", "edge-mismatch-1", "edge-mismatch-2"):
-        for r, s in pattern[kind]:
-            if (r, s) in seen:
-                continue
-            seen.add((r, s))
-            all_pairs.append((r, s))
-            constraints.append(Constraint(kind, ((r, s, 0.5), (s, r, 0.5)), 0.0))
-
-    return Program(n, constraints, all_pairs)
+    return Program(g1.n, conflict_pairs(g1, g2))
 
 
 def objective_value(Y, p):
@@ -205,6 +95,29 @@ def objective_value(Y, p):
     return float(Y[d, d].sum())
 
 
+def _rows(p):
+    """The affine rows <A, Y> = rhs as JSON objects, in constraint_counts order.
+
+    Off-diagonal positions appear as a mirrored pair with coefficient 1/2 each,
+    so A is symmetric and <A, Y> reads off the matrix entry directly.
+    """
+    omega = p.omega
+    rows = [{"kind": "omega-norm", "entries": [[omega, omega, 1.0]], "rhs": 1.0}]
+    rows += [
+        {"kind": "diag-link", "entries": [[d, omega, 0.5], [omega, d, 0.5], [d, d, -1.0]],
+         "rhs": 0.0}
+        for d in p.pair_diag.tolist()
+    ]
+    m = len(p.zero_rows) // 2
+    upper = zip(p.zero_rows[:m].tolist(), p.zero_cols[:m].tolist())
+    for kind, count in p.zero_counts.items():
+        rows += [
+            {"kind": kind, "entries": [[r, s, 0.5], [s, r, 0.5]], "rhs": 0.0}
+            for r, s in islice(upper, count)
+        ]
+    return rows
+
+
 def program_to_json_dict(p):
     """Serializable form of a Program: sparse objective, constraint rows,
     and a description of the index convention."""
@@ -215,14 +128,7 @@ def program_to_json_dict(p):
         "objective": [
             [int(r), int(c), float(p.objective[r, c])] for r, c in zip(obj_r, obj_c)
         ],
-        "constraints": [
-            {
-                "kind": c.kind,
-                "entries": [[int(r), int(s), float(v)] for r, s, v in c.entries],
-                "rhs": float(c.rhs),
-            }
-            for c in p.constraints
-        ],
+        "constraints": _rows(p),
         "index": {
             "n": p.n,
             "omega": p.omega,

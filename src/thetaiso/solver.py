@@ -51,7 +51,6 @@ class SolverConfig:
     max_iter: int = 50000
     step_rho: float = 1.0
     zero_eps: float = 1e-6
-    seed: int = 0
     oracle_fallback: bool = False
     eig_backend: str = "numpy"
 

@@ -166,6 +166,19 @@ def test_decide_env_overrides(c4_pair, monkeypatch):
     assert main(["decide", *c4_pair, "--max-iter", "2000"]) == 0
 
 
+@pytest.mark.parametrize("command", ["decide", "bench"])
+def test_bad_env_value_is_input_error(command, c4_pair, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("THETAISO_TOL", "abc")
+    if command == "decide":
+        argv = ["decide", *c4_pair]
+    else:
+        argv = ["bench", make_corpus(tmp_path, [
+            ("k2", th.complete_graph(2), th.complete_graph(2), True),
+        ])]
+    assert main(argv) == 2
+    assert "THETAISO_TOL" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- oracle
 
 def test_oracle_exit_codes(c4_pair, non_iso_pair, capsys):
@@ -226,6 +239,14 @@ def test_bench_verify_manifest_catches_lies(tmp_path, capsys):
     ])
     assert main(["bench", corpus, "--verify-manifest"]) == 2
     assert "exact search says" in capsys.readouterr().err
+
+
+def test_bench_mismatched_sizes(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, [
+        ("p3-p4", th.path_graph(3), th.path_graph(4), False),
+    ])
+    assert main(["bench", corpus]) == 2
+    assert "error: pair p3-p4: graph sizes differ" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits():

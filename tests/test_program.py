@@ -1,11 +1,14 @@
 """Compiled program: constraint counts, zero pattern, objective, serialization."""
 
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 import thetaiso as th
+from thetaiso.cli import dumps_json
 from thetaiso.program import build_program, objective_value, program_to_json_dict
 
 
@@ -40,8 +43,35 @@ def test_constraint_counts(g1, g2):
     assert p.omega == g1.n ** 2
 
 
-def test_zero_pattern_matches_association_graph():
-    """The zeroed entry pairs are exactly the association graph's edges."""
+def reference_conflicts(g1, g2):
+    """Conflict kind of every assignment pair, straight from the definition.
+
+    Assignments (i,j) and (k,l), meaning i -> j and k -> l, conflict when they
+    share a source vertex, share a target vertex, or disagree on adjacency;
+    a mismatch is of kind 1 when g1 supplies the edge, kind 2 when g2 does.
+    """
+    n = g1.n
+    kinds = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    r, s = i * n + j, k * n + l
+                    if r >= s:
+                        continue
+                    if i == k:
+                        kinds[r, s] = "row-orth"
+                    elif j == l:
+                        kinds[r, s] = "col-orth"
+                    elif g1.has_edge(i, k) and not g2.has_edge(j, l):
+                        kinds[r, s] = "edge-mismatch-1"
+                    elif g2.has_edge(j, l) and not g1.has_edge(i, k):
+                        kinds[r, s] = "edge-mismatch-2"
+    return kinds
+
+
+def test_conflict_pairs_match_brute_force():
+    """Every conflict appears exactly once, with r < s, under its own kind."""
     cases = [
         (th.cycle_graph(4), th.cycle_graph(4)),
         (th.path_graph(4), th.star_graph(4)),
@@ -49,9 +79,16 @@ def test_zero_pattern_matches_association_graph():
         (th.complete_graph(3), th.empty_graph(3)),
     ]
     for g1, g2 in cases:
-        p = build_program(g1, g2)
-        assoc = th.association_graph(g1, g2)
-        assert p.zero_pair_set() == assoc.edges
+        found = {}
+        for kind, (r, s) in th.conflict_pairs(g1, g2).items():
+            assert len(r) == len(s)
+            assert (r < s).all()
+            for pair in zip(r.tolist(), s.tolist()):
+                assert pair not in found, (pair, kind, found.get(pair))
+                found[pair] = kind
+        assert found == reference_conflicts(g1, g2)
+        assert th.association_graph(g1, g2).edges == set(found)
+        assert build_program(g1, g2).zero_pair_set() == set(found)
 
 
 def test_zero_pairs_are_deduplicated():
@@ -62,23 +99,48 @@ def test_zero_pairs_are_deduplicated():
     assert {(r, s) for r, s in pairs} == {(s, r) for r, s in pairs}
 
 
+def row_matrix(row, dim):
+    A = np.zeros((dim, dim))
+    for r, s, v in row["entries"]:
+        A[r, s] += v
+    return A
+
+
 def test_constraints_hold_on_isomorphism_lift():
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     p = build_program(g1, g2)
     sigma = th.enumerate_isomorphisms(g1, g2, cap=1)[0]
     Y = th.lift(sigma).extended()
-    for c in p.constraints:
-        assert abs(c.value(Y) - c.rhs) == 0.0
+    rows = program_to_json_dict(p)["constraints"]
+    assert len(rows) == sum(p.constraint_counts().values())
+    for row in rows:
+        assert abs(np.sum(row_matrix(row, p.dim) * Y) - row["rhs"]) == 0.0
 
 
 def test_constraint_matrices_are_symmetric_halves():
     p = build_program(th.complete_graph(2), th.complete_graph(2))
-    for c in p.constraints:
-        A = np.zeros((p.dim, p.dim))
-        for r, s, v in c.entries:
-            A[r, s] += v
+    for row in program_to_json_dict(p)["constraints"]:
+        A = row_matrix(row, p.dim)
         assert np.array_equal(A, A.T)
+
+
+# sha256 of the compiled JSON text; these lock the row order and formatting.
+GOLDEN_DIGESTS = {
+    ("c4_a.txt", "c4_b.txt"):
+        "7c727ab3bcb4b97ce0a051c59d02d3dae7f3b71e9946652c8236fd88b3025378",
+    ("petersen_a.txt", "petersen_b.col"):
+        "bc3b8d0eed51e4a24dece5a6e856142ad9811d24e0189e4b0736bda2ab5f91b9",
+    ("tree6_pair_a.txt", "tree6_pair_b.txt"):
+        "dd325713bd89d42a307cac2d6b8fb11b7d06208eb326e1355ac8d7106ca68175",
+}
+
+
+@pytest.mark.parametrize("files", sorted(GOLDEN_DIGESTS))
+def test_program_json_golden_digest(files):
+    g1, g2 = (th.load_graph(os.path.join(th.corpus_path(), f)) for f in files)
+    text = dumps_json(program_to_json_dict(build_program(g1, g2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[files]
 
 
 def test_objective_value_both_shapes():
