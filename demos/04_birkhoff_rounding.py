@@ -54,7 +54,7 @@ g1 = th.path_graph(5)
 g2 = th.relabel(g1, (4, 2, 0, 3, 1))
 result = th.solve(th.build_program(g1, g2))
 diag = th.diagonal_matrix(result.Y, g1.n)
-print(f"\nrow/column sums drift from 1 by {diag.stochastic_deviation():.2e}")
+print(f"\nrow/column sums drift from 1 by {th.stochastic_deviation(diag):.2e}")
 res = th.birkhoff_decompose(diag)
 print("solver diagonal for a relabeled path peels into:")
 for weight, sigma in res.terms:

@@ -65,7 +65,6 @@ from .solver import (
 )
 from .extraction import (
     BirkhoffResult,
-    DiagonalAssignment,
     Verdict,
     VerdictKind,
     birkhoff_decompose,
@@ -73,6 +72,7 @@ from .extraction import (
     decide,
     decision_threshold,
     diagonal_matrix,
+    stochastic_deviation,
 )
 from .data import corpus_path
 
@@ -93,9 +93,9 @@ __all__ = [
     "symmetric_eigh",
     "SolverConfig", "SolverResult", "SolverStatus", "initial_point",
     "project_affine", "project_psd", "solve",
-    "BirkhoffResult", "DiagonalAssignment", "Verdict", "VerdictKind",
+    "BirkhoffResult", "Verdict", "VerdictKind",
     "birkhoff_decompose", "consistent_set_search", "decide",
-    "decision_threshold", "diagonal_matrix",
+    "decision_threshold", "diagonal_matrix", "stochastic_deviation",
     "corpus_path",
     "__version__",
 ]

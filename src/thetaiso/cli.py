@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .oracle import enumerate_isomorphisms
 from .program import build_program, program_to_json_dict
 from .solver import SolverConfig, SolverStatus, solve
 
-__all__ = ["main", "dumps_json", "RunReport"]
+__all__ = ["main", "dumps_json"]
 
 EXIT_ISOMORPHIC = 0
 EXIT_NON_ISOMORPHIC = 1
@@ -69,40 +69,23 @@ def dumps_json(obj, indent=2):
     return json.dumps(obj, indent=indent, allow_nan=False, default=_json_default) + "\n"
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one decide run produced, in serializable form."""
-
-    instance: dict
-    config: dict
-    solver: dict
-    verdict: dict
-    timings: dict
-    oracle: dict | None = None
-
-    def to_json_dict(self):
-        doc = {
-            "instance": self.instance,
-            "config": self.config,
-            "solver": self.solver,
-            "verdict": self.verdict,
-            "timings": self.timings,
-        }
-        if self.oracle is not None:
-            doc["oracle"] = self.oracle
-        return doc
-
-
 def _env(name, cast, fallback):
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError as exc:
         raise ValueError(f"bad value for {ENV_PREFIX}{name}: {raw!r} ({exc})") from None
+
+
+def _flag(text):
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected 1/true/yes/on or 0/false/no/off")
 
 
 def _add_solver_flags(sub):
@@ -120,24 +103,12 @@ def _config_from_args(args):
     fallback = (
         args.oracle_fallback
         if args.oracle_fallback is not None
-        else _env("ORACLE_FALLBACK", bool, False)
+        else _env("ORACLE_FALLBACK", _flag, False)
     )
     return SolverConfig(
         tol_primal=tol, tol_dual=tol, max_iter=max_iter,
         oracle_fallback=fallback,
     )
-
-
-def _config_dict(cfg):
-    return {
-        "tol_primal": cfg.tol_primal,
-        "tol_dual": cfg.tol_dual,
-        "max_iter": cfg.max_iter,
-        "step_rho": cfg.step_rho,
-        "zero_eps": cfg.zero_eps,
-        "oracle_fallback": cfg.oracle_fallback,
-        "eig_backend": cfg.eig_backend,
-    }
 
 
 def _load_pair(path1, path2):
@@ -148,8 +119,25 @@ def _load_pair(path1, path2):
     return g1, g2
 
 
+def _agrees(verdict, truth):
+    """Whether a verdict matches the ground truth; None when inconclusive."""
+    if verdict.kind is VerdictKind.INCONCLUSIVE:
+        return None
+    return (verdict.kind is VerdictKind.ISOMORPHIC) == truth
+
+
+def _write_text(path, text):
+    """Write text to path, or to stdout when path is '-'."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def run_pair(g1, g2, cfg, want_oracle=False):
-    """Build, solve, and decide one pair; returns (verdict, result, report)."""
+    """Build, solve, and decide one pair; returns (verdict, result, report),
+    the report being the JSON-ready dict that ``decide --json`` prints."""
     t0 = time.perf_counter()
     program = build_program(g1, g2)
     t_build = time.perf_counter() - t0
@@ -157,43 +145,35 @@ def run_pair(g1, g2, cfg, want_oracle=False):
     t1 = time.perf_counter()
     verdict = decide(result, g1, g2, cfg)
     t_decide = time.perf_counter() - t1
-    oracle = None
     timings = {
         "build_seconds": t_build,
         "solve_seconds": result.solve_seconds,
         "decide_seconds": t_decide,
     }
-    if want_oracle:
-        t2 = time.perf_counter()
-        truth = bool(enumerate_isomorphisms(g1, g2, cap=1, size_limit=None))
-        timings["oracle_seconds"] = time.perf_counter() - t2
-        if verdict.kind is VerdictKind.ISOMORPHIC:
-            agrees = truth
-        elif verdict.kind is VerdictKind.NON_ISOMORPHIC:
-            agrees = not truth
-        else:
-            agrees = None
-        oracle = {"isomorphic": truth, "agrees_with_verdict": agrees}
-    report = RunReport(
-        instance={
+    report = {
+        "instance": {
             "n": g1.n,
             "edges_1": g1.num_edges,
             "edges_2": g2.num_edges,
             "program_dim": program.dim,
             "program_constraints": sum(program.constraint_counts().values()),
         },
-        config=_config_dict(cfg),
-        solver={
+        "config": asdict(cfg),
+        "solver": {
             "status": result.status.value,
             "objective": result.objective,
             "iterations": result.iterations,
             "primal_residual": result.primal_residual,
             "dual_residual": result.dual_residual,
         },
-        verdict=verdict.to_json_dict(),
-        timings=timings,
-        oracle=oracle,
-    )
+        "verdict": verdict.to_json_dict(),
+        "timings": timings,
+    }
+    if want_oracle:
+        t2 = time.perf_counter()
+        truth = bool(enumerate_isomorphisms(g1, g2, cap=1, size_limit=None))
+        timings["oracle_seconds"] = time.perf_counter() - t2
+        report["oracle"] = {"isomorphic": truth, "agrees_with_verdict": _agrees(verdict, truth)}
     return verdict, result, report
 
 
@@ -214,12 +194,12 @@ def cmd_build(args):
     except (OSError, GraphParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    text = dumps_json(program_to_json_dict(program))
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    try:
+        _write_text(args.out, dumps_json(program_to_json_dict(program)))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.out != "-":
         counts = program.constraint_counts()
         summary = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
         print(f"wrote {args.out}: dim {program.dim}, {summary}")
@@ -235,7 +215,7 @@ def cmd_decide(args):
         return EXIT_INPUT_ERROR
     verdict, result, report = run_pair(g1, g2, cfg, want_oracle=cfg.oracle_fallback)
     if args.json:
-        sys.stdout.write(dumps_json(report.to_json_dict()))
+        sys.stdout.write(dumps_json(report))
     else:
         print(f"n = {g1.n}, objective = {result.objective:.12f}, "
               f"threshold = {verdict.threshold:.12f}")
@@ -254,6 +234,8 @@ def cmd_decide(args):
 
 def cmd_oracle(args):
     try:
+        if args.cap is not None and args.cap < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         g1, g2 = _load_pair(args.graph1, args.graph2)
         isos = enumerate_isomorphisms(g1, g2, cap=args.cap, size_limit=None)
     except (OSError, GraphParseError, ValueError) as exc:
@@ -275,6 +257,13 @@ def cmd_bench(args):
         print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
+        pairs = [(e["name"], e["g1"], e["g2"], bool(e["isomorphic"]))
+                 for e in manifest["pairs"]]
+    except (KeyError, TypeError) as exc:
+        print(f"error: {manifest_path} needs a 'pairs' list of objects with name, "
+              f"g1, g2 and isomorphic ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    try:
         cfg = _config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -282,15 +271,13 @@ def cmd_bench(args):
 
     rows = []
     mismatches = 0
-    for entry in manifest["pairs"]:
-        name = entry["name"]
+    for name, path1, path2, truth in pairs:
         try:
-            g1, g2 = _load_pair(os.path.join(args.corpus, entry["g1"]),
-                                os.path.join(args.corpus, entry["g2"]))
-        except (OSError, ValueError) as exc:
+            g1, g2 = _load_pair(os.path.join(args.corpus, path1),
+                                os.path.join(args.corpus, path2))
+        except (OSError, TypeError, ValueError) as exc:
             print(f"error: pair {name}: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        truth = bool(entry["isomorphic"])
         if args.verify_manifest:
             recomputed = bool(enumerate_isomorphisms(g1, g2, cap=1, size_limit=None))
             if recomputed != truth:
@@ -300,12 +287,7 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         verdict, result, report = run_pair(g1, g2, cfg)
         elapsed = time.perf_counter() - t0
-        if verdict.kind is VerdictKind.ISOMORPHIC:
-            agree = truth
-        elif verdict.kind is VerdictKind.NON_ISOMORPHIC:
-            agree = not truth
-        else:
-            agree = None
+        agree = _agrees(verdict, truth)
         if agree is False:
             mismatches += 1
         rows.append({
@@ -350,14 +332,14 @@ def cmd_bench(args):
     print(f"\n{len(rows)} pairs: " + ", ".join(f"{k}={v}" for k, v in counts.items())
           + f", mismatches={mismatches}")
     print("decided by: " + ", ".join(f"{k}={v}" for k, v in decided.items()))
-    doc = {"config": _config_dict(cfg), "pairs": rows, "summary": summary}
+    doc = {"config": asdict(cfg), "pairs": rows, "summary": summary}
     if args.json is not None:
-        text = dumps_json(doc)
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text)
+        try:
+            _write_text(args.json, dumps_json(doc))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        if args.json != "-":
             print(f"report written to {args.json}")
     return 0 if mismatches == 0 else EXIT_NON_ISOMORPHIC
 

@@ -24,8 +24,8 @@ from .oracle import enumerate_isomorphisms, is_isomorphism
 from .solver import SolverConfig, SolverStatus
 
 __all__ = [
-    "DiagonalAssignment",
     "diagonal_matrix",
+    "stochastic_deviation",
     "BirkhoffResult",
     "birkhoff_decompose",
     "consistent_set_search",
@@ -36,37 +36,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagonalAssignment:
-    """The pair-diagonal of a solved matrix arranged as an n x n array."""
-
-    X: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-    def stochastic_deviation(self):
-        """Worst deviation of any row/column sum from 1 or entry below 0."""
-        dev = max(
-            float(np.abs(self.row_sums - 1.0).max()),
-            float(np.abs(self.col_sums - 1.0).max()),
-        )
-        neg = float(self.X.min())
-        return max(dev, -neg if neg < 0.0 else 0.0)
-
-
 def diagonal_matrix(Y, n):
     """Extract the pair-diagonal of Y into an n x n assignment array."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] < n * n:
         raise ValueError(f"expected at least a {n * n} square matrix, got {Y.shape}")
     d = np.arange(n * n)
-    X = Y[d, d].reshape(n, n).copy()
-    return DiagonalAssignment(
-        X=X, row_sums=X.sum(axis=1), col_sums=X.sum(axis=0)
+    return Y[d, d].reshape(n, n)
+
+
+def stochastic_deviation(X):
+    """Worst deviation of a square array from doubly stochastic: the largest
+    distance of a row or column sum from 1, or of an entry below 0."""
+    X = np.asarray(X, dtype=float)
+    return max(
+        float(np.abs(X.sum(axis=1) - 1.0).max()),
+        float(np.abs(X.sum(axis=0) - 1.0).max()),
+        max(0.0, -float(X.min())),
     )
 
 
@@ -141,27 +127,19 @@ def _max_weight_matching(X, support):
     return tuple(fixed)
 
 
-def birkhoff_decompose(assignment, eps=1e-6):
+def birkhoff_decompose(X, eps=1e-6):
     """Peel a doubly stochastic matrix into permutations, heaviest first.
 
-    assignment may be a DiagonalAssignment or a plain n x n array; it must be
-    doubly stochastic within 10 * eps.  Each round restricts to entries above
-    eps, finds the heaviest perfect matching on that support (smallest
-    permutation on ties), and subtracts the minimum matched entry.  Stops when
-    the remaining mass is below eps or no perfect matching survives.
+    X must be doubly stochastic within 10 * eps.  Each round restricts to
+    entries above eps, finds the heaviest perfect matching on that support
+    (smallest permutation on ties), and subtracts the minimum matched entry.
+    Stops when the remaining mass is below eps or no perfect matching survives.
     """
-    if isinstance(assignment, DiagonalAssignment):
-        X = assignment.X.copy()
-    else:
-        X = np.asarray(assignment, dtype=float).copy()
+    X = np.array(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got {X.shape}")
     n = X.shape[0]
-    dev = max(
-        float(np.abs(X.sum(axis=1) - 1.0).max()),
-        float(np.abs(X.sum(axis=0) - 1.0).max()),
-        max(0.0, -float(X.min())),
-    )
+    dev = stochastic_deviation(X)
     if dev > 10.0 * eps:
         raise ValueError(
             f"matrix is not doubly stochastic within {10 * eps:.1e} (deviation {dev:.3e})"
@@ -204,10 +182,8 @@ def consistent_set_search(Y, eps=1e-6):
     n = int(round(np.sqrt(Y.shape[0])))
     if n * n not in (Y.shape[0], Y.shape[0] - 1):
         raise ValueError(f"matrix size {Y.shape[0]} is not n^2 or n^2+1")
-    if n * n == Y.shape[0] - 1:
-        n = int(round(np.sqrt(Y.shape[0] - 1)))
 
-    diag = np.array([[Y[i * n + j, i * n + j] for j in range(n)] for i in range(n)])
+    diag = diagonal_matrix(Y, n)
     order = [list(np.argsort(-diag[i], kind="stable")) for i in range(n)]
 
     chosen = []
@@ -289,16 +265,20 @@ def decide(result, g1, g2, cfg=None):
         "candidates_tried": 0,
     }
 
-    if result.status is not SolverStatus.CONVERGED:
-        diagnostics["note"] = "solver did not converge; no sound decision available"
+    def verdict(kind, decided_by, permutation=None, oracle_used=False):
         return Verdict(
-            kind=VerdictKind.INCONCLUSIVE,
-            permutation=None,
+            kind=kind,
+            permutation=permutation,
             objective=float(result.objective),
             threshold=threshold,
-            decided_by=None,
+            decided_by=decided_by,
+            oracle_used=oracle_used,
             diagnostics=diagnostics,
         )
+
+    if result.status is not SolverStatus.CONVERGED:
+        diagnostics["note"] = "solver did not converge; no sound decision available"
+        return verdict(VerdictKind.INCONCLUSIVE, None)
 
     slack = 10.0 * cfg.tol_primal
     if result.objective < threshold - slack:
@@ -307,14 +287,7 @@ def decide(result, g1, g2, cfg=None):
         diagnostics["separation"] = float(threshold - result.objective)
         diagnostics["cp_rank_bound"] = n * n * (n * n + 1) // 2
         diagnostics["realization_dim_bound"] = n ** 4
-        return Verdict(
-            kind=VerdictKind.NON_ISOMORPHIC,
-            permutation=None,
-            objective=float(result.objective),
-            threshold=threshold,
-            decided_by="bound",
-            diagnostics=diagnostics,
-        )
+        return verdict(VerdictKind.NON_ISOMORPHIC, "bound")
 
     tried = []
 
@@ -325,64 +298,35 @@ def decide(result, g1, g2, cfg=None):
         diagnostics["candidates_tried"] = len(tried)
         if is_isomorphism(sigma, g1, g2):
             diagnostics["extraction_method"] = method
-            return Verdict(
-                kind=VerdictKind.ISOMORPHIC,
-                permutation=tuple(sigma),
-                objective=float(result.objective),
-                threshold=threshold,
-                decided_by="extraction",
-                diagnostics=diagnostics,
-            )
+            return verdict(VerdictKind.ISOMORPHIC, "extraction", tuple(sigma))
         return None
 
-    verdict = certify(consistent_set_search(result.Y, cfg.zero_eps), "consistent-set")
-    if verdict is not None:
-        return verdict
+    found = certify(consistent_set_search(result.Y, cfg.zero_eps), "consistent-set")
+    if found is not None:
+        return found
 
-    assignment = diagonal_matrix(result.Y, n)
-    diagnostics["stochastic_deviation"] = float(assignment.stochastic_deviation())
-    if assignment.stochastic_deviation() <= 10.0 * cfg.zero_eps:
-        bvn = birkhoff_decompose(assignment, cfg.zero_eps)
+    X = diagonal_matrix(result.Y, n)
+    deviation = stochastic_deviation(X)
+    diagnostics["stochastic_deviation"] = deviation
+    if deviation <= 10.0 * cfg.zero_eps:
+        bvn = birkhoff_decompose(X, cfg.zero_eps)
         diagnostics["birkhoff_terms"] = len(bvn.terms)
         diagnostics["birkhoff_complete"] = bool(bvn.complete)
         for _, sigma in bvn.terms:
-            verdict = certify(sigma, "birkhoff")
-            if verdict is not None:
-                return verdict
+            found = certify(sigma, "birkhoff")
+            if found is not None:
+                return found
     else:
         diagnostics["birkhoff_skipped"] = "diagonal is not doubly stochastic"
 
     if cfg.oracle_fallback:
-        found = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)
+        isos = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)
         diagnostics["note"] = "settled by exact search after extraction failed"
-        if found:
-            return Verdict(
-                kind=VerdictKind.ISOMORPHIC,
-                permutation=found[0],
-                objective=float(result.objective),
-                threshold=threshold,
-                decided_by="oracle",
-                oracle_used=True,
-                diagnostics=diagnostics,
-            )
-        return Verdict(
-            kind=VerdictKind.NON_ISOMORPHIC,
-            permutation=None,
-            objective=float(result.objective),
-            threshold=threshold,
-            decided_by="oracle",
-            oracle_used=True,
-            diagnostics=diagnostics,
-        )
+        if isos:
+            return verdict(VerdictKind.ISOMORPHIC, "oracle", isos[0], oracle_used=True)
+        return verdict(VerdictKind.NON_ISOMORPHIC, "oracle", oracle_used=True)
 
     diagnostics["note"] = (
         "objective within the threshold window but no candidate certified"
     )
-    return Verdict(
-        kind=VerdictKind.INCONCLUSIVE,
-        permutation=None,
-        objective=float(result.objective),
-        threshold=threshold,
-        decided_by=None,
-        diagnostics=diagnostics,
-    )
+    return verdict(VerdictKind.INCONCLUSIVE, None)

@@ -18,6 +18,7 @@ textbook method.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -55,14 +56,12 @@ class SolverConfig:
     eig_backend: str = "numpy"
 
     def __post_init__(self):
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_primal", "tol_dual", "step_rho", "zero_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.step_rho <= 0:
-            raise ValueError("step_rho must be positive")
-        if self.zero_eps <= 0:
-            raise ValueError("zero_eps must be positive")
         eigh_backend(self.eig_backend)  # validates the name
 
 
@@ -96,13 +95,17 @@ def project_psd(M, eig_backend_name="numpy"):
     scale = 1.0 + float(np.abs(M).max())
     if asym > 1e-8 * scale:
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    M = 0.5 * (M + M.T)
-    eigh = eigh_backend(eig_backend_name)
-    w, V = eigh(M)
+    return _psd_part(M, eigh_backend(eig_backend_name))
+
+
+def _psd_part(W, eigh):
+    """Symmetrise W and clip its negative eigenvalues to zero; a matrix that
+    is already positive semidefinite comes back symmetrised but not rebuilt."""
+    W = 0.5 * (W + W.T)
+    w, V = eigh(W)
     if w[0] >= 0.0:
-        return M.copy()
-    w = np.maximum(w, 0.0)
-    out = (V * w) @ V.T
+        return W
+    out = (V * np.maximum(w, 0.0)) @ V.T
     return 0.5 * (out + out.T)
 
 
@@ -167,10 +170,7 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     for sweep in range(1, max_sweeps + 1):
         np.clip(W, 0.0, None, out=W)
         _apply_affine(W, p, link_weight=2.0)
-        w, V = eigh(0.5 * (W + W.T))
-        if w[0] < 0.0:
-            W = (V * np.maximum(w, 0.0)) @ V.T
-            W = 0.5 * (W + W.T)
+        W = _psd_part(W, eigh)
         viol = max(
             float(np.abs(W[p.zero_rows, p.zero_cols]).max(initial=0.0)),
             float(np.abs(W[d, omega] - W[d, d]).max()),
@@ -207,14 +207,7 @@ def solve(p, cfg=None):
     it = 0
     for it in range(1, cfg.max_iter + 1):
         X1 = _apply_affine(Z - U1 + tilt, p, link_weight=2.0)
-        W = Z - U2
-        W = 0.5 * (W + W.T)
-        w, V = eigh(W)
-        if w[0] >= 0.0:
-            X2 = W
-        else:
-            X2 = (V * np.maximum(w, 0.0)) @ V.T
-            X2 = 0.5 * (X2 + X2.T)
+        X2 = _psd_part(Z - U2, eigh)
         X3 = np.maximum(Z - U3, 0.0)
 
         Z_new = (X1 + X2 + X3 + U1 + U2 + U3) / 3.0

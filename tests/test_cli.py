@@ -99,6 +99,11 @@ def test_build_stdout(c4_pair, capsys):
     assert doc["n"] == 4
 
 
+def test_build_unwritable_output(c4_pair, tmp_path, capsys):
+    assert main(["build", *c4_pair, str(tmp_path / "missing" / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_build_mismatched_sizes(tmp_path, capsys):
     a = write_graph(tmp_path / "a.txt", th.path_graph(3))
     b = write_graph(tmp_path / "b.txt", th.path_graph(4))
@@ -166,9 +171,14 @@ def test_decide_env_overrides(c4_pair, monkeypatch):
     assert main(["decide", *c4_pair, "--max-iter", "2000"]) == 0
 
 
-@pytest.mark.parametrize("command", ["decide", "bench"])
-def test_bad_env_value_is_input_error(command, c4_pair, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("THETAISO_TOL", "abc")
+@pytest.mark.parametrize("command, variable, value", [
+    ("decide", "THETAISO_TOL", "abc"),
+    ("bench", "THETAISO_TOL", "abc"),
+    ("decide", "THETAISO_ORACLE_FALLBACK", "ture"),
+], ids=["decide", "bench", "decide-fallback-typo"])
+def test_bad_env_value_is_input_error(command, variable, value, c4_pair, tmp_path,
+                                      monkeypatch, capsys):
+    monkeypatch.setenv(variable, value)
     if command == "decide":
         argv = ["decide", *c4_pair]
     else:
@@ -176,7 +186,17 @@ def test_bad_env_value_is_input_error(command, c4_pair, tmp_path, monkeypatch, c
             ("k2", th.complete_graph(2), th.complete_graph(2), True),
         ])]
     assert main(argv) == 2
-    assert "THETAISO_TOL" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and variable in err
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("TRUE", True), (" on ", True), ("No", False), ("0", False),
+])
+def test_env_oracle_fallback_words(value, expected, c4_pair, monkeypatch, capsys):
+    monkeypatch.setenv("THETAISO_ORACLE_FALLBACK", value)
+    assert main(["decide", *c4_pair, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["oracle_fallback"] is expected
 
 
 # --------------------------------------------------------------------- oracle
@@ -194,6 +214,14 @@ def test_oracle_cap(c4_pair, capsys):
     out = capsys.readouterr().out
     assert "stopped at cap 2" in out
     assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_below_one_is_input_error(cap, c4_pair, capsys):
+    assert main(["oracle", *c4_pair, "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--cap" in captured.err
+    assert "found" not in captured.out
 
 
 # ---------------------------------------------------------------------- bench
@@ -231,6 +259,30 @@ def test_bench_empty_corpus(tmp_path, capsys):
 def test_bench_missing_manifest(tmp_path, capsys):
     assert main(["bench", str(tmp_path)]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def test_bench_unwritable_report(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, [
+        ("k2", th.complete_graph(2), th.complete_graph(2), True),
+    ])
+    assert main(["bench", corpus, "--json", str(tmp_path / "missing" / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("manifest", [
+    {"cases": []},
+    {"pairs": [{"name": "k2", "g1": "k2_a.txt", "g2": "k2_b.txt"}]},
+    {"pairs": [{"g1": "k2_a.txt", "g2": "k2_b.txt", "isomorphic": True}]},
+    {"pairs": ["k2"]},
+    {"pairs": [{"name": "k2", "g1": 1, "g2": "k2_b.txt", "isomorphic": True}]},
+], ids=["no-pairs", "no-isomorphic", "no-name", "not-an-object", "path-not-a-string"])
+def test_bench_malformed_manifest(manifest, tmp_path, capsys):
+    corpus = make_corpus(tmp_path, [
+        ("k2", th.complete_graph(2), th.complete_graph(2), True),
+    ])
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["bench", corpus]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bench_verify_manifest_catches_lies(tmp_path, capsys):

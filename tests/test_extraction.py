@@ -10,6 +10,7 @@ from thetaiso.extraction import (
     decide,
     decision_threshold,
     diagonal_matrix,
+    stochastic_deviation,
 )
 from thetaiso.solver import SolverConfig, SolverResult, SolverStatus
 from conftest import random_doubly_stochastic
@@ -32,21 +33,29 @@ def perm_matrix(sigma):
 def test_diagonal_matrix_of_lift():
     sigma = (2, 0, 3, 1)
     X = diagonal_matrix(th.lift(sigma).extended(), 4)
-    assert np.array_equal(X.X, perm_matrix(sigma))
-    assert np.allclose(X.row_sums, 1.0)
-    assert np.allclose(X.col_sums, 1.0)
-    assert X.stochastic_deviation() == 0.0
+    assert np.array_equal(X, perm_matrix(sigma))
+    assert stochastic_deviation(X) == 0.0
 
 
 def test_diagonal_matrix_linearity_and_zero():
     a = th.lift((0, 1, 2)).matrix
     b = th.lift((1, 2, 0)).matrix
     X = diagonal_matrix(0.25 * a + 0.75 * b, 3)
-    assert np.allclose(X.X, 0.25 * perm_matrix((0, 1, 2)) + 0.75 * perm_matrix((1, 2, 0)))
+    assert np.allclose(X, 0.25 * perm_matrix((0, 1, 2)) + 0.75 * perm_matrix((1, 2, 0)))
     Z = diagonal_matrix(np.zeros((9, 9)), 3)
-    assert np.all(Z.X == 0.0) and np.all(Z.row_sums == 0.0)
+    assert np.all(Z == 0.0) and stochastic_deviation(Z) == 1.0
     with pytest.raises(ValueError):
         diagonal_matrix(np.zeros((8, 8)), 3)
+
+
+def test_stochastic_deviation_worst_of_rows_columns_and_sign():
+    P = perm_matrix((1, 2, 0))
+    assert stochastic_deviation(P) == 0.0
+    rows_off = P.copy()
+    rows_off[0, 1] = 1.25  # row 0 and column 1 both sum to 1.25
+    assert stochastic_deviation(rows_off) == 0.25
+    negative = np.array([[1.5, -0.5], [-0.5, 1.5]])  # sums are exact, an entry is not
+    assert stochastic_deviation(negative) == 0.5
 
 
 def test_birkhoff_identity():
@@ -185,7 +194,7 @@ def test_decide_synthetic_lift_combination():
     chosen = [isos[i] for i in rng.choice(len(isos), 4, replace=False)]
     Y = sum(w * th.lift(s).extended() for w, s in zip(weights, chosen))
     X = diagonal_matrix(Y, 6)
-    assert (X.row_sums >= 1.0 - 1.0 / (4 * 6 ** 4)).all()
+    assert (X.sum(axis=1) >= 1.0 - 1.0 / (4 * 6 ** 4)).all()
     v = decide(fake_result(Y, 6.0), g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC
     assert th.is_isomorphism(v.permutation, g1, g2)

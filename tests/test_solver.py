@@ -36,6 +36,10 @@ def test_config_validation():
         SolverConfig(step_rho=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(eig_backend="nope")
+    for name in ("tol_primal", "tol_dual", "step_rho", "zero_eps"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
     cfg = SolverConfig()
     assert cfg.tol_primal == 1e-7 and cfg.max_iter == 50000
 
