@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -145,6 +146,7 @@ def run_pair(g1, g2, cfg, want_oracle=False):
     t1 = time.perf_counter()
     verdict = decide(result, g1, g2, cfg)
     t_decide = time.perf_counter() - t1
+    verdict_doc = verdict.to_json_dict()
     timings = {
         "build_seconds": t_build,
         "solve_seconds": result.solve_seconds,
@@ -162,11 +164,12 @@ def run_pair(g1, g2, cfg, want_oracle=False):
         "solver": {
             "status": result.status.value,
             "objective": result.objective,
+            "upper_bound": verdict_doc["upper_bound"],
             "iterations": result.iterations,
             "primal_residual": result.primal_residual,
             "dual_residual": result.dual_residual,
         },
-        "verdict": verdict.to_json_dict(),
+        "verdict": verdict_doc,
         "timings": timings,
     }
     if want_oracle:
@@ -218,6 +221,7 @@ def cmd_decide(args):
         sys.stdout.write(dumps_json(report))
     else:
         print(f"n = {g1.n}, objective = {result.objective:.12f}, "
+              f"upper bound = {result.upper_bound:.12f}, "
               f"threshold = {verdict.threshold:.12f}")
         print(f"solver: {result.status.value} after {result.iterations} iterations "
               f"(primal {result.primal_residual:.2e}, dual {result.dual_residual:.2e})")
@@ -290,6 +294,7 @@ def cmd_bench(args):
         agree = _agrees(verdict, truth)
         if agree is False:
             mismatches += 1
+        gap = verdict.threshold - result.upper_bound
         rows.append({
             "name": name,
             "n": g1.n,
@@ -297,8 +302,9 @@ def cmd_bench(args):
             "verdict": verdict.kind.value,
             "decided_by": verdict.decided_by,
             "objective": result.objective,
+            "upper_bound": report["verdict"]["upper_bound"],
             "threshold": verdict.threshold,
-            "gap": verdict.threshold - result.objective,
+            "gap": gap if math.isfinite(gap) else None,
             "threshold_decided": verdict.decided_by == "bound",
             "status": result.status.value,
             "iterations": result.iterations,
@@ -314,8 +320,9 @@ def cmd_bench(args):
         truth = "iso" if row["isomorphic"] else "non"
         ok = {True: "yes", False: "NO", None: "-"}[row["agree"]]
         by = row["decided_by"] or "-"
+        gap = "-" if row["gap"] is None else f"{row['gap']:.3e}"
         print(f"{row['name']:<24} {row['n']:>3} {truth:>6} {row['verdict']:>15} "
-              f"{by:>10} {row['objective']:>16.9f} {row['gap']:>11.3e} "
+              f"{by:>10} {row['objective']:>16.9f} {gap:>11} "
               f"{row['iterations']:>7} {row['seconds']:>8.2f} {ok:>4}")
     counts = {}
     decided = {"bound": 0, "extraction": 0, "oracle": 0, "inconclusive": 0}

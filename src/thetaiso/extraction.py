@@ -1,19 +1,22 @@
 """Rounding a solved matrix into an exact verdict.
 
-Three routes out of a solve.  A converged objective below n - 1/(4 n^4) minus
-a small solver slack certifies that no isomorphism exists (an isomorphic pair
-always admits a feasible point of value exactly n, and no feasible point
-scores higher, so a strictly separated optimum is conclusive).  At or above
-the threshold the code tries to read a permutation out of the matrix: first
-through a consistent-set search directly on the entries of Y, then through a
-Birkhoff decomposition of the diagonal reshaped to an n x n doubly stochastic
-matrix.  Every candidate permutation is checked exactly against both edge
-sets before it is believed; if nothing certifies, the verdict is inconclusive
-(optionally escalated to the exact search oracle).
+Three routes out of a solve.  A certified upper bound on the relaxation's
+optimum below n - 1/(4 n^4) proves that no isomorphism exists: an isomorphic
+pair always admits a feasible point of value exactly n.  The bound is the
+solver's weak-duality ``upper_bound``, built from its dual variables; the
+primal objective never decides, because a maximization's primal iterate only
+bounds the optimum from below.  Otherwise the code tries to read a
+permutation out of the matrix: first through a consistent-set search
+directly on the entries of Y, then through a Birkhoff decomposition of the
+diagonal reshaped to an n x n doubly stochastic matrix.  Every candidate
+permutation is checked exactly against both edge sets before it is
+believed; if nothing certifies, the verdict is inconclusive (optionally
+escalated to the exact search oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,6 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .oracle import enumerate_isomorphisms, is_isomorphism
+from .program import decision_threshold
 from .solver import SolverConfig, SolverStatus
 
 __all__ = [
@@ -218,6 +222,7 @@ class Verdict:
     kind: VerdictKind
     permutation: tuple | None
     objective: float
+    upper_bound: float            # the solver's certified bound; inf if none
     threshold: float
     decided_by: str | None        # 'bound', 'extraction', 'oracle', or None
     oracle_used: bool = False
@@ -228,6 +233,7 @@ class Verdict:
             "kind": self.kind.value,
             "permutation": list(self.permutation) if self.permutation is not None else None,
             "objective": float(self.objective),
+            "upper_bound": float(self.upper_bound) if math.isfinite(self.upper_bound) else None,
             "threshold": float(self.threshold),
             "decided_by": self.decided_by,
             "oracle_used": bool(self.oracle_used),
@@ -235,21 +241,16 @@ class Verdict:
         }
 
 
-def decision_threshold(n):
-    """Objective separation below which a converged solve rules out any
-    isomorphism: n - 1/(4 n^4)."""
-    return n - 1.0 / (4.0 * n ** 4)
-
-
 def decide(result, g1, g2, cfg=None):
     """Turn a solver result into a verdict for the graph pair.
 
-    Ladder: non-converged solves are inconclusive; a converged objective
-    strictly below the separation threshold (minus 10 * tol_primal solver
-    slack) is a sound NonIsomorphic; otherwise candidate permutations from
-    the consistent-set search and the Birkhoff peeling are checked exactly,
-    and the first certified one decides Isomorphic.  Anything else is
-    inconclusive, or settled exactly when cfg.oracle_fallback is set.
+    Ladder: a certified ``result.upper_bound`` strictly below the separation
+    threshold is a sound NonIsomorphic, whatever the solver status; apart
+    from that, non-converged solves are inconclusive; otherwise candidate
+    permutations from the consistent-set search and the Birkhoff peeling are
+    checked exactly, and the first certified one decides Isomorphic.
+    Anything else is inconclusive, or settled exactly when
+    cfg.oracle_fallback is set.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -270,24 +271,24 @@ def decide(result, g1, g2, cfg=None):
             kind=kind,
             permutation=permutation,
             objective=float(result.objective),
+            upper_bound=float(result.upper_bound),
             threshold=threshold,
             decided_by=decided_by,
             oracle_used=oracle_used,
             diagnostics=diagnostics,
         )
 
-    if result.status is not SolverStatus.CONVERGED:
-        diagnostics["note"] = "solver did not converge; no sound decision available"
-        return verdict(VerdictKind.INCONCLUSIVE, None)
-
-    slack = 10.0 * cfg.tol_primal
-    if result.objective < threshold - slack:
-        # Any isomorphism would force a feasible point of value exactly n,
-        # and the optimum cannot exceed n; a separated optimum is conclusive.
-        diagnostics["separation"] = float(threshold - result.objective)
+    if result.upper_bound < threshold:
+        # Any isomorphism would give a feasible point of value exactly n, and
+        # no feasible point scores above the upper bound.
+        diagnostics["separation"] = float(threshold - result.upper_bound)
         diagnostics["cp_rank_bound"] = n * n * (n * n + 1) // 2
         diagnostics["realization_dim_bound"] = n ** 4
         return verdict(VerdictKind.NON_ISOMORPHIC, "bound")
+
+    if result.status is not SolverStatus.CONVERGED:
+        diagnostics["note"] = "solver did not converge; no sound decision available"
+        return verdict(VerdictKind.INCONCLUSIVE, None)
 
     tried = []
 

@@ -190,11 +190,14 @@ def parse_graph(text):
 
 
 def parse_dimacs(text):
-    """Parse the DIMACS dialect: "p edge n m" then m lines "e i j", 1-based."""
+    """Parse the DIMACS dialect: "p edge n m" then m lines "e i j", 1-based.
+
+    Lines starting with 'c' or '#' and blank lines are ignored.
+    """
     n = None
     edges = []
     declared = 0
-    for lineno, line in _data_lines(text, "c"):
+    for lineno, line in _data_lines(text, "c#"):
         parts = line.split()
         if parts[0] == "p":
             if n is not None:

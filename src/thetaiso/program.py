@@ -22,6 +22,7 @@ from .graphs import conflict_pairs
 __all__ = [
     "Program",
     "build_program",
+    "decision_threshold",
     "objective_value",
     "program_to_json_dict",
 ]
@@ -93,6 +94,12 @@ def objective_value(Y, p):
         raise ValueError(f"expected a {p.dim} or {p.dim - 1} square matrix, got {Y.shape}")
     d = p.pair_diag
     return float(Y[d, d].sum())
+
+
+def decision_threshold(n):
+    """Separation below which the optimum rules out any isomorphism:
+    n - 1/(4 n^4).  An isomorphic pair has optimum exactly n."""
+    return n - 1.0 / (4.0 * n ** 4)
 
 
 def _rows(p):

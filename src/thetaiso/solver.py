@@ -14,6 +14,12 @@ Internally the sweep uses a variant weighted by matrix multiplicity (the
 mirrored omega column counts twice), so the three projections measure
 distance in the same Frobenius geometry and the splitting converges like the
 textbook method.
+
+Every power-of-two iteration from 16 on, and once at exit, ``solve`` turns
+the scaled duals into a weak-duality upper bound on the relaxation's optimum
+(``SolverResult.upper_bound``).  Once that bound falls below ``decision_threshold``
+no isomorphism is possible, so the solve stops there with status Certified,
+however far the primal iterate still is from converging.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .eigensolver import eigh_backend
-from .program import objective_value
+from .program import decision_threshold, objective_value
 
 __all__ = [
     "SolverStatus",
@@ -41,6 +47,7 @@ __all__ = [
 
 class SolverStatus(str, Enum):
     CONVERGED = "Converged"
+    CERTIFIED = "Certified"
     MAX_ITER = "MaxIter"
     DIVERGED = "Diverged"
 
@@ -74,6 +81,7 @@ class SolverResult:
     primal_residual: float
     dual_residual: float
     solve_seconds: float
+    upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
 
     @property
     def converged(self):
@@ -183,8 +191,50 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     return W
 
 
+def _dual_upper_bound(p, rho, U2, U3):
+    """Weak-duality upper bound on the optimum from scaled duals U2, U3.
+
+    N = max(rho sym(U3), 0) prices nonnegativity and T = C + rho sym(U2) + N
+    is the matrix the affine multipliers y should reproduce: y_omega = T_ww,
+    each zero-pair multiplier matches T on its pair, and each link multiplier
+    is (2 T_dw - 2 T_dd) / 3, the least-squares fit over its three entries.
+    With S = A*(y) - C - N (so S = -N off the affine support), every feasible
+    Y has <C, Y> = y_omega - <S, Y> - <N, Y> <= y_omega - lambda_min(S) tr Y,
+    and tr Y <= n + 1 there: for each row i, x = e_omega - sum_j e_(i,j)
+    gives 0 <= x^T Y x = 1 - sum_j Y_(ij)(ij).  The eigenvalue's rounding
+    error is covered by dim^2 eps ||S||_F (Jansson, Chaykin & Keil, SIAM J.
+    Numer. Anal. 2007).  Only y_omega has a nonzero right-hand side, so the
+    other multipliers can be taken as the exact values that give the stored S.
+    """
+    d = p.pair_diag
+    omega = p.omega
+    P = rho * (0.5 * (U2 + U2.T))
+    N = np.maximum(rho * (0.5 * (U3 + U3.T)), 0.0)
+    T = p.objective + P + N
+    y_omega = T[omega, omega]
+    y_link = (2.0 * T[d, omega] - 2.0 * T[d, d]) / 3.0
+
+    S = -N
+    S[p.zero_rows, p.zero_cols] = P[p.zero_rows, p.zero_cols]
+    S[omega, omega] = y_omega - N[omega, omega]
+    S[d, omega] = S[omega, d] = 0.5 * y_link - N[d, omega]
+    S[d, d] = -y_link - p.objective[d, d] - N[d, d]
+    if not np.isfinite(S).all():
+        return math.inf
+    lam = float(np.linalg.eigvalsh(S)[0])
+    delta = p.dim ** 2 * float(np.finfo(float).eps) * float(np.linalg.norm(S))
+    bound = float(y_omega) + (p.n + 1) * max(0.0, delta - lam)
+    return math.nextafter(bound, math.inf)  # round the last sum upward
+
+
 def solve(p, cfg=None):
-    """Run the splitting iteration on a compiled program."""
+    """Run the splitting iteration on a compiled program.
+
+    Stops at convergence, at the iteration cap, on divergence, or as soon as
+    the dual upper bound, checked at iterations 16, 32, 64, ..., falls below
+    ``decision_threshold(n)`` (status Certified, no polish).  The bound is
+    computed once more at exit and returned as ``upper_bound``.
+    """
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
@@ -199,6 +249,8 @@ def solve(p, cfg=None):
     U2 = np.zeros((dim, dim))
     U3 = np.zeros((dim, dim))
     tilt = C / rho
+    threshold = decision_threshold(n)
+    upper_bound = math.inf
 
     sqrt3 = np.sqrt(3.0)
     status = SolverStatus.MAX_ITER
@@ -221,6 +273,12 @@ def solve(p, cfg=None):
             float(np.linalg.norm(X2 - Z)),
             float(np.linalg.norm(X3 - Z)),
         )
+
+        if it >= 16 and it & (it - 1) == 0:
+            upper_bound = _dual_upper_bound(p, rho, U2, U3)
+            if upper_bound < threshold:
+                status = SolverStatus.CERTIFIED
+                break
 
         scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
         if r_norm <= cfg.tol_primal * scale and s_norm <= cfg.tol_dual * scale:
@@ -253,6 +311,8 @@ def solve(p, cfg=None):
                 U3 *= 2.0
                 tilt = C / rho
 
+    if status is not SolverStatus.CERTIFIED:
+        upper_bound = _dual_upper_bound(p, rho, U2, U3)
     Y = 0.5 * (Z + Z.T)
     if status is SolverStatus.CONVERGED:
         Y = _polish(Y, p, eigh)
@@ -264,4 +324,5 @@ def solve(p, cfg=None):
         primal_residual=r_norm,
         dual_residual=s_norm,
         solve_seconds=time.perf_counter() - t0,
+        upper_bound=upper_bound,
     )

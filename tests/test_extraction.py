@@ -1,5 +1,7 @@
 """Diagonal rounding, Birkhoff peeling, consistent sets, and the verdict ladder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from thetaiso.solver import SolverConfig, SolverResult, SolverStatus
 from conftest import random_doubly_stochastic
 
 
-def fake_result(Y, objective, status=SolverStatus.CONVERGED):
+def fake_result(Y, objective, status=SolverStatus.CONVERGED, upper_bound=math.inf):
     return SolverResult(
         status=status, objective=objective, Y=Y, iterations=1,
         primal_residual=1e-9, dual_residual=1e-9, solve_seconds=0.0,
+        upper_bound=upper_bound,
     )
 
 
@@ -157,13 +160,30 @@ def test_decide_not_converged_is_inconclusive():
     assert v.diagnostics["status"] == "MaxIter"
 
 
+def test_decide_primal_objective_alone_never_separates():
+    # A maximization's primal objective only bounds the optimum from below,
+    # so a converged objective far under the threshold proves nothing
+    # without a certified upper bound.
+    g1 = th.cycle_graph(4)
+    g2 = th.path_graph(4)
+    v = decide(fake_result(np.zeros((17, 17)), 0.0, upper_bound=math.inf), g1, g2)
+    assert v.kind is not th.VerdictKind.NON_ISOMORPHIC
+    assert v.decided_by != "bound"
+    assert v.to_json_dict()["upper_bound"] is None
+
+    v = decide(fake_result(np.zeros((17, 17)), 0.0, upper_bound=3.5), g1, g2)
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC
+    assert v.decided_by == "bound"
+
+
 def test_decide_bound_branch(solved_corpus):
     g1, g2, truth, program, result, verdict = solved_corpus["c6_vs_2c3"]
     assert not truth
     assert verdict.kind is th.VerdictKind.NON_ISOMORPHIC
     assert verdict.decided_by == "bound"
     assert verdict.permutation is None
-    assert verdict.objective < verdict.threshold - 10.0 * SolverConfig().tol_primal
+    assert verdict.upper_bound < verdict.threshold
+    assert verdict.diagnostics["separation"] == verdict.threshold - verdict.upper_bound
     assert verdict.diagnostics["cp_rank_bound"] == 36 * 37 // 2
     assert verdict.diagnostics["realization_dim_bound"] == 6 ** 4
 

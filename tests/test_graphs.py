@@ -87,6 +87,14 @@ def test_parse_sniffs_format():
     assert parse_graph_text(dimacs) == parse_graph_text(plain)
 
 
+def test_dimacs_accepts_hash_comments():
+    # parse_graph_text skips '#' lines while sniffing, so the DIMACS parser
+    # it hands the text to must skip them too.
+    text = "# hi\n\np edge 2 1\n# between\ne 1 2\n"
+    assert parse_graph_text(text) == th.Graph(2, [(0, 1)])
+    assert parse_dimacs(text) == th.Graph(2, [(0, 1)])
+
+
 def test_load_graph_roundtrip(tmp_path):
     g = th.petersen_graph()
     path = tmp_path / "g.txt"

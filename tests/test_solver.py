@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import thetaiso as th
-from thetaiso.program import build_program
+from thetaiso.program import build_program, decision_threshold, program_to_json_dict
 from thetaiso.solver import (
+    _dual_upper_bound,
     SolverConfig,
     SolverStatus,
     initial_point,
@@ -148,21 +149,26 @@ def test_solve_n1():
 
 def test_solve_k2_vs_empty():
     res = solve(build_program(th.complete_graph(2), th.empty_graph(2)))
-    assert res.status is SolverStatus.CONVERGED
-    assert abs(res.objective - KNOWN_OPTIMA["k2_vs_empty"]) <= 1e-4
+    assert res.status is SolverStatus.CERTIFIED
+    assert KNOWN_OPTIMA["k2_vs_empty"] <= res.upper_bound < decision_threshold(2)
 
 
 def test_solve_known_non_isomorphic_optima(solved_corpus):
     for name in ("c6_vs_2c3", "p4_vs_k13", "tree6_pair"):
-        _, _, _, _, result, _ = solved_corpus[name]
-        assert result.status is SolverStatus.CONVERGED
-        assert abs(result.objective - KNOWN_OPTIMA[name]) <= 2e-5
+        _, _, _, program, result, _ = solved_corpus[name]
+        assert result.status is SolverStatus.CERTIFIED, name
+        assert KNOWN_OPTIMA[name] <= result.upper_bound < decision_threshold(program.n), name
 
 
 def test_converged_results_meet_invariants(solved_corpus):
     cfg = SolverConfig()
-    for name, (g1, g2, _, program, result, _) in solved_corpus.items():
-        assert result.status is SolverStatus.CONVERGED, name
+    for name in ("c6_vs_2c3", "p4_vs_k13", "tree6_pair"):
+        assert solved_corpus[name][4].status is SolverStatus.CERTIFIED, name
+    for name, (g1, g2, truth, program, result, _) in solved_corpus.items():
+        if truth:
+            assert result.status is SolverStatus.CONVERGED, name
+        if result.status is not SolverStatus.CONVERGED:
+            continue
         n = program.n
         assert result.objective <= n + 10.0 * cfg.tol_primal, name
         assert np.array_equal(result.Y, result.Y.T), name
@@ -176,6 +182,69 @@ def test_isomorphic_objective_lower_bound(solved_corpus):
     for name, (g1, g2, truth, program, result, _) in solved_corpus.items():
         if truth:
             assert result.objective >= program.n - 1e-4, name
+
+
+def test_upper_bound_never_below_isomorphic_optimum(solved_corpus):
+    # An isomorphic pair has optimum exactly n, so a valid bound is >= n.
+    for name, (g1, g2, truth, program, result, _) in solved_corpus.items():
+        if truth:
+            assert result.upper_bound >= program.n, (name, result.upper_bound)
+
+
+def _reference_upper_bound(p, rho, U2, U3):
+    """The same bound built densely from the explicit rows of
+    program_to_json_dict: S = sum_i y_i A_i - C - N."""
+    N = np.maximum(rho * 0.5 * (U3 + U3.T), 0.0)
+    T = p.objective + rho * 0.5 * (U2 + U2.T) + N
+    omega = p.omega
+    S = -p.objective - N
+    for row in program_to_json_dict(p)["constraints"]:
+        if row["kind"] == "omega-norm":
+            y = T[omega, omega]
+            y_omega = y
+        elif row["kind"] == "diag-link":
+            d = row["entries"][2][0]
+            y = (2.0 * T[d, omega] - 2.0 * T[d, d]) / 3.0
+        else:
+            r, c = row["entries"][0][:2]
+            y = 2.0 * T[r, c]
+        for r, c, coeff in row["entries"]:
+            S[r, c] += y * coeff
+    lam = np.linalg.eigvalsh(S)[0]
+    delta = p.dim ** 2 * np.finfo(float).eps * np.linalg.norm(S)
+    return y_omega + (p.n + 1) * max(0.0, delta - lam)
+
+
+def test_dual_upper_bound_matches_explicit_rows_for_any_duals():
+    # Weak duality does not need optimal duals: any rho, U2 and U3 give a
+    # bound, the same one the explicit constraint rows give, and never below
+    # the optimum n of an isomorphic pair.
+    g1 = th.cycle_graph(4)
+    p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        rho = rng.uniform(0.1, 4.0)
+        U2 = rng.standard_normal((p.dim, p.dim)) * rng.uniform(0.0, 3.0)
+        U3 = rng.standard_normal((p.dim, p.dim))
+        bound = _dual_upper_bound(p, rho, U2, U3)
+        assert bound == pytest.approx(_reference_upper_bound(p, rho, U2, U3), rel=1e-9)
+        assert bound >= 4.0
+
+
+def test_petersen_vs_prism_certified_early():
+    # Its primal iterate stalls far from convergence (and scores above n at
+    # the stopping point), yet the dual bound separates it within 128 iterations.
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    prism = th.Graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
+    petersen = th.petersen_graph()
+    res = solve(build_program(petersen, prism))
+    assert res.status is SolverStatus.CERTIFIED
+    assert res.iterations <= 128
+    verdict = th.decide(res, petersen, prism)
+    assert verdict.kind is th.VerdictKind.NON_ISOMORPHIC
+    assert verdict.decided_by == "bound"
+    assert verdict.upper_bound < verdict.threshold
 
 
 def test_max_iter_status():
@@ -221,4 +290,4 @@ def test_against_interior_point_solver():
     prob = cp.Problem(cp.Maximize(cp.sum(cp.diag(Y)[d])), cons)
     prob.solve(solver=cp.SCS, eps=1e-8, max_iters=100000)
     res = solve(p)
-    assert abs(res.objective - prob.value) <= 1e-5
+    assert prob.value <= res.upper_bound
