@@ -106,10 +106,7 @@ def _config_from_args(args):
         if args.oracle_fallback is not None
         else _env("ORACLE_FALLBACK", _flag, False)
     )
-    return SolverConfig(
-        tol_primal=tol, tol_dual=tol, max_iter=max_iter,
-        oracle_fallback=fallback,
-    )
+    return SolverConfig(tol=tol, max_iter=max_iter, oracle_fallback=fallback)
 
 
 def _load_pair(path1, path2):
@@ -261,8 +258,10 @@ def cmd_bench(args):
         print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        pairs = [(e["name"], e["g1"], e["g2"], bool(e["isomorphic"]))
-                 for e in manifest["pairs"]]
+        pairs = [(e["name"], e["g1"], e["g2"], e["isomorphic"]) for e in manifest["pairs"]]
+        for name, _, _, truth in pairs:
+            if not isinstance(truth, bool):
+                raise TypeError(f"pair {name}: isomorphic is {truth!r}, not true or false")
     except (KeyError, TypeError) as exc:
         print(f"error: {manifest_path} needs a 'pairs' list of objects with name, "
               f"g1, g2 and isomorphic ({type(exc).__name__}: {exc})", file=sys.stderr)

@@ -5,8 +5,9 @@ iteration with accumulated rotations.  Double precision throughout; the
 accumulated eigenvector basis stays orthonormal to about 1e-12 in the
 max-entry norm (covered by tests).  ``symmetric_eigh`` mirrors the calling
 convention of ``numpy.linalg.eigh``: ascending eigenvalues, eigenvectors in
-columns.  The projection-based solver can run on either backend; this one
-exists so the whole pipeline has no opaque dependency in its critical path.
+columns.  It is the reference routine that tests compare the solver's PSD
+projection against; the solver itself decomposes with ``numpy.linalg.eigh``
+(see ``solver.eigh_backend``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["householder_tridiagonal", "ql_implicit_shift", "symmetric_eigh", "eigh_backend"]
+__all__ = ["householder_tridiagonal", "ql_implicit_shift", "symmetric_eigh"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -141,11 +142,3 @@ def symmetric_eigh(A):
     d, e, Q = householder_tridiagonal(A)
     return ql_implicit_shift(d, e, Q)
 
-
-def eigh_backend(name):
-    """Resolve a backend name to an eigh-style callable."""
-    if name == "numpy":
-        return np.linalg.eigh
-    if name == "builtin":
-        return symmetric_eigh
-    raise ValueError(f"unknown eigensolver backend: {name!r} (use 'numpy' or 'builtin')")

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .oracle import enumerate_isomorphisms, is_isomorphism
 from .program import decision_threshold
@@ -38,6 +37,11 @@ __all__ = [
     "decision_threshold",
     "decide",
 ]
+
+# Entries at or below this read as zero when extracting a permutation from Y;
+# decide skips Birkhoff peeling on a diagonal more than 10 * ZERO_EPS from
+# doubly stochastic.
+ZERO_EPS = 1e-6
 
 
 def diagonal_matrix(Y, n):
@@ -90,6 +94,7 @@ def _max_weight_matching(X, support):
     fixing rows one at a time: a column is kept for row i only if some
     completion through it still attains the unrestricted optimum.
     """
+    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
     n = X.shape[0]
     if (support.sum(axis=1) == 0).any() or (support.sum(axis=0) == 0).any():
         return None
@@ -131,7 +136,7 @@ def _max_weight_matching(X, support):
     return tuple(fixed)
 
 
-def birkhoff_decompose(X, eps=1e-6):
+def birkhoff_decompose(X, eps=ZERO_EPS):
     """Peel a doubly stochastic matrix into permutations, heaviest first.
 
     X must be doubly stochastic within 10 * eps.  Each round restricts to
@@ -172,7 +177,7 @@ def birkhoff_decompose(X, eps=1e-6):
     return BirkhoffResult(terms=tuple(terms), complete=complete, rounds=rounds)
 
 
-def consistent_set_search(Y, eps=1e-6):
+def consistent_set_search(Y, eps=ZERO_EPS):
     """Read a permutation out of Y by growing a pairwise-supported set.
 
     Picks one (row, column) pair per row 0..n-1, trying columns in order of
@@ -302,15 +307,15 @@ def decide(result, g1, g2, cfg=None):
             return verdict(VerdictKind.ISOMORPHIC, "extraction", tuple(sigma))
         return None
 
-    found = certify(consistent_set_search(result.Y, cfg.zero_eps), "consistent-set")
+    found = certify(consistent_set_search(result.Y, ZERO_EPS), "consistent-set")
     if found is not None:
         return found
 
     X = diagonal_matrix(result.Y, n)
     deviation = stochastic_deviation(X)
     diagnostics["stochastic_deviation"] = deviation
-    if deviation <= 10.0 * cfg.zero_eps:
-        bvn = birkhoff_decompose(X, cfg.zero_eps)
+    if deviation <= 10.0 * ZERO_EPS:
+        bvn = birkhoff_decompose(X, ZERO_EPS)
         diagnostics["birkhoff_terms"] = len(bvn.terms)
         diagnostics["birkhoff_complete"] = bool(bvn.complete)
         for _, sigma in bvn.terms:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .oracle import is_permutation
+
 __all__ = [
     "Graph",
     "GraphParseError",
@@ -314,7 +316,7 @@ def association_graph(g1, g2):
 
 def relabel(g, sigma):
     """Apply a vertex bijection: edge (i,j) becomes (sigma[i], sigma[j])."""
-    if sorted(sigma) != list(range(g.n)):
+    if not is_permutation(sigma, g.n):
         raise ValueError("sigma is not a bijection on the vertex set")
     return Graph(g.n, ((sigma[i], sigma[j]) for i, j in g.edges))
 

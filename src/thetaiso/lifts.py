@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .graphs import conflict_pairs
+from .oracle import is_permutation
 
 __all__ = [
     "PermutationLift",
@@ -48,7 +48,7 @@ def permutation_vector(sigma):
     """Row-major 0/1 vectorization of the permutation matrix of sigma."""
     sigma = tuple(int(v) for v in sigma)
     n = len(sigma)
-    if sorted(sigma) != list(range(n)):
+    if not is_permutation(sigma, n):
         raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
     p = np.zeros(n * n)
     for i, j in enumerate(sigma):
@@ -280,6 +280,7 @@ def convex_decompose(Y, lifts, tol=1e-4):
     if Y.shape != (nn, nn):
         raise ValueError(f"expected a {nn} or {nn + 1} square matrix, got {Y.shape}")
 
+    from scipy.optimize import nnls  # slow import, needed only here
     mu = 1e5  # weight of the sum-to-one row relative to the entrywise fit
     A = np.empty((nn * nn + 1, len(lifts)))
     for c, L in enumerate(lifts):

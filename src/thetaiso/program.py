@@ -37,26 +37,22 @@ class Program:
     """
 
     __slots__ = (
-        "n", "dim", "omega", "objective", "pair_diag",
+        "n", "dim", "omega", "pair_diag",
         "zero_rows", "zero_cols", "zero_counts",
     )
 
     def __init__(self, n, conflicts):
-        dim = n * n + 1
-        objective = np.zeros((dim, dim))
         pair_diag = np.arange(n * n)
-        objective[pair_diag, pair_diag] = 1.0
         upper_r = np.concatenate([r for r, _ in conflicts.values()])
         upper_s = np.concatenate([s for _, s in conflicts.values()])
         zero_rows = np.concatenate([upper_r, upper_s])
         zero_cols = np.concatenate([upper_s, upper_r])
-        for a in (objective, pair_diag, zero_rows, zero_cols):
+        for a in (pair_diag, zero_rows, zero_cols):
             a.setflags(write=False)
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", n * n + 1)
         object.__setattr__(self, "omega", n * n)
-        object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "pair_diag", pair_diag)
         object.__setattr__(self, "zero_rows", zero_rows)
         object.__setattr__(self, "zero_cols", zero_cols)
@@ -126,15 +122,13 @@ def _rows(p):
 
 
 def program_to_json_dict(p):
-    """Serializable form of a Program: sparse objective, constraint rows,
-    and a description of the index convention."""
-    obj_r, obj_c = np.nonzero(p.objective)
+    """Serializable form of a Program: sparse objective (coefficient 1 on
+    each pair-diagonal entry), constraint rows, and a description of the
+    index convention."""
     return {
         "dim": p.dim,
         "n": p.n,
-        "objective": [
-            [int(r), int(c), float(p.objective[r, c])] for r, c in zip(obj_r, obj_c)
-        ],
+        "objective": [[d, d, 1.0] for d in p.pair_diag.tolist()],
         "constraints": _rows(p),
         "index": {
             "n": p.n,

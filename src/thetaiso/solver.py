@@ -5,7 +5,7 @@ affine rows of the compiled program, one onto the positive semidefinite cone,
 one onto the nonnegative orthant.  Each sweep averages the copies, updates the
 scaled dual offsets, and rebalances the step size when the primal and dual
 residuals drift apart.  The maximization objective enters through the affine
-copy as a linear tilt C / rho.
+copy: each sweep adds 1 / rho to the pair diagonal before projecting.
 
 ``project_affine`` and ``project_psd`` are also the public single-step
 operators; the affine one replaces each constrained entry group by its plain
@@ -31,7 +31,6 @@ from enum import Enum
 
 import numpy as np
 
-from .eigensolver import eigh_backend
 from .program import decision_threshold, objective_value
 
 __all__ = [
@@ -54,22 +53,15 @@ class SolverStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol_primal: float = 1e-7
-    tol_dual: float = 1e-7
+    tol: float = 1e-7               # primal and dual residual tolerance
     max_iter: int = 50000
-    step_rho: float = 1.0
-    zero_eps: float = 1e-6
-    oracle_fallback: bool = False
-    eig_backend: str = "numpy"
+    oracle_fallback: bool = False   # read by decide: settle Inconclusive exactly
 
     def __post_init__(self):
-        for name in ("tol_primal", "tol_dual", "step_rho", "zero_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        eigh_backend(self.eig_backend)  # validates the name
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,19 @@ class SolverResult:
         return self.status is SolverStatus.CONVERGED
 
 
-def project_psd(M, eig_backend_name="numpy"):
+def eigh_backend(name):
+    """The eigh of ``solve`` and ``project_psd``; only "numpy" is accepted.
+
+    Both look it up here at call time, so a wrapper set on this attribute sees
+    every eigendecomposition.  The name parameter stays because the benchmark
+    tracer's wrapper (``benchmarks/tracing.py``) takes and passes it through.
+    """
+    if name != "numpy":
+        raise ValueError(f"unknown eigensolver backend: {name!r} (use 'numpy')")
+    return np.linalg.eigh
+
+
+def project_psd(M):
     """Nearest positive semidefinite matrix in Frobenius norm.
 
     M must be symmetric (a tiny numerical asymmetry is averaged away);
@@ -103,7 +107,7 @@ def project_psd(M, eig_backend_name="numpy"):
     scale = 1.0 + float(np.abs(M).max())
     if asym > 1e-8 * scale:
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    return _psd_part(M, eigh_backend(eig_backend_name))
+    return _psd_part(M, eigh_backend("numpy"))
 
 
 def _psd_part(W, eigh):
@@ -194,10 +198,11 @@ def _polish(Z, p, eigh, max_sweeps=2000):
 def _dual_upper_bound(p, rho, U2, U3):
     """Weak-duality upper bound on the optimum from scaled duals U2, U3.
 
-    N = max(rho sym(U3), 0) prices nonnegativity and T = C + rho sym(U2) + N
-    is the matrix the affine multipliers y should reproduce: y_omega = T_ww,
-    each zero-pair multiplier matches T on its pair, and each link multiplier
-    is (2 T_dw - 2 T_dd) / 3, the least-squares fit over its three entries.
+    C is the objective, the identity on the pair diagonal.  N = max(rho
+    sym(U3), 0) prices nonnegativity and T = C + rho sym(U2) + N is the
+    matrix the affine multipliers y should reproduce: y_omega = T_ww, each
+    zero-pair multiplier matches T on its pair, and each link multiplier is
+    (2 T_dw - 2 T_dd) / 3, the least-squares fit over its three entries.
     With S = A*(y) - C - N (so S = -N off the affine support), every feasible
     Y has <C, Y> = y_omega - <S, Y> - <N, Y> <= y_omega - lambda_min(S) tr Y,
     and tr Y <= n + 1 there: for each row i, x = e_omega - sum_j e_(i,j)
@@ -210,7 +215,9 @@ def _dual_upper_bound(p, rho, U2, U3):
     omega = p.omega
     P = rho * (0.5 * (U2 + U2.T))
     N = np.maximum(rho * (0.5 * (U3 + U3.T)), 0.0)
-    T = p.objective + P + N
+    T = P.copy()
+    T[d, d] += 1.0
+    T += N
     y_omega = T[omega, omega]
     y_link = (2.0 * T[d, omega] - 2.0 * T[d, d]) / 3.0
 
@@ -218,7 +225,7 @@ def _dual_upper_bound(p, rho, U2, U3):
     S[p.zero_rows, p.zero_cols] = P[p.zero_rows, p.zero_cols]
     S[omega, omega] = y_omega - N[omega, omega]
     S[d, omega] = S[omega, d] = 0.5 * y_link - N[d, omega]
-    S[d, d] = -y_link - p.objective[d, d] - N[d, d]
+    S[d, d] = -y_link - 1.0 - N[d, d]
     if not np.isfinite(S).all():
         return math.inf
     lam = float(np.linalg.eigvalsh(S)[0])
@@ -238,17 +245,15 @@ def solve(p, cfg=None):
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    eigh = eigh_backend(cfg.eig_backend)
+    eigh = eigh_backend("numpy")
     n = p.n
     dim = p.dim
-    rho = cfg.step_rho
-    C = p.objective
+    rho = 1.0
 
     Z = initial_point(p)
     U1 = np.zeros((dim, dim))
     U2 = np.zeros((dim, dim))
     U3 = np.zeros((dim, dim))
-    tilt = C / rho
     threshold = decision_threshold(n)
     upper_bound = math.inf
 
@@ -258,7 +263,9 @@ def solve(p, cfg=None):
     best_combined = float("inf")
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        X1 = _apply_affine(Z - U1 + tilt, p, link_weight=2.0)
+        W = Z - U1
+        W[p.pair_diag, p.pair_diag] += 1.0 / rho   # tilt C / rho, C = pair-diagonal I
+        X1 = _apply_affine(W, p, link_weight=2.0)
         X2 = _psd_part(Z - U2, eigh)
         X3 = np.maximum(Z - U3, 0.0)
 
@@ -281,12 +288,12 @@ def solve(p, cfg=None):
                 break
 
         scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
-        if r_norm <= cfg.tol_primal * scale and s_norm <= cfg.tol_dual * scale:
+        if r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale:
             status = SolverStatus.CONVERGED
             break
         # A primal-feasible point cannot score above n, so hitting n with a
         # small primal residual already pins the optimum.
-        if r_norm <= cfg.tol_primal * scale and objective_value(Z, p) >= n - 1e-8:
+        if r_norm <= cfg.tol * scale and objective_value(Z, p) >= n - 1e-8:
             status = SolverStatus.CONVERGED
             break
 
@@ -303,13 +310,11 @@ def solve(p, cfg=None):
                 U1 *= 0.5
                 U2 *= 0.5
                 U3 *= 0.5
-                tilt = C / rho
             elif s_norm > 10.0 * r_norm and rho > 1e-6:
                 rho *= 0.5
                 U1 *= 2.0
                 U2 *= 2.0
                 U3 *= 2.0
-                tilt = C / rho
 
     if status is not SolverStatus.CERTIFIED:
         upper_bound = _dual_upper_bound(p, rho, U2, U3)

@@ -141,6 +141,7 @@ def test_decide_json_report(c4_pair, capsys):
     assert doc["instance"]["n"] == 4
     assert doc["verdict"]["kind"] == "Isomorphic"
     assert doc["solver"]["status"] == "Converged"
+    assert list(doc["config"]) == ["tol", "max_iter", "oracle_fallback"]
     assert "oracle" not in doc  # distinct key, absent unless requested
     sigma = tuple(doc["verdict"]["permutation"])
     g1 = th.load_graph(c4_pair[0])
@@ -275,7 +276,9 @@ def test_bench_unwritable_report(tmp_path, capsys):
     {"pairs": [{"g1": "k2_a.txt", "g2": "k2_b.txt", "isomorphic": True}]},
     {"pairs": ["k2"]},
     {"pairs": [{"name": "k2", "g1": 1, "g2": "k2_b.txt", "isomorphic": True}]},
-], ids=["no-pairs", "no-isomorphic", "no-name", "not-an-object", "path-not-a-string"])
+    {"pairs": [{"name": "k2", "g1": "k2_a.txt", "g2": "k2_b.txt", "isomorphic": "false"}]},
+], ids=["no-pairs", "no-isomorphic", "no-name", "not-an-object", "path-not-a-string",
+        "isomorphic-not-a-boolean"])
 def test_bench_malformed_manifest(manifest, tmp_path, capsys):
     corpus = make_corpus(tmp_path, [
         ("k2", th.complete_graph(2), th.complete_graph(2), True),

@@ -1,6 +1,10 @@
 """Diagonal rounding, Birkhoff peeling, consistent sets, and the verdict ladder."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -258,3 +262,25 @@ def test_verdict_serialization(solved_corpus):
     assert doc["decided_by"] == "extraction"
     assert doc["oracle_used"] is False
     assert "iterations" in doc["diagnostics"]
+
+
+def test_import_and_decide_leave_scipy_optimize_unloaded():
+    # scipy.optimize takes most of a cold start to import; only Birkhoff
+    # peeling and convex_decompose need it, so plain use must not load it.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, thetaiso as th\n"
+        "g = th.path_graph(4)\n"
+        "h = th.relabel(g, (2, 0, 3, 1))\n"
+        "v = th.decide(th.solve(th.build_program(g, h)), g, h)\n"
+        "assert v.kind is th.VerdictKind.ISOMORPHIC, v\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -168,7 +168,7 @@ def test_program_immutable():
     p = build_program(th.complete_graph(2), th.complete_graph(2))
     with pytest.raises(AttributeError):
         p.n = 3
-    assert not p.objective.flags.writeable
+    assert not p.pair_diag.flags.writeable
     assert not p.zero_rows.flags.writeable
 
 
