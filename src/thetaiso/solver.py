@@ -1,22 +1,20 @@
-"""Projection-splitting solver for the doubly nonnegative relaxation.
+"""Two-block ADMM for the doubly nonnegative relaxation.
 
-Consensus ADMM over three copies of the variable: one projected onto the
-affine rows of the compiled program, one onto the positive semidefinite cone,
-one onto the nonnegative orthant.  Each sweep averages the copies, updates the
-scaled dual offsets, and rebalances the step size when the primal and dual
-residuals drift apart.  The maximization objective enters through the affine
-copy: each sweep adds 1 / rho to the pair diagonal before projecting.
+The feasible set is P ∩ PSD, where P holds the affine rows of the compiled
+program and Y >= 0.  Both act entry by entry, so P has an exact closed-form
+Frobenius projection.  Each sweep projects onto P (with the objective tilt
+C / rho, i.e. 1 / rho added to the pair diagonal), projects onto the positive
+semidefinite cone, updates the one scaled dual U, and rebalances the step
+size when the primal and dual residuals drift apart.
 
 ``project_affine`` and ``project_psd`` are also the public single-step
 operators; the affine one replaces each constrained entry group by its plain
 average, which is the nearest point when every entry is counted once.
 Internally the sweep uses a variant weighted by matrix multiplicity (the
-mirrored omega column counts twice), so the three projections measure
-distance in the same Frobenius geometry and the splitting converges like the
-textbook method.
+mirrored omega column counts twice), which is the plain Frobenius projection.
 
 Every power-of-two iteration from 16 on, and once at exit, ``solve`` turns
-the scaled duals into a weak-duality upper bound on the relaxation's optimum
+the scaled dual into a weak-duality upper bound on the relaxation's optimum
 (``SolverResult.upper_bound``).  Once that bound falls below ``decision_threshold``
 no isomorphism is possible, so the solve stops there with status Certified,
 however far the primal iterate still is from converging.
@@ -74,10 +72,6 @@ class SolverResult:
     dual_residual: float
     solve_seconds: float
     upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
-
-    @property
-    def converged(self):
-        return self.status is SolverStatus.CONVERGED
 
 
 def eigh_backend(name):
@@ -154,6 +148,16 @@ def project_affine(M, p):
     return _apply_affine(M.copy(), p, link_weight=1.0)
 
 
+def _project_polyhedral(W, p):
+    """Frobenius projection onto P = {affine rows, Y >= 0}; overwrites W.
+
+    Every entry group of P is independent: a zeroed pair is 0, the corner is
+    1, a link group is max(mean of its three entries, 0), any other entry is
+    clipped at 0.
+    """
+    return np.maximum(_apply_affine(W, p, link_weight=2.0), 0.0, out=W)
+
+
 def initial_point(p):
     """Affine-feasible starting matrix: uniform diagonal mass 1/n with the
     matching omega column and unit corner."""
@@ -168,11 +172,11 @@ def initial_point(p):
 
 
 def _polish(Z, p, eigh, max_sweeps=2000):
-    """Restore feasibility of a converged iterate by cyclic projections.
+    """Restore feasibility of a converged iterate by alternating projections.
 
-    The consensus average sits a hair outside every set, which can leave the
-    reported objective above the true ceiling n.  Cycling nonneg -> affine ->
-    psd walks it into the feasible region (the last step keeps it exactly
+    The positive semidefinite iterate sits a hair outside P, which can leave
+    the reported objective above the true ceiling n.  Alternating P -> psd
+    walks it into the feasible region (the last step keeps it exactly
     positive semidefinite); the walk covers a distance of the order of the
     final primal residual, so the objective moves well within tolerance.
     """
@@ -180,9 +184,7 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     omega = p.omega
     W = Z.copy()
     for sweep in range(1, max_sweeps + 1):
-        np.clip(W, 0.0, None, out=W)
-        _apply_affine(W, p, link_weight=2.0)
-        W = _psd_part(W, eigh)
+        W = _psd_part(_project_polyhedral(W, p), eigh)
         viol = max(
             float(np.abs(W[p.zero_rows, p.zero_cols]).max(initial=0.0)),
             float(np.abs(W[d, omega] - W[d, d]).max()),
@@ -195,37 +197,35 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     return W
 
 
-def _dual_upper_bound(p, rho, U2, U3):
-    """Weak-duality upper bound on the optimum from scaled duals U2, U3.
+def _dual_upper_bound(p, rho, U):
+    """Weak-duality upper bound on the optimum from the scaled dual U.
 
-    C is the objective, the identity on the pair diagonal.  N = max(rho
-    sym(U3), 0) prices nonnegativity and T = C + rho sym(U2) + N is the
-    matrix the affine multipliers y should reproduce: y_omega = T_ww, each
-    zero-pair multiplier matches T on its pair, and each link multiplier is
-    (2 T_dw - 2 T_dd) / 3, the least-squares fit over its three entries.
-    With S = A*(y) - C - N (so S = -N off the affine support), every feasible
-    Y has <C, Y> = y_omega - <S, Y> - <N, Y> <= y_omega - lambda_min(S) tr Y,
-    and tr Y <= n + 1 there: for each row i, x = e_omega - sum_j e_(i,j)
-    gives 0 <= x^T Y x = 1 - sum_j Y_(ij)(ij).  The eigenvalue's rounding
-    error is covered by dim^2 eps ||S||_F (Jansson, Chaykin & Keil, SIAM J.
-    Numer. Anal. 2007).  Only y_omega has a nonzero right-hand side, so the
-    other multipliers can be taken as the exact values that give the stored S.
+    C is the objective, the identity on the pair diagonal.  G = -rho sym(U)
+    is the PSD multiplier (positive semidefinite at every iterate), and the
+    affine multipliers y are fitted to G + C: y_omega = G_ww, each zero-pair
+    multiplier matches G on its pair, and each link multiplier is
+    (2 G_dw - 2 G_dd - 2) / 3, the least-squares fit over its three entries.
+    N = max(-G, 0) prices nonnegativity off the affine support and is zero
+    on it.  With S = A*(y) - C - N (so S = min(G, 0) off the affine support),
+    every feasible Y has <C, Y> = y_omega - <S, Y> - <N, Y>
+    <= y_omega - lambda_min(S) tr Y, and tr Y <= n + 1 there: for each row
+    i, x = e_omega - sum_j e_(i,j) gives 0 <= x^T Y x = 1 - sum_j Y_(ij)(ij).
+    The eigenvalue's rounding error is covered by dim^2 eps ||S||_F
+    (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).  Only y_omega has
+    a nonzero right-hand side, so the other multipliers can be taken as the
+    exact values that give the stored S.
     """
     d = p.pair_diag
     omega = p.omega
-    P = rho * (0.5 * (U2 + U2.T))
-    N = np.maximum(rho * (0.5 * (U3 + U3.T)), 0.0)
-    T = P.copy()
-    T[d, d] += 1.0
-    T += N
-    y_omega = T[omega, omega]
-    y_link = (2.0 * T[d, omega] - 2.0 * T[d, d]) / 3.0
+    G = -rho * (0.5 * (U + U.T))
+    y_omega = G[omega, omega]
+    y_link = (2.0 * G[d, omega] - 2.0 * G[d, d] - 2.0) / 3.0
 
-    S = -N
-    S[p.zero_rows, p.zero_cols] = P[p.zero_rows, p.zero_cols]
-    S[omega, omega] = y_omega - N[omega, omega]
-    S[d, omega] = S[omega, d] = 0.5 * y_link - N[d, omega]
-    S[d, d] = -y_link - 1.0 - N[d, d]
+    S = np.minimum(G, 0.0)   # -N; the support entries are overwritten below
+    S[p.zero_rows, p.zero_cols] = G[p.zero_rows, p.zero_cols]
+    S[omega, omega] = y_omega
+    S[d, omega] = S[omega, d] = 0.5 * y_link
+    S[d, d] = -y_link - 1.0
     if not np.isfinite(S).all():
         return math.inf
     lam = float(np.linalg.eigvalsh(S)[0])
@@ -240,49 +240,38 @@ def solve(p, cfg=None):
     Stops at convergence, at the iteration cap, on divergence, or as soon as
     the dual upper bound, checked at iterations 16, 32, 64, ..., falls below
     ``decision_threshold(n)`` (status Certified, no polish).  The bound is
-    computed once more at exit and returned as ``upper_bound``.
+    computed once more at exit and returned as ``upper_bound``, capped at n:
+    for each row i, x_i = e_omega - sum_j e_(i,j) gives
+    0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores above n.
     """
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
     eigh = eigh_backend("numpy")
     n = p.n
-    dim = p.dim
     rho = 1.0
 
     Z = initial_point(p)
-    U1 = np.zeros((dim, dim))
-    U2 = np.zeros((dim, dim))
-    U3 = np.zeros((dim, dim))
+    U = np.zeros((p.dim, p.dim))
     threshold = decision_threshold(n)
     upper_bound = math.inf
 
-    sqrt3 = np.sqrt(3.0)
     status = SolverStatus.MAX_ITER
     r_norm = s_norm = float("inf")
     best_combined = float("inf")
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        W = Z - U1
+        W = Z - U
         W[p.pair_diag, p.pair_diag] += 1.0 / rho   # tilt C / rho, C = pair-diagonal I
-        X1 = _apply_affine(W, p, link_weight=2.0)
-        X2 = _psd_part(Z - U2, eigh)
-        X3 = np.maximum(Z - U3, 0.0)
-
-        Z_new = (X1 + X2 + X3 + U1 + U2 + U3) / 3.0
-        s_norm = rho * sqrt3 * float(np.linalg.norm(Z_new - Z))
-        U1 += X1 - Z_new
-        U2 += X2 - Z_new
-        U3 += X3 - Z_new
+        X = _project_polyhedral(W, p)
+        Z_new = _psd_part(X + U, eigh)
+        U += X - Z_new
+        r_norm = float(np.linalg.norm(X - Z_new))
+        s_norm = rho * float(np.linalg.norm(Z_new - Z))
         Z = Z_new
-        r_norm = max(
-            float(np.linalg.norm(X1 - Z)),
-            float(np.linalg.norm(X2 - Z)),
-            float(np.linalg.norm(X3 - Z)),
-        )
 
         if it >= 16 and it & (it - 1) == 0:
-            upper_bound = _dual_upper_bound(p, rho, U2, U3)
+            upper_bound = _dual_upper_bound(p, rho, U)
             if upper_bound < threshold:
                 status = SolverStatus.CERTIFIED
                 break
@@ -307,18 +296,14 @@ def solve(p, cfg=None):
         if it % 10 == 0:
             if r_norm > 10.0 * s_norm and rho < 1e6:
                 rho *= 2.0
-                U1 *= 0.5
-                U2 *= 0.5
-                U3 *= 0.5
+                U *= 0.5
             elif s_norm > 10.0 * r_norm and rho > 1e-6:
                 rho *= 0.5
-                U1 *= 2.0
-                U2 *= 2.0
-                U3 *= 2.0
+                U *= 2.0
 
     if status is not SolverStatus.CERTIFIED:
-        upper_bound = _dual_upper_bound(p, rho, U2, U3)
-    Y = 0.5 * (Z + Z.T)
+        upper_bound = _dual_upper_bound(p, rho, U)
+    Y = Z
     if status is SolverStatus.CONVERGED:
         Y = _polish(Y, p, eigh)
     return SolverResult(
@@ -329,5 +314,5 @@ def solve(p, cfg=None):
         primal_residual=r_norm,
         dual_residual=s_norm,
         solve_seconds=time.perf_counter() - t0,
-        upper_bound=upper_bound,
+        upper_bound=min(upper_bound, float(n)),
     )
