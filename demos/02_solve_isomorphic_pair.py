@@ -4,9 +4,11 @@ Solve a relabeled pair and certify the isomorphism
 
 For isomorphic graphs the relaxation reaches its maximum value n.  The
 splitting solver alternates projections onto the affine constraints, the
-positive semidefinite cone, and the nonnegative orthant; the decision
-stage then reads a permutation out of the optimal matrix and verifies it
-exactly against the adjacency structure.
+positive semidefinite cone, and the nonnegative orthant.  Every so often it
+rounds its iterate to a permutation; once that permutation's lift is
+exactly feasible it stops and returns the lift, an optimal matrix of value
+exactly n.  The decision stage then reads the permutation back out of the
+optimal matrix and verifies it exactly against the adjacency structure.
 """
 
 import numpy as np
@@ -21,13 +23,13 @@ program = th.build_program(g1, g2)
 result = th.solve(program)
 print(f"\nstatus          : {result.status.value}")
 print(f"objective       : {result.objective:.9f}  (target n = {g1.n})")
-print(f"iterations      : {result.iterations}")
+print(f"iterations      : {result.iterations} (stopped by {result.stop_reason})")
 print(f"primal residual : {result.primal_residual:.2e}")
 print(f"dual residual   : {result.dual_residual:.2e}")
 print(f"wall time       : {result.solve_seconds:.2f} s")
 
-# The optimal matrix is feasible to working precision: nonnegative, unit
-# omega corner, diagonal tied to the omega row, forced zeros in place.
+# The optimal matrix is feasible: nonnegative, unit omega corner, diagonal
+# tied to the omega row, forced zeros in place.
 report = th.check_feasible(result.Y, g1, g2, tol=1e-5)
 print(f"\nfeasibility within 1e-5: {report.feasible} "
       f"(worst violation {report.max_violation:.2e})")

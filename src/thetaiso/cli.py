@@ -160,6 +160,7 @@ def run_pair(g1, g2, cfg, want_oracle=False):
         "config": asdict(cfg),
         "solver": {
             "status": result.status.value,
+            "stop_reason": result.stop_reason,
             "objective": result.objective,
             "upper_bound": verdict_doc["upper_bound"],
             "iterations": result.iterations,

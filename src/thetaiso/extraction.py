@@ -8,7 +8,9 @@ primal objective never decides, because a maximization's primal iterate only
 bounds the optimum from below.  Otherwise the code tries to read a
 permutation out of the matrix: first through a consistent-set search
 directly on the entries of Y, then through a Birkhoff decomposition of the
-diagonal reshaped to an n x n doubly stochastic matrix.  Every candidate
+diagonal reshaped to an n x n doubly stochastic matrix.  When the solver
+stopped on a verified lift, Y is that lift and the search reads its
+permutation straight back; it is verified like any other.  Every candidate
 permutation is checked exactly against both edge sets before it is
 believed; if nothing certifies, the verdict is inconclusive (optionally
 escalated to the exact search oracle).
@@ -177,13 +179,14 @@ def birkhoff_decompose(X, eps=ZERO_EPS):
     return BirkhoffResult(terms=tuple(terms), complete=complete, rounds=rounds)
 
 
-def consistent_set_search(Y, eps=ZERO_EPS):
+def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
     """Read a permutation out of Y by growing a pairwise-supported set.
 
     Picks one (row, column) pair per row 0..n-1, trying columns in order of
     decreasing diagonal mass, requiring the diagonal entry and every cross
     entry against the pairs already chosen to exceed eps, with all columns
-    distinct.  Returns the permutation or None.
+    distinct.  Returns the permutation or None; with a budget, also None
+    once that many candidate pairs have had their cross entries tested.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
@@ -196,14 +199,19 @@ def consistent_set_search(Y, eps=ZERO_EPS):
     order = [list(np.argsort(-diag[i], kind="stable")) for i in range(n)]
 
     chosen = []
+    tries = 0
 
     def grow(i):
+        nonlocal tries
         if i == n:
             return True
         used = set(chosen)
         for j in order[i]:
             if j in used or diag[i, j] <= eps:
                 continue
+            if budget is not None and tries >= budget:
+                return False
+            tries += 1
             if all(Y[i * n + j, k * n + chosen[k]] > eps for k in range(i)):
                 chosen.append(int(j))
                 if grow(i + 1):
@@ -211,9 +219,9 @@ def consistent_set_search(Y, eps=ZERO_EPS):
                 chosen.pop()
         return False
 
-    if grow(0):
-        return tuple(chosen)
-    return None
+    found = grow(0)
+    del grow  # it refers to itself; breaking the cycle frees Y at once
+    return tuple(chosen) if found else None
 
 
 class VerdictKind(str, Enum):
@@ -265,6 +273,7 @@ def decide(result, g1, g2, cfg=None):
     threshold = decision_threshold(n)
     diagnostics = {
         "status": result.status.value,
+        "stop_reason": result.stop_reason,
         "primal_residual": float(result.primal_residual),
         "dual_residual": float(result.dual_residual),
         "iterations": int(result.iterations),

@@ -18,6 +18,12 @@ the scaled dual into a weak-duality upper bound on the relaxation's optimum
 (``SolverResult.upper_bound``).  Once that bound falls below ``decision_threshold``
 no isomorphism is possible, so the solve stops there with status Certified,
 however far the primal iterate still is from converging.
+
+At the same iterations ``solve`` also tries to round the polyhedral iterate
+to a permutation whose lift is exactly feasible, i.e. an isomorphism.  That
+lift scores exactly n, the ceiling of every feasible point, so the solve
+stops there with status Converged and returns the lift itself.
+``SolverResult.stop_reason`` says which of the stops ended a solve.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from enum import Enum
 
 import numpy as np
 
+from .lifts import permutation_vector
 from .program import decision_threshold, objective_value
 
 __all__ = [
@@ -71,6 +78,10 @@ class SolverResult:
     primal_residual: float
     dual_residual: float
     solve_seconds: float
+    # Why the solve stopped: "tolerance" or "ceiling" (the two convergence
+    # tests) or "verified-lift" (an isomorphism's lift found mid-solve) with
+    # status Converged, "dual-bound" with Certified, "max-iter" or "diverged".
+    stop_reason: str
     upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
 
 
@@ -234,15 +245,47 @@ def _dual_upper_bound(p, rho, U):
     return math.nextafter(bound, math.inf)  # round the last sum upward
 
 
+def _verified_lift(X, p):
+    """The extended lift q of a permutation read off X, if it is exactly
+    feasible, else None.
+
+    The consistent-set search gets n^2 candidate tries.  A row of the pair
+    diagonal with no entry above its zero tolerance can never lift, so such
+    an X skips the search.  The lift q q^T is PSD, nonnegative and meets the
+    omega and diag-link rows by construction; it meets the zero rows exactly
+    when no zeroed pair has both ends in the support of q, which holds
+    exactly when the permutation is an isomorphism.
+    """
+    from .extraction import ZERO_EPS, consistent_set_search  # extraction imports this module
+
+    n = p.n
+    d = p.pair_diag
+    if not (X[d, d].reshape(n, n) > ZERO_EPS).any(axis=1).all():
+        return None
+    sigma = consistent_set_search(X, ZERO_EPS, budget=n * n)
+    if sigma is None:
+        return None
+    q = np.append(permutation_vector(sigma), 1.0)
+    if (q[p.zero_rows] * q[p.zero_cols]).any():
+        return None
+    return q
+
+
 def solve(p, cfg=None):
     """Run the splitting iteration on a compiled program.
 
-    Stops at convergence, at the iteration cap, on divergence, or as soon as
-    the dual upper bound, checked at iterations 16, 32, 64, ..., falls below
-    ``decision_threshold(n)`` (status Certified, no polish).  The bound is
-    computed once more at exit and returned as ``upper_bound``, capped at n:
-    for each row i, x_i = e_omega - sum_j e_(i,j) gives
-    0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores above n.
+    Stops at convergence, at the iteration cap, on divergence, or at one of
+    the checks made at iterations 16, 32, 64, ...:
+    - the dual upper bound falls below ``decision_threshold(n)``: status
+      Certified, no polish;
+    - the polyhedral iterate rounds to a permutation whose lift is exactly
+      feasible: status Converged with Y that lift, objective and upper bound
+      exactly n, both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T
+      below is an exact dual certificate of value n, so the lift is optimal.
+    Otherwise the bound is computed once more at exit and returned as
+    ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
+    gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
+    above n.  ``stop_reason`` records which stop ended the solve.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -257,6 +300,7 @@ def solve(p, cfg=None):
     upper_bound = math.inf
 
     status = SolverStatus.MAX_ITER
+    stop_reason = "max-iter"
     r_norm = s_norm = float("inf")
     best_combined = float("inf")
     it = 0
@@ -273,23 +317,27 @@ def solve(p, cfg=None):
         if it >= 16 and it & (it - 1) == 0:
             upper_bound = _dual_upper_bound(p, rho, U)
             if upper_bound < threshold:
-                status = SolverStatus.CERTIFIED
+                status, stop_reason = SolverStatus.CERTIFIED, "dual-bound"
+                break
+            q = _verified_lift(X, p)
+            if q is not None:
+                status, stop_reason = SolverStatus.CONVERGED, "verified-lift"
                 break
 
         scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
         if r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale:
-            status = SolverStatus.CONVERGED
+            status, stop_reason = SolverStatus.CONVERGED, "tolerance"
             break
         # A primal-feasible point cannot score above n, so hitting n with a
         # small primal residual already pins the optimum.
         if r_norm <= cfg.tol * scale and objective_value(Z, p) >= n - 1e-8:
-            status = SolverStatus.CONVERGED
+            status, stop_reason = SolverStatus.CONVERGED, "ceiling"
             break
 
         combined = max(r_norm, s_norm)
         if it >= 50:
             if combined > 1e6 * best_combined:
-                status = SolverStatus.DIVERGED
+                status, stop_reason = SolverStatus.DIVERGED, "diverged"
                 break
         best_combined = min(best_combined, combined)
 
@@ -301,11 +349,15 @@ def solve(p, cfg=None):
                 rho *= 0.5
                 U *= 2.0
 
-    if status is not SolverStatus.CERTIFIED:
-        upper_bound = _dual_upper_bound(p, rho, U)
-    Y = Z
-    if status is SolverStatus.CONVERGED:
-        Y = _polish(Y, p, eigh)
+    if stop_reason == "verified-lift":
+        # q q^T meets every constraint exactly and scores the ceiling n.
+        Y, r_norm, s_norm, upper_bound = np.outer(q, q), 0.0, 0.0, float(n)
+    else:
+        if status is not SolverStatus.CERTIFIED:
+            upper_bound = _dual_upper_bound(p, rho, U)
+        Y = Z
+        if status is SolverStatus.CONVERGED:
+            Y = _polish(Y, p, eigh)
     return SolverResult(
         status=status,
         objective=objective_value(Y, p),
@@ -314,5 +366,6 @@ def solve(p, cfg=None):
         primal_residual=r_norm,
         dual_residual=s_norm,
         solve_seconds=time.perf_counter() - t0,
+        stop_reason=stop_reason,
         upper_bound=min(upper_bound, float(n)),
     )

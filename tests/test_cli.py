@@ -141,6 +141,8 @@ def test_decide_json_report(c4_pair, capsys):
     assert doc["instance"]["n"] == 4
     assert doc["verdict"]["kind"] == "Isomorphic"
     assert doc["solver"]["status"] == "Converged"
+    assert doc["solver"]["stop_reason"] == "verified-lift"
+    assert doc["verdict"]["diagnostics"]["stop_reason"] == "verified-lift"
     assert list(doc["config"]) == ["tol", "max_iter", "oracle_fallback"]
     assert "oracle" not in doc  # distinct key, absent unless requested
     sigma = tuple(doc["verdict"]["permutation"])

@@ -1,10 +1,12 @@
 """Diagonal rounding, Birkhoff peeling, consistent sets, and the verdict ladder."""
 
+import gc
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from conftest import random_doubly_stochastic
 
 
 def fake_result(Y, objective, status=SolverStatus.CONVERGED, upper_bound=math.inf):
+    stop_reason = {SolverStatus.CONVERGED: "tolerance", SolverStatus.CERTIFIED: "dual-bound",
+                   SolverStatus.MAX_ITER: "max-iter", SolverStatus.DIVERGED: "diverged"}[status]
     return SolverResult(
         status=status, objective=objective, Y=Y, iterations=1,
         primal_residual=1e-9, dual_residual=1e-9, solve_seconds=0.0,
-        upper_bound=upper_bound,
+        stop_reason=stop_reason, upper_bound=upper_bound,
     )
 
 
@@ -148,6 +152,36 @@ def test_consistent_set_none_when_cross_terms_vanish():
     assert consistent_set_search(Y) is None
     with pytest.raises(ValueError):
         consistent_set_search(np.zeros((7, 7)))
+
+
+def test_consistent_set_budget_stops_the_search():
+    # Each row of a lift's diagonal has one candidate, so the search tests
+    # exactly n of them; a budget of n - 1 runs out one row short.
+    sigma = (3, 0, 2, 1)
+    Y = th.lift(sigma).extended()
+    assert consistent_set_search(Y, budget=4) == sigma
+    assert consistent_set_search(Y, budget=3) is None
+    assert consistent_set_search(Y, budget=0) is None
+
+
+def test_consistent_set_search_frees_its_input():
+    # No reference cycle outlives the call, so Y goes as soon as the caller
+    # drops it, without waiting for the cyclic garbage collector.
+    gc.disable()
+    try:
+        Y = th.lift((2, 0, 3, 1)).extended()
+        ref = weakref.ref(Y)
+        assert consistent_set_search(Y) == (2, 0, 3, 1)
+        del Y
+        assert ref() is None
+
+        Y = 0.5 * np.eye(4)
+        ref = weakref.ref(Y)
+        assert consistent_set_search(Y) is None
+        del Y
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_threshold_formula():

@@ -1,14 +1,20 @@
 """Projection operators and the splitting solver's output contracts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import thetaiso as th
+import thetaiso.extraction
 import thetaiso.solver
 from thetaiso.eigensolver import symmetric_eigh
 from thetaiso.program import build_program, decision_threshold, program_to_json_dict
 from thetaiso.solver import (
     _dual_upper_bound,
+    _polish,
+    _project_polyhedral,
+    _psd_part,
     SolverConfig,
     SolverStatus,
     initial_point,
@@ -145,6 +151,7 @@ def test_solve_c4_reaches_n():
     g2 = th.relabel(g1, (2, 0, 3, 1))
     res = solve(build_program(g1, g2))
     assert res.status is SolverStatus.CONVERGED
+    assert res.stop_reason == "verified-lift"
     assert abs(res.objective - 4.0) <= 1e-4
 
 
@@ -158,6 +165,7 @@ def test_solve_n1():
 def test_solve_k2_vs_empty():
     res = solve(build_program(th.complete_graph(2), th.empty_graph(2)))
     assert res.status is SolverStatus.CERTIFIED
+    assert res.stop_reason == "dual-bound"
     assert KNOWN_OPTIMA["k2_vs_empty"] <= res.upper_bound < decision_threshold(2)
 
 
@@ -272,6 +280,7 @@ def test_max_iter_status():
     g2 = th.relabel(g1, (2, 0, 3, 1))
     res = solve(build_program(g1, g2), SolverConfig(max_iter=5))
     assert res.status is SolverStatus.MAX_ITER
+    assert res.stop_reason == "max-iter"
     assert res.iterations == 5
 
 
@@ -309,11 +318,74 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     assert res.status is SolverStatus.CERTIFIED
     assert len(calls) == res.iterations
 
+    # A lifted solve stops without a polish.
     calls.clear()
     g1 = th.cycle_graph(4)
-    res = solve(build_program(g1, th.relabel(g1, (2, 0, 3, 1))))
-    assert res.status is SolverStatus.CONVERGED
-    assert len(calls) > res.iterations
+    p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    res = solve(p)
+    assert res.stop_reason == "verified-lift"
+    assert len(calls) == res.iterations
+
+    # The polish makes exactly one eigh per sweep: replaying as many sweeps
+    # by hand gives the same bits.  The start is an iterate short of P.
+    Z = solve(p, SolverConfig(max_iter=10)).Y
+    calls.clear()
+    polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"))
+    assert len(calls) >= 2
+    W = Z.copy()
+    for _ in calls:
+        W = _psd_part(_project_polyhedral(W, p), np.linalg.eigh)
+    assert W.tobytes() == polished.tobytes()
+
+
+def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
+    g1, g2, _, _, petersen, _ = solved_corpus["petersen"]
+    c12 = th.cycle_graph(12)
+    c12_relabel = th.relabel(c12, (3, 7, 11, 0, 5, 9, 1, 10, 2, 6, 4, 8))
+    pairs = [(g1, g2, petersen), (c12, c12_relabel, solve(build_program(c12, c12_relabel)))]
+    for g1, g2, res in pairs:
+        n = g1.n
+        assert res.status is SolverStatus.CONVERGED
+        assert res.stop_reason == "verified-lift"
+        verdict = th.decide(res, g1, g2)
+        assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
+        assert res.Y.tobytes() == th.lift(verdict.permutation).extended().tobytes()
+        assert res.objective == n and res.upper_bound == n
+        assert res.primal_residual == 0.0 and res.dual_residual == 0.0
+        report = th.check_feasible(res.Y, g1, g2)
+        assert all(report.magnitudes[c] == 0.0 for c in range(2, 9)), report.describe()
+        # The psd condition reads eigvalsh rounding, so it is tiny, not 0.
+        assert report.magnitudes[1] <= 1e-12, report.describe()
+
+
+def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
+    # A rounded permutation whose lift hits a zeroed pair is discarded: the
+    # solve runs on to the same iterations and the same Y bits as a solve
+    # whose rounding never finds anything.
+    g1 = th.cycle_graph(4)
+    g2 = th.relabel(g1, (2, 0, 3, 1))
+    p = build_program(g1, g2)
+    bad = next(s for s in itertools.permutations(range(4)) if not th.is_isomorphism(s, g1, g2))
+    calls = []
+
+    def rounding_to(sigma):
+        def search(Y, eps, budget=None):
+            calls.append(budget)
+            return sigma
+        return search
+
+    monkeypatch.setattr(thetaiso.extraction, "consistent_set_search", rounding_to(None))
+    plain = solve(p)
+    assert calls
+    calls.clear()
+    monkeypatch.setattr(thetaiso.extraction, "consistent_set_search", rounding_to(bad))
+    rounded = solve(p)
+    assert calls and set(calls) == {16}  # budget n^2
+    for res in (plain, rounded):
+        assert res.status is SolverStatus.CONVERGED
+        assert res.stop_reason in ("tolerance", "ceiling")
+    assert rounded.iterations == plain.iterations
+    assert rounded.Y.tobytes() == plain.Y.tobytes()
 
 
 def test_against_interior_point_solver():
