@@ -30,7 +30,6 @@ from .graphs import (
     star_graph,
 )
 from .oracle import (
-    brute_force_isomorphisms,
     enumerate_isomorphisms,
     is_isomorphism,
     is_permutation,
@@ -53,7 +52,6 @@ from .lifts import (
     is_united,
     lift,
 )
-from .eigensolver import symmetric_eigh
 from .solver import (
     SolverConfig,
     SolverResult,
@@ -84,13 +82,11 @@ __all__ = [
     "disjoint_union", "empty_graph", "load_graph", "parse_dimacs",
     "parse_graph", "parse_graph_text", "path_graph", "petersen_graph",
     "relabel", "star_graph",
-    "brute_force_isomorphisms", "enumerate_isomorphisms", "is_isomorphism",
-    "is_permutation",
+    "enumerate_isomorphisms", "is_isomorphism", "is_permutation",
     "Program", "build_program", "objective_value", "program_to_json_dict",
     "ConvexCombination", "DecompositionResult", "FeasibilityReport",
     "FeasibilityViolation", "PermutationLift", "check_feasible",
     "convex_decompose", "cp_factor_united", "is_united", "lift",
-    "symmetric_eigh",
     "SolverConfig", "SolverResult", "SolverStatus", "initial_point",
     "project_affine", "project_psd", "solve",
     "BirkhoffResult", "Verdict", "VerdictKind",

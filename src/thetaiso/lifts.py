@@ -69,9 +69,6 @@ class PermutationLift:
         q = np.append(permutation_vector(self.sigma), 1.0)
         return np.outer(q, q)
 
-    def vector(self):
-        return permutation_vector(self.sigma)
-
 
 def lift(sigma):
     sigma = tuple(int(v) for v in sigma)
@@ -156,7 +153,7 @@ def check_feasible(Y, g1, g2, tol=1e-6):
 
     neg = np.minimum(Y, 0.0)
     k = int(np.argmin(neg))
-    magnitudes[2] = float(-neg.flat[k])
+    magnitudes[2] = max(0.0, -float(neg.flat[k]))  # +0.0, never -0.0
     worst_where[2] = (k // dim, k % dim)
 
     magnitudes[3] = abs(float(Y[omega, omega]) - 1.0)

@@ -1,4 +1,4 @@
-"""Exact brute-force isomorphism testing and enumeration.
+"""Exact isomorphism testing and backtracking enumeration.
 
 Ground truth for everything the numerical pipeline claims.  Permutations are
 plain tuples: sigma[i] is the image of vertex i.  All checks are integer
@@ -7,15 +7,12 @@ exact; no tolerances anywhere in this module.
 
 from __future__ import annotations
 
-from itertools import permutations as _all_permutations
-
 import numpy as np
 
 __all__ = [
     "is_permutation",
     "is_isomorphism",
     "enumerate_isomorphisms",
-    "brute_force_isomorphisms",
 ]
 
 DEFAULT_SIZE_LIMIT = 10
@@ -97,13 +94,3 @@ def enumerate_isomorphisms(g1, g2, cap=None, size_limit=DEFAULT_SIZE_LIMIT):
     extend(0)
     return found
 
-
-def brute_force_isomorphisms(g1, g2):
-    """Unpruned n!-filter reference; only sensible for n <= 6 or so."""
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    return [
-        sigma
-        for sigma in _all_permutations(range(g1.n))
-        if is_isomorphism(sigma, g1, g2)
-    ]

@@ -1,14 +1,20 @@
 """Exact isomorphism search: correctness against brute force, cap semantics."""
 
+from itertools import permutations
+
 import pytest
 
 import thetaiso as th
 from thetaiso.oracle import (
-    brute_force_isomorphisms,
     enumerate_isomorphisms,
     is_isomorphism,
     is_permutation,
 )
+
+
+def brute_force_isomorphisms(g1, g2):
+    """Unpruned n!-filter reference; only sensible for n <= 6 or so."""
+    return [s for s in permutations(range(g1.n)) if is_isomorphism(s, g1, g2)]
 
 
 def test_is_permutation():

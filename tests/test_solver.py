@@ -1,6 +1,7 @@
 """Projection operators and the splitting solver's output contracts."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 import thetaiso as th
 import thetaiso.extraction
 import thetaiso.solver
-from thetaiso.eigensolver import symmetric_eigh
 from thetaiso.program import build_program, decision_threshold, program_to_json_dict
 from thetaiso.solver import (
     _dual_upper_bound,
@@ -17,6 +17,7 @@ from thetaiso.solver import (
     _psd_part,
     SolverConfig,
     SolverStatus,
+    eigh_backend,
     initial_point,
     project_affine,
     project_psd,
@@ -74,15 +75,21 @@ def test_project_psd_properties():
     assert np.linalg.norm(P2 - P) <= np.linalg.norm(P - A)
 
 
-def test_project_psd_matches_symmetric_eigh_reference():
-    # The same clip-and-rebuild done through the dependency-free reference
-    # eigensolver gives the same projection.
+def test_project_psd_moreau_decomposition():
+    # Moreau (1962): M = P - Q with P, Q the projections of M and -M onto the
+    # PSD cone, both PSD and orthogonal.  Those three facts pin the
+    # projection uniquely, so no second eigensolver is needed to check it.
     rng = np.random.default_rng(5)
-    A = rng.standard_normal((30, 30))
-    A = 0.5 * (A + A.T)
-    w, V = symmetric_eigh(A)
-    reference = (V * np.maximum(w, 0.0)) @ V.T
-    assert np.abs(project_psd(A) - reference).max() <= 1e-9
+    for size in (1, 5, 30, 101):
+        M = rng.standard_normal((size, size))
+        M = 0.5 * (M + M.T)
+        P = project_psd(M)
+        Q = project_psd(-M)
+        norm = float(np.linalg.norm(M))
+        assert np.linalg.norm(M - (P - Q)) <= 1e-12 * norm, size
+        assert np.linalg.eigvalsh(P)[0] >= -1e-12 * norm, size
+        assert np.linalg.eigvalsh(Q)[0] >= -1e-12 * norm, size
+        assert abs(float(np.sum(P * Q))) <= 1e-12 * norm ** 2, size
 
 
 def test_project_psd_rejects():
@@ -92,6 +99,12 @@ def test_project_psd_rejects():
         project_psd(np.full((2, 2), np.inf))
     with pytest.raises(ValueError):
         project_psd(np.zeros((2, 3)))
+
+
+def test_backend_selection():
+    assert eigh_backend("numpy") is np.linalg.eigh
+    with pytest.raises(ValueError):
+        eigh_backend("builtin")
 
 
 def test_project_affine_worked_examples():
@@ -354,6 +367,8 @@ def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
         assert res.primal_residual == 0.0 and res.dual_residual == 0.0
         report = th.check_feasible(res.Y, g1, g2)
         assert all(report.magnitudes[c] == 0.0 for c in range(2, 9)), report.describe()
+        # A positive zero, so describe() prints 0.000e+00, not -0.000e+00.
+        assert all(math.copysign(1.0, report.magnitudes[c]) == 1.0 for c in range(2, 9))
         # The psd condition reads eigvalsh rounding, so it is tiny, not 0.
         assert report.magnitudes[1] <= 1e-12, report.describe()
 
@@ -361,7 +376,8 @@ def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
 def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     # A rounded permutation whose lift hits a zeroed pair is discarded: the
     # solve runs on to the same iterations and the same Y bits as a solve
-    # whose rounding never finds anything.
+    # whose rounding never finds anything.  Both then take the non-lift exit,
+    # where the polish holds the objective ceiling and feasibility.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     p = build_program(g1, g2)
@@ -381,9 +397,13 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     monkeypatch.setattr(thetaiso.extraction, "consistent_set_search", rounding_to(bad))
     rounded = solve(p)
     assert calls and set(calls) == {16}  # budget n^2
+    tol = SolverConfig().tol
     for res in (plain, rounded):
         assert res.status is SolverStatus.CONVERGED
         assert res.stop_reason in ("tolerance", "ceiling")
+        assert res.objective <= p.n + 10.0 * tol
+        report = th.check_feasible(res.Y, g1, g2, tol=tol)
+        assert report.max_violation <= 10.0 * tol, report.describe()
     assert rounded.iterations == plain.iterations
     assert rounded.Y.tobytes() == plain.Y.tobytes()
 
