@@ -164,8 +164,8 @@ def run_pair(g1, g2, cfg, want_oracle=False):
             "objective": result.objective,
             "upper_bound": verdict_doc["upper_bound"],
             "iterations": result.iterations,
-            "primal_residual": result.primal_residual,
-            "dual_residual": result.dual_residual,
+            "primal_residual": verdict_doc["diagnostics"]["primal_residual"],
+            "dual_residual": verdict_doc["diagnostics"]["dual_residual"],
         },
         "verdict": verdict_doc,
         "timings": timings,

@@ -246,12 +246,17 @@ class Verdict:
             "kind": self.kind.value,
             "permutation": list(self.permutation) if self.permutation is not None else None,
             "objective": float(self.objective),
-            "upper_bound": float(self.upper_bound) if math.isfinite(self.upper_bound) else None,
+            "upper_bound": _finite_or_none(self.upper_bound),
             "threshold": float(self.threshold),
             "decided_by": self.decided_by,
             "oracle_used": bool(self.oracle_used),
             "diagnostics": self.diagnostics,
         }
+
+
+def _finite_or_none(x):
+    """A float for a JSON report, which holds no inf or NaN."""
+    return float(x) if math.isfinite(x) else None
 
 
 def decide(result, g1, g2, cfg=None):
@@ -274,8 +279,9 @@ def decide(result, g1, g2, cfg=None):
     diagnostics = {
         "status": result.status.value,
         "stop_reason": result.stop_reason,
-        "primal_residual": float(result.primal_residual),
-        "dual_residual": float(result.dual_residual),
+        # None when the solve diverged before any iteration finished
+        "primal_residual": _finite_or_none(result.primal_residual),
+        "dual_residual": _finite_or_none(result.dual_residual),
         "iterations": int(result.iterations),
         "candidates_tried": 0,
     }

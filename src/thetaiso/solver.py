@@ -3,9 +3,13 @@
 The feasible set is P ∩ PSD, where P holds the affine rows of the compiled
 program and Y >= 0.  Both act entry by entry, so P has an exact closed-form
 Frobenius projection.  Each sweep projects onto P (with the objective tilt
-C / rho, i.e. 1 / rho added to the pair diagonal), projects onto the positive
-semidefinite cone, updates the one scaled dual U, and rebalances the step
-size when the primal and dual residuals drift apart.
+C / rho, i.e. 1 / rho added to the pair diagonal), over-relaxes that
+projection X toward the previous PSD iterate Z as X_hat = alpha X +
+(1 - alpha) Z with alpha = ``RELAXATION`` (Eckstein & Bertsekas 1992; Boyd
+et al. 2011, section 3.4.3), projects X_hat + U onto the positive semidefinite
+cone, updates the one scaled dual U, and rebalances the step size when the
+primal and dual residuals drift apart.  The residuals and every check read
+the unrelaxed X.
 
 ``project_affine`` and ``project_psd`` are also the public single-step
 operators; the affine one replaces each constrained entry group by its plain
@@ -24,6 +28,12 @@ to a permutation whose lift is exactly feasible, i.e. an isomorphism.  That
 lift scores exactly n, the ceiling of every feasible point, so the solve
 stops there with status Converged and returns the lift itself.
 ``SolverResult.stop_reason`` says which of the stops ended a solve.
+
+A solve that converges at tolerance is polished by relaxed alternating
+projections, W <- psd(W + beta (proj_P(W) - W)) with beta = ``POLISH_RELAXATION``,
+whose fixed points are still exactly P ∩ PSD.  A non-finite residual or an
+eigendecomposition that fails ends the solve as Diverged with the last finite
+iterate.
 """
 
 from __future__ import annotations
@@ -47,6 +57,12 @@ __all__ = [
     "solve",
     "initial_point",
 ]
+
+
+# Over-relaxation of the main sweep (alpha in (0, 2)) and of the polish's
+# projection onto P (beta in (0, 2)); both keep the fixed points unchanged.
+RELAXATION = 1.6
+POLISH_RELAXATION = 1.9
 
 
 class SolverStatus(str, Enum):
@@ -122,8 +138,11 @@ def _psd_part(W, eigh):
     w, V = eigh(W)
     if w[0] >= 0.0:
         return W
-    out = (V * np.maximum(w, 0.0)) @ V.T
-    return 0.5 * (out + out.T)
+    # Rebuild from the positive factor B: B @ B.T runs as a rank-k update
+    # whose result is exactly symmetric.
+    k = int(np.searchsorted(w, 0.0, side="right"))
+    B = V[:, k:] * np.sqrt(w[k:])
+    return B @ B.T
 
 
 def _apply_affine(M, p, link_weight):
@@ -186,16 +205,21 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     """Restore feasibility of a converged iterate by alternating projections.
 
     The positive semidefinite iterate sits a hair outside P, which can leave
-    the reported objective above the true ceiling n.  Alternating P -> psd
-    walks it into the feasible region (the last step keeps it exactly
-    positive semidefinite); the walk covers a distance of the order of the
-    final primal residual, so the objective moves well within tolerance.
+    the reported objective above the true ceiling n.  Relaxed alternating
+    projections W <- psd(W + beta (proj_P(W) - W)) walk it into the feasible
+    region (the last step keeps it exactly positive semidefinite).  With
+    beta < 2 the relaxed projection is averaged, so its composition with the
+    PSD projection has exactly P ∩ PSD as fixed points (Bauschke & Combettes,
+    Prop. 4.49).  The walk covers a distance of the order of the final primal
+    residual, so the objective moves well within tolerance.  A non-finite
+    iterate raises LinAlgError, like a failed eigendecomposition.
     """
     d = p.pair_diag
     omega = p.omega
-    W = Z.copy()
+    W = Z
     for sweep in range(1, max_sweeps + 1):
-        W = _psd_part(_project_polyhedral(W, p), eigh)
+        W = W + POLISH_RELAXATION * (_project_polyhedral(W.copy(), p) - W)
+        W = _psd_part(W, eigh)
         viol = max(
             float(np.abs(W[p.zero_rows, p.zero_cols]).max(initial=0.0)),
             float(np.abs(W[d, omega] - W[d, d]).max()),
@@ -203,6 +227,8 @@ def _polish(Z, p, eigh, max_sweeps=2000):
             max(0.0, -float(W.min())),
         )
         excess = objective_value(W, p) - p.n
+        if not (math.isfinite(viol) and math.isfinite(excess)):
+            raise np.linalg.LinAlgError("non-finite polish iterate")
         if viol <= 1e-10 and excess <= 5e-7:
             break
     return W
@@ -239,7 +265,10 @@ def _dual_upper_bound(p, rho, U):
     S[d, d] = -y_link - 1.0
     if not np.isfinite(S).all():
         return math.inf
-    lam = float(np.linalg.eigvalsh(S)[0])
+    try:
+        lam = float(np.linalg.eigvalsh(S)[0])
+    except np.linalg.LinAlgError:
+        return math.inf
     delta = p.dim ** 2 * float(np.finfo(float).eps) * float(np.linalg.norm(S))
     bound = float(y_omega) + (p.n + 1) * max(0.0, delta - lam)
     return math.nextafter(bound, math.inf)  # round the last sum upward
@@ -274,8 +303,10 @@ def _verified_lift(X, p):
 def solve(p, cfg=None):
     """Run the splitting iteration on a compiled program.
 
-    Stops at convergence, at the iteration cap, on divergence, or at one of
-    the checks made at iterations 16, 32, 64, ...:
+    Stops at convergence, at the iteration cap, on divergence (residuals that
+    blow up or turn non-finite, or an eigendecomposition that fails; the last
+    finite iterate is returned), or at one of the checks made at iterations
+    16, 32, 64, ...:
     - the dual upper bound falls below ``decision_threshold(n)``: status
       Certified, no polish;
     - the polyhedral iterate rounds to a permutation whose lift is exactly
@@ -308,11 +339,22 @@ def solve(p, cfg=None):
         W = Z - U
         W[p.pair_diag, p.pair_diag] += 1.0 / rho   # tilt C / rho, C = pair-diagonal I
         X = _project_polyhedral(W, p)
-        Z_new = _psd_part(X + U, eigh)
-        U += X - Z_new
-        r_norm = float(np.linalg.norm(X - Z_new))
-        s_norm = rho * float(np.linalg.norm(Z_new - Z))
-        Z = Z_new
+        # The PSD step's input U + X_hat, X_hat = alpha X + (1 - alpha) Z, is
+        # built in U itself, so the relaxation keeps no extra dim x dim array.
+        U += Z
+        U += RELAXATION * (X - Z)
+        try:
+            Z_new = _psd_part(U, eigh)
+        except np.linalg.LinAlgError:
+            status, stop_reason = SolverStatus.DIVERGED, "diverged"
+            break
+        r = float(np.linalg.norm(X - Z_new))
+        s = rho * float(np.linalg.norm(Z_new - Z))
+        if not (math.isfinite(r) and math.isfinite(s)):
+            status, stop_reason = SolverStatus.DIVERGED, "diverged"
+            break
+        U -= Z_new
+        r_norm, s_norm, Z = r, s, Z_new
 
         if it >= 16 and it & (it - 1) == 0:
             upper_bound = _dual_upper_bound(p, rho, U)
@@ -354,10 +396,15 @@ def solve(p, cfg=None):
         Y, r_norm, s_norm, upper_bound = np.outer(q, q), 0.0, 0.0, float(n)
     else:
         if status is not SolverStatus.CERTIFIED:
+            # After a failed step U holds U + X_hat, which is finite; the
+            # bound is valid for any U.
             upper_bound = _dual_upper_bound(p, rho, U)
         Y = Z
         if status is SolverStatus.CONVERGED:
-            Y = _polish(Y, p, eigh)
+            try:
+                Y = _polish(Z, p, eigh)
+            except np.linalg.LinAlgError:
+                status, stop_reason = SolverStatus.DIVERGED, "diverged"
     return SolverResult(
         status=status,
         objective=objective_value(Y, p),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import thetaiso as th
+import thetaiso.solver
 
 
 def four_vertex_zoo():
@@ -90,3 +91,26 @@ def random_doubly_stochastic(rng, n, terms=None):
     for w, sigma in zip(weights, perms):
         X[np.arange(n), list(sigma)] += w
     return X, list(zip(weights.tolist(), perms))
+
+
+def failing_eigh_backend(call, fail="raise"):
+    """A stand-in for ``thetaiso.solver.eigh_backend`` whose eigh behaves on
+    every call but the given one, where it raises LinAlgError (fail="raise")
+    or returns NaN (fail="nan")."""
+    backend = thetaiso.solver.eigh_backend
+    count = [0]
+
+    def failing(name):
+        eigh = backend(name)
+
+        def wrapped(M):
+            count[0] += 1
+            if count[0] == call:
+                if fail == "raise":
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return np.full(M.shape[0], np.nan), np.full(M.shape, np.nan)
+            return eigh(M)
+
+        return wrapped
+
+    return failing

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import thetaiso as th
+import thetaiso.solver
 from thetaiso.cli import dumps_json, main
+
+from conftest import failing_eigh_backend
 
 
 def write_graph(path, g):
@@ -165,6 +168,22 @@ def test_decide_reports_identical_modulo_timings(c4_pair, capsys):
     first.pop("timings")
     second.pop("timings")
     assert first == second
+
+
+@pytest.mark.parametrize("call", [1, 3])
+def test_decide_eigen_failure_exits_diverged(call, c4_pair, monkeypatch, capsys):
+    # A LinAlgError from eigh ends the solve as Diverged: Inconclusive, exit
+    # 4, and a JSON report, even when no iteration finished (residuals null).
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(call))
+    assert main(["decide", *c4_pair, "--json"]) == 4
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["verdict"]["kind"] == "Inconclusive"
+    assert doc["solver"]["status"] == "Diverged"
+    assert doc["solver"]["stop_reason"] == "diverged"
+    assert doc["solver"]["iterations"] == call
+    assert (doc["solver"]["primal_residual"] is None) == (call == 1)
 
 
 def test_decide_env_overrides(c4_pair, monkeypatch):

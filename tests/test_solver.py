@@ -11,6 +11,7 @@ import thetaiso.extraction
 import thetaiso.solver
 from thetaiso.program import build_program, decision_threshold, program_to_json_dict
 from thetaiso.solver import (
+    POLISH_RELAXATION,
     _dual_upper_bound,
     _polish,
     _project_polyhedral,
@@ -23,6 +24,8 @@ from thetaiso.solver import (
     project_psd,
     solve,
 )
+
+from conftest import failing_eigh_backend
 
 # Doubly nonnegative optima for fixture pairs, confirmed independently with
 # an interior-point solver (SCS at eps=1e-9) and, for the first two, by the
@@ -90,6 +93,22 @@ def test_project_psd_moreau_decomposition():
         assert np.linalg.eigvalsh(P)[0] >= -1e-12 * norm, size
         assert np.linalg.eigvalsh(Q)[0] >= -1e-12 * norm, size
         assert abs(float(np.sum(P * Q))) <= 1e-12 * norm ** 2, size
+
+
+def test_project_psd_rebuild_is_exactly_symmetric():
+    # The rebuild B @ B.T from the positive factor is a rank-k update with
+    # an exactly symmetric result; an input that is already positive
+    # semidefinite is only symmetrised, never rebuilt.
+    rng = np.random.default_rng(6)
+    for size in (1, 5, 30, 101):
+        M = rng.standard_normal((size, size))
+        M = M + M.T
+        P = project_psd(M)
+        assert np.array_equal(P, P.T), size
+        B = rng.standard_normal((size, size))
+        psd = B @ B.T + np.eye(size)
+        psd[0, -1] += 1e-13   # a tiny asymmetry, averaged away
+        assert np.array_equal(project_psd(psd), 0.5 * (psd + psd.T)), size
 
 
 def test_project_psd_rejects():
@@ -274,14 +293,14 @@ def test_dual_upper_bound_matches_explicit_rows_for_any_duals():
 
 def test_petersen_vs_prism_certified_early():
     # Its primal iterate is far from converging when the dual bound already
-    # separates it, within 32 iterations.
+    # separates it, at the first check.
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     prism = th.Graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
     petersen = th.petersen_graph()
     res = solve(build_program(petersen, prism))
     assert res.status is SolverStatus.CERTIFIED
-    assert res.iterations <= 32
+    assert res.iterations <= 16
     verdict = th.decide(res, petersen, prism)
     assert verdict.kind is th.VerdictKind.NON_ISOMORPHIC
     assert verdict.decided_by == "bound"
@@ -339,16 +358,93 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     assert res.stop_reason == "verified-lift"
     assert len(calls) == res.iterations
 
-    # The polish makes exactly one eigh per sweep: replaying as many sweeps
-    # by hand gives the same bits.  The start is an iterate short of P.
+    # The polish makes exactly one eigh per sweep: replaying as many relaxed
+    # sweeps W <- psd(W + beta (proj_P(W) - W)) by hand gives the same bits.
+    # The start is an iterate short of P.
     Z = solve(p, SolverConfig(max_iter=10)).Y
     calls.clear()
     polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"))
     assert len(calls) >= 2
     W = Z.copy()
     for _ in calls:
-        W = _psd_part(_project_polyhedral(W, p), np.linalg.eigh)
+        P = _project_polyhedral(W.copy(), p)
+        W = _psd_part(W + POLISH_RELAXATION * (P - W), np.linalg.eigh)
     assert W.tobytes() == polished.tobytes()
+
+
+@pytest.mark.parametrize("fail", ["raise", "nan"])
+def test_eigen_failure_ends_as_diverged(fail, monkeypatch):
+    # A failed or non-finite eigendecomposition stops the solve at once with
+    # the last finite iterate, instead of a traceback or a NaN run to the cap.
+    g1 = th.cycle_graph(4)
+    p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    before = solve(p, SolverConfig(max_iter=2))
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(3, fail))
+    res = solve(p, SolverConfig(max_iter=50))
+    assert res.status is SolverStatus.DIVERGED
+    assert res.stop_reason == "diverged"
+    assert res.iterations == 3
+    assert res.Y.tobytes() == before.Y.tobytes()
+    assert res.primal_residual == before.primal_residual
+    assert math.isfinite(res.objective) and math.isfinite(res.upper_bound)
+    verdict = th.decide(res, g1, th.relabel(g1, (2, 0, 3, 1)))
+    assert verdict.kind is th.VerdictKind.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("fail", ["raise", "nan"])
+def test_polish_failure_ends_as_diverged(fail, monkeypatch):
+    # C4 forced past its lift converges at tolerance and then polishes; an
+    # eigendecomposition that fails in the polish returns the converged
+    # iterate as Diverged.
+    g1 = th.cycle_graph(4)
+    p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    monkeypatch.setattr(thetaiso.solver, "_polish", lambda Z, p, eigh: Z)
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    unpolished = solve(p)
+    assert unpolished.stop_reason == "tolerance"
+    monkeypatch.setattr(thetaiso.solver, "_polish", _polish)
+    monkeypatch.setattr(
+        thetaiso.solver, "eigh_backend", failing_eigh_backend(unpolished.iterations + 2, fail)
+    )
+    res = solve(p)
+    assert res.status is SolverStatus.DIVERGED
+    assert res.stop_reason == "diverged"
+    assert res.iterations == unpolished.iterations
+    assert res.Y.tobytes() == unpolished.Y.tobytes()
+
+
+def test_dual_upper_bound_survives_an_eigvalsh_failure(monkeypatch):
+    def fail(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    p = build_program(th.cycle_graph(4), th.cycle_graph(4))
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert _dual_upper_bound(p, 1.0, np.zeros((p.dim, p.dim))) == math.inf
+
+
+def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
+    # The relaxed step still leaves U the negative part of X_hat + U, so
+    # G = -rho sym(U), the bound's PSD multiplier, is PSD at every check.
+    seen = []
+
+    def capturing(p, rho, U):
+        seen.append(U.copy())
+        return _dual_upper_bound(p, rho, U)
+
+    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", capturing)
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    prism = th.Graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
+    assert solve(build_program(th.petersen_graph(), prism)).stop_reason == "dual-bound"
+    checks = len(seen)
+    assert checks >= 1
+    g1 = th.cycle_graph(4)
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    assert solve(build_program(g1, th.relabel(g1, (2, 0, 3, 1)))).stop_reason == "tolerance"
+    assert len(seen) >= checks + 2   # the checks at 16, ... and the one at exit
+    for U in seen:
+        lam = float(np.linalg.eigvalsh(-0.5 * (U + U.T))[0])
+        assert lam >= -1e-12 * (1.0 + float(np.linalg.norm(U))), lam
 
 
 def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
@@ -360,6 +456,7 @@ def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
         n = g1.n
         assert res.status is SolverStatus.CONVERGED
         assert res.stop_reason == "verified-lift"
+        assert res.iterations == 16   # the first check
         verdict = th.decide(res, g1, g2)
         assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
         assert res.Y.tobytes() == th.lift(verdict.permutation).extended().tobytes()
