@@ -3,8 +3,10 @@ Solve a relabeled pair and certify the isomorphism
 ==================================================
 
 For isomorphic graphs the relaxation reaches its maximum value n.  The
-splitting solver alternates projections onto the affine constraints, the
-positive semidefinite cone, and the nonnegative orthant.  Every so often it
+solver splits the feasible set into two blocks: P, the affine constraints
+together with Y >= 0, which has a closed-form projection, and the positive
+semidefinite cone.  Two-block ADMM alternates between the two projections
+and a scaled dual that pulls them together.  Every so often it
 rounds its iterate to a permutation; once that permutation's lift is
 exactly feasible it stops and returns the lift, an optimal matrix of value
 exactly n.  The decision stage then reads the permutation back out of the

@@ -46,20 +46,35 @@ res = th.birkhoff_decompose(Z)
 total = sum(w for w, _ in res.terms)
 print(f"\nrandom 7x7 mixture: {len(res.terms)} terms, weight sum {total:.12f}")
 
-# On an end-to-end solve the diagonal may mix several isomorphisms, and a
-# peeled matching can cross between them -- so the terms below are only
-# candidates.  The decision stage checks every candidate exactly and also
-# reads the off-diagonal structure, which is how the pair still certifies.
+# An end-to-end solve on an isomorphic pair stops once it rounds its
+# iterate to a verified isomorphism, and returns that permutation's lift:
+# its diagonal is a single permutation matrix and peels into one term.
 g1 = th.path_graph(5)
 g2 = th.relabel(g1, (4, 2, 0, 3, 1))
 result = th.solve(th.build_program(g1, g2))
 diag = th.diagonal_matrix(result.Y, g1.n)
-print(f"\nrow/column sums drift from 1 by {th.stochastic_deviation(diag):.2e}")
+print(f"\nsolver stopped by {result.stop_reason}; row/column sums drift from 1 "
+      f"by {th.stochastic_deviation(diag):.2e}")
 res = th.birkhoff_decompose(diag)
 print("solver diagonal for a relabeled path peels into:")
 for weight, sigma in res.terms:
     print(f"  weight {weight:.6f}  permutation {sigma}  "
           f"isomorphism: {th.is_isomorphism(sigma, g1, g2)}")
-verdict = th.decide(result, g1, g2)
-print(f"decision stage still certifies: {verdict.kind.value} via "
-      f"{verdict.permutation} (decided by {verdict.decided_by})")
+
+# Any convex combination of isomorphism lifts is optimal too.  An even mix of
+# two lifts that share some pairs ties several matchings on its diagonal, and
+# the peel may cross between the two lifts, so every term is only a candidate.
+# The consistent-set search also reads the off-diagonal entries, which are
+# zero between pairs of different lifts, and so recovers one of them.
+g1 = th.cycle_graph(6)
+g2 = th.relabel(g1, (5, 0, 2, 4, 1, 3))
+lifts = [(0, 2, 4, 1, 3, 5), (0, 5, 3, 1, 4, 2)]
+Y = sum(0.5 * th.lift(sigma).extended() for sigma in lifts)
+res = th.birkhoff_decompose(th.diagonal_matrix(Y, g1.n))
+print(f"\neven mix of the 6-cycle isomorphisms {lifts[0]} and {lifts[1]} peels into:")
+for weight, sigma in res.terms:
+    print(f"  weight {weight:.6f}  permutation {sigma}  "
+          f"isomorphism: {th.is_isomorphism(sigma, g1, g2)}")
+sigma = th.consistent_set_search(Y)
+print(f"consistent-set search reads {sigma}, "
+      f"isomorphism: {th.is_isomorphism(sigma, g1, g2)}")

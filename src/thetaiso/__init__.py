@@ -47,8 +47,10 @@ from .lifts import (
     FeasibilityViolation,
     PermutationLift,
     check_feasible,
+    consistent_set_search,
     convex_decompose,
     cp_factor_united,
+    diagonal_matrix,
     is_united,
     lift,
 )
@@ -66,10 +68,8 @@ from .extraction import (
     Verdict,
     VerdictKind,
     birkhoff_decompose,
-    consistent_set_search,
     decide,
     decision_threshold,
-    diagonal_matrix,
     stochastic_deviation,
 )
 from .data import corpus_path
@@ -86,12 +86,13 @@ __all__ = [
     "Program", "build_program", "objective_value", "program_to_json_dict",
     "ConvexCombination", "DecompositionResult", "FeasibilityReport",
     "FeasibilityViolation", "PermutationLift", "check_feasible",
-    "convex_decompose", "cp_factor_united", "is_united", "lift",
+    "consistent_set_search", "convex_decompose", "cp_factor_united",
+    "diagonal_matrix", "is_united", "lift",
     "SolverConfig", "SolverResult", "SolverStatus", "initial_point",
     "project_affine", "project_psd", "solve",
     "BirkhoffResult", "Verdict", "VerdictKind",
-    "birkhoff_decompose", "consistent_set_search", "decide",
-    "decision_threshold", "diagonal_matrix", "stochastic_deviation",
+    "birkhoff_decompose", "decide", "decision_threshold",
+    "stochastic_deviation",
     "corpus_path",
     "__version__",
 ]

@@ -253,9 +253,9 @@ def cmd_oracle(args):
 def cmd_bench(args):
     manifest_path = os.path.join(args.corpus, "manifest.json")
     try:
-        with open(manifest_path) as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

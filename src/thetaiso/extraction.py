@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
 from .oracle import enumerate_isomorphisms, is_isomorphism
 from .program import decision_threshold
 from .solver import SolverConfig, SolverStatus
@@ -39,20 +40,6 @@ __all__ = [
     "decision_threshold",
     "decide",
 ]
-
-# Entries at or below this read as zero when extracting a permutation from Y;
-# decide skips Birkhoff peeling on a diagonal more than 10 * ZERO_EPS from
-# doubly stochastic.
-ZERO_EPS = 1e-6
-
-
-def diagonal_matrix(Y, n):
-    """Extract the pair-diagonal of Y into an n x n assignment array."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] < n * n:
-        raise ValueError(f"expected at least a {n * n} square matrix, got {Y.shape}")
-    d = np.arange(n * n)
-    return Y[d, d].reshape(n, n)
 
 
 def stochastic_deviation(X):
@@ -92,50 +79,18 @@ class BirkhoffResult:
 def _max_weight_matching(X, support):
     """Heaviest perfect matching inside the support mask, or None.
 
-    Ties are broken toward the lexicographically smallest permutation by
-    fixing rows one at a time: a column is kept for row i only if some
-    completion through it still attains the unrestricted optimum.
+    One assignment solve (scipy's ``linear_sum_assignment``).  Off the support
+    the weight is a finite -BIG, which sinks any matching that uses such an
+    entry below every matching on the support (scipy rejects -inf).  Among
+    equally heavy matchings the solver's choice stands: deterministic for a
+    given X, but in no promised order.
     """
     from scipy.optimize import linear_sum_assignment  # slow import, needed only here
-    n = X.shape[0]
-    if (support.sum(axis=1) == 0).any() or (support.sum(axis=0) == 0).any():
+    BIG = float(X.max()) * X.shape[0] + 1.0
+    _, cols = linear_sum_assignment(np.where(support, X, -BIG), maximize=True)
+    if not support[np.arange(X.shape[0]), cols].all():
         return None
-    BIG = float(X.max()) * n + 1.0
-    W = np.where(support, X, -BIG)
-
-    def best_total(fixed):
-        """Optimal total weight with rows < len(fixed) pinned to fixed cols."""
-        k = len(fixed)
-        total = float(sum(W[i, j] for i, j in enumerate(fixed)))
-        if k == n:
-            return total, True
-        free_cols = np.array([j for j in range(n) if j not in set(fixed)], dtype=int)
-        sub = W[np.ix_(np.arange(k, n), free_cols)]
-        rows, cols = linear_sum_assignment(sub, maximize=True)
-        sub_total = float(sub[rows, cols].sum())
-        chosen = sub[rows, cols]
-        ok = bool((chosen > -BIG / 2).all())
-        return total + sub_total, ok
-
-    target, ok = best_total([])
-    if not ok:
-        return None
-    fixed = []
-    tol = 1e-12 * (1.0 + abs(target))
-    for i in range(n):
-        used = set(fixed)
-        placed = False
-        for j in range(n):
-            if j in used or not support[i, j]:
-                continue
-            total, ok = best_total(fixed + [j])
-            if ok and total >= target - tol:
-                fixed.append(j)
-                placed = True
-                break
-        if not placed:
-            return None
-    return tuple(fixed)
+    return tuple(cols.tolist())
 
 
 def birkhoff_decompose(X, eps=ZERO_EPS):
@@ -143,8 +98,10 @@ def birkhoff_decompose(X, eps=ZERO_EPS):
 
     X must be doubly stochastic within 10 * eps.  Each round restricts to
     entries above eps, finds the heaviest perfect matching on that support
-    (smallest permutation on ties), and subtracts the minimum matched entry.
+    with one assignment solve, and subtracts the minimum matched entry.
     Stops when the remaining mass is below eps or no perfect matching survives.
+    Terms come heaviest matching first; between matchings of equal weight the
+    order is the assignment solver's, the same on every run but unspecified.
     """
     X = np.array(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -177,51 +134,6 @@ def birkhoff_decompose(X, eps=ZERO_EPS):
     else:
         complete = float(X.max()) <= eps
     return BirkhoffResult(terms=tuple(terms), complete=complete, rounds=rounds)
-
-
-def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
-    """Read a permutation out of Y by growing a pairwise-supported set.
-
-    Picks one (row, column) pair per row 0..n-1, trying columns in order of
-    decreasing diagonal mass, requiring the diagonal entry and every cross
-    entry against the pairs already chosen to exceed eps, with all columns
-    distinct.  Returns the permutation or None; with a budget, also None
-    once that many candidate pairs have had their cross entries tested.
-    """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
-        raise ValueError(f"expected a square matrix, got {Y.shape}")
-    n = int(round(np.sqrt(Y.shape[0])))
-    if n * n not in (Y.shape[0], Y.shape[0] - 1):
-        raise ValueError(f"matrix size {Y.shape[0]} is not n^2 or n^2+1")
-
-    diag = diagonal_matrix(Y, n)
-    order = [list(np.argsort(-diag[i], kind="stable")) for i in range(n)]
-
-    chosen = []
-    tries = 0
-
-    def grow(i):
-        nonlocal tries
-        if i == n:
-            return True
-        used = set(chosen)
-        for j in order[i]:
-            if j in used or diag[i, j] <= eps:
-                continue
-            if budget is not None and tries >= budget:
-                return False
-            tries += 1
-            if all(Y[i * n + j, k * n + chosen[k]] > eps for k in range(i)):
-                chosen.append(int(j))
-                if grow(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    found = grow(0)
-    del grow  # it refers to itself; breaking the cycle frees Y at once
-    return tuple(chosen) if found else None
 
 
 class VerdictKind(str, Enum):

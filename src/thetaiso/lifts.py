@@ -6,8 +6,9 @@ sigma(i) = j).  Appending a 1 for the omega coordinate gives the extended lift
 q q^T, which is the canonical feasible point of the program built by
 ``build_program`` exactly when sigma is an isomorphism.  This module also
 implements the united-vector test and its explicit completely positive
-factorization, and nonnegative-least-squares decomposition of a matrix into a
-convex combination of given lifts.
+factorization, nonnegative-least-squares decomposition of a matrix into a
+convex combination of given lifts, and the way back: reading a permutation
+out of a lifted matrix (``diagonal_matrix``, ``consistent_set_search``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ __all__ = [
     "ConvexCombination",
     "DecompositionResult",
     "convex_decompose",
+    "diagonal_matrix",
+    "consistent_set_search",
 ]
+
+# Entries at or below this read as zero when extracting a permutation from Y;
+# decide skips Birkhoff peeling on a diagonal more than 10 * ZERO_EPS from
+# doubly stochastic.
+ZERO_EPS = 1e-6
 
 CONDITION_NAMES = {
     1: "psd",
@@ -302,3 +310,57 @@ def convex_decompose(Y, lifts, tol=1e-4):
     return DecompositionResult(
         success=True, residual=residual, combination=ConvexCombination(terms=terms)
     )
+
+
+def diagonal_matrix(Y, n):
+    """Extract the pair-diagonal of Y into an n x n assignment array."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] < n * n:
+        raise ValueError(f"expected at least a {n * n} square matrix, got {Y.shape}")
+    d = np.arange(n * n)
+    return Y[d, d].reshape(n, n)
+
+
+def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
+    """Read a permutation out of Y by growing a pairwise-supported set.
+
+    Picks one (row, column) pair per row 0..n-1, trying columns in order of
+    decreasing diagonal mass, requiring the diagonal entry and every cross
+    entry against the pairs already chosen to exceed eps, with all columns
+    distinct.  Returns the permutation or None; with a budget, also None
+    once that many candidate pairs have had their cross entries tested.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
+        raise ValueError(f"expected a square matrix, got {Y.shape}")
+    n = int(round(np.sqrt(Y.shape[0])))
+    if n * n not in (Y.shape[0], Y.shape[0] - 1):
+        raise ValueError(f"matrix size {Y.shape[0]} is not n^2 or n^2+1")
+
+    diag = diagonal_matrix(Y, n)
+    order = [list(np.argsort(-diag[i], kind="stable")) for i in range(n)]
+
+    chosen = []
+    tries = 0
+
+    def grow(i):
+        nonlocal tries
+        if i == n:
+            return True
+        used = set(chosen)
+        for j in order[i]:
+            if j in used or diag[i, j] <= eps:
+                continue
+            if budget is not None and tries >= budget:
+                return False
+            tries += 1
+            if all(Y[i * n + j, k * n + chosen[k]] > eps for k in range(i)):
+                chosen.append(int(j))
+                if grow(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    found = grow(0)
+    del grow  # it refers to itself; breaking the cycle frees Y at once
+    return tuple(chosen) if found else None

@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import permutation_vector
+from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix, permutation_vector
 from .program import decision_threshold, objective_value
 
 __all__ = [
@@ -85,20 +85,33 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
+# Each reason a solve can stop for, and the status it reports.  "tolerance"
+# and "ceiling" are the two convergence tests, "verified-lift" is an
+# isomorphism's lift found mid-solve.
+STOP_STATUS = {
+    "tolerance": SolverStatus.CONVERGED,
+    "ceiling": SolverStatus.CONVERGED,
+    "verified-lift": SolverStatus.CONVERGED,
+    "dual-bound": SolverStatus.CERTIFIED,
+    "max-iter": SolverStatus.MAX_ITER,
+    "diverged": SolverStatus.DIVERGED,
+}
+
+
 @dataclass(frozen=True)
 class SolverResult:
-    status: SolverStatus
     objective: float
     Y: np.ndarray
     iterations: int
     primal_residual: float
     dual_residual: float
     solve_seconds: float
-    # Why the solve stopped: "tolerance" or "ceiling" (the two convergence
-    # tests) or "verified-lift" (an isomorphism's lift found mid-solve) with
-    # status Converged, "dual-bound" with Certified, "max-iter" or "diverged".
-    stop_reason: str
+    stop_reason: str                # why the solve stopped: a key of STOP_STATUS
     upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
+
+    @property
+    def status(self):
+        return STOP_STATUS[self.stop_reason]
 
 
 def eigh_backend(name):
@@ -285,11 +298,8 @@ def _verified_lift(X, p):
     when no zeroed pair has both ends in the support of q, which holds
     exactly when the permutation is an isomorphism.
     """
-    from .extraction import ZERO_EPS, consistent_set_search  # extraction imports this module
-
     n = p.n
-    d = p.pair_diag
-    if not (X[d, d].reshape(n, n) > ZERO_EPS).any(axis=1).all():
+    if not (diagonal_matrix(X, n) > ZERO_EPS).any(axis=1).all():
         return None
     sigma = consistent_set_search(X, ZERO_EPS, budget=n * n)
     if sigma is None:
@@ -330,7 +340,6 @@ def solve(p, cfg=None):
     threshold = decision_threshold(n)
     upper_bound = math.inf
 
-    status = SolverStatus.MAX_ITER
     stop_reason = "max-iter"
     r_norm = s_norm = float("inf")
     best_combined = float("inf")
@@ -346,12 +355,12 @@ def solve(p, cfg=None):
         try:
             Z_new = _psd_part(U, eigh)
         except np.linalg.LinAlgError:
-            status, stop_reason = SolverStatus.DIVERGED, "diverged"
+            stop_reason = "diverged"
             break
         r = float(np.linalg.norm(X - Z_new))
         s = rho * float(np.linalg.norm(Z_new - Z))
         if not (math.isfinite(r) and math.isfinite(s)):
-            status, stop_reason = SolverStatus.DIVERGED, "diverged"
+            stop_reason = "diverged"
             break
         U -= Z_new
         r_norm, s_norm, Z = r, s, Z_new
@@ -359,27 +368,27 @@ def solve(p, cfg=None):
         if it >= 16 and it & (it - 1) == 0:
             upper_bound = _dual_upper_bound(p, rho, U)
             if upper_bound < threshold:
-                status, stop_reason = SolverStatus.CERTIFIED, "dual-bound"
+                stop_reason = "dual-bound"
                 break
             q = _verified_lift(X, p)
             if q is not None:
-                status, stop_reason = SolverStatus.CONVERGED, "verified-lift"
+                stop_reason = "verified-lift"
                 break
 
         scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
         if r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale:
-            status, stop_reason = SolverStatus.CONVERGED, "tolerance"
+            stop_reason = "tolerance"
             break
         # A primal-feasible point cannot score above n, so hitting n with a
         # small primal residual already pins the optimum.
         if r_norm <= cfg.tol * scale and objective_value(Z, p) >= n - 1e-8:
-            status, stop_reason = SolverStatus.CONVERGED, "ceiling"
+            stop_reason = "ceiling"
             break
 
         combined = max(r_norm, s_norm)
         if it >= 50:
             if combined > 1e6 * best_combined:
-                status, stop_reason = SolverStatus.DIVERGED, "diverged"
+                stop_reason = "diverged"
                 break
         best_combined = min(best_combined, combined)
 
@@ -395,18 +404,17 @@ def solve(p, cfg=None):
         # q q^T meets every constraint exactly and scores the ceiling n.
         Y, r_norm, s_norm, upper_bound = np.outer(q, q), 0.0, 0.0, float(n)
     else:
-        if status is not SolverStatus.CERTIFIED:
+        if stop_reason != "dual-bound":
             # After a failed step U holds U + X_hat, which is finite; the
             # bound is valid for any U.
             upper_bound = _dual_upper_bound(p, rho, U)
         Y = Z
-        if status is SolverStatus.CONVERGED:
+        if STOP_STATUS[stop_reason] is SolverStatus.CONVERGED:
             try:
                 Y = _polish(Z, p, eigh)
             except np.linalg.LinAlgError:
-                status, stop_reason = SolverStatus.DIVERGED, "diverged"
+                stop_reason = "diverged"
     return SolverResult(
-        status=status,
         objective=objective_value(Y, p),
         Y=Y,
         iterations=it,

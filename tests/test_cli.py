@@ -283,6 +283,12 @@ def test_bench_missing_manifest(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_bench_manifest_not_utf8(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_bytes(b"\xff\xfe")
+    assert main(["bench", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read ")
+
+
 def test_bench_unwritable_report(tmp_path, capsys):
     corpus = make_corpus(tmp_path, [
         ("k2", th.complete_graph(2), th.complete_graph(2), True),

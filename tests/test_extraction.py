@@ -20,15 +20,13 @@ from thetaiso.extraction import (
     diagonal_matrix,
     stochastic_deviation,
 )
-from thetaiso.solver import SolverConfig, SolverResult, SolverStatus
+from thetaiso.solver import SolverConfig, SolverResult
 from conftest import random_doubly_stochastic
 
 
-def fake_result(Y, objective, status=SolverStatus.CONVERGED, upper_bound=math.inf):
-    stop_reason = {SolverStatus.CONVERGED: "tolerance", SolverStatus.CERTIFIED: "dual-bound",
-                   SolverStatus.MAX_ITER: "max-iter", SolverStatus.DIVERGED: "diverged"}[status]
+def fake_result(Y, objective, stop_reason="tolerance", upper_bound=math.inf):
     return SolverResult(
-        status=status, objective=objective, Y=Y, iterations=1,
+        objective=objective, Y=Y, iterations=1,
         primal_residual=1e-9, dual_residual=1e-9, solve_seconds=0.0,
         stop_reason=stop_reason, upper_bound=upper_bound,
     )
@@ -82,11 +80,12 @@ def test_birkhoff_two_disjoint():
     assert sorted(res.terms) == [(0.5, (1, 0, 2)), (0.5, (2, 1, 0))]
 
 
-def test_birkhoff_uniform_third_lexicographic():
-    """Ties broken toward the lexicographically smallest permutation."""
+def test_birkhoff_uniform_third():
+    """Every permutation ties, so no order is promised; any three disjoint
+    permutations peel the matrix."""
     res = birkhoff_decompose(np.full((3, 3), 1.0 / 3.0))
     assert res.complete
-    assert [sigma for _, sigma in res.terms] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert len(res.terms) == 3 and len({sigma for _, sigma in res.terms}) == 3
     assert all(abs(w - 1.0 / 3.0) < 1e-12 for w, _ in res.terms)
     assert abs(res.weight_sum() - 1.0) < 1e-12
 
@@ -100,6 +99,25 @@ def test_birkhoff_roundtrip_random():
         assert res.complete
         assert np.abs(res.matrix() - X).max() <= n * 1e-6
         assert abs(res.weight_sum() - 1.0) <= 1e-6
+
+
+def test_birkhoff_one_assignment_solve_per_round(monkeypatch):
+    import scipy.optimize
+    solves = []
+    original = scipy.optimize.linear_sum_assignment
+
+    def counting(*args, **kwargs):
+        solves.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+    rng = np.random.default_rng(3)
+    for n in (3, 5, 8):
+        solves.clear()
+        X, _ = random_doubly_stochastic(rng, n)
+        res = birkhoff_decompose(X)
+        assert res.complete and res.rounds == len(res.terms) >= 2
+        assert solves == [(n, n)] * res.rounds
 
 
 def test_birkhoff_heaviest_first():
@@ -191,7 +209,7 @@ def test_threshold_formula():
 
 def test_decide_not_converged_is_inconclusive():
     g = th.cycle_graph(4)
-    res = fake_result(np.zeros((17, 17)), 0.0, status=SolverStatus.MAX_ITER)
+    res = fake_result(np.zeros((17, 17)), 0.0, stop_reason="max-iter")
     v = decide(res, g, g)
     assert v.kind is th.VerdictKind.INCONCLUSIVE
     assert v.decided_by is None

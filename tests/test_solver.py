@@ -487,11 +487,11 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
             return sigma
         return search
 
-    monkeypatch.setattr(thetaiso.extraction, "consistent_set_search", rounding_to(None))
+    monkeypatch.setattr(thetaiso.solver, "consistent_set_search", rounding_to(None))
     plain = solve(p)
     assert calls
     calls.clear()
-    monkeypatch.setattr(thetaiso.extraction, "consistent_set_search", rounding_to(bad))
+    monkeypatch.setattr(thetaiso.solver, "consistent_set_search", rounding_to(bad))
     rounded = solve(p)
     assert calls and set(calls) == {16}  # budget n^2
     tol = SolverConfig().tol
@@ -503,6 +503,17 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
         assert report.max_violation <= 10.0 * tol, report.describe()
     assert rounded.iterations == plain.iterations
     assert rounded.Y.tobytes() == plain.Y.tobytes()
+
+
+def test_verified_lift_does_not_reach_into_extraction(monkeypatch):
+    # The solver rounds with thetaiso.lifts' search, not decide's patch point.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve called thetaiso.extraction.consistent_set_search")
+
+    monkeypatch.setattr(thetaiso.extraction, "consistent_set_search", unreachable)
+    g1 = th.petersen_graph()
+    res = solve(build_program(g1, th.relabel(g1, (3, 7, 0, 9, 5, 1, 8, 2, 6, 4))))
+    assert res.stop_reason == "verified-lift" and res.status is SolverStatus.CONVERGED
 
 
 def test_against_interior_point_solver():
