@@ -1,12 +1,13 @@
 """
-Round a doubly stochastic diagonal into candidate permutations
-==============================================================
+Peel a doubly stochastic matrix into permutations
+=================================================
 
 The n^2 diagonal entries of an optimal matrix, reshaped to n x n, form a
 doubly stochastic matrix.  Peeling off maximum-weight perfect matchings
 (the Birkhoff-von Neumann construction) writes it as a convex combination
-of permutation matrices; each permutation is a rounding candidate that the
-decision stage verifies exactly.
+of permutation matrices.  ``birkhoff_decompose`` is a tool on such
+matrices, not a decision stage: a verdict of Isomorphic rests only on the
+permutation the solver lifts and carries in ``SolverResult.permutation``.
 """
 
 import numpy as np
@@ -47,14 +48,15 @@ total = sum(w for w, _ in res.terms)
 print(f"\nrandom 7x7 mixture: {len(res.terms)} terms, weight sum {total:.12f}")
 
 # An end-to-end solve on an isomorphic pair stops once it rounds its
-# iterate to a verified isomorphism, and returns that permutation's lift:
-# its diagonal is a single permutation matrix and peels into one term.
+# iterate to a verified isomorphism, and returns that permutation and its
+# lift: the lift's diagonal is a single permutation matrix and peels into
+# one term, the permutation the solver carries.
 g1 = th.path_graph(5)
 g2 = th.relabel(g1, (4, 2, 0, 3, 1))
 result = th.solve(th.build_program(g1, g2))
 diag = th.diagonal_matrix(result.Y, g1.n)
-print(f"\nsolver stopped by {result.stop_reason}; row/column sums drift from 1 "
-      f"by {th.stochastic_deviation(diag):.2e}")
+print(f"\nsolver stopped by {result.stop_reason} with permutation {result.permutation}; "
+      f"row/column sums drift from 1 by {th.stochastic_deviation(diag):.2e}")
 res = th.birkhoff_decompose(diag)
 print("solver diagonal for a relabeled path peels into:")
 for weight, sigma in res.terms:

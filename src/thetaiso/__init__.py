@@ -3,7 +3,7 @@
 The pipeline: parse or construct a pair of graphs, compile them into a conic
 program over an (n^2+1)-square matrix variable (``build_program``), solve the
 doubly nonnegative relaxation with a projection-splitting method (``solve``),
-and round the result into a verdict (``decide``) that is either an exactly
+and turn the result into a verdict (``decide``) that is either an exactly
 certified isomorphism, a soundly separated non-isomorphism, or an explicit
 inconclusive.  Supporting algebra (permutation lifts, feasibility checking,
 united-vector factorizations, Birkhoff decomposition) is exported alongside.

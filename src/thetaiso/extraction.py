@@ -1,19 +1,20 @@
-"""Rounding a solved matrix into an exact verdict.
+"""Turning a solve into an exact verdict, and the rounding tools around it.
 
-Three routes out of a solve.  A certified upper bound on the relaxation's
+Two routes out of a solve.  A certified upper bound on the relaxation's
 optimum below n - 1/(4 n^4) proves that no isomorphism exists: an isomorphic
 pair always admits a feasible point of value exactly n.  The bound is the
 solver's weak-duality ``upper_bound``, built from its dual variables; the
 primal objective never decides, because a maximization's primal iterate only
-bounds the optimum from below.  Otherwise the code tries to read a
-permutation out of the matrix: first through a consistent-set search
-directly on the entries of Y, then through a Birkhoff decomposition of the
-diagonal reshaped to an n x n doubly stochastic matrix.  When the solver
-stopped on a verified lift, Y is that lift and the search reads its
-permutation straight back; it is verified like any other.  Every candidate
-permutation is checked exactly against both edge sets before it is
-believed; if nothing certifies, the verdict is inconclusive (optionally
-escalated to the exact search oracle).
+bounds the optimum from below.  Isomorphic rests on the permutation the
+solver carries when it stopped on a verified lift (``SolverResult.permutation``);
+``decide`` checks it exactly against both edge sets before it is believed and
+never reads Y.  If neither route decides, the verdict is inconclusive
+(optionally escalated to the exact search oracle).
+
+``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
+stochastic matrices, such as the n x n pair diagonal of a solved Y; no
+verdict depends on them.  ``consistent_set_search`` and ``diagonal_matrix``
+are re-exported from ``lifts``.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ def decide(result, g1, g2, cfg=None):
 
     Ladder: a certified ``result.upper_bound`` strictly below the separation
     threshold is a sound NonIsomorphic, whatever the solver status; apart
-    from that, non-converged solves are inconclusive; otherwise candidate
-    permutations from the consistent-set search and the Birkhoff peeling are
-    checked exactly, and the first certified one decides Isomorphic.
+    from that, non-converged solves are inconclusive; otherwise the
+    permutation the solver carries (``result.permutation``), if any, is
+    checked edge by edge and decides Isomorphic when it is an isomorphism.
     Anything else is inconclusive, or settled exactly when
     cfg.oracle_fallback is set.
     """
@@ -222,35 +223,11 @@ def decide(result, g1, g2, cfg=None):
         diagnostics["note"] = "solver did not converge; no sound decision available"
         return verdict(VerdictKind.INCONCLUSIVE, None)
 
-    tried = []
-
-    def certify(sigma, method):
-        if sigma is None or tuple(sigma) in tried:
-            return None
-        tried.append(tuple(sigma))
-        diagnostics["candidates_tried"] = len(tried)
+    sigma = result.permutation
+    if sigma is not None:
+        diagnostics["candidates_tried"] = 1
         if is_isomorphism(sigma, g1, g2):
-            diagnostics["extraction_method"] = method
-            return verdict(VerdictKind.ISOMORPHIC, "extraction", tuple(sigma))
-        return None
-
-    found = certify(consistent_set_search(result.Y, ZERO_EPS), "consistent-set")
-    if found is not None:
-        return found
-
-    X = diagonal_matrix(result.Y, n)
-    deviation = stochastic_deviation(X)
-    diagnostics["stochastic_deviation"] = deviation
-    if deviation <= 10.0 * ZERO_EPS:
-        bvn = birkhoff_decompose(X, ZERO_EPS)
-        diagnostics["birkhoff_terms"] = len(bvn.terms)
-        diagnostics["birkhoff_complete"] = bool(bvn.complete)
-        for _, sigma in bvn.terms:
-            found = certify(sigma, "birkhoff")
-            if found is not None:
-                return found
-    else:
-        diagnostics["birkhoff_skipped"] = "diagonal is not doubly stochastic"
+            return verdict(VerdictKind.ISOMORPHIC, "extraction", sigma)
 
     if cfg.oracle_fallback:
         isos = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)
@@ -259,7 +236,5 @@ def decide(result, g1, g2, cfg=None):
             return verdict(VerdictKind.ISOMORPHIC, "oracle", isos[0], oracle_used=True)
         return verdict(VerdictKind.NON_ISOMORPHIC, "oracle", oracle_used=True)
 
-    diagnostics["note"] = (
-        "objective within the threshold window but no candidate certified"
-    )
+    diagnostics["note"] = "no certified bound and no verified isomorphism"
     return verdict(VerdictKind.INCONCLUSIVE, None)

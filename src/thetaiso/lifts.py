@@ -35,9 +35,8 @@ __all__ = [
     "consistent_set_search",
 ]
 
-# Entries at or below this read as zero when extracting a permutation from Y;
-# decide skips Birkhoff peeling on a diagonal more than 10 * ZERO_EPS from
-# doubly stochastic.
+# Entries at or below this read as zero when a permutation is read out of Y
+# (the solver's verified lift) or a doubly stochastic matrix is peeled.
 ZERO_EPS = 1e-6
 
 CONDITION_NAMES = {

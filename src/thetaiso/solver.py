@@ -23,17 +23,20 @@ the scaled dual into a weak-duality upper bound on the relaxation's optimum
 no isomorphism is possible, so the solve stops there with status Certified,
 however far the primal iterate still is from converging.
 
-At the same iterations ``solve`` also tries to round the polyhedral iterate
-to a permutation whose lift is exactly feasible, i.e. an isomorphism.  That
-lift scores exactly n, the ceiling of every feasible point, so the solve
-stops there with status Converged and returns the lift itself.
-``SolverResult.stop_reason`` says which of the stops ended a solve.
+At the same iterations, and once more when the solve converges, ``solve``
+also tries to round the polyhedral iterate to a permutation whose lift is
+exactly feasible, i.e. an isomorphism.  That lift scores exactly n, the
+ceiling of every feasible point, so the solve stops there with status
+Converged and returns the lift itself and its permutation
+(``SolverResult.permutation``); this is the only place a permutation is read
+out of a solve.  ``SolverResult.stop_reason`` says which of the stops ended a
+solve.
 
-A solve that converges at tolerance is polished by relaxed alternating
-projections, W <- psd(W + beta (proj_P(W) - W)) with beta = ``POLISH_RELAXATION``,
-whose fixed points are still exactly P ∩ PSD.  A non-finite residual or an
-eigendecomposition that fails ends the solve as Diverged with the last finite
-iterate.
+A solve that converges at tolerance without a lift is polished by relaxed
+alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
+beta = ``POLISH_RELAXATION``, whose fixed points are still exactly P ∩ PSD.
+A non-finite residual or an eigendecomposition that fails ends the solve as
+Diverged with the last finite iterate.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ class SolverResult:
     solve_seconds: float
     stop_reason: str                # why the solve stopped: a key of STOP_STATUS
     upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
+    permutation: tuple | None = None  # the isomorphism Y lifts on a verified-lift stop
 
     @property
     def status(self):
@@ -288,8 +292,8 @@ def _dual_upper_bound(p, rho, U):
 
 
 def _verified_lift(X, p):
-    """The extended lift q of a permutation read off X, if it is exactly
-    feasible, else None.
+    """A permutation read off X and its extended lift q, if the lift is
+    exactly feasible, else None.
 
     The consistent-set search gets n^2 candidate tries.  A row of the pair
     diagonal with no entry above its zero tolerance can never lift, so such
@@ -307,7 +311,7 @@ def _verified_lift(X, p):
     q = np.append(permutation_vector(sigma), 1.0)
     if (q[p.zero_rows] * q[p.zero_cols]).any():
         return None
-    return q
+    return sigma, q
 
 
 def solve(p, cfg=None):
@@ -320,9 +324,12 @@ def solve(p, cfg=None):
     - the dual upper bound falls below ``decision_threshold(n)``: status
       Certified, no polish;
     - the polyhedral iterate rounds to a permutation whose lift is exactly
-      feasible: status Converged with Y that lift, objective and upper bound
-      exactly n, both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T
-      below is an exact dual certificate of value n, so the lift is optimal.
+      feasible: stop reason verified-lift, status Converged with Y that lift,
+      ``permutation`` the permutation, objective and upper bound exactly n,
+      both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
+      exact dual certificate of value n, so the lift is optimal.
+    A solve that converges (tolerance or ceiling) tries that rounding once
+    more on its last polyhedral iterate and ends the same way if it lifts.
     Otherwise the bound is computed once more at exit and returned as
     ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
@@ -370,8 +377,8 @@ def solve(p, cfg=None):
             if upper_bound < threshold:
                 stop_reason = "dual-bound"
                 break
-            q = _verified_lift(X, p)
-            if q is not None:
+            lifted = _verified_lift(X, p)
+            if lifted is not None:
                 stop_reason = "verified-lift"
                 break
 
@@ -400,8 +407,14 @@ def solve(p, cfg=None):
                 rho *= 0.5
                 U *= 2.0
 
+    if stop_reason in ("tolerance", "ceiling"):
+        lifted = _verified_lift(X, p)
+        if lifted is not None:
+            stop_reason = "verified-lift"
+    permutation = None
     if stop_reason == "verified-lift":
         # q q^T meets every constraint exactly and scores the ceiling n.
+        permutation, q = lifted
         Y, r_norm, s_norm, upper_bound = np.outer(q, q), 0.0, 0.0, float(n)
     else:
         if stop_reason != "dual-bound":
@@ -423,4 +436,5 @@ def solve(p, cfg=None):
         solve_seconds=time.perf_counter() - t0,
         stop_reason=stop_reason,
         upper_bound=min(upper_bound, float(n)),
+        permutation=permutation,
     )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import thetaiso as th
+import thetaiso.extraction
 from thetaiso.extraction import (
     birkhoff_decompose,
     consistent_set_search,
@@ -24,11 +25,12 @@ from thetaiso.solver import SolverConfig, SolverResult
 from conftest import random_doubly_stochastic
 
 
-def fake_result(Y, objective, stop_reason="tolerance", upper_bound=math.inf):
+def fake_result(Y, objective, stop_reason="tolerance", upper_bound=math.inf,
+                permutation=None):
     return SolverResult(
         objective=objective, Y=Y, iterations=1,
         primal_residual=1e-9, dual_residual=1e-9, solve_seconds=0.0,
-        stop_reason=stop_reason, upper_bound=upper_bound,
+        stop_reason=stop_reason, upper_bound=upper_bound, permutation=permutation,
     )
 
 
@@ -260,38 +262,34 @@ def test_decide_n1_identity():
     assert v.permutation == (0,)
 
 
-def test_decide_synthetic_lift_combination():
-    """A convex combination of genuine isomorphism lifts must certify."""
-    g1 = th.cycle_graph(6)
-    g2 = th.relabel(g1, (5, 0, 2, 4, 1, 3))
-    isos = th.enumerate_isomorphisms(g1, g2)
-    rng = np.random.default_rng(8)
-    weights = rng.dirichlet(np.ones(4))
-    chosen = [isos[i] for i in rng.choice(len(isos), 4, replace=False)]
-    Y = sum(w * th.lift(s).extended() for w, s in zip(weights, chosen))
-    X = diagonal_matrix(Y, 6)
-    assert (X.sum(axis=1) >= 1.0 - 1.0 / (4 * 6 ** 4)).all()
-    v = decide(fake_result(Y, 6.0), g1, g2)
-    assert v.kind is th.VerdictKind.ISOMORPHIC
-    assert th.is_isomorphism(v.permutation, g1, g2)
-
-
 def test_decide_never_trusts_uncertified_candidates():
-    """Optimal-looking Y whose permutation is not an isomorphism stays
-    Inconclusive without the oracle, NonIsomorphic with it."""
+    """A carried permutation that is not an isomorphism stays Inconclusive
+    without the oracle, NonIsomorphic with it."""
     g1 = th.cycle_graph(6)
     g2 = th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))
     sigma = (0, 1, 2, 3, 4, 5)
-    Y = th.lift(sigma).extended()
-    res = fake_result(Y, 6.0)
+    res = fake_result(th.lift(sigma).extended(), 6.0, stop_reason="verified-lift",
+                      permutation=sigma)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.INCONCLUSIVE
-    assert v.diagnostics["candidates_tried"] >= 1
+    assert v.permutation is None
+    assert v.diagnostics["candidates_tried"] == 1
 
     v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC
     assert v.oracle_used
     assert v.decided_by == "oracle"
+
+
+def test_decide_checks_the_carried_permutation_not_y():
+    # Y is the lift of an isomorphism, but no permutation was carried, so
+    # nothing is extracted from it.
+    g1 = th.cycle_graph(6)
+    g2 = th.relabel(g1, (5, 0, 2, 4, 1, 3))
+    Y = th.lift(th.enumerate_isomorphisms(g1, g2, cap=1)[0]).extended()
+    v = decide(fake_result(Y, 6.0), g1, g2)
+    assert v.kind is th.VerdictKind.INCONCLUSIVE
+    assert v.diagnostics["candidates_tried"] == 0
 
 
 def test_decide_oracle_fallback_on_isomorphic_pair():
@@ -316,7 +314,19 @@ def test_verdict_serialization(solved_corpus):
     assert "iterations" in doc["diagnostics"]
 
 
-def test_import_and_decide_leave_scipy_optimize_unloaded():
+# A Converged solve that did not lift, for C6 against 2 C3: Y mixes the lifts
+# of two non-isomorphisms, so its pair diagonal is doubly stochastic.
+NON_LIFTING_RESULT = """
+c6 = th.cycle_graph(6)
+two_c3 = th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))
+mix = 0.5 * (th.lift((0, 1, 2, 3, 4, 5)).extended()
+             + th.lift((1, 2, 3, 4, 5, 0)).extended())
+stopped = th.SolverResult(objective=6.0, Y=mix, iterations=13, primal_residual=1e-9,
+                          dual_residual=1e-9, solve_seconds=0.0, stop_reason="tolerance")
+"""
+
+
+def test_import_and_decide_leave_scipy_optimize_unloaded(monkeypatch):
     # scipy.optimize takes most of a cold start to import; only Birkhoff
     # peeling and convex_decompose need it, so plain use must not load it.
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -330,9 +340,28 @@ def test_import_and_decide_leave_scipy_optimize_unloaded():
         "h = th.relabel(g, (2, 0, 3, 1))\n"
         "v = th.decide(th.solve(th.build_program(g, h)), g, h)\n"
         "assert v.kind is th.VerdictKind.ISOMORPHIC, v\n"
+        + NON_LIFTING_RESULT +
+        "v = th.decide(stopped, c6, two_c3)\n"
+        "assert v.kind is th.VerdictKind.INCONCLUSIVE, v\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+    # decide reads no permutation out of Y itself.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decide searched Y for a permutation")
+
+    for name in ("consistent_set_search", "diagonal_matrix", "stochastic_deviation",
+                 "birkhoff_decompose"):
+        monkeypatch.setattr(thetaiso.extraction, name, unreachable)
+    g = th.path_graph(4)
+    h = th.relabel(g, (2, 0, 3, 1))
+    assert decide(th.solve(th.build_program(g, h)), g, h).kind is th.VerdictKind.ISOMORPHIC
+    scope = {"th": th}
+    exec(NON_LIFTING_RESULT, scope)
+    v = decide(scope["stopped"], scope["c6"], scope["two_c3"])
+    assert v.kind is th.VerdictKind.INCONCLUSIVE
+    assert v.diagnostics["candidates_tried"] == 0

@@ -41,6 +41,9 @@ def test_verdicts_agree_with_exact_search(pair):
     if verdict.kind is th.VerdictKind.ISOMORPHIC:
         assert truth
         assert th.is_isomorphism(verdict.permutation, g1, g2)
+        if verdict.decided_by == "extraction":
+            assert result.stop_reason == "verified-lift"
+            assert verdict.permutation == result.permutation
     elif verdict.kind is th.VerdictKind.NON_ISOMORPHIC:
         assert not truth
         if verdict.decided_by == "bound":

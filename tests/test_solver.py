@@ -470,6 +470,46 @@ def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
         assert report.magnitudes[1] <= 1e-12, report.describe()
 
 
+def test_verified_lift_of_lift_combination():
+    # A convex combination of isomorphism lifts, a point of the optimal face
+    # of an isomorphic pair, rounds to one of the isomorphisms it mixes.
+    g1 = th.cycle_graph(6)
+    g2 = th.relabel(g1, (5, 0, 2, 4, 1, 3))
+    p = build_program(g1, g2)
+    isos = th.enumerate_isomorphisms(g1, g2)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(4))
+        chosen = [isos[i] for i in rng.choice(len(isos), 4, replace=False)]
+        X = sum(w * th.lift(s).extended() for w, s in zip(weights, chosen))
+        sigma, q = thetaiso.solver._verified_lift(X, p)
+        assert sigma in chosen
+        assert np.outer(q, q).tobytes() == th.lift(sigma).extended().tobytes()
+
+
+@pytest.mark.parametrize("name, stop", [("c4", "ceiling"), ("p5", "tolerance")])
+def test_converged_exit_tries_the_lift(corpus_entries, monkeypatch, name, stop):
+    # At a loose tolerance these pairs converge before the first check at
+    # iteration 16; the exit rounds the last polyhedral iterate instead.
+    g1, g2 = next((g1, g2) for entry, g1, g2, _ in corpus_entries if entry == name)
+    cfg = SolverConfig(tol=0.1)
+    p = build_program(g1, g2)
+    res = solve(p, cfg)
+    assert res.iterations < 16
+    assert res.stop_reason == "verified-lift" and res.status is SolverStatus.CONVERGED
+    assert res.Y.tobytes() == th.lift(res.permutation).extended().tobytes()
+    assert res.objective == p.n and res.upper_bound == p.n
+    verdict = th.decide(res, g1, g2, cfg)
+    assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
+    assert verdict.permutation == res.permutation
+
+    # Without the lift the same solve stops on its convergence test.
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    plain = solve(p, cfg)
+    assert plain.stop_reason == stop and plain.iterations == res.iterations
+    assert plain.permutation is None
+
+
 def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     # A rounded permutation whose lift hits a zeroed pair is discarded: the
     # solve runs on to the same iterations and the same Y bits as a solve
