@@ -20,14 +20,15 @@ print("g1 edges:", sorted(g1.edges))
 print("g2 edges:", sorted(g2.edges))
 print("degrees:", g1.degrees(), "and", g2.degrees())
 
-# The pair index maps (i, j) to i*n + j; omega sits at n^2.
-index = th.VertexPairIndex(g1.n)
-print("\nindex of pair (2, 4):", index.index(2, 4))
-print("pair at 14:", index.pair(14))
-print("omega:", index.omega, "matrix side:", index.size)
-
-# Compile the pair into a program and look at its constraint budget.
+# Compile the pair into a program.  Pair (i, j) is row and column i*n + j of
+# the matrix variable; omega sits at n^2, the last of program.dim indices.
 program = th.build_program(g1, g2)
+n = program.n
+print("\nindex of pair (2, 4):", 2 * n + 4)
+print("pair at 14:", divmod(14, n))
+print("omega:", program.omega, "matrix side:", program.dim)
+
+# The program's constraint budget.
 print("\nconstraint counts by kind:")
 for kind, count in sorted(program.constraint_counts().items()):
     print(f"  {kind:>12}: {count}")
@@ -41,6 +42,6 @@ print("association-graph edges:", assoc.num_edges)
 print("identical sets:", zeros == {tuple(sorted(e)) for e in assoc.edges})
 
 # The objective simply sums the n^2 diagonal entries over vertex pairs.
-Y = np.eye(index.size) / g1.n
-Y[index.omega, index.omega] = 1.0
+Y = np.eye(program.dim) / n
+Y[program.omega, program.omega] = 1.0
 print("\nobjective at a scaled identity:", th.objective_value(Y, program))

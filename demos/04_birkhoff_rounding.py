@@ -54,7 +54,7 @@ print(f"\nrandom 7x7 mixture: {len(res.terms)} terms, weight sum {total:.12f}")
 g1 = th.path_graph(5)
 g2 = th.relabel(g1, (4, 2, 0, 3, 1))
 result = th.solve(th.build_program(g1, g2))
-diag = th.diagonal_matrix(result.Y, g1.n)
+diag = th.diagonal_matrix(result.Y)
 print(f"\nsolver stopped by {result.stop_reason} with permutation {result.permutation}; "
       f"row/column sums drift from 1 by {th.stochastic_deviation(diag):.2e}")
 res = th.birkhoff_decompose(diag)
@@ -72,7 +72,7 @@ g1 = th.cycle_graph(6)
 g2 = th.relabel(g1, (5, 0, 2, 4, 1, 3))
 lifts = [(0, 2, 4, 1, 3, 5), (0, 5, 3, 1, 4, 2)]
 Y = sum(0.5 * th.lift(sigma).extended() for sigma in lifts)
-res = th.birkhoff_decompose(th.diagonal_matrix(Y, g1.n))
+res = th.birkhoff_decompose(th.diagonal_matrix(Y))
 print(f"\neven mix of the 6-cycle isomorphisms {lifts[0]} and {lifts[1]} peels into:")
 for weight, sigma in res.terms:
     print(f"  weight {weight:.6f}  permutation {sigma}  "

@@ -12,7 +12,6 @@ united-vector factorizations, Birkhoff decomposition) is exported alongside.
 from .graphs import (
     Graph,
     GraphParseError,
-    VertexPairIndex,
     association_graph,
     complement,
     complete_graph,
@@ -77,11 +76,11 @@ from .data import corpus_path
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "GraphParseError", "VertexPairIndex", "association_graph",
-    "complement", "complete_graph", "conflict_pairs", "cycle_graph",
-    "disjoint_union", "empty_graph", "load_graph", "parse_dimacs",
-    "parse_graph", "parse_graph_text", "path_graph", "petersen_graph",
-    "relabel", "star_graph",
+    "Graph", "GraphParseError", "association_graph", "complement",
+    "complete_graph", "conflict_pairs", "cycle_graph", "disjoint_union",
+    "empty_graph", "load_graph", "parse_dimacs", "parse_graph",
+    "parse_graph_text", "path_graph", "petersen_graph", "relabel",
+    "star_graph",
     "enumerate_isomorphisms", "is_isomorphism", "is_permutation",
     "Program", "build_program", "objective_value", "program_to_json_dict",
     "ConvexCombination", "DecompositionResult", "FeasibilityReport",

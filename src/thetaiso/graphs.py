@@ -15,7 +15,6 @@ from .oracle import is_permutation
 __all__ = [
     "Graph",
     "GraphParseError",
-    "VertexPairIndex",
     "parse_graph",
     "parse_dimacs",
     "parse_graph_text",
@@ -97,44 +96,6 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-class VertexPairIndex:
-    """Row-major flat indexing of vertex pairs (i,j) plus the extra symbol omega.
-
-    Pair (i,j) maps to i*n + j; omega maps to n*n.  The map is a bijection
-    between [0,n)^2 union {omega} and [0, n^2].
-    """
-
-    __slots__ = ("n", "omega")
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("n must be positive")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "omega", n * n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexPairIndex is immutable")
-
-    def index(self, i, j):
-        n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"pair ({i},{j}) out of range for n={n}")
-        return i * n + j
-
-    def pair(self, v):
-        """Inverse map: flat index to (i,j), or None for the omega index."""
-        if v == self.omega:
-            return None
-        if not 0 <= v < self.omega:
-            raise ValueError(f"index {v} out of range")
-        return divmod(v, self.n)
-
-    @property
-    def size(self):
-        """Total number of indices including omega."""
-        return self.omega + 1
-
-
 def _data_lines(text, comment_chars):
     """Yield (line_number, stripped_line) skipping blanks and comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -194,7 +155,9 @@ def parse_graph(text):
 def parse_dimacs(text):
     """Parse the DIMACS dialect: "p edge n m" then m lines "e i j", 1-based.
 
-    Lines starting with 'c' or '#' and blank lines are ignored.
+    Lines starting with 'c' or '#' and blank lines are ignored.  A file may
+    list each edge in both directions, so it needs at least m "e" lines and
+    at most m distinct edges.
     """
     n = None
     edges = []
@@ -212,6 +175,8 @@ def parse_dimacs(text):
                 raise GraphParseError(f"non-integer problem line {line!r}", lineno) from None
             if n < 1:
                 raise GraphParseError(f"vertex count must be positive, got {n}", lineno)
+            if declared < 0:
+                raise GraphParseError(f"edge count must be nonnegative, got {declared}", lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError("edge line before problem line", lineno)
@@ -230,6 +195,8 @@ def parse_dimacs(text):
             raise GraphParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise GraphParseError("missing 'p edge' problem line")
+    if len(edges) < declared:
+        raise GraphParseError(f"expected {declared} edge lines, found {len(edges)}")
     g = Graph(n, edges)
     if len(g.edges) > declared:
         raise GraphParseError(f"found {len(g.edges)} distinct edges, declared {declared}")
@@ -274,9 +241,9 @@ def _cross(left, right, n):
 def conflict_pairs(g1, g2):
     """Conflicting assignment pairs of two equal-size graphs, by kind.
 
-    Assignment (i,j), meaning "map i to j", has flat index i*n + j (see
-    VertexPairIndex).  Returns a dict kind -> (r, s) of int arrays with
-    r < s elementwise.  The four kinds are disjoint and together cover every
+    Assignment (i,j), meaning "map i to j", has flat index i*n + j, its row
+    and column in the lifted matrix.  Returns a dict kind -> (r, s) of int
+    arrays with r < s elementwise.  The four kinds are disjoint and together cover every
     conflict: "row-orth" pairs share a source vertex (ordered by that vertex,
     then target pair j < k), "col-orth" pairs share a target vertex (by that
     vertex, then source pair j < k), and the two mismatch kinds pair
@@ -304,8 +271,8 @@ def conflict_pairs(g1, g2):
 def association_graph(g1, g2):
     """Pairwise-conflict graph on the n^2 assignment pairs of two graphs.
 
-    Vertex (i,j), meaning "map i to j", is flat-indexed by VertexPairIndex
-    (omega excluded); edges are the pairs of ``conflict_pairs``.  Non-edges
+    Vertex (i,j), meaning "map i to j", has index i*n + j as in
+    ``conflict_pairs``; edges are the pairs of ``conflict_pairs``.  Non-edges
     are exactly the compatible assignment pairs.
     """
     groups = conflict_pairs(g1, g2).values()

@@ -9,10 +9,14 @@ implements the united-vector test and its explicit completely positive
 factorization, nonnegative-least-squares decomposition of a matrix into a
 convex combination of given lifts, and the way back: reading a permutation
 out of a lifted matrix (``diagonal_matrix``, ``consistent_set_search``).
+
+Every lifted matrix here is (n^2+1)-square with n >= 1: pair (i, j) at
+i*n + j, omega last.  ``_lifted_order`` is the one check of that shape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,26 +67,33 @@ def permutation_vector(sigma):
     return p
 
 
+def _lifted_order(Y):
+    """n for a lifted matrix Y of side n^2 + 1 with n >= 1; else ValueError."""
+    shape = np.shape(Y)
+    side = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    n = math.isqrt(max(side - 1, 0))
+    if n < 1 or n * n + 1 != side:
+        raise ValueError(f"expected an (n^2+1)-square matrix with n >= 1, got shape {shape}")
+    return n
+
+
 @dataclass(frozen=True)
 class PermutationLift:
     """The rank-one lift of one permutation."""
 
     sigma: tuple
     n: int
-    matrix: np.ndarray  # (n^2, n^2), read-only
 
     def extended(self):
-        """(n^2+1)-square lift with the omega row/column appended."""
+        """(n^2+1)-square lift q q^T, q the permutation vector with omega's 1 appended."""
         q = np.append(permutation_vector(self.sigma), 1.0)
         return np.outer(q, q)
 
 
 def lift(sigma):
     sigma = tuple(int(v) for v in sigma)
-    p = permutation_vector(sigma)
-    m = np.outer(p, p)
-    m.setflags(write=False)
-    return PermutationLift(sigma=sigma, n=len(sigma), matrix=m)
+    permutation_vector(sigma)  # rejects a non-permutation here, not at first use
+    return PermutationLift(sigma=sigma, n=len(sigma))
 
 
 @dataclass(frozen=True)
@@ -139,11 +150,11 @@ def check_feasible(Y, g1, g2, tol=1e-6):
     """
     if g1.n != g2.n:
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
-    dim = n * n + 1
     Y = np.asarray(Y, dtype=float)
-    if Y.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} matrix, got {Y.shape}")
+    n = _lifted_order(Y)
+    if n != g1.n:
+        raise ValueError(f"matrix is for n = {n}, graphs have n = {g1.n}")
+    dim = n * n + 1
     asym = float(np.abs(Y - Y.T).max())
     if asym > tol:
         raise ValueError(f"matrix is not symmetric: max |Y - Y^T| = {asym:.3e}")
@@ -249,7 +260,8 @@ class ConvexCombination:
     terms: tuple  # of (weight, PermutationLift)
 
     def matrix(self):
-        return sum(w * L.matrix for w, L in self.terms)
+        """The recombined (n^2+1)-square matrix."""
+        return sum(w * L.extended() for w, L in self.terms)
 
     def weight_sum(self):
         return float(sum(w for w, _ in self.terms))
@@ -265,6 +277,8 @@ class DecompositionResult:
 def convex_decompose(Y, lifts, tol=1e-4):
     """Express Y as a convex combination of the given lifts, if possible.
 
+    Y is (n^2+1)-square; the fit and its residual cover the n^2 pair block,
+    since omega's row and corner follow from it for any convex combination.
     Solves a nonnegative least-squares fit of the vectorized lifts to Y with
     the sum-to-one condition appended as a heavily weighted extra row, prunes
     negligible weights, renormalizes, and reports the max-entry deviation of
@@ -273,22 +287,18 @@ def convex_decompose(Y, lifts, tol=1e-4):
     """
     if not lifts:
         raise ValueError("need at least one candidate lift")
-    n = lifts[0].n
-    nn = n * n
-    for L in lifts:
-        if L.n != n:
-            raise ValueError("all lifts must share one vertex count")
     Y = np.asarray(Y, dtype=float)
-    if Y.shape == (nn + 1, nn + 1):
-        Y = Y[:nn, :nn]
-    if Y.shape != (nn, nn):
-        raise ValueError(f"expected a {nn} or {nn + 1} square matrix, got {Y.shape}")
+    n = _lifted_order(Y)
+    if any(L.n != n for L in lifts):
+        raise ValueError(f"every lift must have n = {n}, the matrix's")
+    nn = n * n
+    Y = Y[:nn, :nn]
 
     from scipy.optimize import nnls  # slow import, needed only here
     mu = 1e5  # weight of the sum-to-one row relative to the entrywise fit
     A = np.empty((nn * nn + 1, len(lifts)))
     for c, L in enumerate(lifts):
-        A[:-1, c] = L.matrix.reshape(-1)
+        A[:-1, c] = L.extended()[:nn, :nn].reshape(-1)
     A[-1, :] = mu
     b = np.append(Y.reshape(-1), mu)
     weights, _ = nnls(A, b)
@@ -311,17 +321,17 @@ def convex_decompose(Y, lifts, tol=1e-4):
     )
 
 
-def diagonal_matrix(Y, n):
-    """Extract the pair-diagonal of Y into an n x n assignment array."""
+def diagonal_matrix(Y):
+    """The pair-diagonal of an (n^2+1)-square Y as an n x n assignment array."""
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] < n * n:
-        raise ValueError(f"expected at least a {n * n} square matrix, got {Y.shape}")
+    n = _lifted_order(Y)
     d = np.arange(n * n)
     return Y[d, d].reshape(n, n)
 
 
 def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
-    """Read a permutation out of Y by growing a pairwise-supported set.
+    """Read a permutation out of an (n^2+1)-square Y by growing a
+    pairwise-supported set.
 
     Picks one (row, column) pair per row 0..n-1, trying columns in order of
     decreasing diagonal mass, requiring the diagonal entry and every cross
@@ -330,13 +340,8 @@ def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
     once that many candidate pairs have had their cross entries tested.
     """
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
-        raise ValueError(f"expected a square matrix, got {Y.shape}")
-    n = int(round(np.sqrt(Y.shape[0])))
-    if n * n not in (Y.shape[0], Y.shape[0] - 1):
-        raise ValueError(f"matrix size {Y.shape[0]} is not n^2 or n^2+1")
-
-    diag = diagonal_matrix(Y, n)
+    diag = diagonal_matrix(Y)
+    n = len(diag)
     order = [list(np.argsort(-diag[i], kind="stable")) for i in range(n)]
 
     chosen = []

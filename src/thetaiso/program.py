@@ -18,6 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .graphs import conflict_pairs
+from .lifts import _lifted_order
 
 __all__ = [
     "Program",
@@ -83,11 +84,10 @@ def build_program(g1, g2):
 
 
 def objective_value(Y, p):
-    """Sum of the pair-diagonal entries of Y; accepts the omega-extended
-    (dim x dim) matrix or the bare n^2 x n^2 block."""
+    """Sum of the pair-diagonal entries of the (dim x dim) matrix Y."""
     Y = np.asarray(Y)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] not in (p.dim, p.dim - 1):
-        raise ValueError(f"expected a {p.dim} or {p.dim - 1} square matrix, got {Y.shape}")
+    if _lifted_order(Y) != p.n:
+        raise ValueError(f"expected a {p.dim} x {p.dim} matrix, got {Y.shape}")
     d = p.pair_diag
     return float(Y[d, d].sum())
 

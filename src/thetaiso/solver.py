@@ -48,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix, permutation_vector
+from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix, lift
 from .program import decision_threshold, objective_value
 
 __all__ = [
@@ -292,26 +292,25 @@ def _dual_upper_bound(p, rho, U):
 
 
 def _verified_lift(X, p):
-    """A permutation read off X and its extended lift q, if the lift is
+    """A permutation read off X and its extended lift Y, if the lift is
     exactly feasible, else None.
 
     The consistent-set search gets n^2 candidate tries.  A row of the pair
     diagonal with no entry above its zero tolerance can never lift, so such
-    an X skips the search.  The lift q q^T is PSD, nonnegative and meets the
-    omega and diag-link rows by construction; it meets the zero rows exactly
-    when no zeroed pair has both ends in the support of q, which holds
-    exactly when the permutation is an isomorphism.
+    an X skips the search.  The lift Y = q q^T is PSD, nonnegative and meets
+    the omega and diag-link rows by construction; it meets the zero rows
+    exactly when no zeroed pair has both ends in the support of q, which
+    holds exactly when the permutation is an isomorphism.
     """
-    n = p.n
-    if not (diagonal_matrix(X, n) > ZERO_EPS).any(axis=1).all():
+    if not (diagonal_matrix(X) > ZERO_EPS).any(axis=1).all():
         return None
-    sigma = consistent_set_search(X, ZERO_EPS, budget=n * n)
+    sigma = consistent_set_search(X, ZERO_EPS, budget=p.n * p.n)
     if sigma is None:
         return None
-    q = np.append(permutation_vector(sigma), 1.0)
-    if (q[p.zero_rows] * q[p.zero_cols]).any():
+    Y = lift(sigma).extended()
+    if Y[p.zero_rows, p.zero_cols].any():
         return None
-    return sigma, q
+    return sigma, Y
 
 
 def solve(p, cfg=None):
@@ -413,9 +412,9 @@ def solve(p, cfg=None):
             stop_reason = "verified-lift"
     permutation = None
     if stop_reason == "verified-lift":
-        # q q^T meets every constraint exactly and scores the ceiling n.
-        permutation, q = lifted
-        Y, r_norm, s_norm, upper_bound = np.outer(q, q), 0.0, 0.0, float(n)
+        # The lift meets every constraint exactly and scores the ceiling n.
+        permutation, Y = lifted
+        r_norm, s_norm, upper_bound = 0.0, 0.0, float(n)
     else:
         if stop_reason != "dual-bound":
             # After a failed step U holds U + X_hat, which is finite; the

@@ -43,20 +43,20 @@ def perm_matrix(sigma):
 
 def test_diagonal_matrix_of_lift():
     sigma = (2, 0, 3, 1)
-    X = diagonal_matrix(th.lift(sigma).extended(), 4)
+    X = diagonal_matrix(th.lift(sigma).extended())
     assert np.array_equal(X, perm_matrix(sigma))
     assert stochastic_deviation(X) == 0.0
 
 
 def test_diagonal_matrix_linearity_and_zero():
-    a = th.lift((0, 1, 2)).matrix
-    b = th.lift((1, 2, 0)).matrix
-    X = diagonal_matrix(0.25 * a + 0.75 * b, 3)
+    a = th.lift((0, 1, 2)).extended()
+    b = th.lift((1, 2, 0)).extended()
+    X = diagonal_matrix(0.25 * a + 0.75 * b)
     assert np.allclose(X, 0.25 * perm_matrix((0, 1, 2)) + 0.75 * perm_matrix((1, 2, 0)))
-    Z = diagonal_matrix(np.zeros((9, 9)), 3)
-    assert np.all(Z == 0.0) and stochastic_deviation(Z) == 1.0
+    Z = diagonal_matrix(np.zeros((10, 10)))
+    assert Z.shape == (3, 3) and np.all(Z == 0.0) and stochastic_deviation(Z) == 1.0
     with pytest.raises(ValueError):
-        diagonal_matrix(np.zeros((8, 8)), 3)
+        diagonal_matrix(np.zeros((8, 8)))
 
 
 def test_stochastic_deviation_worst_of_rows_columns_and_sign():
@@ -149,7 +149,6 @@ def test_birkhoff_rejects_non_stochastic():
 
 def test_consistent_set_on_lift():
     sigma = (3, 0, 2, 1)
-    assert consistent_set_search(th.lift(sigma).matrix) == sigma
     assert consistent_set_search(th.lift(sigma).extended()) == sigma
 
 
@@ -157,7 +156,7 @@ def test_consistent_set_on_mixture():
     g = th.cycle_graph(5)
     autos = th.enumerate_isomorphisms(g, g)
     s1, s2 = autos[1], autos[4]
-    Y = 0.6 * th.lift(s1).matrix + 0.4 * th.lift(s2).matrix
+    Y = 0.6 * th.lift(s1).extended() + 0.4 * th.lift(s2).extended()
     found = consistent_set_search(Y)
     assert found in (s1, s2)
     # the returned set really is pairwise supported
@@ -168,7 +167,7 @@ def test_consistent_set_on_mixture():
 
 
 def test_consistent_set_none_when_cross_terms_vanish():
-    Y = 0.5 * np.eye(4)  # n=2: diagonal mass but zero cross entries
+    Y = 0.5 * np.eye(5)  # n=2: diagonal mass but zero cross entries
     assert consistent_set_search(Y) is None
     with pytest.raises(ValueError):
         consistent_set_search(np.zeros((7, 7)))
@@ -195,7 +194,7 @@ def test_consistent_set_search_frees_its_input():
         del Y
         assert ref() is None
 
-        Y = 0.5 * np.eye(4)
+        Y = 0.5 * np.eye(5)
         ref = weakref.ref(Y)
         assert consistent_set_search(Y) is None
         del Y

@@ -79,6 +79,12 @@ def test_parse_dimacs_errors():
         parse_dimacs("p edge 2 1\ne 0 1\n")  # 1-based indices required
     with pytest.raises(th.GraphParseError):
         parse_dimacs("e 1 2\n")  # missing problem line
+    with pytest.raises(th.GraphParseError, match="expected 3 edge lines, found 1"):
+        parse_graph_text("p edge 4 3\ne 1 2\n")  # truncated, like the edge-list dialect
+    with pytest.raises(th.GraphParseError, match="edge count must be nonnegative"):
+        parse_dimacs("p edge 2 -1\n")
+    # Each edge listed in both directions is still one declared edge.
+    assert parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\ne 2 3\ne 3 2\n") == th.path_graph(3)
 
 
 def test_parse_sniffs_format():
@@ -152,24 +158,6 @@ def test_petersen_properties():
     assert np.array_equal(A @ A, 2 * I + J - A)
 
 
-def test_vertex_pair_index():
-    idx = th.VertexPairIndex(4)
-    assert idx.size == 17
-    assert idx.omega == 16
-    seen = set()
-    for i in range(4):
-        for j in range(4):
-            f = idx.index(i, j)
-            assert idx.pair(f) == (i, j)
-            seen.add(f)
-    assert seen == set(range(16))
-    with pytest.raises(ValueError):
-        idx.index(4, 0)
-    assert idx.pair(idx.omega) is None
-    with pytest.raises(ValueError):
-        idx.pair(17)
-
-
 def test_association_graph_small():
     # K2 vs empty-on-2: every pair of assignments conflicts either by a
     # shared vertex or by the edge/non-edge mismatch, so the association
@@ -178,9 +166,9 @@ def test_association_graph_small():
     assert g.n == 4
     assert g.num_edges == 6
 
-    # identical K2: (0,0)-(1,1) and (0,1)-(1,0) are compatible
+    # identical K2: (0,0)-(1,1) and (0,1)-(1,0) are compatible; pair (i,j)
+    # is vertex 2i + j
     h = th.association_graph(th.complete_graph(2), th.complete_graph(2))
     assert h.num_edges == 4
-    idx = th.VertexPairIndex(2)
-    assert not h.has_edge(idx.index(0, 0), idx.index(1, 1))
-    assert not h.has_edge(idx.index(0, 1), idx.index(1, 0))
+    assert not h.has_edge(0, 3)
+    assert not h.has_edge(1, 2)

@@ -18,18 +18,17 @@ from conftest import united_family
 def test_lift_structure():
     sigma = (2, 0, 1)
     L = lift(sigma)
-    assert L.n == 3
-    assert L.matrix.shape == (9, 9)
-    assert set(np.unique(L.matrix)) <= {0.0, 1.0}
-    assert np.linalg.matrix_rank(L.matrix) == 1
-    assert np.trace(L.matrix) == 3.0
+    assert L.n == 3 and L.sigma == sigma
     E = L.extended()
     assert E.shape == (10, 10)
+    assert set(np.unique(E)) <= {0.0, 1.0}
+    assert np.linalg.matrix_rank(E) == 1
+    assert np.trace(E) == 4.0  # n pair-diagonal ones plus the omega corner
     assert E[9, 9] == 1.0
     # omega column mirrors the diagonal
     assert np.array_equal(E[:9, 9], np.diag(E)[:9])
-    p = permutation_vector(sigma)
-    assert np.array_equal(np.outer(p, p), L.matrix)
+    q = np.append(permutation_vector(sigma), 1.0)
+    assert np.array_equal(np.outer(q, q), E)
 
 
 def test_lift_rejects_non_permutation():
@@ -62,28 +61,28 @@ def test_check_feasible_flags_non_isomorphism():
 def test_check_feasible_condition_ids():
     g = th.cycle_graph(3)
     Y = lift((0, 1, 2)).extended()
-    idx = th.VertexPairIndex(3)
+    omega = 9  # pair (i, j) is index 3i + j
 
     bad = Y.copy()
-    r, s = idx.index(0, 0), idx.index(0, 1)
+    r, s = 0, 1  # pairs (0, 0) and (0, 1)
     bad[r, s] = bad[s, r] = 0.5  # same row, two columns
     report = check_feasible(bad, g, g)
     assert any(v.condition == 5 for v in report.violations)
 
     bad = Y.copy()
-    r, s = idx.index(0, 0), idx.index(1, 0)
+    r, s = 0, 3  # pairs (0, 0) and (1, 0)
     bad[r, s] = bad[s, r] = 0.5  # same column, two rows
     report = check_feasible(bad, g, g)
     assert any(v.condition == 6 for v in report.violations)
 
     bad = Y.copy()
-    bad[idx.omega, idx.omega] = 2.0
+    bad[omega, omega] = 2.0
     report = check_feasible(bad, g, g)
     assert any(v.condition == 3 for v in report.violations)
 
     bad = Y.copy()
-    d = idx.index(1, 1)
-    bad[d, idx.omega] = bad[idx.omega, d] = 0.25  # diagonal says 1
+    d = 4  # pair (1, 1)
+    bad[d, omega] = bad[omega, d] = 0.25  # diagonal says 1
     report = check_feasible(bad, g, g)
     assert any(v.condition == 4 for v in report.violations)
 
@@ -179,11 +178,11 @@ def test_convex_decompose_single():
     g = th.cycle_graph(4)
     autos = th.enumerate_isomorphisms(g, g)
     L = th.lift(autos[2])
-    res = convex_decompose(L.matrix, [th.lift(s) for s in autos])
+    res = convex_decompose(L.extended(), [th.lift(s) for s in autos])
     assert res.success
     assert res.residual <= 1e-8
     assert abs(res.combination.weight_sum() - 1.0) < 1e-9
-    assert np.abs(res.combination.matrix() - L.matrix).max() <= 1e-8
+    assert np.abs(res.combination.matrix() - L.extended()).max() <= 1e-8
 
 
 def test_convex_decompose_mixture():
@@ -192,7 +191,7 @@ def test_convex_decompose_mixture():
     lifts = [th.lift(s) for s in autos]
     rng = np.random.default_rng(5)
     weights = rng.dirichlet(np.ones(len(lifts)))
-    Y = sum(w * L.matrix for w, L in zip(weights, lifts))
+    Y = sum(w * L.extended() for w, L in zip(weights, lifts))
     res = convex_decompose(Y, lifts)
     assert res.success
     assert res.residual <= 1e-6
@@ -200,19 +199,11 @@ def test_convex_decompose_mixture():
     assert np.abs(res.combination.matrix() - Y).max() <= 1e-6
 
 
-def test_convex_decompose_accepts_extended_matrix():
-    g = th.cycle_graph(4)
-    autos = th.enumerate_isomorphisms(g, g)
-    E = th.lift(autos[0]).extended()
-    res = convex_decompose(E, [th.lift(s) for s in autos])
-    assert res.success and res.residual <= 1e-8
-
-
 def test_convex_decompose_outside_hull():
     g = th.cycle_graph(4)
     autos = th.enumerate_isomorphisms(g, g)
     lifts = [th.lift(s) for s in autos]
-    res = convex_decompose(0.5 * lifts[0].matrix, lifts)
+    res = convex_decompose(0.5 * lifts[0].extended(), lifts)
     assert not res.success
     assert res.combination is None
     assert res.residual > 1e-4
@@ -222,6 +213,32 @@ def test_convex_decompose_rejections():
     g = th.cycle_graph(4)
     L = th.lift((0, 1, 2, 3))
     with pytest.raises(ValueError):
-        convex_decompose(L.matrix, [])
+        convex_decompose(L.extended(), [])
     with pytest.raises(ValueError):
         convex_decompose(np.zeros((3, 3)), [L])
+    with pytest.raises(ValueError):
+        convex_decompose(th.lift((0, 1, 2)).extended(), [L])  # n = 3 against n = 4
+
+
+def _n4_reader(name):
+    """Each reader of a lifted matrix, bound to n = 4 inputs where it needs them."""
+    g = th.cycle_graph(4)
+    return {
+        "diagonal_matrix": th.diagonal_matrix,
+        "consistent_set_search": th.consistent_set_search,
+        "convex_decompose": lambda Y: convex_decompose(Y, [th.lift((0, 1, 2, 3))]),
+        "objective_value": lambda Y: th.objective_value(Y, th.build_program(g, g)),
+        "check_feasible": lambda Y: check_feasible(Y, g, g),
+    }[name]
+
+
+@pytest.mark.parametrize("side", [16, 20], ids=["bare-n2-block", "not-n2-plus-1"])
+@pytest.mark.parametrize("reader", ["diagonal_matrix", "consistent_set_search",
+                                    "convex_decompose", "objective_value", "check_feasible"])
+def test_readers_take_only_the_lifted_shape(reader, side):
+    # Every lifted matrix is (n^2+1)-square: 17 for n = 4.  The bare 16 x 16
+    # pair block and a side of 20 (n^2+1 for no n) are both refused.
+    read = _n4_reader(reader)
+    assert read(th.lift((1, 0, 3, 2)).extended()) is not None
+    with pytest.raises(ValueError):
+        read(np.zeros((side, side)))

@@ -143,13 +143,12 @@ def test_program_json_golden_digest(files):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[files]
 
 
-def test_objective_value_both_shapes():
+def test_objective_value_of_lift():
     g = th.cycle_graph(4)
     p = build_program(g, g)
     sigma = (0, 1, 2, 3)
     L = th.lift(sigma)
     assert objective_value(L.extended(), p) == 4.0
-    assert objective_value(L.matrix, p) == 4.0
     with pytest.raises(ValueError):
         objective_value(np.zeros((5, 5)), p)
     with pytest.raises(ValueError):
@@ -160,7 +159,7 @@ def test_mixture_objective_is_n():
     g = th.cycle_graph(5)
     autos = th.enumerate_isomorphisms(g, g)
     p = build_program(g, g)
-    Y = 0.3 * th.lift(autos[0]).matrix + 0.7 * th.lift(autos[3]).matrix
+    Y = 0.3 * th.lift(autos[0]).extended() + 0.7 * th.lift(autos[3]).extended()
     assert objective_value(Y, p) == pytest.approx(5.0, abs=1e-12)
 
 
