@@ -9,14 +9,16 @@ THETAISO_MAX_ITER, and THETAISO_ORACLE_FALLBACK override the corresponding
 defaults when the flag is not given explicitly; a value that does not parse
 is bad input (exit 2).
 
-Reports are serialized with ``json.dumps``, which prints every float as the
-shortest text that round-trips, so equal runs produce byte-identical files
-and parse back to the same values in any standards-compliant parser.
+Reports are serialized with the standard ``json`` encoder, which prints
+every float as the shortest text that round-trips, so equal runs produce
+byte-identical files and parse back to the same values in any
+standards-compliant parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -64,10 +66,23 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)} to JSON")
 
 
+# Chunks of the encoder joined at a time.  json.dumps with an indent lists
+# every chunk before one join, millions of small strings for a large
+# program; batches keep that list short and the text byte-identical.
+_JOIN_BATCH = 1 << 16
+
+
 def dumps_json(obj, indent=2):
     """Deterministic JSON text with round-trip floats; NaN and inf are errors."""
     _check_keys(obj)
-    return json.dumps(obj, indent=indent, allow_nan=False, default=_json_default) + "\n"
+    chunks = json.JSONEncoder(
+        indent=indent, allow_nan=False, default=_json_default
+    ).iterencode(obj)
+    parts = []
+    while batch := "".join(itertools.islice(chunks, _JOIN_BATCH)):
+        parts.append(batch)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _env(name, cast, fallback):

@@ -277,9 +277,9 @@ class DecompositionResult:
 def convex_decompose(Y, lifts, tol=1e-4):
     """Express Y as a convex combination of the given lifts, if possible.
 
-    Y is (n^2+1)-square; the fit and its residual cover the n^2 pair block,
-    since omega's row and corner follow from it for any convex combination.
-    Solves a nonnegative least-squares fit of the vectorized lifts to Y with
+    Y is (n^2+1)-square, and the fit and its residual cover all of it: the
+    pair block, omega's row and column, and the corner.  Solves a
+    nonnegative least-squares fit of the vectorized extended lifts to Y with
     the sum-to-one condition appended as a heavily weighted extra row, prunes
     negligible weights, renormalizes, and reports the max-entry deviation of
     the recombined matrix.  Lifts may be linearly dependent; only the
@@ -291,14 +291,12 @@ def convex_decompose(Y, lifts, tol=1e-4):
     n = _lifted_order(Y)
     if any(L.n != n for L in lifts):
         raise ValueError(f"every lift must have n = {n}, the matrix's")
-    nn = n * n
-    Y = Y[:nn, :nn]
 
     from scipy.optimize import nnls  # slow import, needed only here
     mu = 1e5  # weight of the sum-to-one row relative to the entrywise fit
-    A = np.empty((nn * nn + 1, len(lifts)))
+    A = np.empty((Y.size + 1, len(lifts)))
     for c, L in enumerate(lifts):
-        A[:-1, c] = L.extended()[:nn, :nn].reshape(-1)
+        A[:-1, c] = L.extended().reshape(-1)
     A[-1, :] = mu
     b = np.append(Y.reshape(-1), mu)
     weights, _ = nnls(A, b)
@@ -309,7 +307,7 @@ def convex_decompose(Y, lifts, tol=1e-4):
     weights = weights * keep
     total = float(weights.sum())
     weights = weights / total
-    recomposed = (A[:-1, :] @ weights).reshape(nn, nn)
+    recomposed = (A[:-1, :] @ weights).reshape(Y.shape)
     residual = float(np.abs(recomposed - Y).max())
     if residual > tol:
         return DecompositionResult(success=False, residual=residual, combination=None)
@@ -342,29 +340,39 @@ def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
     Y = np.asarray(Y, dtype=float)
     diag = diagonal_matrix(Y)
     n = len(diag)
-    order = [list(np.argsort(-diag[i], kind="stable")) for i in range(n)]
-
+    nn = n * n
+    order = [
+        [int(j) for j in np.argsort(-diag[i], kind="stable") if diag[i, j] > eps]
+        for i in range(n)
+    ]
+    # Row a of `support` marks the pairs b with Y[b, a] > eps: the cross
+    # entries a later pair b must clear once pair a is chosen.  The search
+    # carries the rows of the chosen pairs ANDed together as `allowed`.
+    support = (Y[:nn, :nn] > eps).T.copy()
     chosen = []
+    used = [False] * n
     tries = 0
 
-    def grow(i):
+    def grow(i, allowed):
         nonlocal tries
         if i == n:
             return True
-        used = set(chosen)
         for j in order[i]:
-            if j in used or diag[i, j] <= eps:
+            if used[j]:
                 continue
             if budget is not None and tries >= budget:
                 return False
             tries += 1
-            if all(Y[i * n + j, k * n + chosen[k]] > eps for k in range(i)):
-                chosen.append(int(j))
-                if grow(i + 1):
+            a = i * n + j
+            if allowed[a]:
+                chosen.append(j)
+                used[j] = True
+                if grow(i + 1, allowed & support[a]):
                     return True
                 chosen.pop()
+                used[j] = False
         return False
 
-    found = grow(0)
-    del grow  # it refers to itself; breaking the cycle frees Y at once
+    found = grow(0, np.ones(nn, dtype=bool))
+    del grow  # it refers to itself; breaking the cycle frees `support` at once
     return tuple(chosen) if found else None

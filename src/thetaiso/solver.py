@@ -23,9 +23,12 @@ the scaled dual into a weak-duality upper bound on the relaxation's optimum
 no isomorphism is possible, so the solve stops there with status Certified,
 however far the primal iterate still is from converging.
 
-At the same iterations, and once more when the solve converges, ``solve``
-also tries to round the polyhedral iterate to a permutation whose lift is
-exactly feasible, i.e. an isomorphism.  That lift scores exactly n, the
+Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
+when the solve converges, ``solve`` also tries to round the polyhedral
+iterate to a permutation whose lift is exactly feasible, i.e. an
+isomorphism; at a shared iteration the bound goes first.  Iteration 1 is
+skipped: its iterate has no positive entry between two distinct pairs, so
+it cannot round to a lift for n >= 2.  That lift scores exactly n, the
 ceiling of every feasible point, so the solve stops there with status
 Converged and returns the lift itself and its permutation
 (``SolverResult.permutation``); this is the only place a permutation is read
@@ -145,16 +148,18 @@ def project_psd(M):
     scale = 1.0 + float(np.abs(M).max())
     if asym > 1e-8 * scale:
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    return _psd_part(M, eigh_backend("numpy"))
+    return _psd_part(0.5 * (M + M.T), eigh_backend("numpy"))
 
 
 def _psd_part(W, eigh):
-    """Symmetrise W and clip its negative eigenvalues to zero; a matrix that
-    is already positive semidefinite comes back symmetrised but not rebuilt."""
-    W = 0.5 * (W + W.T)
+    """Clip the negative eigenvalues of the exactly symmetric W to zero; a
+    matrix that is already positive semidefinite comes back as a copy, not
+    rebuilt.  Every matrix the solver passes is exactly symmetric: the
+    projection onto P writes both triangles alike and the rebuild below
+    is exactly symmetric, so no symmetrising pass is needed here."""
     w, V = eigh(W)
     if w[0] >= 0.0:
-        return W
+        return W.copy()
     # Rebuild from the positive factor B: B @ B.T runs as a rank-k update
     # whose result is exactly symmetric.
     k = int(np.searchsorted(w, 0.0, side="right"))
@@ -318,11 +323,11 @@ def solve(p, cfg=None):
 
     Stops at convergence, at the iteration cap, on divergence (residuals that
     blow up or turn non-finite, or an eigendecomposition that fails; the last
-    finite iterate is returned), or at one of the checks made at iterations
-    16, 32, 64, ...:
-    - the dual upper bound falls below ``decision_threshold(n)``: status
-      Certified, no polish;
-    - the polyhedral iterate rounds to a permutation whose lift is exactly
+    finite iterate is returned), or at one of the checks:
+    - at iterations 16, 32, 64, ..., the dual upper bound falls below
+      ``decision_threshold(n)``: status Certified, no polish;
+    - at iterations 2, 4, 8, 16, ..., after the bound where both run, the
+      polyhedral iterate rounds to a permutation whose lift is exactly
       feasible: stop reason verified-lift, status Converged with Y that lift,
       ``permutation`` the permutation, objective and upper bound exactly n,
       both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
@@ -371,25 +376,29 @@ def solve(p, cfg=None):
         U -= Z_new
         r_norm, s_norm, Z = r, s, Z_new
 
-        if it >= 16 and it & (it - 1) == 0:
-            upper_bound = _dual_upper_bound(p, rho, U)
-            if upper_bound < threshold:
-                stop_reason = "dual-bound"
-                break
+        if it >= 2 and it & (it - 1) == 0:
+            if it >= 16:
+                upper_bound = _dual_upper_bound(p, rho, U)
+                if upper_bound < threshold:
+                    stop_reason = "dual-bound"
+                    break
             lifted = _verified_lift(X, p)
             if lifted is not None:
                 stop_reason = "verified-lift"
                 break
 
-        scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
-        if r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale:
-            stop_reason = "tolerance"
-            break
-        # A primal-feasible point cannot score above n, so hitting n with a
-        # small primal residual already pins the optimum.
-        if r_norm <= cfg.tol * scale and objective_value(Z, p) >= n - 1e-8:
-            stop_reason = "ceiling"
-            break
+        # Both tests need r_norm <= tol * scale with scale <= 8, so the norm
+        # of Z is taken only when that can hold.
+        if r_norm <= 8.0 * cfg.tol:
+            scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
+            if r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale:
+                stop_reason = "tolerance"
+                break
+            # A primal-feasible point cannot score above n, so hitting n with
+            # a small primal residual already pins the optimum.
+            if r_norm <= cfg.tol * scale and objective_value(Z, p) >= n - 1e-8:
+                stop_reason = "ceiling"
+                break
 
         combined = max(r_norm, s_norm)
         if it >= 50:

@@ -93,6 +93,23 @@ def random_doubly_stochastic(rng, n, terms=None):
     return X, list(zip(weights.tolist(), perms))
 
 
+def recording_eigh_backend(record):
+    """A stand-in for ``thetaiso.solver.eigh_backend`` whose eigh passes
+    each matrix to ``record`` before decomposing it."""
+    backend = thetaiso.solver.eigh_backend
+
+    def recording(name):
+        eigh = backend(name)
+
+        def wrapped(M):
+            record(M)
+            return eigh(M)
+
+        return wrapped
+
+    return recording
+
+
 def failing_eigh_backend(call, fail="raise"):
     """A stand-in for ``thetaiso.solver.eigh_backend`` whose eigh behaves on
     every call but the given one, where it raises LinAlgError (fail="raise")

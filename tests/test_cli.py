@@ -133,8 +133,10 @@ def test_decide_malformed_file(tmp_path, capsys):
     assert main(["decide", str(bad), str(bad)]) == 2
 
 
-def test_decide_inconclusive_exit_three(c4_pair, capsys):
-    assert main(["decide", *c4_pair, "--max-iter", "5"]) == 3
+def test_decide_inconclusive_exit_three(non_iso_pair, capsys):
+    # The first bound check comes at iteration 16, so the pair is still
+    # undecided at the cap.
+    assert main(["decide", *non_iso_pair, "--max-iter", "5"]) == 3
     assert "Inconclusive" in capsys.readouterr().out
 
 
@@ -171,11 +173,12 @@ def test_decide_reports_identical_modulo_timings(c4_pair, capsys):
 
 
 @pytest.mark.parametrize("call", [1, 3])
-def test_decide_eigen_failure_exits_diverged(call, c4_pair, monkeypatch, capsys):
+def test_decide_eigen_failure_exits_diverged(call, non_iso_pair, monkeypatch, capsys):
     # A LinAlgError from eigh ends the solve as Diverged: Inconclusive, exit
     # 4, and a JSON report, even when no iteration finished (residuals null).
+    # The pair is undecided until its bound check at iteration 16.
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(call))
-    assert main(["decide", *c4_pair, "--json"]) == 4
+    assert main(["decide", *non_iso_pair, "--json"]) == 4
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     doc = json.loads(out)
@@ -186,11 +189,11 @@ def test_decide_eigen_failure_exits_diverged(call, c4_pair, monkeypatch, capsys)
     assert (doc["solver"]["primal_residual"] is None) == (call == 1)
 
 
-def test_decide_env_overrides(c4_pair, monkeypatch):
+def test_decide_env_overrides(non_iso_pair, monkeypatch):
     monkeypatch.setenv("THETAISO_MAX_ITER", "5")
-    assert main(["decide", *c4_pair]) == 3
+    assert main(["decide", *non_iso_pair]) == 3
     # explicit flag wins over the environment
-    assert main(["decide", *c4_pair, "--max-iter", "2000"]) == 0
+    assert main(["decide", *non_iso_pair, "--max-iter", "2000"]) == 1
 
 
 @pytest.mark.parametrize("command, variable, value", [

@@ -183,6 +183,58 @@ def test_consistent_set_budget_stops_the_search():
     assert consistent_set_search(Y, budget=0) is None
 
 
+def _loop_consistent_set_search(Y, eps, budget=None):
+    """The search as a plain loop: each candidate's cross entries are read
+    one at a time against the pairs already chosen."""
+    diag = diagonal_matrix(Y)
+    n = len(diag)
+    order = [list(np.argsort(-diag[i], kind="stable")) for i in range(n)]
+    chosen = []
+    tries = 0
+
+    def grow(i):
+        nonlocal tries
+        if i == n:
+            return True
+        used = set(chosen)
+        for j in order[i]:
+            if j in used or diag[i, j] <= eps:
+                continue
+            if budget is not None and tries >= budget:
+                return False
+            tries += 1
+            if all(Y[i * n + j, k * n + chosen[k]] > eps for k in range(i)):
+                chosen.append(int(j))
+                if grow(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if grow(0) else None
+
+
+def test_consistent_set_search_matches_the_loop_search():
+    # The vectorized search tries the same candidates in the same order and
+    # counts them the same way, so it agrees with the loop under any budget,
+    # on symmetric and unsymmetric matrices.  Entries sit on both sides of
+    # eps and exactly at it.
+    eps = 1e-6
+    outcomes = {"found": 0, "none": 0}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        dim = n * n + 1
+        values = np.array([0.0, 0.5 * eps, eps, 2.0 * eps, 0.3, 1.0])
+        p = rng.dirichlet(np.ones(len(values)))
+        Y = rng.choice(values, size=(dim, dim), p=p)
+        for matrix in (Y, np.triu(Y) + np.triu(Y, 1).T):
+            for budget in (None, 3, n, n * n):
+                expected = _loop_consistent_set_search(matrix, eps, budget)
+                assert consistent_set_search(matrix, eps, budget) == expected, (seed, budget)
+                outcomes["found" if expected else "none"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_consistent_set_search_frees_its_input():
     # No reference cycle outlives the call, so Y goes as soon as the caller
     # drops it, without waiting for the cyclic garbage collector.

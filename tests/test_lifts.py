@@ -209,6 +209,21 @@ def test_convex_decompose_outside_hull():
     assert res.residual > 1e-4
 
 
+def test_convex_decompose_reads_omega_row_and_corner():
+    # A convex combination of extended lifts has corner 1 and omega's row
+    # equal to its pair diagonal; a matrix that breaks both is outside the
+    # hull even when its pair block is a lift.
+    g = th.cycle_graph(4)
+    lifts = [th.lift(s) for s in th.enumerate_isomorphisms(g, g)]
+    Y = lifts[2].extended()
+    Y[-1, -1] = 7.0
+    Y[-1, :-1] = Y[:-1, -1] = -3.0
+    res = convex_decompose(Y, lifts)
+    assert not res.success
+    assert res.combination is None
+    assert res.residual >= 3.0
+
+
 def test_convex_decompose_rejections():
     g = th.cycle_graph(4)
     L = th.lift((0, 1, 2, 3))

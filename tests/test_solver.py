@@ -16,6 +16,7 @@ from thetaiso.solver import (
     _polish,
     _project_polyhedral,
     _psd_part,
+    _verified_lift,
     SolverConfig,
     SolverStatus,
     eigh_backend,
@@ -25,7 +26,7 @@ from thetaiso.solver import (
     solve,
 )
 
-from conftest import failing_eigh_backend
+from conftest import failing_eigh_backend, recording_eigh_backend
 
 # Doubly nonnegative optima for fixture pairs, confirmed independently with
 # an interior-point solver (SCS at eps=1e-9) and, for the first two, by the
@@ -308,9 +309,8 @@ def test_petersen_vs_prism_certified_early():
 
 
 def test_max_iter_status():
-    g1 = th.cycle_graph(4)
-    g2 = th.relabel(g1, (2, 0, 3, 1))
-    res = solve(build_program(g1, g2), SolverConfig(max_iter=5))
+    # P4 vs K1,3 is undecided until its bound check at iteration 16.
+    res = solve(build_program(th.path_graph(4), th.star_graph(4)), SolverConfig(max_iter=5))
     assert res.status is SolverStatus.MAX_ITER
     assert res.stop_reason == "max-iter"
     assert res.iterations == 5
@@ -333,18 +333,8 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     # iteration, plus one per polish sweep after convergence.  A profiler
     # reads polish sweeps as eigh calls - iterations.
     calls = []
-    backend = thetaiso.solver.eigh_backend
-
-    def counting_backend(name):
-        eigh = backend(name)
-
-        def counted(M):
-            calls.append(M.shape[0])
-            return eigh(M)
-
-        return counted
-
-    monkeypatch.setattr(thetaiso.solver, "eigh_backend", counting_backend)
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend",
+                        recording_eigh_backend(lambda M: calls.append(M.shape[0])))
 
     res = solve(build_program(th.complete_graph(2), th.empty_graph(2)))
     assert res.status is SolverStatus.CERTIFIED
@@ -360,7 +350,8 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
 
     # The polish makes exactly one eigh per sweep: replaying as many relaxed
     # sweeps W <- psd(W + beta (proj_P(W) - W)) by hand gives the same bits.
-    # The start is an iterate short of P.
+    # The start is an iterate short of P, from a solve kept past its lift.
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     Z = solve(p, SolverConfig(max_iter=10)).Y
     calls.clear()
     polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"))
@@ -372,12 +363,56 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     assert W.tobytes() == polished.tobytes()
 
 
+def test_every_eigh_input_is_exactly_symmetric(monkeypatch):
+    # The sweep hands U + X_hat, and the polish its relaxed step, to eigh
+    # without a symmetrising pass, so each must be symmetric to the bit.
+    seen = []
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend",
+                        recording_eigh_backend(lambda M: seen.append(np.array_equal(M, M.T))))
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    g1 = th.cycle_graph(4)
+    res = solve(build_program(g1, th.relabel(g1, (2, 0, 3, 1))))
+    assert res.stop_reason == "tolerance"
+    assert len(seen) > res.iterations   # the main loop and the polish
+    assert all(seen)
+    assert np.array_equal(res.Y, res.Y.T)
+
+
+def test_checks_run_at_powers_of_two(monkeypatch):
+    # The lift is tried at iterations 2, 4, 8, 16, ... (iteration 1 cannot
+    # lift: its X has no positive entry between two distinct pairs) and the
+    # bound is checked at 16, 32, ...; at a shared iteration the bound goes
+    # first.  C10 vs 2C5 is certified at iteration 32.
+    eighs, checks = [], []
+
+    def lift_at(X, p):
+        checks.append(("lift", len(eighs)))
+        return _verified_lift(X, p)
+
+    def bound_at(p, rho, U):
+        checks.append(("bound", len(eighs)))
+        return _dual_upper_bound(p, rho, U)
+
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", recording_eigh_backend(eighs.append))
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lift_at)
+    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", bound_at)
+    c10 = th.cycle_graph(10)
+    two_c5 = th.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    res = solve(build_program(c10, two_c5))
+    assert res.stop_reason == "dual-bound" and res.iterations == 32
+    assert checks == [("lift", 2), ("lift", 4), ("lift", 8),
+                      ("bound", 16), ("lift", 16), ("bound", 32)]
+
+
 @pytest.mark.parametrize("fail", ["raise", "nan"])
 def test_eigen_failure_ends_as_diverged(fail, monkeypatch):
     # A failed or non-finite eigendecomposition stops the solve at once with
     # the last finite iterate, instead of a traceback or a NaN run to the cap.
+    # C4 lifts at iteration 2, so the lift is switched off to reach the third.
     g1 = th.cycle_graph(4)
     p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     before = solve(p, SolverConfig(max_iter=2))
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(3, fail))
     res = solve(p, SolverConfig(max_iter=50))
@@ -456,7 +491,7 @@ def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
         n = g1.n
         assert res.status is SolverStatus.CONVERGED
         assert res.stop_reason == "verified-lift"
-        assert res.iterations == 16   # the first check
+        assert res.iterations == 2   # the first check
         verdict = th.decide(res, g1, g2)
         assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
         assert res.Y.tobytes() == th.lift(verdict.permutation).extended().tobytes()
@@ -489,25 +524,34 @@ def test_verified_lift_of_lift_combination():
 
 @pytest.mark.parametrize("name, stop", [("c4", "ceiling"), ("p5", "tolerance")])
 def test_converged_exit_tries_the_lift(corpus_entries, monkeypatch, name, stop):
-    # At a loose tolerance these pairs converge before the first check at
-    # iteration 16; the exit rounds the last polyhedral iterate instead.
+    # At a loose tolerance these pairs converge before iteration 16.  The
+    # tries at 2, 4 and 8 are declined, so the solve reaches its convergence
+    # test; the exit then rounds the last polyhedral iterate instead.
     g1, g2 = next((g1, g2) for entry, g1, g2, _ in corpus_entries if entry == name)
     cfg = SolverConfig(tol=0.1)
     p = build_program(g1, g2)
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    plain = solve(p, cfg)
+    assert plain.stop_reason == stop and plain.iterations < 16
+    assert plain.permutation is None
+
+    in_loop = plain.iterations.bit_length() - 1   # the powers of two 2 .. iterations
+    tries = []
+
+    def exit_only_lift(X, p):
+        tries.append(X)
+        return _verified_lift(X, p) if len(tries) > in_loop else None
+
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", exit_only_lift)
     res = solve(p, cfg)
-    assert res.iterations < 16
+    assert len(tries) == in_loop + 1
+    assert res.iterations == plain.iterations
     assert res.stop_reason == "verified-lift" and res.status is SolverStatus.CONVERGED
     assert res.Y.tobytes() == th.lift(res.permutation).extended().tobytes()
     assert res.objective == p.n and res.upper_bound == p.n
     verdict = th.decide(res, g1, g2, cfg)
     assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
     assert verdict.permutation == res.permutation
-
-    # Without the lift the same solve stops on its convergence test.
-    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
-    plain = solve(p, cfg)
-    assert plain.stop_reason == stop and plain.iterations == res.iterations
-    assert plain.permutation is None
 
 
 def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
