@@ -8,8 +8,9 @@ primal objective never decides, because a maximization's primal iterate only
 bounds the optimum from below.  Isomorphic rests on the permutation the
 solver carries when it stopped on a verified lift (``SolverResult.permutation``);
 ``decide`` checks it exactly against both edge sets before it is believed and
-never reads Y.  If neither route decides, the verdict is inconclusive
-(optionally escalated to the exact search oracle).
+never reads Y.  If neither route decides, the verdict is inconclusive, or,
+with the oracle fallback, settled by exact search; the solver's status
+(converged, out of iterations, diverged) changes none of these steps.
 
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no
@@ -28,7 +29,7 @@ import numpy as np
 from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
 from .oracle import enumerate_isomorphisms, is_isomorphism
 from .program import decision_threshold
-from .solver import SolverConfig, SolverStatus
+from .solver import SolverConfig
 
 __all__ = [
     "diagonal_matrix",
@@ -176,12 +177,12 @@ def decide(result, g1, g2, cfg=None):
     """Turn a solver result into a verdict for the graph pair.
 
     Ladder: a certified ``result.upper_bound`` strictly below the separation
-    threshold is a sound NonIsomorphic, whatever the solver status; apart
-    from that, non-converged solves are inconclusive; otherwise the
-    permutation the solver carries (``result.permutation``), if any, is
-    checked edge by edge and decides Isomorphic when it is an isomorphism.
-    Anything else is inconclusive, or settled exactly when
-    cfg.oracle_fallback is set.
+    threshold is a sound NonIsomorphic; then the permutation the solver
+    carries (``result.permutation``), if any, is checked edge by edge and
+    decides Isomorphic when it is an isomorphism; then, when
+    cfg.oracle_fallback is set, exact search settles the pair.  Anything
+    else is inconclusive.  No step reads the solver status, so a MaxIter or
+    Diverged solve goes down the same ladder as a Converged one.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -219,10 +220,6 @@ def decide(result, g1, g2, cfg=None):
         diagnostics["realization_dim_bound"] = n ** 4
         return verdict(VerdictKind.NON_ISOMORPHIC, "bound")
 
-    if result.status is not SolverStatus.CONVERGED:
-        diagnostics["note"] = "solver did not converge; no sound decision available"
-        return verdict(VerdictKind.INCONCLUSIVE, None)
-
     sigma = result.permutation
     if sigma is not None:
         diagnostics["candidates_tried"] = 1
@@ -231,7 +228,7 @@ def decide(result, g1, g2, cfg=None):
 
     if cfg.oracle_fallback:
         isos = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)
-        diagnostics["note"] = "settled by exact search after extraction failed"
+        diagnostics["note"] = "settled by exact search"
         if isos:
             return verdict(VerdictKind.ISOMORPHIC, "oracle", isos[0], oracle_used=True)
         return verdict(VerdictKind.NON_ISOMORPHIC, "oracle", oracle_used=True)

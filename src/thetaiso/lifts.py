@@ -334,8 +334,9 @@ def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
     Picks one (row, column) pair per row 0..n-1, trying columns in order of
     decreasing diagonal mass, requiring the diagonal entry and every cross
     entry against the pairs already chosen to exceed eps, with all columns
-    distinct.  Returns the permutation or None; with a budget, also None
-    once that many candidate pairs have had their cross entries tested.
+    distinct.  Returns the permutation or None: at once when some row has
+    no diagonal entry above eps, and with a budget, also once that many
+    candidate pairs have had their cross entries tested.
     """
     Y = np.asarray(Y, dtype=float)
     diag = diagonal_matrix(Y)
@@ -345,6 +346,8 @@ def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
         [int(j) for j in np.argsort(-diag[i], kind="stable") if diag[i, j] > eps]
         for i in range(n)
     ]
+    if not all(order):
+        return None
     # Row a of `support` marks the pairs b with Y[b, a] > eps: the cross
     # entries a later pair b must clear once pair a is chosen.  The search
     # carries the rows of the chosen pairs ANDed together as `allowed`.

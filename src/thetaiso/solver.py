@@ -28,12 +28,12 @@ when the solve converges, ``solve`` also tries to round the polyhedral
 iterate to a permutation whose lift is exactly feasible, i.e. an
 isomorphism; at a shared iteration the bound goes first.  Iteration 1 is
 skipped: its iterate has no positive entry between two distinct pairs, so
-it cannot round to a lift for n >= 2.  That lift scores exactly n, the
-ceiling of every feasible point, so the solve stops there with status
-Converged and returns the lift itself and its permutation
-(``SolverResult.permutation``); this is the only place a permutation is read
-out of a solve.  ``SolverResult.stop_reason`` says which of the stops ended a
-solve.
+it cannot round to a lift for n >= 2.  That lift scores exactly n, which no
+feasible point exceeds, so the solve stops there with status Converged and
+returns the lift itself and its permutation (``SolverResult.permutation``);
+this is the only place a permutation is read out of a solve.  Convergence
+is the primal-dual tolerance test alone (Boyd et al. 2011, section 3.3).
+``SolverResult.stop_reason`` says which of the stops ended a solve.
 
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
@@ -51,7 +51,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix, lift
+from .lifts import ZERO_EPS, consistent_set_search, lift
 from .program import decision_threshold, objective_value
 
 __all__ = [
@@ -87,16 +87,17 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
 # Each reason a solve can stop for, and the status it reports.  "tolerance"
-# and "ceiling" are the two convergence tests, "verified-lift" is an
-# isomorphism's lift found mid-solve.
+# is the convergence test, "verified-lift" an isomorphism's lift found
+# mid-solve or at convergence.
 STOP_STATUS = {
     "tolerance": SolverStatus.CONVERGED,
-    "ceiling": SolverStatus.CONVERGED,
     "verified-lift": SolverStatus.CONVERGED,
     "dual-bound": SolverStatus.CERTIFIED,
     "max-iter": SolverStatus.MAX_ITER,
@@ -227,12 +228,12 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     """Restore feasibility of a converged iterate by alternating projections.
 
     The positive semidefinite iterate sits a hair outside P, which can leave
-    the reported objective above the true ceiling n.  Relaxed alternating
-    projections W <- psd(W + beta (proj_P(W) - W)) walk it into the feasible
-    region (the last step keeps it exactly positive semidefinite).  With
-    beta < 2 the relaxed projection is averaged, so its composition with the
-    PSD projection has exactly P ∩ PSD as fixed points (Bauschke & Combettes,
-    Prop. 4.49).  The walk covers a distance of the order of the final primal
+    the reported objective above n, a score no feasible point exceeds.
+    Relaxed alternating projections W <- psd(W + beta (proj_P(W) - W)) walk
+    it into the feasible region (the last step keeps it exactly positive
+    semidefinite).  With beta < 2 the relaxed projection is averaged, so its
+    composition with the PSD projection has exactly P ∩ PSD as fixed points
+    (Bauschke & Combettes, Prop. 4.49).  The walk covers a distance of the order of the final primal
     residual, so the objective moves well within tolerance.  A non-finite
     iterate raises LinAlgError, like a failed eigendecomposition.
     """
@@ -300,15 +301,12 @@ def _verified_lift(X, p):
     """A permutation read off X and its extended lift Y, if the lift is
     exactly feasible, else None.
 
-    The consistent-set search gets n^2 candidate tries.  A row of the pair
-    diagonal with no entry above its zero tolerance can never lift, so such
-    an X skips the search.  The lift Y = q q^T is PSD, nonnegative and meets
-    the omega and diag-link rows by construction; it meets the zero rows
-    exactly when no zeroed pair has both ends in the support of q, which
-    holds exactly when the permutation is an isomorphism.
+    The consistent-set search gets n^2 candidate tries.  The lift Y = q q^T
+    is PSD, nonnegative and meets the omega and diag-link rows by
+    construction; it meets the zero rows exactly when no zeroed pair has both
+    ends in the support of q, which holds exactly when the permutation is an
+    isomorphism.
     """
-    if not (diagonal_matrix(X) > ZERO_EPS).any(axis=1).all():
-        return None
     sigma = consistent_set_search(X, ZERO_EPS, budget=p.n * p.n)
     if sigma is None:
         return None
@@ -332,8 +330,8 @@ def solve(p, cfg=None):
       ``permutation`` the permutation, objective and upper bound exactly n,
       both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
       exact dual certificate of value n, so the lift is optimal.
-    A solve that converges (tolerance or ceiling) tries that rounding once
-    more on its last polyhedral iterate and ends the same way if it lifts.
+    A solve that converges at tolerance tries that rounding once more on its
+    last polyhedral iterate and ends the same way if it lifts.
     Otherwise the bound is computed once more at exit and returned as
     ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
@@ -387,17 +385,12 @@ def solve(p, cfg=None):
                 stop_reason = "verified-lift"
                 break
 
-        # Both tests need r_norm <= tol * scale with scale <= 8, so the norm
+        # The test needs r_norm <= tol * scale with scale <= 8, so the norm
         # of Z is taken only when that can hold.
         if r_norm <= 8.0 * cfg.tol:
             scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
             if r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale:
                 stop_reason = "tolerance"
-                break
-            # A primal-feasible point cannot score above n, so hitting n with
-            # a small primal residual already pins the optimum.
-            if r_norm <= cfg.tol * scale and objective_value(Z, p) >= n - 1e-8:
-                stop_reason = "ceiling"
                 break
 
         combined = max(r_norm, s_norm)
@@ -415,13 +408,13 @@ def solve(p, cfg=None):
                 rho *= 0.5
                 U *= 2.0
 
-    if stop_reason in ("tolerance", "ceiling"):
+    if stop_reason == "tolerance":
         lifted = _verified_lift(X, p)
         if lifted is not None:
             stop_reason = "verified-lift"
     permutation = None
     if stop_reason == "verified-lift":
-        # The lift meets every constraint exactly and scores the ceiling n.
+        # The lift meets every constraint exactly and scores n, the optimum.
         permutation, Y = lifted
         r_norm, s_norm, upper_bound = 0.0, 0.0, float(n)
     else:
@@ -430,7 +423,7 @@ def solve(p, cfg=None):
             # bound is valid for any U.
             upper_bound = _dual_upper_bound(p, rho, U)
         Y = Z
-        if STOP_STATUS[stop_reason] is SolverStatus.CONVERGED:
+        if stop_reason == "tolerance":
             try:
                 Y = _polish(Z, p, eigh)
             except np.linalg.LinAlgError:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import thetaiso as th
+import thetaiso.cli
+import thetaiso.extraction
 import thetaiso.solver
 from thetaiso.cli import dumps_json, main
 
@@ -138,6 +140,38 @@ def test_decide_inconclusive_exit_three(non_iso_pair, capsys):
     # undecided at the cap.
     assert main(["decide", *non_iso_pair, "--max-iter", "5"]) == 3
     assert "Inconclusive" in capsys.readouterr().out
+
+
+def test_decide_oracle_fallback_settles_the_cap(non_iso_pair, capsys):
+    # Cut off before its first bound check, the pair goes to the exact search.
+    assert main(["decide", *non_iso_pair, "--max-iter", "5", "--oracle-fallback"]) == 1
+    assert "NonIsomorphic (by oracle)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lift", [True, False], ids=["bound-decides", "oracle-decides"])
+def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypatch, capsys):
+    # The report's oracle section reuses decide's search when the fallback
+    # ran it.  Without its lift, C4 against its relabelling converges at
+    # tolerance with nothing to check, so decide's fallback settles it.
+    searches = []
+    search = th.enumerate_isomorphisms
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(thetaiso.cli, "enumerate_isomorphisms", counting)
+    monkeypatch.setattr(thetaiso.extraction, "enumerate_isomorphisms", counting)
+    if lift:
+        pair, code = non_iso_pair, 1
+    else:
+        monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+        pair, code = c4_pair, 0
+    assert main(["decide", *pair, "--oracle-fallback", "--json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert len(searches) == 1
+    assert doc["verdict"]["oracle_used"] is not lift
+    assert doc["oracle"] == {"isomorphic": not lift, "agrees_with_verdict": True}
 
 
 def test_decide_json_report(c4_pair, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 import thetaiso as th
 import thetaiso.extraction
+import thetaiso.solver
 from thetaiso.extraction import (
     birkhoff_decompose,
     consistent_set_search,
@@ -22,7 +23,7 @@ from thetaiso.extraction import (
     stochastic_deviation,
 )
 from thetaiso.solver import SolverConfig, SolverResult
-from conftest import random_doubly_stochastic
+from conftest import failing_eigh_backend, random_doubly_stochastic
 
 
 def fake_result(Y, objective, stop_reason="tolerance", upper_bound=math.inf,
@@ -217,7 +218,9 @@ def test_consistent_set_search_matches_the_loop_search():
     # The vectorized search tries the same candidates in the same order and
     # counts them the same way, so it agrees with the loop under any budget,
     # on symmetric and unsymmetric matrices.  Entries sit on both sides of
-    # eps and exactly at it.
+    # eps and exactly at it.  A third matrix has one row whose pair-diagonal
+    # entries are all at or below eps, so no column is a candidate there;
+    # the search gives up on it at once and the loop fails on it.
     eps = 1e-6
     outcomes = {"found": 0, "none": 0}
     for seed in range(300):
@@ -227,8 +230,11 @@ def test_consistent_set_search_matches_the_loop_search():
         values = np.array([0.0, 0.5 * eps, eps, 2.0 * eps, 0.3, 1.0])
         p = rng.dirichlet(np.ones(len(values)))
         Y = rng.choice(values, size=(dim, dim), p=p)
-        for matrix in (Y, np.triu(Y) + np.triu(Y, 1).T):
-            for budget in (None, 3, n, n * n):
+        empty_row = Y.copy()
+        pairs = int(rng.integers(n)) * n + np.arange(n)
+        empty_row[pairs, pairs] = rng.choice(values[:3], size=n)
+        for matrix in (Y, np.triu(Y) + np.triu(Y, 1).T, empty_row):
+            for budget in (None, 0, 3, n, n * n):
                 expected = _loop_consistent_set_search(matrix, eps, budget)
                 assert consistent_set_search(matrix, eps, budget) == expected, (seed, budget)
                 outcomes["found" if expected else "none"] += 1
@@ -267,6 +273,33 @@ def test_decide_not_converged_is_inconclusive():
     assert v.kind is th.VerdictKind.INCONCLUSIVE
     assert v.decided_by is None
     assert v.diagnostics["status"] == "MaxIter"
+
+
+@pytest.mark.parametrize("stop", ["max-iter", "diverged"])
+@pytest.mark.parametrize("pair, truth", [
+    ((th.cycle_graph(6), th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))), False),
+    ((th.cycle_graph(4), th.relabel(th.cycle_graph(4), (2, 0, 3, 1))), True),
+], ids=["c6-2c3", "c4-relabel"])
+def test_decide_oracle_fallback_settles_unfinished_solves(pair, truth, stop, monkeypatch):
+    # A solve cut off at the cap, or by a failing eigendecomposition, before
+    # any bound or lift check leaves nothing to decide on: Inconclusive, and
+    # with the fallback, the exact search's answer.
+    g1, g2 = pair
+    if stop == "diverged":
+        monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
+    res = th.solve(th.build_program(g1, g2), SolverConfig(max_iter=1))
+    assert res.stop_reason == stop and res.permutation is None
+
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
+
+    v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
+    expected = th.VerdictKind.ISOMORPHIC if truth else th.VerdictKind.NON_ISOMORPHIC
+    assert v.kind is expected
+    assert v.decided_by == "oracle" and v.oracle_used
+    assert v.diagnostics["stop_reason"] == stop
+    if truth:
+        assert th.is_isomorphism(v.permutation, g1, g2)
 
 
 def test_decide_primal_objective_alone_never_separates():
