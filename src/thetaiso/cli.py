@@ -9,16 +9,14 @@ THETAISO_MAX_ITER, and THETAISO_ORACLE_FALLBACK override the corresponding
 defaults when the flag is not given explicitly; a value that does not parse
 is bad input (exit 2).
 
-Reports are serialized with the standard ``json`` encoder, which prints
-every float as the shortest text that round-trips, so equal runs produce
-byte-identical files and parse back to the same values in any
-standards-compliant parser.
+Programs and reports are serialized by ``jsonwriter.dumps_json``, which
+prints the same bytes as ``json.dumps(indent=2)``, so equal runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -26,10 +24,9 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from .extraction import VerdictKind, decide
 from .graphs import GraphParseError, load_graph
+from .jsonwriter import dumps_json
 from .oracle import enumerate_isomorphisms
 from .program import build_program, program_to_json_dict
 from .solver import SolverConfig, SolverStatus, solve
@@ -43,46 +40,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_DIVERGED = 4
 
 ENV_PREFIX = "THETAISO_"
-
-
-def _check_keys(obj):
-    """json.dumps would silently stringify non-str keys; refuse them instead."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-            _check_keys(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            if isinstance(value, (dict, list, tuple)):
-                _check_keys(value)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj)} to JSON")
-
-
-# Chunks of the encoder joined at a time.  json.dumps with an indent lists
-# every chunk before one join, millions of small strings for a large
-# program; batches keep that list short and the text byte-identical.
-_JOIN_BATCH = 1 << 16
-
-
-def dumps_json(obj, indent=2):
-    """Deterministic JSON text with round-trip floats; NaN and inf are errors."""
-    _check_keys(obj)
-    chunks = json.JSONEncoder(
-        indent=indent, allow_nan=False, default=_json_default
-    ).iterencode(obj)
-    parts = []
-    while batch := "".join(itertools.islice(chunks, _JOIN_BATCH)):
-        parts.append(batch)
-    parts.append("\n")
-    return "".join(parts)
 
 
 def _env(name, cast, fallback):

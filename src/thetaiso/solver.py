@@ -45,6 +45,7 @@ Diverged with the last finite iterate.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -85,12 +86,15 @@ class SolverConfig:
     oracle_fallback: bool = False   # read by decide: settle Inconclusive exactly
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not (math.isfinite(self.tol) and self.tol > 0)):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.oracle_fallback, bool):
+            raise ValueError(f"oracle_fallback must be True or False, got {self.oracle_fallback!r}")
 
 
 # Each reason a solve can stop for, and the status it reports.  "tolerance"

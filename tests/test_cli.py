@@ -5,14 +5,32 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thetaiso as th
 import thetaiso.cli
 import thetaiso.extraction
+import thetaiso.jsonwriter
 import thetaiso.solver
 from thetaiso.cli import dumps_json, main
 
 from conftest import failing_eigh_backend
+
+
+def rook_graph(k):
+    """K_k x K_k: cells of a k x k board, adjacent when sharing a row or column."""
+    return th.Graph(k * k, [
+        (u, v) for u in range(k * k) for v in range(u + 1, k * k)
+        if u // k == v // k or u % k == v % k
+    ])
+
+
+def shrikhande_graph():
+    """Cayley graph of Z4 x Z4 on ±(1,0), ±(0,1), ±(1,1): SRG(16,6,2,2) like rook 4x4."""
+    return th.Graph(16, [
+        (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+        for a in range(4) for b in range(4) for x, y in ((1, 0), (0, 1), (1, 1))
+    ])
 
 
 def write_graph(path, g):
@@ -75,6 +93,68 @@ def test_dumps_json_rejects_bad_values():
         dumps_json({"x": object()})
     with pytest.raises(TypeError):
         dumps_json({1: "non-string key"})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps_json({"table": [[1, 0.5], [], [2.0, bad]]})
+    with pytest.raises(TypeError, match="keys must be strings"):
+        dumps_json([{"kind": "a", 1: 0.5}, {"kind": "b", 1: 1.5}])
+
+
+def reference_json(obj):
+    """The standard encoder's text, which dumps_json must match byte for byte."""
+    return json.dumps(obj, indent=2, allow_nan=False,
+                      default=thetaiso.jsonwriter._json_default) + "\n"
+
+
+_texts = st.sampled_from(["", "kind", "100%", "%s", "%%d", 'say "hi"', "back\\slash",
+                          "tab\there", "é", "ω ∈ Ω", "\U0001f600"])
+_keys = st.sampled_from(["kind", "entries", "rhs", "%s", "é"])
+_numbers = st.one_of(
+    st.integers(min_value=-10, max_value=10),
+    st.integers(min_value=2 ** 63, max_value=2 ** 80),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_scalars = st.one_of(
+    _numbers, _texts, st.none(), st.booleans(),
+    st.integers(-5, 5).map(np.int64), st.floats(-1, 1).map(np.float64),
+    st.sampled_from([np.float32(0.5), np.int32(-7)]),
+)
+
+
+@st.composite
+def _same_keyed_dicts(draw, values):
+    keys = draw(st.lists(_keys, unique=True, max_size=3))
+    return [{key: draw(values) for key in keys}
+            for _ in range(draw(st.integers(0, 5)))]
+
+
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),                                     # mixed types
+        st.lists(st.lists(_numbers, max_size=4), max_size=6),            # tables, empty rows
+        st.lists(inner, max_size=4).map(tuple),
+        _same_keyed_dicts(inner),
+        st.lists(st.dictionaries(_keys, inner, max_size=3), max_size=4),  # mixed keys
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=_documents, slice_size=st.sampled_from([1, 3, 1024]))
+def test_dumps_json_matches_the_standard_encoder(doc, slice_size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thetaiso.jsonwriter, "_SLICE", slice_size)   # small slices cut small lists too
+        assert dumps_json(doc) == reference_json(doc)
+
+
+def test_dumps_json_matches_the_standard_encoder_across_slices():
+    # 17,921 rows: many slices, the last one partial.
+    doc = th.program_to_json_dict(th.build_program(rook_graph(4), shrikhande_graph()))
+    assert len(doc["constraints"]) == 17921
+    assert dumps_json(doc) == reference_json(doc)
 
 
 # ---------------------------------------------------------------------- build

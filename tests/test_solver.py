@@ -51,6 +51,7 @@ def test_config_validation():
             SolverConfig(tol=value)
     cfg = SolverConfig()
     assert cfg.tol == 1e-7 and cfg.max_iter == 50000
+    assert SolverConfig(tol=np.float32(0.5), oracle_fallback=True).tol == 0.5
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, "5", True, np.float64(5.0)])
@@ -58,6 +59,17 @@ def test_config_rejects_non_integer_max_iter(value):
     # range() in solve would fail on a float, and True would run one sweep.
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", True), ("tol", "1e-7"), ("tol", None), ("tol", 1j),
+    ("oracle_fallback", "no"), ("oracle_fallback", 1), ("oracle_fallback", None),
+])
+def test_config_rejects_bad_tol_and_oracle_fallback(field, value):
+    # True used to pass as a tolerance of 1.0, "1e-7" died with a TypeError in
+    # math.isfinite, and a truthy "no" turned the exact search on.
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_config_accepts_numpy_integer_max_iter():
