@@ -11,7 +11,8 @@ is bad input (exit 2).
 
 Programs and reports are serialized by ``jsonwriter.dumps_json``, which
 prints the same bytes as ``json.dumps(indent=2)``, so equal runs produce
-byte-identical files.
+byte-identical files; a program's rows reach it as tables filled straight
+from the ``Program``'s index arrays.
 """
 
 from __future__ import annotations

@@ -5,19 +5,21 @@ vertex pairs (i,j) -> i*n+j plus a final slack index omega.  The objective sums
 the pair-diagonal entries; the affine rows pin the omega corner to 1, tie the
 omega column to the diagonal, and zero every entry whose index pair conflicts
 (``graphs.conflict_pairs``: same row, same column, or mismatched adjacency
-across the two graphs).  A ``Program`` holds these rows as index arrays only;
-``program_to_json_dict`` spells them out as explicit rows.  The two cone
-conditions (positive semidefinite, entrywise nonnegative) are not affine rows;
-the solver enforces them by projection.
+across the two graphs).  A ``Program`` holds these rows as index arrays only,
+and ``program_to_json_dict`` hands them to the JSON writer as tables filled
+from those arrays.  The two cone conditions (positive semidefinite,
+entrywise nonnegative) are not affine rows; the solver enforces them by
+projection.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
 from .graphs import conflict_pairs
+from .jsonwriter import SLOT, Table
 from .lifts import _lifted_order
 
 __all__ = [
@@ -57,9 +59,9 @@ class Program:
         object.__setattr__(self, "pair_diag", pair_diag)
         object.__setattr__(self, "zero_rows", zero_rows)
         object.__setattr__(self, "zero_cols", zero_cols)
-        object.__setattr__(
-            self, "zero_counts", {kind: len(r) for kind, (r, _) in conflicts.items()}
-        )
+        object.__setattr__(self, "zero_counts", MappingProxyType(
+            {kind: len(r) for kind, (r, _) in conflicts.items()}
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("Program is immutable")
@@ -98,38 +100,32 @@ def decision_threshold(n):
     return n - 1.0 / (4.0 * n ** 4)
 
 
-def _rows(p):
-    """The affine rows <A, Y> = rhs as JSON objects, in constraint_counts order.
-
-    Off-diagonal positions appear as a mirrored pair with coefficient 1/2 each,
-    so A is symmetric and <A, Y> reads off the matrix entry directly.
-    """
-    omega = p.omega
-    rows = [{"kind": "omega-norm", "entries": [[omega, omega, 1.0]], "rhs": 1.0}]
-    rows += [
-        {"kind": "diag-link", "entries": [[d, omega, 0.5], [omega, d, 0.5], [d, d, -1.0]],
-         "rhs": 0.0}
-        for d in p.pair_diag.tolist()
-    ]
-    m = len(p.zero_rows) // 2
-    upper = zip(p.zero_rows[:m].tolist(), p.zero_cols[:m].tolist())
-    for kind, count in p.zero_counts.items():
-        rows += [
-            {"kind": kind, "entries": [[r, s, 0.5], [s, r, 0.5]], "rhs": 0.0}
-            for r, s in islice(upper, count)
-        ]
-    return rows
-
-
 def program_to_json_dict(p):
-    """Serializable form of a Program: sparse objective (coefficient 1 on
-    each pair-diagonal entry), constraint rows, and a description of the
-    index convention."""
+    """Serializable form of a Program for ``dumps_json``: the sparse
+    objective (coefficient 1 on each pair-diagonal entry), the affine rows
+    <A, Y> = rhs in constraint_counts order, and a description of the index
+    convention.  The objective and the rows are Tables filled from the index
+    arrays.  Off-diagonal positions appear as a mirrored pair with
+    coefficient 1/2 each, so A is symmetric and <A, Y> reads off the matrix
+    entry directly.
+    """
+    omega, d = p.omega, p.pair_diag
+    m = len(p.zero_rows) // 2
+    cuts = np.cumsum(list(p.zero_counts.values()))[:-1]
+    kinds = zip(p.zero_counts, np.split(p.zero_rows[:m], cuts), np.split(p.zero_cols[:m], cuts))
+    mirrored = [[SLOT, SLOT, 0.5], [SLOT, SLOT, 0.5]]
+    rows = [
+        ({"kind": "omega-norm", "entries": [[omega, omega, 1.0]], "rhs": 1.0},
+         np.empty((0, 1), dtype=int)),                       # one row, no slot
+        ({"kind": "diag-link", "entries": [[SLOT, omega, 0.5], [omega, SLOT, 0.5],
+                                           [SLOT, SLOT, -1.0]], "rhs": 0.0},
+         (d, d, d, d)),
+    ] + [({"kind": kind, "entries": mirrored, "rhs": 0.0}, (r, s, s, r)) for kind, r, s in kinds]
     return {
         "dim": p.dim,
         "n": p.n,
-        "objective": [[d, d, 1.0] for d in p.pair_diag.tolist()],
-        "constraints": _rows(p),
+        "objective": Table([([SLOT, SLOT, 1.0], (d, d))]),
+        "constraints": Table(rows),
         "index": {
             "n": p.n,
             "omega": p.omega,

@@ -23,6 +23,22 @@ def four_vertex_zoo():
     }
 
 
+def rook_graph(k):
+    """K_k x K_k: cells of a k x k board, adjacent when sharing a row or column."""
+    return th.Graph(k * k, [
+        (u, v) for u in range(k * k) for v in range(u + 1, k * k)
+        if u // k == v // k or u % k == v % k
+    ])
+
+
+def shrikhande_graph():
+    """Cayley graph of Z4 x Z4 on ±(1,0), ±(0,1), ±(1,1): SRG(16,6,2,2) like rook 4x4."""
+    return th.Graph(16, [
+        (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+        for a in range(4) for b in range(4) for x, y in ((1, 0), (0, 1), (1, 1))
+    ])
+
+
 @pytest.fixture(scope="session")
 def zoo4():
     return four_vertex_zoo()

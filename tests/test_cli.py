@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import thetaiso as th
 import thetaiso.cli
@@ -13,24 +13,9 @@ import thetaiso.extraction
 import thetaiso.jsonwriter
 import thetaiso.solver
 from thetaiso.cli import dumps_json, main
+from thetaiso.jsonwriter import SLOT, Table
 
-from conftest import failing_eigh_backend
-
-
-def rook_graph(k):
-    """K_k x K_k: cells of a k x k board, adjacent when sharing a row or column."""
-    return th.Graph(k * k, [
-        (u, v) for u in range(k * k) for v in range(u + 1, k * k)
-        if u // k == v // k or u % k == v % k
-    ])
-
-
-def shrikhande_graph():
-    """Cayley graph of Z4 x Z4 on ±(1,0), ±(0,1), ±(1,1): SRG(16,6,2,2) like rook 4x4."""
-    return th.Graph(16, [
-        (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
-        for a in range(4) for b in range(4) for x, y in ((1, 0), (0, 1), (1, 1))
-    ])
+from conftest import failing_eigh_backend, rook_graph, shrikhande_graph
 
 
 def write_graph(path, g):
@@ -98,6 +83,25 @@ def test_dumps_json_rejects_bad_values():
             dumps_json({"table": [[1, 0.5], [], [2.0, bad]]})
     with pytest.raises(TypeError, match="keys must be strings"):
         dumps_json([{"kind": "a", 1: 0.5}, {"kind": "b", 1: 1.5}])
+    with pytest.raises(TypeError, match="keys must be strings"):
+        dumps_json(Table([({"kind": "a", 1: SLOT}, [[3]])]))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps_json({"rows": Table([([SLOT, float("nan")], [[3]])])})
+    with pytest.raises(ValueError, match="SLOT outside"):
+        dumps_json({"x": [1, SLOT]})
+    with pytest.raises(ValueError, match="slots"):
+        dumps_json(Table([([SLOT, SLOT], [[1, 2]])]))
+
+
+@pytest.mark.parametrize("columns", [
+    [[0.5, 1.0]],             # not integers
+    [[True, False]],
+    [1, 2],                   # one-dimensional
+    [[1, 2], [3]],            # ragged
+])
+def test_table_rejects_columns_that_are_not_an_integer_matrix(columns):
+    with pytest.raises((TypeError, ValueError)):
+        Table([([SLOT], columns)])
 
 
 def reference_json(obj):
@@ -128,15 +132,82 @@ def _same_keyed_dicts(draw, values):
             for _ in range(draw(st.integers(0, 5)))]
 
 
+class _Rows:
+    """A drawn Table: blocks of (shape, columns as lists, row count)."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+
+def _slots(shape):
+    if shape is SLOT:
+        return 1
+    if isinstance(shape, dict):
+        shape = list(shape.values())
+    return sum(map(_slots, shape)) if isinstance(shape, (list, tuple)) else 0
+
+
+def _fill(shape, values):
+    """shape with each SLOT, in text order, replaced by the next of values."""
+    if shape is SLOT:
+        return next(values)
+    if isinstance(shape, dict):
+        return {key: _fill(value, values) for key, value in shape.items()}
+    if isinstance(shape, (list, tuple)):
+        return [_fill(item, values) for item in shape]
+    return shape
+
+
+def _swap_rows(doc, table):
+    """doc with every drawn Table replaced by table(its blocks)."""
+    if isinstance(doc, _Rows):
+        return table(doc.blocks)
+    if isinstance(doc, dict):
+        return {key: _swap_rows(value, table) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_swap_rows(item, table) for item in doc]
+    return doc
+
+
+def _as_table(blocks):
+    return Table([(shape, np.array(columns, dtype=np.int64).reshape(len(columns), count))
+                  for shape, columns, count in blocks])
+
+
+def _as_list(blocks):
+    """The rows a Table of blocks stands for, built item by item."""
+    return [_fill(shape, iter(row))
+            for shape, columns, count in blocks
+            for row in (list(zip(*columns)) if columns else [()] * count)]
+
+
+_shapes = st.recursive(
+    st.one_of(_scalars, st.just(SLOT)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _tables(draw):
+    blocks = []
+    for shape in draw(st.lists(_shapes, max_size=3)):
+        count = draw(st.integers(0, 5))
+        column = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=count, max_size=count)
+        blocks.append((shape, [draw(column) for _ in range(_slots(shape))], count))
+    return _Rows(blocks)
+
+
 _documents = st.recursive(
     _scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),                                     # mixed types
-        st.lists(st.lists(_numbers, max_size=4), max_size=6),            # tables, empty rows
+        st.lists(st.lists(_numbers, max_size=4), max_size=6),            # number rows, empty rows
         st.lists(inner, max_size=4).map(tuple),
         _same_keyed_dicts(inner),
         st.lists(st.dictionaries(_keys, inner, max_size=3), max_size=4),  # mixed keys
         st.dictionaries(_texts, inner, max_size=4),
+        _tables(),
     ),
     max_leaves=40,
 )
@@ -144,17 +215,23 @@ _documents = st.recursive(
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(doc=_documents, slice_size=st.sampled_from([1, 3, 1024]))
+@example(doc={"rows": _Rows([                       # an empty block, a slot-free shape,
+    ([SLOT, "%s"], [[]], 0),                          # and blocks longer than a slice
+    ({"kind": "100%", "rhs": 0.0}, [], 4),
+    ({"entries": [[SLOT, 7, 0.5], [7, SLOT, 0.5]]}, [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]], 5),
+])}, slice_size=3)
 def test_dumps_json_matches_the_standard_encoder(doc, slice_size):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(thetaiso.jsonwriter, "_SLICE", slice_size)   # small slices cut small lists too
-        assert dumps_json(doc) == reference_json(doc)
+        mp.setattr(thetaiso.jsonwriter, "_SLICE", slice_size)   # small slices cut short tables too
+        assert dumps_json(_swap_rows(doc, _as_table)) == reference_json(_swap_rows(doc, _as_list))
 
 
 def test_dumps_json_matches_the_standard_encoder_across_slices():
     # 17,921 rows: many slices, the last one partial.
-    doc = th.program_to_json_dict(th.build_program(rook_graph(4), shrikhande_graph()))
-    assert len(doc["constraints"]) == 17921
-    assert dumps_json(doc) == reference_json(doc)
+    text = dumps_json(th.program_to_json_dict(th.build_program(rook_graph(4), shrikhande_graph())))
+    back = json.loads(text)
+    assert len(back["constraints"]) == 17921
+    assert text == reference_json(back)
 
 
 # ---------------------------------------------------------------------- build

@@ -11,6 +11,8 @@ import thetaiso as th
 from thetaiso.cli import dumps_json
 from thetaiso.program import build_program, objective_value, program_to_json_dict
 
+from conftest import rook_graph, shrikhande_graph
+
 
 def expected_counts(g1, g2):
     n = g1.n
@@ -106,23 +108,38 @@ def row_matrix(row, dim):
     return A
 
 
-def test_constraints_hold_on_isomorphism_lift():
-    g1 = th.cycle_graph(4)
-    g2 = th.relabel(g1, (2, 0, 3, 1))
-    p = build_program(g1, g2)
-    sigma = th.enumerate_isomorphisms(g1, g2, cap=1)[0]
-    Y = th.lift(sigma).extended()
-    rows = program_to_json_dict(p)["constraints"]
-    assert len(rows) == sum(p.constraint_counts().values())
-    for row in rows:
-        assert abs(np.sum(row_matrix(row, p.dim) * Y) - row["rhs"]) == 0.0
+def written_program(p):
+    """The compiled program as a user reads it: its JSON text, parsed."""
+    return json.loads(dumps_json(program_to_json_dict(p)))
 
 
-def test_constraint_matrices_are_symmetric_halves():
-    p = build_program(th.complete_graph(2), th.complete_graph(2))
-    for row in program_to_json_dict(p)["constraints"]:
-        A = row_matrix(row, p.dim)
-        assert np.array_equal(A, A.T)
+@pytest.fixture(scope="module")
+def program_pairs(corpus_entries):
+    """(name, g1, g2, isomorphic) for the corpus pairs, plus K1, K2 and K3
+    against themselves: K1 has no conflict rows, K2 and K3 no mismatch rows."""
+    small = [(f"k{k}", th.complete_graph(k), th.complete_graph(k), True) for k in (1, 2, 3)]
+    return corpus_entries + small
+
+
+def test_constraints_hold_on_isomorphism_lift(program_pairs):
+    for name, g1, g2, isomorphic in program_pairs:
+        if not isomorphic:
+            continue
+        p = build_program(g1, g2)
+        sigma = th.enumerate_isomorphisms(g1, g2, cap=1)[0]
+        Y = th.lift(sigma).extended()
+        rows = written_program(p)["constraints"]
+        assert len(rows) == sum(p.constraint_counts().values()), name
+        for row in rows:
+            assert abs(np.sum(row_matrix(row, p.dim) * Y) - row["rhs"]) == 0.0, (name, row)
+
+
+def test_constraint_matrices_are_symmetric_halves(program_pairs):
+    for name, g1, g2, _ in program_pairs:
+        p = build_program(g1, g2)
+        for row in written_program(p)["constraints"]:
+            A = row_matrix(row, p.dim)
+            assert np.array_equal(A, A.T), (name, row)
 
 
 # sha256 of the compiled JSON text; these lock the row order and formatting.
@@ -136,11 +153,36 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The same for pairs built in code: more rows than one writer slice, and the
+# edge cases where every conflict kind (K1) or both mismatch kinds (K3) are empty.
+BUILT_GOLDEN_DIGESTS = {
+    "rook4-shrikhande":
+        ((rook_graph(4), shrikhande_graph()),
+         "f61d0f0cf677cef0ebc3dd0f1fcafc50d3776ee8e3b6d03f68bf65868dbbdb3d"),
+    "k1":
+        ((th.Graph(1, []), th.Graph(1, [])),
+         "a0fc498c9586a2027d1a174ec1c18163845111e99c1b63f6ea5d9d4bca5a6a80"),
+    "k3":
+        ((th.complete_graph(3), th.complete_graph(3)),
+         "780f05e81b8ee3e6eb938612d9eac40bc05388165b0289fb16888d2a60b60fe5"),
+}
+
+
+def program_digest(g1, g2):
+    text = dumps_json(program_to_json_dict(build_program(g1, g2)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("files", sorted(GOLDEN_DIGESTS))
 def test_program_json_golden_digest(files):
     g1, g2 = (th.load_graph(os.path.join(th.corpus_path(), f)) for f in files)
-    text = dumps_json(program_to_json_dict(build_program(g1, g2)))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[files]
+    assert program_digest(g1, g2) == GOLDEN_DIGESTS[files]
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_GOLDEN_DIGESTS))
+def test_built_program_json_golden_digest(name):
+    (g1, g2), digest = BUILT_GOLDEN_DIGESTS[name]
+    assert program_digest(g1, g2) == digest
 
 
 def test_objective_value_of_lift():
@@ -169,14 +211,16 @@ def test_program_immutable():
         p.n = 3
     assert not p.pair_diag.flags.writeable
     assert not p.zero_rows.flags.writeable
+    counts = p.constraint_counts()
+    with pytest.raises(TypeError):
+        p.zero_counts["row-orth"] = 0
+    assert p.constraint_counts() == counts
 
 
 def test_json_serialization():
     g1 = th.complete_graph(2)
     p = build_program(g1, g1)
-    doc = program_to_json_dict(p)
-    text = json.dumps(doc)
-    back = json.loads(text)
+    back = written_program(p)
     assert back["dim"] == 5
     assert back["n"] == 2
     assert back["index"]["omega"] == 4

@@ -1,6 +1,7 @@
 """Projection operators and the splitting solver's output contracts."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import thetaiso as th
 import thetaiso.extraction
 import thetaiso.solver
+from thetaiso.cli import dumps_json
 from thetaiso.program import build_program, decision_threshold, program_to_json_dict
 from thetaiso.solver import (
     POLISH_RELAXATION,
@@ -268,10 +270,10 @@ def test_upper_bound_never_below_isomorphic_optimum(solved_corpus):
 
 
 def _reference_upper_bound(p, rho, U):
-    """The same bound built densely from the explicit rows of
-    program_to_json_dict: S = sum_i y_i A_i - C - N, with N kept off the
-    entries of the omega-norm and diag-link rows."""
-    doc = program_to_json_dict(p)
+    """The same bound built densely from the explicit rows of the written
+    program: S = sum_i y_i A_i - C - N, with N kept off the entries of the
+    omega-norm and diag-link rows."""
+    doc = json.loads(dumps_json(program_to_json_dict(p)))
     C = np.zeros((p.dim, p.dim))
     for r, c, coeff in doc["objective"]:
         C[r, c] += coeff
