@@ -5,7 +5,8 @@ program over an (n^2+1)-square matrix variable (``build_program``), solve the
 doubly nonnegative relaxation with a projection-splitting method (``solve``),
 and turn the result into a verdict (``decide``) that is either an exactly
 certified isomorphism, a soundly separated non-isomorphism, or an explicit
-inconclusive.  Supporting algebra (permutation lifts, feasibility checking,
+inconclusive; a pair that 2-WL cannot separate is decided by pinning a
+vertex and solving one smaller program per branch.  Supporting algebra (permutation lifts, feasibility checking,
 united-vector factorizations, Birkhoff decomposition) is exported alongside.
 """
 
@@ -35,6 +36,7 @@ from .oracle import (
 )
 from .program import (
     Program,
+    branch_program,
     build_program,
     objective_value,
     program_to_json_dict,
@@ -53,6 +55,7 @@ from .lifts import (
     is_united,
     lift,
 )
+from .refine import colour_refinement, wl2_separates
 from .solver import (
     SolverConfig,
     SolverResult,
@@ -82,7 +85,9 @@ __all__ = [
     "parse_graph_text", "path_graph", "petersen_graph", "relabel",
     "star_graph",
     "enumerate_isomorphisms", "is_isomorphism", "is_permutation",
-    "Program", "build_program", "objective_value", "program_to_json_dict",
+    "Program", "branch_program", "build_program", "objective_value",
+    "program_to_json_dict",
+    "colour_refinement", "wl2_separates",
     "ConvexCombination", "DecompositionResult", "FeasibilityReport",
     "FeasibilityViolation", "PermutationLift", "check_feasible",
     "consistent_set_search", "convex_decompose", "cp_factor_united",

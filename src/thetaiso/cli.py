@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``build`` compiles a graph pair to a JSON program description,
-``decide`` solves a pair and prints the verdict, ``bench`` runs a corpus
+``decide`` solves a pair and prints the verdict (and, when the pair went to
+pinned branches, how many were tried and their largest bound), ``bench`` runs a corpus
 directory against its manifest, ``oracle`` runs the exact search.  Exit codes
 from ``decide``/``oracle``: 0 isomorphic, 1 non-isomorphic, 2 bad input,
 3 inconclusive, 4 solver diverged.  Environment variables THETAISO_TOL,
@@ -205,6 +206,13 @@ def cmd_decide(args):
         if verdict.oracle_used:
             line += " [oracle-assisted]"
         print(line)
+        branches = verdict.diagnostics.get("branches")
+        if branches is not None:
+            bounds = [math.inf if b["upper_bound"] is None else b["upper_bound"]
+                      for b in branches if "refuted_by" not in b]
+            largest = f"{max(bounds):.12f}" if bounds else "none solved"
+            print(f"branches: {len(branches)} tried, largest bound {largest} "
+                  f"(threshold {verdict.threshold:.12f})")
         if verdict.permutation is not None:
             print("isomorphism:", " ".join(str(j) for j in verdict.permutation))
     return _verdict_exit_code(verdict, result)
@@ -301,7 +309,7 @@ def cmd_bench(args):
               f"{by:>10} {row['objective']:>16.9f} {gap:>11} "
               f"{row['iterations']:>7} {row['seconds']:>8.2f} {ok:>4}")
     counts = {}
-    decided = {"bound": 0, "extraction": 0, "oracle": 0, "inconclusive": 0}
+    decided = {"bound": 0, "branch-bound": 0, "extraction": 0, "oracle": 0, "inconclusive": 0}
     for row in rows:
         counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
         decided[row["decided_by"] or "inconclusive"] += 1

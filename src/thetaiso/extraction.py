@@ -8,9 +8,15 @@ primal objective never decides, because a maximization's primal iterate only
 bounds the optimum from below.  Isomorphic rests on the permutation the
 solver carries when it stopped on a verified lift (``SolverResult.permutation``);
 ``decide`` checks it exactly against both edge sets before it is believed and
-never reads Y.  If neither route decides, the verdict is inconclusive, or,
-with the oracle fallback, settled by exact search; the solver's status
-(converged, out of iterations, diverged) changes none of these steps.
+never reads Y.  A solve that stopped as unseparated (2-WL cannot tell the
+graphs apart, so the relaxation cannot either) goes on to branches: vertex 0
+of the first graph is pinned to each vertex k of the second in turn, and a
+smaller program per branch (``program.branch_program``) is solved.  A
+branch's verified lift that is an isomorphism decides Isomorphic; bounds
+below the threshold in every branch decide NonIsomorphic ("branch-bound").
+If no route decides, the verdict is inconclusive, or, with the oracle
+fallback, settled by exact search; the solver's status (converged, out of
+iterations, diverged) changes none of these steps.
 
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no
@@ -28,8 +34,8 @@ import numpy as np
 
 from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
 from .oracle import enumerate_isomorphisms, is_isomorphism
-from .program import decision_threshold
-from .solver import SolverConfig
+from .program import branch_program, decision_threshold
+from .solver import SolverConfig, solve
 
 __all__ = [
     "diagonal_matrix",
@@ -151,7 +157,7 @@ class Verdict:
     objective: float
     upper_bound: float            # the solver's certified bound; inf if none
     threshold: float
-    decided_by: str | None        # 'bound', 'extraction', 'oracle', or None
+    decided_by: str | None        # 'bound', 'branch-bound', 'extraction', 'oracle', or None
     oracle_used: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -179,10 +185,21 @@ def decide(result, g1, g2, cfg=None):
     Ladder: a certified ``result.upper_bound`` strictly below the separation
     threshold is a sound NonIsomorphic; then the permutation the solver
     carries (``result.permutation``), if any, is checked edge by edge and
-    decides Isomorphic when it is an isomorphism; then, when
-    cfg.oracle_fallback is set, exact search settles the pair.  Anything
-    else is inconclusive.  No step reads the solver status, so a MaxIter or
-    Diverged solve goes down the same ladder as a Converged one.
+    decides Isomorphic when it is an isomorphism; then, after an
+    unseparated stop only, the branches; then, when cfg.oracle_fallback is
+    set, exact search settles the pair.  Anything else is inconclusive.  No
+    step reads the solver status, so a MaxIter or Diverged solve goes down
+    the same ladder as a Converged one.
+
+    Branch k pins vertex 0 of g1 to vertex k of g2.  Unequal pinned colour
+    histograms refute it with no solve; otherwise ``solve(branch, cfg)``
+    runs.  The first branch whose verified lift passes ``is_isomorphism``
+    decides Isomorphic ("extraction"); a branch whose bound is below the
+    threshold is refuted; the first branch that does neither ends the
+    branching undecided.  With every branch refuted the verdict is
+    NonIsomorphic ("branch-bound"): an isomorphism sigma with sigma(0) = k
+    keeps the pinned colours, so its lift is a feasible point of value n in
+    branch k.  ``diagnostics["branches"]`` has one row per branch tried.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -225,6 +242,29 @@ def decide(result, g1, g2, cfg=None):
         diagnostics["candidates_tried"] = 1
         if is_isomorphism(sigma, g1, g2):
             return verdict(VerdictKind.ISOMORPHIC, "extraction", sigma)
+
+    if result.stop_reason == "unseparated":
+        branches = diagnostics["branches"] = []
+        for k in range(n):
+            program = branch_program(g1, g2, 0, k)
+            if program is None:
+                branches.append({"k": k, "dim": None, "iterations": 0, "stop_reason": None,
+                                 "upper_bound": None, "refuted_by": "refinement"})
+                continue
+            branch = solve(program, cfg)
+            branches.append({
+                "k": k, "dim": program.dim, "iterations": branch.iterations,
+                "stop_reason": branch.stop_reason,
+                "upper_bound": _finite_or_none(branch.upper_bound),
+            })
+            if branch.permutation is not None:
+                diagnostics["candidates_tried"] += 1
+                if is_isomorphism(branch.permutation, g1, g2):
+                    return verdict(VerdictKind.ISOMORPHIC, "extraction", branch.permutation)
+            if not branch.upper_bound < threshold:
+                break
+        else:
+            return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound")
 
     if cfg.oracle_fallback:
         isos = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)

@@ -10,6 +10,13 @@ and ``program_to_json_dict`` hands them to the JSON writer as tables filled
 from those arrays.  The two cone conditions (positive semidefinite,
 entrywise nonnegative) are not affine rows; the solver enforces them by
 projection.
+
+``build_program`` gives the full layout.  ``branch_program`` gives the
+program of one branch, a vertex v of the first graph pinned to a vertex k of
+the second: it keeps only the pairs (i, j) whose pinned 1-WL colours agree
+(``refine.colour_refinement``), numbered in row-major order with omega
+last, and its zero rows are the conflicts between kept pairs.
+``Program.index`` maps each row of either layout to its full-layout index.
 """
 
 from __future__ import annotations
@@ -20,10 +27,11 @@ import numpy as np
 
 from .graphs import conflict_pairs
 from .jsonwriter import SLOT, Table
-from .lifts import _lifted_order
+from .refine import colour_refinement
 
 __all__ = [
     "Program",
+    "branch_program",
     "build_program",
     "decision_threshold",
     "objective_value",
@@ -37,38 +45,51 @@ class Program:
     zero_rows/zero_cols scatter over both triangles of the zero pattern: the
     first half lists each conflicting pair (r, s), r < s, grouped by kind in
     the order of ``conflict_pairs``, and the second half mirrors it.
+
+    The ``pairs`` argument lists the full-layout index i*n + j of each kept
+    pair in increasing order (``None`` keeps all n^2); the program numbers
+    them 0, 1, ... with omega last, and the conflicts come in that
+    numbering.  ``index`` maps each of the dim rows to its full-layout index,
+    omega to n^2.  ``pin`` is a branch's (v, k), ``None`` for the full
+    layout, and ``graphs`` the pair the program was built from, if known.
     """
 
     __slots__ = (
         "n", "dim", "omega", "pair_diag",
         "zero_rows", "zero_cols", "zero_counts",
+        "index", "pin", "graphs",
     )
 
-    def __init__(self, n, conflicts):
-        pair_diag = np.arange(n * n)
+    def __init__(self, n, conflicts, pairs=None, pin=None, graphs=None):
+        kept = n * n if pairs is None else len(pairs)
+        pair_diag = np.arange(kept)
+        index = np.append(pair_diag if pairs is None else pairs, n * n)
         upper_r = np.concatenate([r for r, _ in conflicts.values()])
         upper_s = np.concatenate([s for _, s in conflicts.values()])
         zero_rows = np.concatenate([upper_r, upper_s])
         zero_cols = np.concatenate([upper_s, upper_r])
-        for a in (pair_diag, zero_rows, zero_cols):
+        for a in (pair_diag, zero_rows, zero_cols, index):
             a.setflags(write=False)
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", n * n + 1)
-        object.__setattr__(self, "omega", n * n)
+        object.__setattr__(self, "dim", kept + 1)
+        object.__setattr__(self, "omega", kept)
         object.__setattr__(self, "pair_diag", pair_diag)
         object.__setattr__(self, "zero_rows", zero_rows)
         object.__setattr__(self, "zero_cols", zero_cols)
         object.__setattr__(self, "zero_counts", MappingProxyType(
             {kind: len(r) for kind, (r, _) in conflicts.items()}
         ))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "pin", pin)
+        object.__setattr__(self, "graphs", graphs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Program is immutable")
 
     def constraint_counts(self):
         """Number of affine rows of each kind, in output order."""
-        return {"omega-norm": 1, "diag-link": self.n * self.n, **self.zero_counts}
+        return {"omega-norm": 1, "diag-link": len(self.pair_diag), **self.zero_counts}
 
     def zero_pair_set(self):
         """Zeroed index pairs as a set of (r, s) with r < s."""
@@ -82,13 +103,35 @@ class Program:
 
 def build_program(g1, g2):
     """Compile the objective and affine rows for a pair of equal-size graphs."""
-    return Program(g1.n, conflict_pairs(g1, g2))
+    return Program(g1.n, conflict_pairs(g1, g2), graphs=(g1, g2))
+
+
+def branch_program(g1, g2, v, k):
+    """The program of the branch that maps vertex v of g1 to vertex k of g2,
+    or None when refinement alone rules that branch out.
+
+    Joint 1-WL with (v, k) pinned colours both graphs; an isomorphism that
+    maps v to k keeps those colours, so unequal colour histograms leave no
+    such isomorphism, and otherwise it only uses pairs (i, j) of equal
+    colour.  The program keeps exactly those pairs, in row-major order, and
+    the conflicts between them, each kind in ``conflict_pairs`` order.
+    """
+    c1, c2 = colour_refinement(g1, g2, pin=(v, k))
+    if not np.array_equal(np.sort(c1), np.sort(c2)):
+        return None
+    keep = (c1[:, None] == c2[None, :]).reshape(-1)
+    renumber = np.cumsum(keep) - 1          # each kept pair's own index
+    conflicts = {}
+    for kind, (r, s) in conflict_pairs(g1, g2).items():
+        both = keep[r] & keep[s]
+        conflicts[kind] = (renumber[r[both]], renumber[s[both]])
+    return Program(g1.n, conflicts, pairs=np.flatnonzero(keep), pin=(v, k), graphs=(g1, g2))
 
 
 def objective_value(Y, p):
     """Sum of the pair-diagonal entries of the (dim x dim) matrix Y."""
     Y = np.asarray(Y)
-    if _lifted_order(Y) != p.n:
+    if Y.shape != (p.dim, p.dim):
         raise ValueError(f"expected a {p.dim} x {p.dim} matrix, got {Y.shape}")
     d = p.pair_diag
     return float(Y[d, d].sum())
@@ -107,8 +150,11 @@ def program_to_json_dict(p):
     convention.  The objective and the rows are Tables filled from the index
     arrays.  Off-diagonal positions appear as a mirrored pair with
     coefficient 1/2 each, so A is symmetric and <A, Y> reads off the matrix
-    entry directly.
+    entry directly.  Only the full layout has this form: a branch program
+    raises ValueError.
     """
+    if p.pin is not None:
+        raise ValueError(f"branch program {p.pin} has no JSON form; build the full layout")
     omega, d = p.omega, p.pair_diag
     m = len(p.zero_rows) // 2
     cuts = np.cumsum(list(p.zero_counts.values()))[:-1]

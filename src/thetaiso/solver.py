@@ -35,6 +35,16 @@ this is the only place a permutation is read out of a solve.  Convergence
 is the primal-dual tolerance test alone (Boyd et al. 2011, section 3.3).
 ``SolverResult.stop_reason`` says which of the stops ended a solve.
 
+At iteration 16 alone, after the bound and the lift, a solve of the full
+layout whose two graphs 2-WL cannot separate (``refine.wl2_separates``)
+stops as unseparated.  Mancinska, Roberson, Samal, Severini & Varvitsiotis
+(ICALP 2017) tie the doubly nonnegative relaxation to 2-WL equivalence, so
+the bound is not expected to separate such a pair and running on would
+most likely end without a decision; ``decide`` then pins a vertex and
+solves one smaller program per branch, a proof that does not rest on that
+link.  Branch programs (``program.branch_program``) run the same sweep over
+their kept pairs and never take this stop.
+
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
 beta = ``POLISH_RELAXATION``, whose fixed points are still exactly P ∩ PSD.
@@ -52,8 +62,9 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import ZERO_EPS, consistent_set_search, lift
+from .lifts import ZERO_EPS, consistent_set_search, permutation_vector
 from .program import decision_threshold, objective_value
+from .refine import wl2_separates
 
 __all__ = [
     "SolverStatus",
@@ -77,6 +88,7 @@ class SolverStatus(str, Enum):
     CERTIFIED = "Certified"
     MAX_ITER = "MaxIter"
     DIVERGED = "Diverged"
+    UNSEPARATED = "Unseparated"
 
 
 @dataclass(frozen=True)
@@ -99,13 +111,14 @@ class SolverConfig:
 
 # Each reason a solve can stop for, and the status it reports.  "tolerance"
 # is the convergence test, "verified-lift" an isomorphism's lift found
-# mid-solve or at convergence.
+# mid-solve or at convergence, "unseparated" the 2-WL gate at iteration 16.
 STOP_STATUS = {
     "tolerance": SolverStatus.CONVERGED,
     "verified-lift": SolverStatus.CONVERGED,
     "dual-bound": SolverStatus.CERTIFIED,
     "max-iter": SolverStatus.MAX_ITER,
     "diverged": SolverStatus.DIVERGED,
+    "unseparated": SolverStatus.UNSEPARATED,
 }
 
 
@@ -277,7 +290,9 @@ def _dual_upper_bound(p, rho, U):
     The eigenvalue's rounding error is covered by dim^2 eps ||S||_F
     (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).  Only y_omega has
     a nonzero right-hand side, so the other multipliers can be taken as the
-    exact values that give the stored S.
+    exact values that give the stored S.  A branch program needs no change:
+    each kept pair index lies in exactly one row i, so the same x_i over the
+    kept pairs of row i still give tr Y <= n + 1.
     """
     d = p.pair_diag
     omega = p.omega
@@ -305,19 +320,37 @@ def _verified_lift(X, p):
     """A permutation read off X and its extended lift Y, if the lift is
     exactly feasible, else None.
 
-    The consistent-set search gets n^2 candidate tries.  The lift Y = q q^T
-    is PSD, nonnegative and meets the omega and diag-link rows by
-    construction; it meets the zero rows exactly when no zeroed pair has both
-    ends in the support of q, which holds exactly when the permutation is an
+    The consistent-set search gets n^2 candidate tries on the full layout;
+    a branch's X is first placed there through ``p.index``, with every
+    dropped pair 0.  The lift Y = q q^T, q the permutation vector with
+    omega's 1 appended, read through ``p.index``, is PSD, nonnegative and
+    meets the omega and diag-link rows by construction when the permutation
+    uses only kept pairs (otherwise it is no point of the program).  It
+    meets the zero rows exactly when no zeroed pair has both ends in the
+    support of q, which holds exactly when the permutation is an
     isomorphism.
     """
-    sigma = consistent_set_search(X, ZERO_EPS, budget=p.n * p.n)
+    n = p.n
+    if p.pin is not None:
+        full = np.zeros((n * n + 1, n * n + 1))
+        full[np.ix_(p.index, p.index)] = X
+        X = full
+    sigma = consistent_set_search(X, ZERO_EPS, budget=n * n)
     if sigma is None:
         return None
-    Y = lift(sigma).extended()
+    q = np.append(permutation_vector(sigma), 1.0)[p.index]
+    if q.sum() != n + 1:       # sigma maps some i along a dropped pair
+        return None
+    Y = np.outer(q, q)
     if Y[p.zero_rows, p.zero_cols].any():
         return None
     return sigma, Y
+
+
+def _two_wl_equivalent(p):
+    """Whether p is a full-layout program of two graphs that 2-WL cannot
+    separate, the test of the gate at iteration 16."""
+    return p.pin is None and p.graphs is not None and not wl2_separates(*p.graphs)
 
 
 def solve(p, cfg=None):
@@ -333,7 +366,11 @@ def solve(p, cfg=None):
       feasible: stop reason verified-lift, status Converged with Y that lift,
       ``permutation`` the permutation, objective and upper bound exactly n,
       both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
-      exact dual certificate of value n, so the lift is optimal.
+      exact dual certificate of value n, so the lift is optimal;
+    - at iteration 16, after the bound and the lift, a full-layout program
+      whose graphs 2-WL cannot separate: stop reason unseparated, status
+      Unseparated, Y the last PSD iterate and the bound of that iteration,
+      no polish.
     A solve that converges at tolerance tries that rounding once more on its
     last polyhedral iterate and ends the same way if it lifts.
     Otherwise the bound is computed once more at exit and returned as
@@ -388,6 +425,9 @@ def solve(p, cfg=None):
             if lifted is not None:
                 stop_reason = "verified-lift"
                 break
+            if it == 16 and _two_wl_equivalent(p):
+                stop_reason = "unseparated"
+                break
 
         # The test needs r_norm <= tol * scale with scale <= 8, so the norm
         # of Z is taken only when that can hold.
@@ -422,7 +462,8 @@ def solve(p, cfg=None):
         permutation, Y = lifted
         r_norm, s_norm, upper_bound = 0.0, 0.0, float(n)
     else:
-        if stop_reason != "dual-bound":
+        if stop_reason not in ("dual-bound", "unseparated"):
+            # The bound of the last iteration stands on those two stops.
             # After a failed step U holds U + X_hat, which is finite; the
             # bound is valid for any U.
             upper_bound = _dual_upper_bound(p, rho, U)

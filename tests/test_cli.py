@@ -308,8 +308,9 @@ def test_decide_oracle_fallback_settles_the_cap(non_iso_pair, capsys):
 @pytest.mark.parametrize("lift", [True, False], ids=["bound-decides", "oracle-decides"])
 def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypatch, capsys):
     # The report's oracle section reuses decide's search when the fallback
-    # ran it.  Without its lift, C4 against its relabelling converges at
-    # tolerance with nothing to check, so decide's fallback settles it.
+    # ran it.  Without its lift, C4 against its relabelling stops at the 2-WL
+    # gate and its first branch converges at tolerance with nothing to check,
+    # so decide's fallback settles it.
     searches = []
     search = th.enumerate_isomorphisms
 
@@ -345,6 +346,32 @@ def test_decide_json_report(c4_pair, capsys):
     g1 = th.load_graph(c4_pair[0])
     g2 = th.load_graph(c4_pair[1])
     assert th.is_isomorphism(sigma, g1, g2)
+
+
+def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
+    # The pair 2-WL cannot separate goes to pinned branches: exit 1 by
+    # branch-bound, one report row per branch, and a text summary with the
+    # branch count and the largest bound against the threshold.
+    files = (write_graph(tmp_path / "rook.txt", rook_graph(4)),
+             write_graph(tmp_path / "shrikhande.txt", shrikhande_graph()))
+    assert main(["decide", *files, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solver"]["stop_reason"] == "unseparated"
+    assert doc["solver"]["status"] == "Unseparated" and doc["solver"]["iterations"] == 16
+    verdict = doc["verdict"]
+    assert verdict["kind"] == "NonIsomorphic" and verdict["decided_by"] == "branch-bound"
+    branches = verdict["diagnostics"]["branches"]
+    assert len(branches) == 16
+    assert {tuple(sorted(b)) for b in branches} == {
+        ("dim", "iterations", "k", "stop_reason", "upper_bound")}
+    largest = max(b["upper_bound"] for b in branches)
+    assert largest < verdict["threshold"]
+
+    assert main(["decide", *files]) == 1
+    out = capsys.readouterr().out
+    assert "NonIsomorphic (by branch-bound)" in out
+    assert (f"branches: 16 tried, largest bound {largest:.12f} "
+            f"(threshold {verdict['threshold']:.12f})") in out
 
 
 def test_decide_json_oracle_key(non_iso_pair, capsys):

@@ -23,7 +23,9 @@ from thetaiso.extraction import (
     stochastic_deviation,
 )
 from thetaiso.solver import SolverConfig, SolverResult
-from conftest import failing_eigh_backend, random_doubly_stochastic
+from conftest import (
+    failing_eigh_backend, random_doubly_stochastic, rook_graph, shrikhande_graph,
+)
 
 
 def fake_result(Y, objective, stop_reason="tolerance", upper_bound=math.inf,
@@ -449,3 +451,119 @@ def test_import_and_decide_leave_scipy_optimize_unloaded(monkeypatch):
     v = decide(scope["stopped"], scope["c6"], scope["two_c3"])
     assert v.kind is th.VerdictKind.INCONCLUSIVE
     assert v.diagnostics["candidates_tried"] == 0
+
+
+# ------------------------------------------------------------------ branches
+
+def test_rook_against_shrikhande_is_decided_by_branch_bounds():
+    # 2-WL cannot separate the pair, so the unpinned solve stops at the gate
+    # at iteration 16; every one of the 16 pinned branches is certified below
+    # the threshold, which leaves no isomorphism.
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    res = th.solve(th.build_program(g1, g2))
+    assert res.stop_reason == "unseparated" and res.iterations == 16
+    assert res.status is th.SolverStatus.UNSEPARATED
+    assert res.permutation is None and res.upper_bound >= decision_threshold(16)
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
+    assert v.permutation is None and not v.oracle_used
+    branches = v.diagnostics["branches"]
+    assert [b["k"] for b in branches] == list(range(16))
+    for b in branches:
+        assert b["dim"] == 119 and b["stop_reason"] == "dual-bound", b
+        assert b["upper_bound"] < v.threshold, b
+        assert "refuted_by" not in b
+    assert v.to_json_dict()["diagnostics"]["branches"] == branches
+
+
+def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
+    # With the lift switched off for the full layout only, the control pair
+    # reaches the gate like rook vs Shrikhande; branch 0 pins vertex 0 to its
+    # image and lifts there, through thetaiso.extraction.is_isomorphism.
+    g1 = rook_graph(4)
+    sigma = tuple(np.random.default_rng(7).permutation(16).tolist())
+    g2 = th.relabel(g1, sigma)
+    verified_lift = thetaiso.solver._verified_lift
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift",
+                        lambda X, p: verified_lift(X, p) if p.pin is not None else None)
+    checked = []
+
+    def recording(s, a, b):
+        checked.append(s)
+        return th.is_isomorphism(s, a, b)
+
+    monkeypatch.setattr(thetaiso.extraction, "is_isomorphism", recording)
+    res = th.solve(th.build_program(g1, g2))
+    assert res.stop_reason == "unseparated"
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
+    assert th.is_isomorphism(v.permutation, g1, g2)
+    assert checked == [v.permutation]
+    branch = v.diagnostics["branches"][-1]
+    assert branch["stop_reason"] == "verified-lift"
+    assert v.permutation[0] == branch["k"]
+    assert v.diagnostics["candidates_tried"] == 1
+
+
+def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
+    # C6 against 2 C3 never reaches the gate (2-WL separates it), but an
+    # unseparated stop handed to decide shows the rung's cheapest refutation:
+    # every pinned 1-WL histogram differs, so no branch is solved.
+    def no_solve(p, cfg=None):
+        raise AssertionError("a refuted branch was solved")
+
+    monkeypatch.setattr(thetaiso.extraction, "solve", no_solve)
+    g1 = th.cycle_graph(6)
+    g2 = th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))
+    v = decide(fake_result(np.zeros((37, 37)), 0.0, stop_reason="unseparated",
+                           upper_bound=6.0), g1, g2)
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
+    assert v.diagnostics["branches"] == [
+        {"k": k, "dim": None, "iterations": 0, "stop_reason": None, "upper_bound": None,
+         "refuted_by": "refinement"}
+        for k in range(6)
+    ]
+
+
+def test_an_undecided_branch_ends_the_branching(monkeypatch):
+    # Without any lift, C4's first branch converges at tolerance with its
+    # bound at n: the loop stops there, and the pair is Inconclusive, or
+    # settled by the oracle when asked.
+    g1 = th.cycle_graph(4)
+    g2 = th.relabel(g1, (2, 0, 3, 1))
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    res = th.solve(th.build_program(g1, g2))
+    assert res.stop_reason == "unseparated"
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
+    [branch] = v.diagnostics["branches"]
+    assert branch["k"] == 0 and branch["stop_reason"] == "tolerance"
+    assert branch["upper_bound"] >= v.threshold
+    v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
+    assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "oracle"
+
+
+def test_branch_lift_goes_through_the_index_map(monkeypatch):
+    # A rounded permutation that uses a pair the branch dropped is no lift of
+    # the branch, even an isomorphism; one that keeps to the branch's pairs
+    # lifts to the full lift read through the index map.
+    g1 = rook_graph(4)
+    sigma = tuple(np.random.default_rng(3).permutation(16).tolist())
+    g2 = th.relabel(g1, sigma)
+    p = th.branch_program(g1, g2, 0, sigma[0])
+    # sigma after the row shift u -> u + 4 (mod 16), an automorphism of rook
+    # 4x4: an isomorphism too, but one that maps vertex 0 elsewhere.
+    other = tuple(sigma[(i + 4) % 16] for i in range(16))
+    assert th.is_isomorphism(other, g1, g2) and other[0] != sigma[0]
+    X = np.zeros((p.dim, p.dim))
+    for candidate, expected in ((other, None), (sigma, sigma)):
+        monkeypatch.setattr(thetaiso.solver, "consistent_set_search",
+                            lambda Y, eps, budget=None, c=candidate: c)
+        lifted = thetaiso.solver._verified_lift(X, p)
+        if expected is None:
+            assert lifted is None
+        else:
+            s, Y = lifted
+            assert s == sigma
+            full = th.lift(sigma).extended()
+            assert Y.tobytes() == full[np.ix_(p.index, p.index)].tobytes()

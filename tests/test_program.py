@@ -1,13 +1,16 @@
 """Compiled program: constraint counts, zero pattern, objective, serialization."""
 
 import hashlib
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thetaiso as th
+import thetaiso.lifts
 from thetaiso.cli import dumps_json
 from thetaiso.program import build_program, objective_value, program_to_json_dict
 
@@ -235,3 +238,84 @@ def test_json_serialization():
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         build_program(th.path_graph(3), th.path_graph(4))
+
+
+# ------------------------------------------------------------ branch programs
+
+def test_full_layout_index_map_and_graphs():
+    g1, g2 = th.cycle_graph(5), th.relabel(th.cycle_graph(5), (1, 3, 0, 4, 2))
+    p = build_program(g1, g2)
+    assert p.pin is None and p.graphs == (g1, g2)
+    assert np.array_equal(p.index, np.arange(p.dim))
+    assert np.array_equal(p.pair_diag, np.arange(25))
+    assert not p.index.flags.writeable
+    # The index map against permutation_vector: pair (i, sigma(i)) sits at
+    # i*n + sigma(i), the entries where the permutation vector is 1.
+    sigma = (1, 3, 0, 4, 2)
+    vec = th.lifts.permutation_vector(sigma)
+    assert np.flatnonzero(vec).tolist() == [p.index[i * 5 + j] for i, j in enumerate(sigma)]
+
+
+def test_branch_program_layout_on_rook_against_shrikhande():
+    # Pinning rook's vertex 0 to Shrikhande's vertex k keeps the 118 pairs of
+    # equal pinned colour (1 + 6*6 + 9*9), and omega comes last.
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    full = build_program(g1, g2)
+    for k in (0, 5):
+        p = th.branch_program(g1, g2, 0, k)
+        assert p.pin == (0, k) and p.graphs == (g1, g2)
+        assert (p.n, p.dim, p.omega) == (16, 119, 118)
+        assert np.array_equal(p.pair_diag, np.arange(118))
+        assert p.index[-1] == 256 and (np.diff(p.index) > 0).all()
+        assert p.constraint_counts()["diag-link"] == 118
+        # The zero rows are exactly the full program's conflicts between kept
+        # pairs, renumbered.
+        position = {int(f): a for a, f in enumerate(p.index[:-1])}
+        expected = {(position[r], position[s]) for r, s in full.zero_pair_set()
+                    if r in position and s in position}
+        assert p.zero_pair_set() == expected
+        m = len(p.zero_rows) // 2
+        assert (p.zero_rows[:m] < p.zero_cols[:m]).all()
+
+
+def test_branch_program_has_no_json_form():
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    with pytest.raises(ValueError, match="branch"):
+        program_to_json_dict(th.branch_program(g1, g2, 0, 3))
+
+
+def test_objective_value_checks_the_programs_own_shape():
+    g = th.cycle_graph(4)
+    p = th.branch_program(g, g, 0, 0)
+    assert p.dim < 17
+    assert objective_value(np.eye(p.dim), p) == p.dim - 1
+    with pytest.raises(ValueError, match=f"{p.dim} x {p.dim}"):
+        objective_value(np.eye(17), p)
+
+
+@st.composite
+def relabelled_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    slots = list(itertools.combinations(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    g = th.Graph(n, [e for e, keep in zip(slots, mask) if keep])
+    sigma = tuple(draw(st.permutations(range(n))))
+    return g, sigma, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(relabelled_graphs())
+def test_branch_keeps_every_pair_of_an_isomorphism_through_its_pin(case):
+    # sigma maps g onto its relabelling; branch (v, sigma(v)) keeps each
+    # (i, sigma(i)), and sigma's lift read through the index map meets every
+    # zero row of the branch.
+    g, sigma, v = case
+    h = th.relabel(g, sigma)
+    n = g.n
+    p = th.branch_program(g, h, v, sigma[v])
+    assert p is not None
+    kept = set(p.index.tolist())
+    assert all(i * n + sigma[i] in kept for i in range(n))
+    Y = th.lift(sigma).extended()[np.ix_(p.index, p.index)]
+    assert not Y[p.zero_rows, p.zero_cols].any()
+    assert objective_value(Y, p) == n

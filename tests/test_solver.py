@@ -18,6 +18,7 @@ from thetaiso.solver import (
     _polish,
     _project_polyhedral,
     _psd_part,
+    _two_wl_equivalent,
     _verified_lift,
     SolverConfig,
     SolverStatus,
@@ -397,6 +398,7 @@ def test_every_eigh_input_is_exactly_symmetric(monkeypatch):
     monkeypatch.setattr(thetaiso.solver, "eigh_backend",
                         recording_eigh_backend(lambda M: seen.append(np.array_equal(M, M.T))))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     g1 = th.cycle_graph(4)
     res = solve(build_program(g1, th.relabel(g1, (2, 0, 3, 1))))
     assert res.stop_reason == "tolerance"
@@ -409,7 +411,8 @@ def test_checks_run_at_powers_of_two(monkeypatch):
     # The lift is tried at iterations 2, 4, 8, 16, ... (iteration 1 cannot
     # lift: its X has no positive entry between two distinct pairs) and the
     # bound is checked at 16, 32, ...; at a shared iteration the bound goes
-    # first.  C10 vs 2C5 is certified at iteration 32.
+    # first.  The 2-WL gate runs once, at 16, after both.  C10 vs 2C5 is
+    # 2-WL separated, so it runs on and is certified at iteration 32.
     eighs, checks = [], []
 
     def lift_at(X, p):
@@ -420,16 +423,21 @@ def test_checks_run_at_powers_of_two(monkeypatch):
         checks.append(("bound", len(eighs)))
         return _dual_upper_bound(p, rho, U)
 
+    def gate_at(p):
+        checks.append(("gate", len(eighs)))
+        return _two_wl_equivalent(p)
+
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", recording_eigh_backend(eighs.append))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lift_at)
     monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", bound_at)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", gate_at)
     c10 = th.cycle_graph(10)
     two_c5 = th.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
     res = solve(build_program(c10, two_c5))
     assert res.stop_reason == "dual-bound" and res.iterations == 32
     assert checks == [("lift", 2), ("lift", 4), ("lift", 8),
-                      ("bound", 16), ("lift", 16), ("bound", 32)]
+                      ("bound", 16), ("lift", 16), ("gate", 16), ("bound", 32)]
 
 
 @pytest.mark.parametrize("fail", ["raise", "nan"])
@@ -455,13 +463,14 @@ def test_eigen_failure_ends_as_diverged(fail, monkeypatch):
 
 @pytest.mark.parametrize("fail", ["raise", "nan"])
 def test_polish_failure_ends_as_diverged(fail, monkeypatch):
-    # C4 forced past its lift converges at tolerance and then polishes; an
-    # eigendecomposition that fails in the polish returns the converged
-    # iterate as Diverged.
+    # C4 forced past its lift and its 2-WL gate converges at tolerance and
+    # then polishes; an eigendecomposition that fails in the polish returns
+    # the converged iterate as Diverged.
     g1 = th.cycle_graph(4)
     p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
     monkeypatch.setattr(thetaiso.solver, "_polish", lambda Z, p, eigh: Z)
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     unpolished = solve(p)
     assert unpolished.stop_reason == "tolerance"
     monkeypatch.setattr(thetaiso.solver, "_polish", _polish)
@@ -502,6 +511,7 @@ def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
     assert checks >= 1
     g1 = th.cycle_graph(4)
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     assert solve(build_program(g1, th.relabel(g1, (2, 0, 3, 1)))).stop_reason == "tolerance"
     assert len(seen) >= checks + 2   # the checks at 16, ... and the one at exit
     for U in seen:
@@ -585,10 +595,12 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     # A rounded permutation whose lift hits a zeroed pair is discarded: the
     # solve runs on to the same iterations and the same Y bits as a solve
     # whose rounding never finds anything.  Both then take the non-lift exit,
-    # where the polish holds the objective ceiling and feasibility.
+    # where the polish holds the objective ceiling and feasibility.  The 2-WL
+    # gate is held open so that both reach it.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     p = build_program(g1, g2)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     bad = next(s for s in itertools.permutations(range(4)) if not th.is_isomorphism(s, g1, g2))
     calls = []
 
