@@ -2,13 +2,15 @@
 
 Subcommands: ``build`` compiles a graph pair to a JSON program description,
 ``decide`` solves a pair and prints the verdict (and, when the pair went to
-pinned branches, how many were tried and their largest bound), ``bench`` runs a corpus
-directory against its manifest, ``oracle`` runs the exact search.  Exit codes
-from ``decide``/``oracle``: 0 isomorphic, 1 non-isomorphic, 2 bad input,
-3 inconclusive, 4 solver diverged.  Environment variables THETAISO_TOL,
-THETAISO_MAX_ITER, and THETAISO_ORACLE_FALLBACK override the corresponding
-defaults when the flag is not given explicitly; a value that does not parse
-is bad input (exit 2).
+pinned branches, how many were tried and their largest bound, and the
+status of the rerun without the gate if the branches left it open),
+``bench`` runs a corpus directory against its manifest, ``oracle`` runs the
+exact search.  Exit codes from ``decide``/``oracle``: 0 isomorphic,
+1 non-isomorphic, 2 bad input, 3 inconclusive, 4 solver diverged (for
+``decide``, the solve the verdict rests on: the rerun's, if there was one).
+Environment variables THETAISO_TOL, THETAISO_MAX_ITER, and
+THETAISO_ORACLE_FALLBACK override the corresponding defaults when the flag
+is not given explicitly; a value that does not parse is bad input (exit 2).
 
 Programs and reports are serialized by ``jsonwriter.dumps_json``, which
 prints the same bytes as ``json.dumps(indent=2)``, so equal runs produce
@@ -26,7 +28,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from .extraction import VerdictKind, decide
+from .extraction import VerdictKind, _finite_or_none, decide
 from .graphs import GraphParseError, load_graph
 from .jsonwriter import dumps_json
 from .oracle import enumerate_isomorphisms
@@ -136,10 +138,10 @@ def run_pair(g1, g2, cfg, want_oracle=False):
             "status": result.status.value,
             "stop_reason": result.stop_reason,
             "objective": result.objective,
-            "upper_bound": verdict_doc["upper_bound"],
+            "upper_bound": _finite_or_none(result.upper_bound),
             "iterations": result.iterations,
-            "primal_residual": verdict_doc["diagnostics"]["primal_residual"],
-            "dual_residual": verdict_doc["diagnostics"]["dual_residual"],
+            "primal_residual": _finite_or_none(result.primal_residual),
+            "dual_residual": _finite_or_none(result.dual_residual),
         },
         "verdict": verdict_doc,
         "timings": timings,
@@ -155,12 +157,14 @@ def run_pair(g1, g2, cfg, want_oracle=False):
     return verdict, result, report
 
 
-def _verdict_exit_code(verdict, result):
+def _verdict_exit_code(verdict):
+    """The exit code; an inconclusive verdict reads the status of the solve
+    it rests on, the rerun's when branching left the pair open."""
     if verdict.kind is VerdictKind.ISOMORPHIC:
         return EXIT_ISOMORPHIC
     if verdict.kind is VerdictKind.NON_ISOMORPHIC:
         return EXIT_NON_ISOMORPHIC
-    if result.status is SolverStatus.DIVERGED:
+    if verdict.diagnostics["status"] == SolverStatus.DIVERGED.value:
         return EXIT_DIVERGED
     return EXIT_INCONCLUSIVE
 
@@ -213,9 +217,12 @@ def cmd_decide(args):
             largest = f"{max(bounds):.12f}" if bounds else "none solved"
             print(f"branches: {len(branches)} tried, largest bound {largest} "
                   f"(threshold {verdict.threshold:.12f})")
+        if "gated_at" in verdict.diagnostics:
+            d = verdict.diagnostics
+            print(f"rerun without the gate: {d['status']} after {d['iterations']} iterations")
         if verdict.permutation is not None:
             print("isomorphism:", " ".join(str(j) for j in verdict.permutation))
-    return _verdict_exit_code(verdict, result)
+    return _verdict_exit_code(verdict)
 
 
 def cmd_oracle(args):

@@ -9,14 +9,16 @@ bounds the optimum from below.  Isomorphic rests on the permutation the
 solver carries when it stopped on a verified lift (``SolverResult.permutation``);
 ``decide`` checks it exactly against both edge sets before it is believed and
 never reads Y.  A solve that stopped as unseparated (2-WL cannot tell the
-graphs apart, so the relaxation cannot either) goes on to branches: vertex 0
-of the first graph is pinned to each vertex k of the second in turn, and a
-smaller program per branch (``program.branch_program``) is solved.  A
+graphs apart, so the bound is not expected to) goes on to branches: vertex
+0 of the first graph is pinned to each vertex k of the second in turn, and
+a smaller program per branch (``program.branch_program``) is solved.  A
 branch's verified lift that is an isomorphism decides Isomorphic; bounds
 below the threshold in every branch decide NonIsomorphic ("branch-bound").
-If no route decides, the verdict is inconclusive, or, with the oracle
-fallback, settled by exact search; the solver's status (converged, out of
-iterations, diverged) changes none of these steps.
+Branches that leave the pair open hand it back to the full solve, rerun
+without the gate, so that the branches never end a pair worse than the full
+solve alone would.  If no route decides, the verdict is inconclusive, or,
+with the oracle fallback, settled by exact search; the solver's status
+(converged, out of iterations, diverged) changes none of these steps.
 
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no
@@ -34,7 +36,7 @@ import numpy as np
 
 from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
 from .oracle import enumerate_isomorphisms, is_isomorphism
-from .program import branch_program, decision_threshold
+from .program import branch_program, build_program, decision_threshold
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -155,7 +157,9 @@ class Verdict:
     kind: VerdictKind
     permutation: tuple | None
     objective: float
-    upper_bound: float            # the solver's certified bound; inf if none
+    # The certified bound: the solver's (inf if none), or with branch-bound
+    # the largest branch bound (-inf if refinement refuted every branch).
+    upper_bound: float
     threshold: float
     decided_by: str | None        # 'bound', 'branch-bound', 'extraction', 'oracle', or None
     oracle_used: bool = False
@@ -197,9 +201,15 @@ def decide(result, g1, g2, cfg=None):
     decides Isomorphic ("extraction"); a branch whose bound is below the
     threshold is refuted; the first branch that does neither ends the
     branching undecided.  With every branch refuted the verdict is
-    NonIsomorphic ("branch-bound"): an isomorphism sigma with sigma(0) = k
-    keeps the pinned colours, so its lift is a feasible point of value n in
-    branch k.  ``diagnostics["branches"]`` has one row per branch tried.
+    NonIsomorphic ("branch-bound") and its ``upper_bound`` the largest
+    branch bound: an isomorphism sigma with sigma(0) = k keeps the pinned
+    colours, so its lift is a feasible point of value n in branch k.
+    Undecided branching (a branch that converged, ran out of iterations or
+    diverged with its bound at or above the threshold) reruns the full layout with
+    ``solve(..., gate=False)`` and returns the verdict of that solve, which
+    is the verdict of a solve without the gate; its diagnostics describe the
+    rerun and add ``gated_at``, the iteration the first solve stopped at.
+    ``diagnostics["branches"]`` has one row per branch tried.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -217,12 +227,13 @@ def decide(result, g1, g2, cfg=None):
         "candidates_tried": 0,
     }
 
-    def verdict(kind, decided_by, permutation=None, oracle_used=False):
+    def verdict(kind, decided_by, permutation=None, oracle_used=False,
+                upper_bound=result.upper_bound):
         return Verdict(
             kind=kind,
             permutation=permutation,
             objective=float(result.objective),
-            upper_bound=float(result.upper_bound),
+            upper_bound=float(upper_bound),
             threshold=threshold,
             decided_by=decided_by,
             oracle_used=oracle_used,
@@ -244,9 +255,11 @@ def decide(result, g1, g2, cfg=None):
             return verdict(VerdictKind.ISOMORPHIC, "extraction", sigma)
 
     if result.stop_reason == "unseparated":
+        full = build_program(g1, g2)
         branches = diagnostics["branches"] = []
+        largest = -math.inf
         for k in range(n):
-            program = branch_program(g1, g2, 0, k)
+            program = branch_program(full, 0, k)
             if program is None:
                 branches.append({"k": k, "dim": None, "iterations": 0, "stop_reason": None,
                                  "upper_bound": None, "refuted_by": "refinement"})
@@ -263,8 +276,15 @@ def decide(result, g1, g2, cfg=None):
                     return verdict(VerdictKind.ISOMORPHIC, "extraction", branch.permutation)
             if not branch.upper_bound < threshold:
                 break
+            largest = max(largest, branch.upper_bound)
         else:
-            return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound")
+            return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound", upper_bound=largest)
+        # The branches left the pair open; an isomorphic pair may still lift
+        # later in the full solve, so it runs on as if there were no gate.
+        rerun = decide(solve(full, cfg, gate=False), g1, g2, cfg)
+        rerun.diagnostics["candidates_tried"] += diagnostics["candidates_tried"]
+        rerun.diagnostics.update(branches=branches, gated_at=result.iterations)
+        return rerun
 
     if cfg.oracle_fallback:
         isos = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)

@@ -15,7 +15,8 @@ projection.
 program of one branch, a vertex v of the first graph pinned to a vertex k of
 the second: it keeps only the pairs (i, j) whose pinned 1-WL colours agree
 (``refine.colour_refinement``), numbered in row-major order with omega
-last, and its zero rows are the conflicts between kept pairs.
+last, and its zero rows are the full layout's conflicts between kept pairs,
+filtered from its arrays rather than listed again.
 ``Program.index`` maps each row of either layout to its full-layout index.
 """
 
@@ -46,12 +47,12 @@ class Program:
     first half lists each conflicting pair (r, s), r < s, grouped by kind in
     the order of ``conflict_pairs``, and the second half mirrors it.
 
-    The ``pairs`` argument lists the full-layout index i*n + j of each kept
-    pair in increasing order (``None`` keeps all n^2); the program numbers
-    them 0, 1, ... with omega last, and the conflicts come in that
-    numbering.  ``index`` maps each of the dim rows to its full-layout index,
-    omega to n^2.  ``pin`` is a branch's (v, k), ``None`` for the full
-    layout, and ``graphs`` the pair the program was built from, if known.
+    ``graphs`` is the pair the program was built from.  The ``pairs``
+    argument lists the full-layout index i*n + j of each kept pair in
+    increasing order (``None`` keeps all n^2); the program numbers them
+    0, 1, ... with omega last, and the conflicts come in that numbering.
+    ``index`` maps each of the dim rows to its full-layout index, omega to
+    n^2.  ``pin`` is a branch's (v, k), ``None`` for the full layout.
     """
 
     __slots__ = (
@@ -60,7 +61,8 @@ class Program:
         "index", "pin", "graphs",
     )
 
-    def __init__(self, n, conflicts, pairs=None, pin=None, graphs=None):
+    def __init__(self, graphs, conflicts, pairs=None, pin=None):
+        n = graphs[0].n
         kept = n * n if pairs is None else len(pairs)
         pair_diag = np.arange(kept)
         index = np.append(pair_diag if pairs is None else pairs, n * n)
@@ -103,29 +105,35 @@ class Program:
 
 def build_program(g1, g2):
     """Compile the objective and affine rows for a pair of equal-size graphs."""
-    return Program(g1.n, conflict_pairs(g1, g2), graphs=(g1, g2))
+    return Program((g1, g2), conflict_pairs(g1, g2))
 
 
-def branch_program(g1, g2, v, k):
-    """The program of the branch that maps vertex v of g1 to vertex k of g2,
-    or None when refinement alone rules that branch out.
+def branch_program(full, v, k):
+    """The program of the branch that maps vertex v of the first graph to
+    vertex k of the second, cut from the full layout ``full``, or None when
+    refinement alone rules that branch out.
 
     Joint 1-WL with (v, k) pinned colours both graphs; an isomorphism that
     maps v to k keeps those colours, so unequal colour histograms leave no
     such isomorphism, and otherwise it only uses pairs (i, j) of equal
     colour.  The program keeps exactly those pairs, in row-major order, and
-    the conflicts between them, each kind in ``conflict_pairs`` order.
+    the full layout's conflicts between them, in the same order.
     """
-    c1, c2 = colour_refinement(g1, g2, pin=(v, k))
+    if full.pin is not None:
+        raise ValueError(f"branch_program cuts the full layout, not branch {full.pin}")
+    c1, c2 = colour_refinement(*full.graphs, (v, k))
     if not np.array_equal(np.sort(c1), np.sort(c2)):
         return None
     keep = (c1[:, None] == c2[None, :]).reshape(-1)
     renumber = np.cumsum(keep) - 1          # each kept pair's own index
+    m = len(full.zero_rows) // 2
+    cuts = np.cumsum(list(full.zero_counts.values()))[:-1]
     conflicts = {}
-    for kind, (r, s) in conflict_pairs(g1, g2).items():
+    for kind, r, s in zip(full.zero_counts, np.split(full.zero_rows[:m], cuts),
+                          np.split(full.zero_cols[:m], cuts)):
         both = keep[r] & keep[s]
         conflicts[kind] = (renumber[r[both]], renumber[s[both]])
-    return Program(g1.n, conflicts, pairs=np.flatnonzero(keep), pin=(v, k), graphs=(g1, g2))
+    return Program(full.graphs, conflicts, pairs=np.flatnonzero(keep), pin=(v, k))
 
 
 def objective_value(Y, p):

@@ -7,11 +7,11 @@ depend on how the vertices are labelled.  A signature starts with the
 old colour, so each round refines the last, and a colour histogram that
 differs between the graphs at one round differs at every later round.
 
-``colour_refinement`` is 1-WL (vertex colours); ``wl2_separates`` is 2-WL
-(colours of ordered vertex pairs).  Either takes an optional pin (v, k),
-which gives vertex v of the first graph and vertex k of the second a colour
-of their own.  An isomorphism that maps v to k keeps every colour, so when
-the histograms differ no such isomorphism exists.
+``colour_refinement`` is 1-WL (vertex colours) with a pin (v, k), which
+gives vertex v of the first graph and vertex k of the second a colour of
+their own: an isomorphism that maps v to k keeps every colour, so when the
+histograms differ no such isomorphism exists.  ``wl2_separates`` is 2-WL
+(colours of ordered vertex pairs) on the unpinned pair.
 """
 
 from __future__ import annotations
@@ -34,21 +34,20 @@ def _rank(rows):
     return ids
 
 
-def colour_refinement(g1, g2, pin=None):
-    """Stable joint 1-WL colours (c1, c2) of two equal-size graphs.
+def colour_refinement(g1, g2, pin):
+    """Stable joint 1-WL colours (c1, c2) of two equal-size graphs with
+    pin = (v, k): v in g1 and k in g2 start in a class of their own.
 
     A vertex's signature is its colour and the number of neighbours of each
-    colour; the rounds stop once they split no colour class.  With
-    pin = (v, k), v in g1 and k in g2 start in a class of their own.
+    colour; the rounds stop once they split no colour class.
     """
     if g1.n != g2.n:
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     n = g1.n
     adjacency = (g1.adjacency.astype(np.int64), g2.adjacency.astype(np.int64))
+    v, k = pin
     colours = np.zeros(2 * n, dtype=np.int64)
-    if pin is not None:
-        v, k = pin
-        colours[v] = colours[n + k] = 1
+    colours[v] = colours[n + k] = 1
     count = int(colours.max()) + 1
     while True:
         onehot = np.eye(count, dtype=np.int64)[colours]
@@ -60,27 +59,20 @@ def colour_refinement(g1, g2, pin=None):
         colours, count = refined, refined_count
 
 
-def wl2_separates(g1, g2, pin=None):
+def wl2_separates(g1, g2):
     """Whether 2-WL, run jointly, tells the two graphs apart.
 
-    A pair (i, j) starts coloured by i = j, adjacency and, with
-    pin = (v, k), whether i or j is the pinned vertex (v in g1, k in g2).
-    Its signature is its colour and the sorted list over l of the colour
-    codes (colour(i, l), colour(l, j)), n codes whatever the number of
-    colours.  Returns True as soon as the pair-colour histograms differ and
+    A pair (i, j) starts coloured by i = j and adjacency.  Its signature
+    is its colour and the sorted list over l of the colour codes
+    (colour(i, l), colour(l, j)), n codes whatever the number of colours.  Returns True as soon as the pair-colour histograms differ and
     False once a round splits no class with them still equal.
     """
     if g1.n != g2.n:
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     n = g1.n
     eye = np.eye(n, dtype=np.int64)
-    atoms = []
-    for g, u in zip((g1, g2), pin if pin is not None else (None, None)):
-        marked = np.zeros(n, dtype=np.int64)
-        if u is not None:
-            marked[u] = 1
-        atoms.append(eye + 2 * g.adjacency + 4 * marked[:, None] + 8 * marked[None, :])
-    colours = _rank(np.stack(atoms).reshape(-1, 1)).reshape(2, n, n)
+    atoms = np.stack([eye + 2 * g.adjacency for g in (g1, g2)])
+    colours = _rank(atoms.reshape(-1, 1)).reshape(2, n, n)
     count = int(colours.max()) + 1
     while True:
         if not np.array_equal(np.sort(colours[0], axis=None), np.sort(colours[1], axis=None)):

@@ -39,11 +39,13 @@ At iteration 16 alone, after the bound and the lift, a solve of the full
 layout whose two graphs 2-WL cannot separate (``refine.wl2_separates``)
 stops as unseparated.  Mancinska, Roberson, Samal, Severini & Varvitsiotis
 (ICALP 2017) tie the doubly nonnegative relaxation to 2-WL equivalence, so
-the bound is not expected to separate such a pair and running on would
-most likely end without a decision; ``decide`` then pins a vertex and
-solves one smaller program per branch, a proof that does not rest on that
-link.  Branch programs (``program.branch_program``) run the same sweep over
-their kept pairs and never take this stop.
+the bound is not expected to separate such a pair; ``decide`` then pins a
+vertex and solves one smaller program per branch, a proof that does not
+rest on that link.  An isomorphic pair can still lift later in the full
+solve, so when the branches leave the pair open ``decide`` reruns it with
+``gate=False``, which takes the same iterates up to 16 and runs on as if
+there were no gate.  Branch programs (``program.branch_program``) run the
+same sweep over their kept pairs and never take this stop.
 
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
@@ -350,10 +352,10 @@ def _verified_lift(X, p):
 def _two_wl_equivalent(p):
     """Whether p is a full-layout program of two graphs that 2-WL cannot
     separate, the test of the gate at iteration 16."""
-    return p.pin is None and p.graphs is not None and not wl2_separates(*p.graphs)
+    return p.pin is None and not wl2_separates(*p.graphs)
 
 
-def solve(p, cfg=None):
+def solve(p, cfg=None, *, gate=True):
     """Run the splitting iteration on a compiled program.
 
     Stops at convergence, at the iteration cap, on divergence (residuals that
@@ -370,7 +372,7 @@ def solve(p, cfg=None):
     - at iteration 16, after the bound and the lift, a full-layout program
       whose graphs 2-WL cannot separate: stop reason unseparated, status
       Unseparated, Y the last PSD iterate and the bound of that iteration,
-      no polish.
+      no polish.  ``gate=False`` leaves this check out.
     A solve that converges at tolerance tries that rounding once more on its
     last polyhedral iterate and ends the same way if it lifts.
     Otherwise the bound is computed once more at exit and returned as
@@ -425,7 +427,7 @@ def solve(p, cfg=None):
             if lifted is not None:
                 stop_reason = "verified-lift"
                 break
-            if it == 16 and _two_wl_equivalent(p):
+            if it == 16 and gate and _two_wl_equivalent(p):
                 stop_reason = "unseparated"
                 break
 

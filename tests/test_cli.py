@@ -309,8 +309,8 @@ def test_decide_oracle_fallback_settles_the_cap(non_iso_pair, capsys):
 def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypatch, capsys):
     # The report's oracle section reuses decide's search when the fallback
     # ran it.  Without its lift, C4 against its relabelling stops at the 2-WL
-    # gate and its first branch converges at tolerance with nothing to check,
-    # so decide's fallback settles it.
+    # gate, its first branch and then the rerun without the gate converge at
+    # tolerance with nothing to check, so decide's fallback settles it.
     searches = []
     search = th.enumerate_isomorphisms
 
@@ -372,6 +372,39 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
     assert "NonIsomorphic (by branch-bound)" in out
     assert (f"branches: 16 tried, largest bound {largest:.12f} "
             f"(threshold {verdict['threshold']:.12f})") in out
+
+
+def test_decide_exits_diverged_when_the_rerun_diverges(c4_pair, monkeypatch, capsys):
+    # With no lift and eigh failing for good after the gate, branch 0 and
+    # the rerun without the gate both diverge: exit 4, read from the rerun's
+    # status, while the report's solver section is the gated solve.
+    backend = thetaiso.solver.eigh_backend
+    calls = [0]
+
+    def failing_after_the_gate(name):
+        eigh = backend(name)
+
+        def wrapped(M):
+            calls[0] += 1
+            if calls[0] > 16:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(M)
+
+        return wrapped
+
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_after_the_gate)
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    assert main(["decide", *c4_pair, "--json"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solver"]["status"] == "Unseparated" and doc["solver"]["iterations"] == 16
+    diagnostics = doc["verdict"]["diagnostics"]
+    assert doc["verdict"]["kind"] == "Inconclusive"
+    assert [b["stop_reason"] for b in diagnostics["branches"]] == ["diverged"]
+    assert diagnostics["status"] == "Diverged" and diagnostics["gated_at"] == 16
+
+    calls[0] = 0
+    assert main(["decide", *c4_pair]) == 4
+    assert "rerun without the gate: Diverged after 1 iterations" in capsys.readouterr().out
 
 
 def test_decide_json_oracle_key(non_iso_pair, capsys):

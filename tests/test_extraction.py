@@ -473,6 +473,9 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
         assert b["dim"] == 119 and b["stop_reason"] == "dual-bound", b
         assert b["upper_bound"] < v.threshold, b
         assert "refuted_by" not in b
+    # The verdict's bound is the largest branch bound, not the unpinned one.
+    assert v.upper_bound == max(b["upper_bound"] for b in branches) < v.threshold
+    assert "gated_at" not in v.diagnostics
     assert v.to_json_dict()["diagnostics"]["branches"] == branches
 
 
@@ -518,6 +521,7 @@ def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
     v = decide(fake_result(np.zeros((37, 37)), 0.0, stop_reason="unseparated",
                            upper_bound=6.0), g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
+    assert v.upper_bound == -math.inf and v.to_json_dict()["upper_bound"] is None
     assert v.diagnostics["branches"] == [
         {"k": k, "dim": None, "iterations": 0, "stop_reason": None, "upper_bound": None,
          "refuted_by": "refinement"}
@@ -525,22 +529,78 @@ def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
     ]
 
 
-def test_an_undecided_branch_ends_the_branching(monkeypatch):
+def test_undecided_branches_rerun_the_solve_without_the_gate(monkeypatch):
     # Without any lift, C4's first branch converges at tolerance with its
-    # bound at n: the loop stops there, and the pair is Inconclusive, or
-    # settled by the oracle when asked.
+    # bound at n, which ends the branching.  The full layout is then solved
+    # again without the gate, and the verdict is that solve's: Inconclusive,
+    # or settled by the oracle when asked.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    p = th.build_program(g1, g2)
+    res = th.solve(p)
+    assert res.stop_reason == "unseparated" and res.iterations == 16
+    ungated = decide(th.solve(p, gate=False), g1, g2)
+    assert ungated.diagnostics["stop_reason"] == "tolerance"
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
+    [branch] = v.diagnostics.pop("branches")
+    assert branch["k"] == 0 and branch["stop_reason"] == "tolerance"
+    assert branch["upper_bound"] >= v.threshold
+    assert v.diagnostics.pop("gated_at") == 16
+    assert v == ungated
+    v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
+    assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "oracle"
+
+
+def lift_after_the_gate(monkeypatch):
+    """Refuse the lift in every branch and at the full layout's first four
+    checks (iterations 2, 4, 8 and 16 of the gated solve); returns the list
+    of full-layout checks made."""
+    verified_lift = thetaiso.solver._verified_lift
+    full_checks = []
+
+    def late_lift(X, p):
+        if p.pin is not None:
+            return None
+        full_checks.append(p)
+        return verified_lift(X, p) if len(full_checks) > 4 else None
+
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", late_lift)
+    return full_checks
+
+
+def test_an_isomorphic_pair_left_open_by_its_branches_still_lifts(monkeypatch):
+    # The lift is refused at the four checks up to the gate and in every
+    # branch, so the pair reaches the gate and branch 0 ends the branching
+    # undecided.  The rerun lifts at iteration 2, as a solve without the
+    # gate would: the branches never leave a pair worse off.
+    g1 = th.cycle_graph(4)
+    g2 = th.relabel(g1, (2, 0, 3, 1))
+    full_checks = lift_after_the_gate(monkeypatch)
+    res = th.solve(th.build_program(g1, g2))
+    assert res.stop_reason == "unseparated" and len(full_checks) == 4
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
+    assert th.is_isomorphism(v.permutation, g1, g2)
+    assert v.diagnostics["stop_reason"] == "verified-lift"
+    assert v.diagnostics["iterations"] == 2 and v.diagnostics["gated_at"] == 16
+    assert [b["stop_reason"] for b in v.diagnostics["branches"]] == ["tolerance"]
+
+
+def test_a_diverged_branch_hands_the_pair_to_the_rerun(monkeypatch):
+    # eigh fails at the first branch's first call: the branch row records
+    # the divergence and the rerun, whose eighs succeed, decides the pair.
+    g1 = th.cycle_graph(4)
+    g2 = th.relabel(g1, (2, 0, 3, 1))
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(17))
+    lift_after_the_gate(monkeypatch)
     res = th.solve(th.build_program(g1, g2))
     assert res.stop_reason == "unseparated"
     v = decide(res, g1, g2)
-    assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
     [branch] = v.diagnostics["branches"]
-    assert branch["k"] == 0 and branch["stop_reason"] == "tolerance"
-    assert branch["upper_bound"] >= v.threshold
-    v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
-    assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "oracle"
+    assert branch["stop_reason"] == "diverged" and branch["iterations"] == 1
+    assert v.kind is th.VerdictKind.ISOMORPHIC and v.diagnostics["gated_at"] == 16
 
 
 def test_branch_lift_goes_through_the_index_map(monkeypatch):
@@ -550,7 +610,7 @@ def test_branch_lift_goes_through_the_index_map(monkeypatch):
     g1 = rook_graph(4)
     sigma = tuple(np.random.default_rng(3).permutation(16).tolist())
     g2 = th.relabel(g1, sigma)
-    p = th.branch_program(g1, g2, 0, sigma[0])
+    p = th.branch_program(th.build_program(g1, g2), 0, sigma[0])
     # sigma after the row shift u -> u + 4 (mod 16), an automorphism of rook
     # 4x4: an isomorphism too, but one that maps vertex 0 elsewhere.
     other = tuple(sigma[(i + 4) % 16] for i in range(16))

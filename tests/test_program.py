@@ -261,8 +261,9 @@ def test_branch_program_layout_on_rook_against_shrikhande():
     # equal pinned colour (1 + 6*6 + 9*9), and omega comes last.
     g1, g2 = rook_graph(4), shrikhande_graph()
     full = build_program(g1, g2)
+    conflicts = th.conflict_pairs(g1, g2)
     for k in (0, 5):
-        p = th.branch_program(g1, g2, 0, k)
+        p = th.branch_program(full, 0, k)
         assert p.pin == (0, k) and p.graphs == (g1, g2)
         assert (p.n, p.dim, p.omega) == (16, 119, 118)
         assert np.array_equal(p.pair_diag, np.arange(118))
@@ -276,17 +277,30 @@ def test_branch_program_layout_on_rook_against_shrikhande():
         assert p.zero_pair_set() == expected
         m = len(p.zero_rows) // 2
         assert (p.zero_rows[:m] < p.zero_cols[:m]).all()
+        # Cut from the full layout's arrays, they keep conflict_pairs' order
+        # kind by kind, as filtering conflict_pairs itself would.
+        keep = np.zeros(256, dtype=bool)
+        keep[p.index[:-1]] = True
+        renumber = np.cumsum(keep) - 1
+        rows = [renumber[r[keep[r] & keep[s]]] for r, s in conflicts.values()]
+        cols = [renumber[s[keep[r] & keep[s]]] for r, s in conflicts.values()]
+        assert list(p.zero_counts) == list(conflicts)
+        assert [p.zero_counts[kind] for kind in conflicts] == [len(r) for r in rows]
+        assert np.array_equal(p.zero_rows[:m], np.concatenate(rows))
+        assert np.array_equal(p.zero_cols[:m], np.concatenate(cols))
+    with pytest.raises(ValueError, match="full layout"):
+        th.branch_program(th.branch_program(full, 0, 0), 0, 0)
 
 
 def test_branch_program_has_no_json_form():
     g1, g2 = rook_graph(4), shrikhande_graph()
     with pytest.raises(ValueError, match="branch"):
-        program_to_json_dict(th.branch_program(g1, g2, 0, 3))
+        program_to_json_dict(th.branch_program(build_program(g1, g2), 0, 3))
 
 
 def test_objective_value_checks_the_programs_own_shape():
     g = th.cycle_graph(4)
-    p = th.branch_program(g, g, 0, 0)
+    p = th.branch_program(build_program(g, g), 0, 0)
     assert p.dim < 17
     assert objective_value(np.eye(p.dim), p) == p.dim - 1
     with pytest.raises(ValueError, match=f"{p.dim} x {p.dim}"):
@@ -312,7 +326,7 @@ def test_branch_keeps_every_pair_of_an_isomorphism_through_its_pin(case):
     g, sigma, v = case
     h = th.relabel(g, sigma)
     n = g.n
-    p = th.branch_program(g, h, v, sigma[v])
+    p = th.branch_program(build_program(g, h), v, sigma[v])
     assert p is not None
     kept = set(p.index.tolist())
     assert all(i * n + sigma[i] in kept for i in range(n))

@@ -51,15 +51,13 @@ NAMED_PAIRS = {
 }
 
 
-def reference_wl2_separates(g1, g2, pin=None):
+def reference_wl2_separates(g1, g2):
     """2-WL written out with dicts and tuples: the same joint naming of
     signatures by rank, one pair and one l at a time."""
     n = g1.n
-    pins = pin if pin is not None else (None, None)
     colours = [
-        {(i, j): (i == j, bool(g.adjacency[i, j]), i == u, j == u)
-         for i in range(n) for j in range(n)}
-        for g, u in zip((g1, g2), pins)
+        {(i, j): (i == j, bool(g.adjacency[i, j])) for i in range(n) for j in range(n)}
+        for g in (g1, g2)
     ]
     while True:
         hist = [sorted(c.values()) for c in colours]
@@ -78,14 +76,13 @@ def reference_wl2_separates(g1, g2, pin=None):
         colours = refined
 
 
-def reference_colour_classes(g1, g2, pin=None):
-    """Stable 1-WL classes as a partition of the 2n joint vertices (graph,
-    vertex), by a plain loop."""
+def reference_colour_classes(g1, g2, pin):
+    """Stable pinned 1-WL classes as a partition of the 2n joint vertices
+    (graph, vertex), by a plain loop."""
     n = g1.n
     graphs = (g1, g2)
     colour = {(g, v): 0 for g in range(2) for v in range(n)}
-    if pin is not None:
-        colour[0, pin[0]] = colour[1, pin[1]] = 1
+    colour[0, pin[0]] = colour[1, pin[1]] = 1
     while True:
         sig = {
             (g, v): (colour[g, v], tuple(sorted(colour[g, u] for u in range(n)
@@ -120,29 +117,22 @@ def test_wl2_never_separates_a_relabelling():
         sigma = tuple(np.random.default_rng(g.n).permutation(g.n).tolist())
         h = th.relabel(g, sigma)
         assert not wl2_separates(g, h)
-        assert not wl2_separates(g, h, pin=(0, sigma[0]))
-
-
-def test_pinned_wl2_separates_every_rook_shrikhande_branch():
-    rook, shrikhande = rook_graph(4), shrikhande_graph()
-    assert all(wl2_separates(rook, shrikhande, pin=(0, k)) for k in range(16))
 
 
 def test_colour_histograms_refute_c6_against_two_triangles_pinned():
-    # 1-WL alone cannot tell C6 from 2C3 (both 2-regular), but once a vertex
-    # is pinned the far vertex of C6 has no counterpart in 2C3.
+    # C6 and 2C3 are both 2-regular, but once a vertex is pinned the far
+    # vertex of C6 has no counterpart in 2C3.
     c6, two_c3 = th.cycle_graph(6), two_cycles(3)
-    c1, c2 = colour_refinement(c6, two_c3)
-    assert np.array_equal(np.sort(c1), np.sort(c2))
+    full = th.build_program(c6, two_c3)
     for k in range(6):
-        c1, c2 = colour_refinement(c6, two_c3, pin=(0, k))
+        c1, c2 = colour_refinement(c6, two_c3, (0, k))
         assert not np.array_equal(np.sort(c1), np.sort(c2)), k
-        assert th.branch_program(c6, two_c3, 0, k) is None
+        assert th.branch_program(full, 0, k) is None
 
 
 def test_refinement_rejects_graphs_of_different_sizes():
     with pytest.raises(ValueError):
-        colour_refinement(th.path_graph(3), th.path_graph(4))
+        colour_refinement(th.path_graph(3), th.path_graph(4), (0, 0))
     with pytest.raises(ValueError):
         wl2_separates(th.path_graph(3), th.path_graph(4))
 
@@ -158,7 +148,7 @@ def small_pairs(draw):
 
     g1 = graph()
     g2 = th.relabel(g1, draw(st.permutations(range(n)))) if draw(st.booleans()) else graph()
-    pin = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) if draw(st.booleans()) else None
+    pin = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
     return g1, g2, pin
 
 
@@ -166,7 +156,7 @@ def small_pairs(draw):
 @given(small_pairs())
 def test_vectorised_refinement_matches_the_loop_reference(case):
     g1, g2, pin = case
-    assert wl2_separates(g1, g2, pin) == reference_wl2_separates(g1, g2, pin)
+    assert wl2_separates(g1, g2) == reference_wl2_separates(g1, g2)
     c1, c2 = colour_refinement(g1, g2, pin)
     colour = {**{(0, v): int(c) for v, c in enumerate(c1)},
               **{(1, v): int(c) for v, c in enumerate(c2)}}
