@@ -5,9 +5,11 @@ program over an (n^2+1)-square matrix variable (``build_program``), solve the
 doubly nonnegative relaxation with a projection-splitting method (``solve``),
 and turn the result into a verdict (``decide``) that is either an exactly
 certified isomorphism, a soundly separated non-isomorphism, or an explicit
-inconclusive; a pair that 2-WL cannot separate is decided by pinning a
-vertex and solving one smaller program per branch.  Supporting algebra (permutation lifts, feasibility checking,
-united-vector factorizations, Birkhoff decomposition) is exported alongside.
+inconclusive.  On a pair that 2-WL cannot separate the solve pins a vertex
+at iteration 16 and solves one smaller program per branch; if the branches
+leave the pair open, the same solve runs on.  Supporting algebra
+(permutation lifts, feasibility checking, united-vector factorizations,
+Birkhoff decomposition) is exported alongside.
 """
 
 from .graphs import (

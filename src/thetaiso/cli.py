@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``build`` compiles a graph pair to a JSON program description,
-``decide`` solves a pair and prints the verdict (and, when the pair went to
-pinned branches, how many were tried and their largest bound, and the
-status of the rerun without the gate if the branches left it open),
-``bench`` runs a corpus directory against its manifest, ``oracle`` runs the
-exact search.  Exit codes from ``decide``/``oracle``: 0 isomorphic,
+``decide`` solves a pair and prints the verdict (and, when the solve
+branched at the 2-WL gate, how many branches were tried and their largest
+bound), ``bench`` runs a corpus directory against its manifest, ``oracle``
+runs the exact search.  Exit codes from ``decide``/``oracle``: 0 isomorphic,
 1 non-isomorphic, 2 bad input, 3 inconclusive, 4 solver diverged (for
-``decide``, the solve the verdict rests on: the rerun's, if there was one).
+``decide``, the status of its one solve, which runs on after branches that
+leave the pair open).
 Environment variables THETAISO_TOL, THETAISO_MAX_ITER, and
 THETAISO_ORACLE_FALLBACK override the corresponding defaults when the flag
 is not given explicitly; a value that does not parse is bad input (exit 2).
@@ -28,12 +28,12 @@ import sys
 import time
 from dataclasses import asdict
 
-from .extraction import VerdictKind, _finite_or_none, decide
+from .extraction import VerdictKind, decide
 from .graphs import GraphParseError, load_graph
 from .jsonwriter import dumps_json
 from .oracle import enumerate_isomorphisms
 from .program import build_program, program_to_json_dict
-from .solver import SolverConfig, SolverStatus, solve
+from .solver import SolverConfig, SolverStatus, _finite_or_none, solve
 
 __all__ = ["main", "dumps_json"]
 
@@ -158,8 +158,7 @@ def run_pair(g1, g2, cfg, want_oracle=False):
 
 
 def _verdict_exit_code(verdict):
-    """The exit code; an inconclusive verdict reads the status of the solve
-    it rests on, the rerun's when branching left the pair open."""
+    """The exit code; an inconclusive verdict reads the solver status."""
     if verdict.kind is VerdictKind.ISOMORPHIC:
         return EXIT_ISOMORPHIC
     if verdict.kind is VerdictKind.NON_ISOMORPHIC:
@@ -217,9 +216,6 @@ def cmd_decide(args):
             largest = f"{max(bounds):.12f}" if bounds else "none solved"
             print(f"branches: {len(branches)} tried, largest bound {largest} "
                   f"(threshold {verdict.threshold:.12f})")
-        if "gated_at" in verdict.diagnostics:
-            d = verdict.diagnostics
-            print(f"rerun without the gate: {d['status']} after {d['iterations']} iterations")
         if verdict.permutation is not None:
             print("isomorphism:", " ".join(str(j) for j in verdict.permutation))
     return _verdict_exit_code(verdict)
@@ -285,7 +281,7 @@ def cmd_bench(args):
         agree = _agrees(verdict, truth)
         if agree is False:
             mismatches += 1
-        gap = verdict.threshold - result.upper_bound
+        gap = verdict.threshold - verdict.upper_bound
         rows.append({
             "name": name,
             "n": g1.n,

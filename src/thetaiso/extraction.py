@@ -8,17 +8,14 @@ primal objective never decides, because a maximization's primal iterate only
 bounds the optimum from below.  Isomorphic rests on the permutation the
 solver carries when it stopped on a verified lift (``SolverResult.permutation``);
 ``decide`` checks it exactly against both edge sets before it is believed and
-never reads Y.  A solve that stopped as unseparated (2-WL cannot tell the
-graphs apart, so the bound is not expected to) goes on to branches: vertex
-0 of the first graph is pinned to each vertex k of the second in turn, and
-a smaller program per branch (``program.branch_program``) is solved.  A
-branch's verified lift that is an isomorphism decides Isomorphic; bounds
-below the threshold in every branch decide NonIsomorphic ("branch-bound").
-Branches that leave the pair open hand it back to the full solve, rerun
-without the gate, so that the branches never end a pair worse than the full
-solve alone would.  If no route decides, the verdict is inconclusive, or,
-with the oracle fallback, settled by exact search; the solver's status
-(converged, out of iterations, diverged) changes none of these steps.
+never reads Y.  A solve of a pair that 2-WL cannot tell apart branches at
+iteration 16 (see ``solver``).  Its branch-bound stop, every pinned branch
+refuted, is NonIsomorphic, with the largest branch bound as the verdict's
+bound; a branch's lift reaches ``decide`` as the solve's permutation and is
+checked like any other.  If no route decides, the verdict is
+inconclusive, or, with the oracle fallback, settled by exact search; the
+solver's status (converged, out of iterations, diverged) changes none of
+these steps.
 
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no
@@ -36,8 +33,8 @@ import numpy as np
 
 from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
 from .oracle import enumerate_isomorphisms, is_isomorphism
-from .program import branch_program, build_program, decision_threshold
-from .solver import SolverConfig, solve
+from .program import decision_threshold
+from .solver import SolverConfig, _finite_or_none
 
 __all__ = [
     "diagonal_matrix",
@@ -178,38 +175,23 @@ class Verdict:
         }
 
 
-def _finite_or_none(x):
-    """A float for a JSON report, which holds no inf or NaN."""
-    return float(x) if math.isfinite(x) else None
-
-
 def decide(result, g1, g2, cfg=None):
     """Turn a solver result into a verdict for the graph pair.
 
-    Ladder: a certified ``result.upper_bound`` strictly below the separation
-    threshold is a sound NonIsomorphic; then the permutation the solver
-    carries (``result.permutation``), if any, is checked edge by edge and
-    decides Isomorphic when it is an isomorphism; then, after an
-    unseparated stop only, the branches; then, when cfg.oracle_fallback is
-    set, exact search settles the pair.  Anything else is inconclusive.  No
-    step reads the solver status, so a MaxIter or Diverged solve goes down
-    the same ladder as a Converged one.
+    Ladder: a branch-bound stop is NonIsomorphic ("branch-bound"); then a
+    certified ``result.upper_bound`` strictly below the separation
+    threshold is a sound NonIsomorphic ("bound"); then the permutation the
+    solver carries (``result.permutation``), if any, is checked edge by
+    edge and decides Isomorphic ("extraction") when it is an isomorphism;
+    then, when cfg.oracle_fallback is set, exact search settles the pair.
+    Anything else is inconclusive.  No step reads the solver status, so a
+    MaxIter or Diverged solve goes down the same ladder as a Converged one.
 
-    Branch k pins vertex 0 of g1 to vertex k of g2.  Unequal pinned colour
-    histograms refute it with no solve; otherwise ``solve(branch, cfg)``
-    runs.  The first branch whose verified lift passes ``is_isomorphism``
-    decides Isomorphic ("extraction"); a branch whose bound is below the
-    threshold is refuted; the first branch that does neither ends the
-    branching undecided.  With every branch refuted the verdict is
-    NonIsomorphic ("branch-bound") and its ``upper_bound`` the largest
-    branch bound: an isomorphism sigma with sigma(0) = k keeps the pinned
-    colours, so its lift is a feasible point of value n in branch k.
-    Undecided branching (a branch that converged, ran out of iterations or
-    diverged with its bound at or above the threshold) reruns the full layout with
-    ``solve(..., gate=False)`` and returns the verdict of that solve, which
-    is the verdict of a solve without the gate; its diagnostics describe the
-    rerun and add ``gated_at``, the iteration the first solve stopped at.
-    ``diagnostics["branches"]`` has one row per branch tried.
+    A branch-bound verdict's ``upper_bound`` is the largest branch bound
+    (-inf when refinement refuted every branch): an isomorphism sigma with
+    sigma(0) = k keeps the pinned colours, so its lift is a feasible point
+    of value n in branch k, and no refuted branch has one.  When the solve
+    branched, ``diagnostics["branches"]`` has one row per branch tried.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -226,6 +208,8 @@ def decide(result, g1, g2, cfg=None):
         "iterations": int(result.iterations),
         "candidates_tried": 0,
     }
+    if result.branches:
+        diagnostics["branches"] = list(result.branches)
 
     def verdict(kind, decided_by, permutation=None, oracle_used=False,
                 upper_bound=result.upper_bound):
@@ -240,6 +224,11 @@ def decide(result, g1, g2, cfg=None):
             diagnostics=diagnostics,
         )
 
+    if result.stop_reason == "branch-bound":
+        largest = max((b["upper_bound"] for b in result.branches if "refuted_by" not in b),
+                      default=-math.inf)
+        return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound", upper_bound=largest)
+
     if result.upper_bound < threshold:
         # Any isomorphism would give a feasible point of value exactly n, and
         # no feasible point scores above the upper bound.
@@ -253,38 +242,6 @@ def decide(result, g1, g2, cfg=None):
         diagnostics["candidates_tried"] = 1
         if is_isomorphism(sigma, g1, g2):
             return verdict(VerdictKind.ISOMORPHIC, "extraction", sigma)
-
-    if result.stop_reason == "unseparated":
-        full = build_program(g1, g2)
-        branches = diagnostics["branches"] = []
-        largest = -math.inf
-        for k in range(n):
-            program = branch_program(full, 0, k)
-            if program is None:
-                branches.append({"k": k, "dim": None, "iterations": 0, "stop_reason": None,
-                                 "upper_bound": None, "refuted_by": "refinement"})
-                continue
-            branch = solve(program, cfg)
-            branches.append({
-                "k": k, "dim": program.dim, "iterations": branch.iterations,
-                "stop_reason": branch.stop_reason,
-                "upper_bound": _finite_or_none(branch.upper_bound),
-            })
-            if branch.permutation is not None:
-                diagnostics["candidates_tried"] += 1
-                if is_isomorphism(branch.permutation, g1, g2):
-                    return verdict(VerdictKind.ISOMORPHIC, "extraction", branch.permutation)
-            if not branch.upper_bound < threshold:
-                break
-            largest = max(largest, branch.upper_bound)
-        else:
-            return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound", upper_bound=largest)
-        # The branches left the pair open; an isomorphic pair may still lift
-        # later in the full solve, so it runs on as if there were no gate.
-        rerun = decide(solve(full, cfg, gate=False), g1, g2, cfg)
-        rerun.diagnostics["candidates_tried"] += diagnostics["candidates_tried"]
-        rerun.diagnostics.update(branches=branches, gated_at=result.iterations)
-        return rerun
 
     if cfg.oracle_fallback:
         isos = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)

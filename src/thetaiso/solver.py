@@ -37,15 +37,13 @@ is the primal-dual tolerance test alone (Boyd et al. 2011, section 3.3).
 
 At iteration 16 alone, after the bound and the lift, a solve of the full
 layout whose two graphs 2-WL cannot separate (``refine.wl2_separates``)
-stops as unseparated.  Mancinska, Roberson, Samal, Severini & Varvitsiotis
-(ICALP 2017) tie the doubly nonnegative relaxation to 2-WL equivalence, so
-the bound is not expected to separate such a pair; ``decide`` then pins a
-vertex and solves one smaller program per branch, a proof that does not
-rest on that link.  An isomorphic pair can still lift later in the full
-solve, so when the branches leave the pair open ``decide`` reruns it with
-``gate=False``, which takes the same iterates up to 16 and runs on as if
-there were no gate.  Branch programs (``program.branch_program``) run the
-same sweep over their kept pairs and never take this stop.
+branches: the bound is not expected to separate such a pair (Mancinska,
+Roberson, Samal, Severini & Varvitsiotis, ICALP 2017), so vertex 0 of the
+first graph is pinned to each vertex k of the second in turn and each
+branch's smaller program (``program.branch_program``) is solved, a proof
+that does not rest on that link.  A branch's verified lift stops the solve
+on that lift; every branch refuted stops it as branch-bound.  Otherwise the
+same solve runs on from iteration 17 as if the pair were 2-WL separated.
 
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
@@ -64,8 +62,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import ZERO_EPS, consistent_set_search, permutation_vector
-from .program import decision_threshold, objective_value
+from .lifts import ZERO_EPS, consistent_set_search, lift, permutation_vector
+from .program import branch_program, decision_threshold, objective_value
 from .refine import wl2_separates
 
 __all__ = [
@@ -90,7 +88,6 @@ class SolverStatus(str, Enum):
     CERTIFIED = "Certified"
     MAX_ITER = "MaxIter"
     DIVERGED = "Diverged"
-    UNSEPARATED = "Unseparated"
 
 
 @dataclass(frozen=True)
@@ -113,14 +110,15 @@ class SolverConfig:
 
 # Each reason a solve can stop for, and the status it reports.  "tolerance"
 # is the convergence test, "verified-lift" an isomorphism's lift found
-# mid-solve or at convergence, "unseparated" the 2-WL gate at iteration 16.
+# mid-solve, in a branch or at convergence, "branch-bound" every branch
+# refuted at the 2-WL gate.
 STOP_STATUS = {
     "tolerance": SolverStatus.CONVERGED,
     "verified-lift": SolverStatus.CONVERGED,
     "dual-bound": SolverStatus.CERTIFIED,
+    "branch-bound": SolverStatus.CERTIFIED,
     "max-iter": SolverStatus.MAX_ITER,
     "diverged": SolverStatus.DIVERGED,
-    "unseparated": SolverStatus.UNSEPARATED,
 }
 
 
@@ -135,6 +133,7 @@ class SolverResult:
     stop_reason: str                # why the solve stopped: a key of STOP_STATUS
     upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
     permutation: tuple | None = None  # the isomorphism Y lifts on a verified-lift stop
+    branches: tuple = ()            # one row per branch tried at the 2-WL gate
 
     @property
     def status(self):
@@ -349,13 +348,48 @@ def _verified_lift(X, p):
     return sigma, Y
 
 
+def _finite_or_none(x):
+    """A float for a JSON report, which holds no inf or NaN."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _two_wl_equivalent(p):
     """Whether p is a full-layout program of two graphs that 2-WL cannot
     separate, the test of the gate at iteration 16."""
     return p.pin is None and not wl2_separates(*p.graphs)
 
 
-def solve(p, cfg=None, *, gate=True):
+def _branch(p, cfg):
+    """The branch rung of the full layout p: vertex 0 of the first graph
+    pinned to each vertex k of the second in turn.
+
+    Unequal pinned colour histograms refute a branch with no solve; else
+    ``solve(branch, cfg)`` runs, and its bound below the threshold refutes
+    it.  Returns (stop_reason, permutation, rows), rows one per branch
+    tried: "verified-lift" and the permutation of the first branch that
+    lifts, "branch-bound" and None when every branch is refuted, or None
+    and None at the first branch that does neither.
+    """
+    threshold = decision_threshold(p.n)
+    rows = []
+    for k in range(p.n):
+        program = branch_program(p, 0, k)
+        if program is None:
+            rows.append({"k": k, "dim": None, "iterations": 0, "stop_reason": None,
+                         "upper_bound": None, "refuted_by": "refinement"})
+            continue
+        branch = solve(program, cfg)
+        rows.append({"k": k, "dim": program.dim, "iterations": branch.iterations,
+                     "stop_reason": branch.stop_reason,
+                     "upper_bound": _finite_or_none(branch.upper_bound)})
+        if branch.permutation is not None:
+            return "verified-lift", branch.permutation, tuple(rows)
+        if not branch.upper_bound < threshold:
+            return None, None, tuple(rows)
+    return "branch-bound", None, tuple(rows)
+
+
+def solve(p, cfg=None):
     """Run the splitting iteration on a compiled program.
 
     Stops at convergence, at the iteration cap, on divergence (residuals that
@@ -370,9 +404,11 @@ def solve(p, cfg=None, *, gate=True):
       both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
       exact dual certificate of value n, so the lift is optimal;
     - at iteration 16, after the bound and the lift, a full-layout program
-      whose graphs 2-WL cannot separate: stop reason unseparated, status
-      Unseparated, Y the last PSD iterate and the bound of that iteration,
-      no polish.  ``gate=False`` leaves this check out.
+      whose graphs 2-WL cannot separate solves its branches (``_branch``,
+      rows in ``branches``): a branch's lift ends it as verified-lift with
+      the full-layout lift, every branch refuted as branch-bound (status
+      Certified, Y the last PSD iterate, the unpinned bound, no polish).
+      Otherwise it runs on with its own iterates, as if it had not branched.
     A solve that converges at tolerance tries that rounding once more on its
     last polyhedral iterate and ends the same way if it lifts.
     Otherwise the bound is computed once more at exit and returned as
@@ -393,6 +429,7 @@ def solve(p, cfg=None, *, gate=True):
     upper_bound = math.inf
 
     stop_reason = "max-iter"
+    branches = ()
     r_norm = s_norm = float("inf")
     best_combined = float("inf")
     it = 0
@@ -427,9 +464,13 @@ def solve(p, cfg=None, *, gate=True):
             if lifted is not None:
                 stop_reason = "verified-lift"
                 break
-            if it == 16 and gate and _two_wl_equivalent(p):
-                stop_reason = "unseparated"
-                break
+            if it == 16 and _two_wl_equivalent(p):
+                branch_stop, sigma, branches = _branch(p, cfg)
+                if branch_stop is not None:
+                    stop_reason = branch_stop
+                    if sigma is not None:
+                        lifted = sigma, lift(sigma).extended()
+                    break
 
         # The test needs r_norm <= tol * scale with scale <= 8, so the norm
         # of Z is taken only when that can hold.
@@ -464,7 +505,7 @@ def solve(p, cfg=None, *, gate=True):
         permutation, Y = lifted
         r_norm, s_norm, upper_bound = 0.0, 0.0, float(n)
     else:
-        if stop_reason not in ("dual-bound", "unseparated"):
+        if stop_reason not in ("dual-bound", "branch-bound"):
             # The bound of the last iteration stands on those two stops.
             # After a failed step U holds U + X_hat, which is finite; the
             # bound is valid for any U.
@@ -485,4 +526,5 @@ def solve(p, cfg=None, *, gate=True):
         stop_reason=stop_reason,
         upper_bound=min(upper_bound, float(n)),
         permutation=permutation,
+        branches=branches,
     )

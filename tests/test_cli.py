@@ -308,9 +308,10 @@ def test_decide_oracle_fallback_settles_the_cap(non_iso_pair, capsys):
 @pytest.mark.parametrize("lift", [True, False], ids=["bound-decides", "oracle-decides"])
 def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypatch, capsys):
     # The report's oracle section reuses decide's search when the fallback
-    # ran it.  Without its lift, C4 against its relabelling stops at the 2-WL
-    # gate, its first branch and then the rerun without the gate converge at
-    # tolerance with nothing to check, so decide's fallback settles it.
+    # ran it.  Without its lift, C4 against its relabelling branches at
+    # iteration 16, and its first branch and then the solve that runs on
+    # converge at tolerance with nothing to check, so decide's fallback
+    # settles it.
     searches = []
     search = th.enumerate_isomorphisms
 
@@ -356,8 +357,8 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
              write_graph(tmp_path / "shrikhande.txt", shrikhande_graph()))
     assert main(["decide", *files, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["solver"]["stop_reason"] == "unseparated"
-    assert doc["solver"]["status"] == "Unseparated" and doc["solver"]["iterations"] == 16
+    assert doc["solver"]["stop_reason"] == "branch-bound"
+    assert doc["solver"]["status"] == "Certified" and doc["solver"]["iterations"] == 16
     verdict = doc["verdict"]
     assert verdict["kind"] == "NonIsomorphic" and verdict["decided_by"] == "branch-bound"
     branches = verdict["diagnostics"]["branches"]
@@ -374,14 +375,15 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
             f"(threshold {verdict['threshold']:.12f})") in out
 
 
-def test_decide_exits_diverged_when_the_rerun_diverges(c4_pair, monkeypatch, capsys):
-    # With no lift and eigh failing for good after the gate, branch 0 and
-    # the rerun without the gate both diverge: exit 4, read from the rerun's
-    # status, while the report's solver section is the gated solve.
+def test_decide_exits_diverged_when_the_solve_diverges_after_its_branches(
+        c4_pair, monkeypatch, capsys):
+    # With no lift and eigh failing for good after iteration 16, branch 0
+    # diverges, which leaves the pair open, and the solve that runs on
+    # diverges at iteration 17: exit 4, read from that one solve's status.
     backend = thetaiso.solver.eigh_backend
     calls = [0]
 
-    def failing_after_the_gate(name):
+    def failing_after_16(name):
         eigh = backend(name)
 
         def wrapped(M):
@@ -392,19 +394,20 @@ def test_decide_exits_diverged_when_the_rerun_diverges(c4_pair, monkeypatch, cap
 
         return wrapped
 
-    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_after_the_gate)
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_after_16)
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     assert main(["decide", *c4_pair, "--json"]) == 4
     doc = json.loads(capsys.readouterr().out)
-    assert doc["solver"]["status"] == "Unseparated" and doc["solver"]["iterations"] == 16
+    assert doc["solver"]["status"] == "Diverged" and doc["solver"]["iterations"] == 17
     diagnostics = doc["verdict"]["diagnostics"]
     assert doc["verdict"]["kind"] == "Inconclusive"
     assert [b["stop_reason"] for b in diagnostics["branches"]] == ["diverged"]
-    assert diagnostics["status"] == "Diverged" and diagnostics["gated_at"] == 16
+    assert diagnostics["status"] == "Diverged" and diagnostics["iterations"] == 17
 
     calls[0] = 0
     assert main(["decide", *c4_pair]) == 4
-    assert "rerun without the gate: Diverged after 1 iterations" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "solver: Diverged after 17 iterations" in out and "branches: 1 tried" in out
 
 
 def test_decide_json_oracle_key(non_iso_pair, capsys):
@@ -525,6 +528,22 @@ def test_bench_small_corpus(tmp_path, capsys):
     assert doc["summary"]["mismatches"] == 0
     assert doc["summary"]["decided_by"]["bound"] == 1
     assert {row["name"] for row in doc["pairs"]} == {"k2", "k2e"}
+
+
+def test_bench_gap_of_a_branch_bound_row(tmp_path, capsys):
+    # The gap and the upper bound of a row both come from the verdict: on a
+    # branch-bound row the gap is the margin of the largest branch bound, not
+    # the unpinned solve's, and the threshold alone did not decide.
+    corpus = make_corpus(tmp_path, [
+        ("rook-shrikhande", rook_graph(4), shrikhande_graph(), False),
+    ])
+    assert main(["bench", corpus, "--json", str(tmp_path / "report.json")]) == 0
+    [row] = json.loads((tmp_path / "report.json").read_text())["pairs"]
+    assert row["decided_by"] == "branch-bound" and row["status"] == "Certified"
+    assert row["upper_bound"] < row["threshold"]
+    assert row["gap"] == row["threshold"] - row["upper_bound"] > 0
+    assert row["threshold_decided"] is False
+    assert f"{row['gap']:.3e}" in capsys.readouterr().out
 
 
 def test_bench_empty_corpus(tmp_path, capsys):

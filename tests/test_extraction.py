@@ -456,18 +456,19 @@ def test_import_and_decide_leave_scipy_optimize_unloaded(monkeypatch):
 # ------------------------------------------------------------------ branches
 
 def test_rook_against_shrikhande_is_decided_by_branch_bounds():
-    # 2-WL cannot separate the pair, so the unpinned solve stops at the gate
-    # at iteration 16; every one of the 16 pinned branches is certified below
+    # 2-WL cannot separate the pair, so the unpinned solve branches at
+    # iteration 16; every one of the 16 pinned branches is certified below
     # the threshold, which leaves no isomorphism.
     g1, g2 = rook_graph(4), shrikhande_graph()
     res = th.solve(th.build_program(g1, g2))
-    assert res.stop_reason == "unseparated" and res.iterations == 16
-    assert res.status is th.SolverStatus.UNSEPARATED
+    assert res.stop_reason == "branch-bound" and res.iterations == 16
+    assert res.status is th.SolverStatus.CERTIFIED
     assert res.permutation is None and res.upper_bound >= decision_threshold(16)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
     assert v.permutation is None and not v.oracle_used
     branches = v.diagnostics["branches"]
+    assert branches == list(res.branches)
     assert [b["k"] for b in branches] == list(range(16))
     for b in branches:
         assert b["dim"] == 119 and b["stop_reason"] == "dual-bound", b
@@ -475,14 +476,15 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
         assert "refuted_by" not in b
     # The verdict's bound is the largest branch bound, not the unpinned one.
     assert v.upper_bound == max(b["upper_bound"] for b in branches) < v.threshold
-    assert "gated_at" not in v.diagnostics
     assert v.to_json_dict()["diagnostics"]["branches"] == branches
 
 
 def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
     # With the lift switched off for the full layout only, the control pair
-    # reaches the gate like rook vs Shrikhande; branch 0 pins vertex 0 to its
-    # image and lifts there, through thetaiso.extraction.is_isomorphism.
+    # branches like rook vs Shrikhande; branch 0 pins vertex 0 to its image
+    # and lifts there, so the solve stops on the full-layout lift of that
+    # permutation, which decide checks through
+    # thetaiso.extraction.is_isomorphism.
     g1 = rook_graph(4)
     sigma = tuple(np.random.default_rng(7).permutation(16).tolist())
     g2 = th.relabel(g1, sigma)
@@ -497,7 +499,10 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
 
     monkeypatch.setattr(thetaiso.extraction, "is_isomorphism", recording)
     res = th.solve(th.build_program(g1, g2))
-    assert res.stop_reason == "unseparated"
+    assert res.stop_reason == "verified-lift" and res.iterations == 16
+    assert res.status is th.SolverStatus.CONVERGED
+    assert res.Y.tobytes() == th.lift(res.permutation).extended().tobytes()
+    assert res.objective == res.upper_bound == 16.0
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
     assert th.is_isomorphism(v.permutation, g1, g2)
@@ -509,17 +514,22 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
 
 
 def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
-    # C6 against 2 C3 never reaches the gate (2-WL separates it), but an
-    # unseparated stop handed to decide shows the rung's cheapest refutation:
-    # every pinned 1-WL histogram differs, so no branch is solved.
+    # C6 against 2 C3 is 2-WL separated and its bound certifies at 16, so
+    # both are held open to drive the solver's branch step: every pinned
+    # 1-WL histogram differs, so no branch is solved.
     def no_solve(p, cfg=None):
         raise AssertionError("a refuted branch was solved")
 
-    monkeypatch.setattr(thetaiso.extraction, "solve", no_solve)
+    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", lambda p, rho, U: math.inf)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: True)
     g1 = th.cycle_graph(6)
     g2 = th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))
-    v = decide(fake_result(np.zeros((37, 37)), 0.0, stop_reason="unseparated",
-                           upper_bound=6.0), g1, g2)
+    p = th.build_program(g1, g2)
+    monkeypatch.setattr(thetaiso.solver, "solve", no_solve)
+    res = th.solve(p)
+    assert res.stop_reason == "branch-bound" and res.iterations == 16
+    assert res.status is th.SolverStatus.CERTIFIED
+    v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
     assert v.upper_bound == -math.inf and v.to_json_dict()["upper_bound"] is None
     assert v.diagnostics["branches"] == [
@@ -529,34 +539,42 @@ def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
     ]
 
 
-def test_undecided_branches_rerun_the_solve_without_the_gate(monkeypatch):
+def assert_same_solve(a, b):
+    assert a.Y.tobytes() == b.Y.tobytes()
+    assert (a.iterations, a.stop_reason, a.upper_bound, a.permutation) == (
+        b.iterations, b.stop_reason, b.upper_bound, b.permutation)
+
+
+def test_branches_left_open_leave_the_solve_as_if_it_never_branched(monkeypatch):
     # Without any lift, C4's first branch converges at tolerance with its
-    # bound at n, which ends the branching.  The full layout is then solved
-    # again without the gate, and the verdict is that solve's: Inconclusive,
-    # or settled by the oracle when asked.
+    # bound at n, which leaves the pair open.  The solve runs on from
+    # iteration 17 and matches, bit for bit, the same solve whose 2-WL check
+    # reports the pair separated; only its branch rows differ.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     p = th.build_program(g1, g2)
     res = th.solve(p)
-    assert res.stop_reason == "unseparated" and res.iterations == 16
-    ungated = decide(th.solve(p, gate=False), g1, g2)
-    assert ungated.diagnostics["stop_reason"] == "tolerance"
+    [branch] = res.branches
+    assert branch["k"] == 0 and branch["stop_reason"] == "tolerance"
+    assert branch["upper_bound"] >= decision_threshold(4)
+    assert res.stop_reason == "tolerance" and res.iterations > 16
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
+    shut = th.solve(p)
+    assert shut.branches == ()
+    assert_same_solve(res, shut)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
-    [branch] = v.diagnostics.pop("branches")
-    assert branch["k"] == 0 and branch["stop_reason"] == "tolerance"
-    assert branch["upper_bound"] >= v.threshold
-    assert v.diagnostics.pop("gated_at") == 16
-    assert v == ungated
+    assert v.diagnostics.pop("branches") == [branch]
+    assert v == decide(shut, g1, g2)
     v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "oracle"
 
 
 def lift_after_the_gate(monkeypatch):
     """Refuse the lift in every branch and at the full layout's first four
-    checks (iterations 2, 4, 8 and 16 of the gated solve); returns the list
-    of full-layout checks made."""
+    checks (iterations 2, 4, 8 and 16); returns the list of full-layout
+    checks made."""
     verified_lift = thetaiso.solver._verified_lift
     full_checks = []
 
@@ -570,37 +588,45 @@ def lift_after_the_gate(monkeypatch):
     return full_checks
 
 
-def test_an_isomorphic_pair_left_open_by_its_branches_still_lifts(monkeypatch):
-    # The lift is refused at the four checks up to the gate and in every
-    # branch, so the pair reaches the gate and branch 0 ends the branching
-    # undecided.  The rerun lifts at iteration 2, as a solve without the
-    # gate would: the branches never leave a pair worse off.
+def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on(monkeypatch):
+    # The lift is refused at the four checks up to iteration 16 and in every
+    # branch, so branch 0 leaves the pair open.  The same solve lifts at its
+    # next check, iteration 32, exactly as the solve whose 2-WL check reports
+    # the pair separated does.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
+    p = th.build_program(g1, g2)
     full_checks = lift_after_the_gate(monkeypatch)
-    res = th.solve(th.build_program(g1, g2))
-    assert res.stop_reason == "unseparated" and len(full_checks) == 4
+    res = th.solve(p)
+    assert res.stop_reason == "verified-lift" and res.iterations == 32
+    assert len(full_checks) == 5
+    assert [b["stop_reason"] for b in res.branches] == ["tolerance"]
+    full_checks.clear()
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
+    shut = th.solve(p)
+    assert shut.branches == () and len(full_checks) == 5
+    assert_same_solve(res, shut)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
     assert th.is_isomorphism(v.permutation, g1, g2)
     assert v.diagnostics["stop_reason"] == "verified-lift"
-    assert v.diagnostics["iterations"] == 2 and v.diagnostics["gated_at"] == 16
-    assert [b["stop_reason"] for b in v.diagnostics["branches"]] == ["tolerance"]
+    assert v.diagnostics["iterations"] == 32
 
 
-def test_a_diverged_branch_hands_the_pair_to_the_rerun(monkeypatch):
+def test_a_diverged_branch_leaves_the_pair_to_the_running_solve(monkeypatch):
     # eigh fails at the first branch's first call: the branch row records
-    # the divergence and the rerun, whose eighs succeed, decides the pair.
+    # the divergence, and the solve, whose own eighs succeed, runs on and
+    # lifts at iteration 32.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(17))
     lift_after_the_gate(monkeypatch)
     res = th.solve(th.build_program(g1, g2))
-    assert res.stop_reason == "unseparated"
-    v = decide(res, g1, g2)
-    [branch] = v.diagnostics["branches"]
+    [branch] = res.branches
     assert branch["stop_reason"] == "diverged" and branch["iterations"] == 1
-    assert v.kind is th.VerdictKind.ISOMORPHIC and v.diagnostics["gated_at"] == 16
+    assert res.stop_reason == "verified-lift" and res.iterations == 32
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.ISOMORPHIC and v.diagnostics["branches"] == [branch]
 
 
 def test_branch_lift_goes_through_the_index_map(monkeypatch):
