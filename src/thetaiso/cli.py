@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -30,10 +29,10 @@ from dataclasses import asdict
 
 from .extraction import VerdictKind, decide
 from .graphs import GraphParseError, load_graph
-from .jsonwriter import dumps_json
+from .jsonwriter import _finite_or_none, dumps_json
 from .oracle import enumerate_isomorphisms
 from .program import build_program, program_to_json_dict
-from .solver import SolverConfig, SolverStatus, _finite_or_none, solve
+from .solver import SolverConfig, SolverStatus, solve
 
 __all__ = ["main", "dumps_json"]
 
@@ -140,14 +139,17 @@ def run_pair(g1, g2, cfg, want_oracle=False):
             "objective": result.objective,
             "upper_bound": _finite_or_none(result.upper_bound),
             "iterations": result.iterations,
+            # None when the solve diverged before any iteration finished
             "primal_residual": _finite_or_none(result.primal_residual),
             "dual_residual": _finite_or_none(result.dual_residual),
+            "branches": [dict(b, upper_bound=_finite_or_none(b["upper_bound"]))
+                         for b in result.branches],
         },
         "verdict": verdict_doc,
         "timings": timings,
     }
     if want_oracle:
-        if verdict.oracle_used:   # decide's fallback has run the exact search
+        if verdict.decided_by == "oracle":   # decide's fallback has run the exact search
             truth = verdict.kind is VerdictKind.ISOMORPHIC
         else:
             t2 = time.perf_counter()
@@ -157,13 +159,13 @@ def run_pair(g1, g2, cfg, want_oracle=False):
     return verdict, result, report
 
 
-def _verdict_exit_code(verdict):
+def _verdict_exit_code(verdict, result):
     """The exit code; an inconclusive verdict reads the solver status."""
     if verdict.kind is VerdictKind.ISOMORPHIC:
         return EXIT_ISOMORPHIC
     if verdict.kind is VerdictKind.NON_ISOMORPHIC:
         return EXIT_NON_ISOMORPHIC
-    if verdict.diagnostics["status"] == SolverStatus.DIVERGED.value:
+    if result.status is SolverStatus.DIVERGED:
         return EXIT_DIVERGED
     return EXIT_INCONCLUSIVE
 
@@ -206,19 +208,16 @@ def cmd_decide(args):
         line = f"verdict: {verdict.kind.value}"
         if verdict.decided_by:
             line += f" (by {verdict.decided_by})"
-        if verdict.oracle_used:
+        if verdict.decided_by == "oracle":
             line += " [oracle-assisted]"
         print(line)
-        branches = verdict.diagnostics.get("branches")
-        if branches is not None:
-            bounds = [math.inf if b["upper_bound"] is None else b["upper_bound"]
-                      for b in branches if "refuted_by" not in b]
-            largest = f"{max(bounds):.12f}" if bounds else "none solved"
-            print(f"branches: {len(branches)} tried, largest bound {largest} "
+        if result.branches:
+            largest = max(b["upper_bound"] for b in result.branches)
+            print(f"branches: {len(result.branches)} tried, largest bound {largest:.12f} "
                   f"(threshold {verdict.threshold:.12f})")
         if verdict.permutation is not None:
             print("isomorphism:", " ".join(str(j) for j in verdict.permutation))
-    return _verdict_exit_code(verdict)
+    return _verdict_exit_code(verdict, result)
 
 
 def cmd_oracle(args):
@@ -281,7 +280,6 @@ def cmd_bench(args):
         agree = _agrees(verdict, truth)
         if agree is False:
             mismatches += 1
-        gap = verdict.threshold - verdict.upper_bound
         rows.append({
             "name": name,
             "n": g1.n,
@@ -291,7 +289,7 @@ def cmd_bench(args):
             "objective": result.objective,
             "upper_bound": report["verdict"]["upper_bound"],
             "threshold": verdict.threshold,
-            "gap": gap if math.isfinite(gap) else None,
+            "gap": _finite_or_none(verdict.threshold - verdict.upper_bound),
             "threshold_decided": verdict.decided_by == "bound",
             "status": result.status.value,
             "iterations": result.iterations,

@@ -20,21 +20,24 @@ these steps.
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no
 verdict depends on them.  ``consistent_set_search`` and ``diagonal_matrix``
-are re-exported from ``lifts``.
+are re-exported from ``lifts``.  ``decide`` calls none of these, but
+``benchmarks/tracing.py`` patches ``consistent_set_search`` and
+``birkhoff_decompose`` here by name, and CI's traced benchmark runs fail
+without them until ROADMAP item 1 updates the tracer.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .jsonwriter import _finite_or_none
 from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
 from .oracle import enumerate_isomorphisms, is_isomorphism
 from .program import decision_threshold
-from .solver import SolverConfig, _finite_or_none
+from .solver import SolverConfig
 
 __all__ = [
     "diagonal_matrix",
@@ -151,26 +154,24 @@ class VerdictKind(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """The decision on a pair; the solve it rests on is the ``SolverResult``."""
+
     kind: VerdictKind
     permutation: tuple | None
-    objective: float
     # The certified bound: the solver's (inf if none), or with branch-bound
     # the largest branch bound (-inf if refinement refuted every branch).
     upper_bound: float
     threshold: float
     decided_by: str | None        # 'bound', 'branch-bound', 'extraction', 'oracle', or None
-    oracle_used: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)   # what decide adds, never the solve's
 
     def to_json_dict(self):
         return {
             "kind": self.kind.value,
             "permutation": list(self.permutation) if self.permutation is not None else None,
-            "objective": float(self.objective),
             "upper_bound": _finite_or_none(self.upper_bound),
             "threshold": float(self.threshold),
             "decided_by": self.decided_by,
-            "oracle_used": bool(self.oracle_used),
             "diagnostics": self.diagnostics,
         }
 
@@ -190,8 +191,9 @@ def decide(result, g1, g2, cfg=None):
     A branch-bound verdict's ``upper_bound`` is the largest branch bound
     (-inf when refinement refuted every branch): an isomorphism sigma with
     sigma(0) = k keeps the pinned colours, so its lift is a feasible point
-    of value n in branch k, and no refuted branch has one.  When the solve
-    branched, ``diagnostics["branches"]`` has one row per branch tried.
+    of value n in branch k, and no refuted branch has one.  ``diagnostics``
+    holds only what this ladder adds (``candidates_tried``, the bound's
+    ``separation``, the ``note``); the solve's own record is ``result``.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -199,34 +201,20 @@ def decide(result, g1, g2, cfg=None):
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     n = g1.n
     threshold = decision_threshold(n)
-    diagnostics = {
-        "status": result.status.value,
-        "stop_reason": result.stop_reason,
-        # None when the solve diverged before any iteration finished
-        "primal_residual": _finite_or_none(result.primal_residual),
-        "dual_residual": _finite_or_none(result.dual_residual),
-        "iterations": int(result.iterations),
-        "candidates_tried": 0,
-    }
-    if result.branches:
-        diagnostics["branches"] = list(result.branches)
+    diagnostics = {"candidates_tried": 0}
 
-    def verdict(kind, decided_by, permutation=None, oracle_used=False,
-                upper_bound=result.upper_bound):
+    def verdict(kind, decided_by, permutation=None, upper_bound=result.upper_bound):
         return Verdict(
             kind=kind,
             permutation=permutation,
-            objective=float(result.objective),
             upper_bound=float(upper_bound),
             threshold=threshold,
             decided_by=decided_by,
-            oracle_used=oracle_used,
             diagnostics=diagnostics,
         )
 
     if result.stop_reason == "branch-bound":
-        largest = max((b["upper_bound"] for b in result.branches if "refuted_by" not in b),
-                      default=-math.inf)
+        largest = max(b["upper_bound"] for b in result.branches)
         return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound", upper_bound=largest)
 
     if result.upper_bound < threshold:
@@ -247,8 +235,8 @@ def decide(result, g1, g2, cfg=None):
         isos = enumerate_isomorphisms(g1, g2, cap=1, size_limit=None)
         diagnostics["note"] = "settled by exact search"
         if isos:
-            return verdict(VerdictKind.ISOMORPHIC, "oracle", isos[0], oracle_used=True)
-        return verdict(VerdictKind.NON_ISOMORPHIC, "oracle", oracle_used=True)
+            return verdict(VerdictKind.ISOMORPHIC, "oracle", isos[0])
+        return verdict(VerdictKind.NON_ISOMORPHIC, "oracle")
 
     diagnostics["note"] = "no certified bound and no verified isomorphism"
     return verdict(VerdictKind.INCONCLUSIVE, None)

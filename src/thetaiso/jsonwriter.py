@@ -13,6 +13,7 @@ once into a ``%``-template and filled from integer columns with one C-level
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -49,6 +50,11 @@ class Table:
             if columns.ndim != 2 or (columns.size and columns.dtype.kind not in "iu"):
                 raise TypeError(f"Table columns must be a 2-D integer array, "
                                 f"not {columns.dtype} of shape {columns.shape}")
+
+
+def _finite_or_none(x):
+    """x as a float for JSON, or None (null) for an inf or NaN JSON cannot hold."""
+    return float(x) if math.isfinite(x) else None
 
 
 def _json_default(obj):

@@ -66,31 +66,38 @@ def enumerate_isomorphisms(g1, g2, cap=None, size_limit=DEFAULT_SIZE_LIMIT):
     deg2 = g2.degrees()
     if sorted(deg1) != sorted(deg2):
         return []
-    a1 = g1.adjacency
-    a2 = g2.adjacency
+    a1 = g1.adjacency.tolist()      # nested lists index faster than numpy scalars
+    a2 = g2.adjacency.tolist()
 
+    # Depth-first search with an explicit stack, so that no recursion limit
+    # bounds n: image holds the images of vertices 0 .. len(image) - 1, and
+    # start[i] is the first image of vertex i still to try.
     found = []
-    image = [-1] * n
+    image = []
     used = [False] * n
-
-    def extend(i):
+    start = [0]
+    while start:
+        i = len(image)
+        j = None
         if i == n:
             found.append(tuple(image))
-            return len(found) != cap
-        for j in range(n):
-            if used[j] or deg1[i] != deg2[j]:
-                continue
-            if any(a1[i, k] != a2[j, image[k]] for k in range(i)):
-                continue
-            image[i] = j
+            if len(found) == cap:
+                break
+        else:
+            for candidate in range(start[i], n):
+                if used[candidate] or deg1[i] != deg2[candidate]:
+                    continue
+                if any(a1[i][k] != a2[candidate][image[k]] for k in range(i)):
+                    continue
+                j = candidate
+                break
+        if j is None:           # vertex i has no image left: back up one vertex
+            start.pop()
+            if image:
+                used[image.pop()] = False
+        else:
+            start[i] = j + 1
+            image.append(j)
             used[j] = True
-            more = extend(i + 1)
-            image[i] = -1
-            used[j] = False
-            if not more:
-                return False
-        return True
-
-    extend(0)
+            start.append(0)
     return found
-

@@ -39,13 +39,16 @@ def colour_refinement(g1, g2, pin):
     pin = (v, k): v in g1 and k in g2 start in a class of their own.
 
     A vertex's signature is its colour and the number of neighbours of each
-    colour; the rounds stop once they split no colour class.
+    colour; the rounds stop once they split no colour class.  Raises
+    ValueError unless 0 <= v, k < n.
     """
     if g1.n != g2.n:
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     n = g1.n
-    adjacency = (g1.adjacency.astype(np.int64), g2.adjacency.astype(np.int64))
     v, k = pin
+    if not (0 <= v < n and 0 <= k < n):
+        raise ValueError(f"pin {(v, k)} is not a vertex pair of two {n}-vertex graphs")
+    adjacency = (g1.adjacency.astype(np.int64), g2.adjacency.astype(np.int64))
     colours = np.zeros(2 * n, dtype=np.int64)
     colours[v] = colours[n + k] = 1
     count = int(colours.max()) + 1

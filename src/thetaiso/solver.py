@@ -348,11 +348,6 @@ def _verified_lift(X, p):
     return sigma, Y
 
 
-def _finite_or_none(x):
-    """A float for a JSON report, which holds no inf or NaN."""
-    return float(x) if math.isfinite(x) else None
-
-
 def _two_wl_equivalent(p):
     """Whether p is a full-layout program of two graphs that 2-WL cannot
     separate, the test of the gate at iteration 16."""
@@ -368,20 +363,22 @@ def _branch(p, cfg):
     it.  Returns (stop_reason, permutation, rows), rows one per branch
     tried: "verified-lift" and the permutation of the first branch that
     lifts, "branch-bound" and None when every branch is refuted, or None
-    and None at the first branch that does neither.
+    and None at the first branch that does neither.  Each row has the keys
+    k, dim, iterations, stop_reason and upper_bound; refinement's reads
+    "refinement", None, 0 and -inf (no isomorphism maps 0 to k).
     """
     threshold = decision_threshold(p.n)
     rows = []
     for k in range(p.n):
         program = branch_program(p, 0, k)
         if program is None:
-            rows.append({"k": k, "dim": None, "iterations": 0, "stop_reason": None,
-                         "upper_bound": None, "refuted_by": "refinement"})
+            rows.append({"k": k, "dim": None, "iterations": 0,
+                         "stop_reason": "refinement", "upper_bound": -math.inf})
             continue
         branch = solve(program, cfg)
         rows.append({"k": k, "dim": program.dim, "iterations": branch.iterations,
                      "stop_reason": branch.stop_reason,
-                     "upper_bound": _finite_or_none(branch.upper_bound)})
+                     "upper_bound": branch.upper_bound})
         if branch.permutation is not None:
             return "verified-lift", branch.permutation, tuple(rows)
         if not branch.upper_bound < threshold:

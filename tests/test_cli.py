@@ -329,7 +329,7 @@ def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypa
     assert main(["decide", *pair, "--oracle-fallback", "--json"]) == code
     doc = json.loads(capsys.readouterr().out)
     assert len(searches) == 1
-    assert doc["verdict"]["oracle_used"] is not lift
+    assert (doc["verdict"]["decided_by"] == "oracle") is not lift
     assert doc["oracle"] == {"isomorphic": not lift, "agrees_with_verdict": True}
 
 
@@ -340,7 +340,7 @@ def test_decide_json_report(c4_pair, capsys):
     assert doc["verdict"]["kind"] == "Isomorphic"
     assert doc["solver"]["status"] == "Converged"
     assert doc["solver"]["stop_reason"] == "verified-lift"
-    assert doc["verdict"]["diagnostics"]["stop_reason"] == "verified-lift"
+    assert doc["solver"]["branches"] == []
     assert list(doc["config"]) == ["tol", "max_iter", "oracle_fallback"]
     assert "oracle" not in doc  # distinct key, absent unless requested
     sigma = tuple(doc["verdict"]["permutation"])
@@ -361,7 +361,7 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
     assert doc["solver"]["status"] == "Certified" and doc["solver"]["iterations"] == 16
     verdict = doc["verdict"]
     assert verdict["kind"] == "NonIsomorphic" and verdict["decided_by"] == "branch-bound"
-    branches = verdict["diagnostics"]["branches"]
+    branches = doc["solver"]["branches"]
     assert len(branches) == 16
     assert {tuple(sorted(b)) for b in branches} == {
         ("dim", "iterations", "k", "stop_reason", "upper_bound")}
@@ -399,15 +399,58 @@ def test_decide_exits_diverged_when_the_solve_diverges_after_its_branches(
     assert main(["decide", *c4_pair, "--json"]) == 4
     doc = json.loads(capsys.readouterr().out)
     assert doc["solver"]["status"] == "Diverged" and doc["solver"]["iterations"] == 17
-    diagnostics = doc["verdict"]["diagnostics"]
     assert doc["verdict"]["kind"] == "Inconclusive"
-    assert [b["stop_reason"] for b in diagnostics["branches"]] == ["diverged"]
-    assert diagnostics["status"] == "Diverged" and diagnostics["iterations"] == 17
+    assert [b["stop_reason"] for b in doc["solver"]["branches"]] == ["diverged"]
 
     calls[0] = 0
     assert main(["decide", *c4_pair]) == 4
     out = capsys.readouterr().out
     assert "solver: Diverged after 17 iterations" in out and "branches: 1 tried" in out
+
+
+BRANCH_ROW_KEYS = {"k", "dim", "iterations", "stop_reason", "upper_bound"}
+
+
+@pytest.mark.parametrize("route", ["extraction", "branch-bound", "oracle"])
+def test_decide_json_says_each_fact_once(route, c4_pair, non_iso_pair, tmp_path, capsys):
+    # The solve's record is the report's solver section, the decision's the
+    # verdict: no key in both, no copy of the objective or of the oracle
+    # flag in the verdict, and branch rows only under solver, five keys each.
+    args, code, rows = {
+        "extraction": (c4_pair, 0, 0),
+        "branch-bound": ((write_graph(tmp_path / "rook.txt", rook_graph(4)),
+                          write_graph(tmp_path / "shrikhande.txt", shrikhande_graph())), 1, 16),
+        "oracle": ((*non_iso_pair, "--max-iter", "5", "--oracle-fallback"), 1, 0),
+    }[route]
+    assert main(["decide", *args, "--json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    verdict = doc["verdict"]
+    assert verdict["decided_by"] == route
+    assert not set(doc["solver"]) & set(verdict["diagnostics"])
+    assert "objective" not in verdict and "oracle_used" not in verdict
+    assert len(doc["solver"]["branches"]) == rows
+    assert all(set(b) == BRANCH_ROW_KEYS for b in doc["solver"]["branches"])
+
+
+def test_decide_reports_branches_refuted_by_refinement(monkeypatch, tmp_path, capsys):
+    # C6 against 2 C3 held open to the branch step: every branch is refuted
+    # by its colour histogram, so every bound is -inf, null in the report.
+    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", lambda p, rho, U: np.inf)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: True)
+    files = (write_graph(tmp_path / "c6.txt", th.cycle_graph(6)),
+             write_graph(tmp_path / "2c3.txt",
+                         th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))))
+    assert main(["decide", *files, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["decided_by"] == "branch-bound"
+    assert doc["verdict"]["upper_bound"] is None
+    assert doc["solver"]["branches"] == [
+        {"k": k, "dim": None, "iterations": 0, "stop_reason": "refinement",
+         "upper_bound": None}
+        for k in range(6)
+    ]
+    assert main(["decide", *files]) == 1
+    assert "branches: 6 tried, largest bound -inf " in capsys.readouterr().out
 
 
 def test_decide_json_oracle_key(non_iso_pair, capsys):

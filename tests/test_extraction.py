@@ -274,7 +274,7 @@ def test_decide_not_converged_is_inconclusive():
     v = decide(res, g, g)
     assert v.kind is th.VerdictKind.INCONCLUSIVE
     assert v.decided_by is None
-    assert v.diagnostics["status"] == "MaxIter"
+    assert res.status is th.SolverStatus.MAX_ITER
 
 
 @pytest.mark.parametrize("stop", ["max-iter", "diverged"])
@@ -298,8 +298,8 @@ def test_decide_oracle_fallback_settles_unfinished_solves(pair, truth, stop, mon
     v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
     expected = th.VerdictKind.ISOMORPHIC if truth else th.VerdictKind.NON_ISOMORPHIC
     assert v.kind is expected
-    assert v.decided_by == "oracle" and v.oracle_used
-    assert v.diagnostics["stop_reason"] == stop
+    assert v.decided_by == "oracle"
+    assert "stop_reason" not in v.diagnostics
     if truth:
         assert th.is_isomorphism(v.permutation, g1, g2)
 
@@ -363,7 +363,6 @@ def test_decide_never_trusts_uncertified_candidates():
 
     v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC
-    assert v.oracle_used
     assert v.decided_by == "oracle"
 
 
@@ -386,7 +385,7 @@ def test_decide_oracle_fallback_on_isomorphic_pair():
     Y = th.lift(sigma).extended()
     v = decide(fake_result(Y, 4.0), g, g, SolverConfig(oracle_fallback=True))
     assert v.kind is th.VerdictKind.ISOMORPHIC
-    assert v.oracle_used
+    assert v.decided_by == "oracle"
     assert th.is_isomorphism(v.permutation, g, g)
 
 
@@ -396,8 +395,9 @@ def test_verdict_serialization(solved_corpus):
     assert doc["kind"] == "Isomorphic"
     assert isinstance(doc["permutation"], list)
     assert doc["decided_by"] == "extraction"
-    assert doc["oracle_used"] is False
-    assert "iterations" in doc["diagnostics"]
+    assert list(doc) == ["kind", "permutation", "upper_bound", "threshold", "decided_by",
+                         "diagnostics"]
+    assert doc["diagnostics"] == {"candidates_tried": 1}
 
 
 # A Converged solve that did not lift, for C6 against 2 C3: Y mixes the lifts
@@ -466,17 +466,16 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     assert res.permutation is None and res.upper_bound >= decision_threshold(16)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
-    assert v.permutation is None and not v.oracle_used
-    branches = v.diagnostics["branches"]
-    assert branches == list(res.branches)
+    assert v.permutation is None
+    branches = res.branches
     assert [b["k"] for b in branches] == list(range(16))
     for b in branches:
         assert b["dim"] == 119 and b["stop_reason"] == "dual-bound", b
         assert b["upper_bound"] < v.threshold, b
-        assert "refuted_by" not in b
+        assert set(b) == {"k", "dim", "iterations", "stop_reason", "upper_bound"}
     # The verdict's bound is the largest branch bound, not the unpinned one.
     assert v.upper_bound == max(b["upper_bound"] for b in branches) < v.threshold
-    assert v.to_json_dict()["diagnostics"]["branches"] == branches
+    assert v.diagnostics == {"candidates_tried": 0}
 
 
 def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
@@ -507,7 +506,7 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
     assert th.is_isomorphism(v.permutation, g1, g2)
     assert checked == [v.permutation]
-    branch = v.diagnostics["branches"][-1]
+    branch = res.branches[-1]
     assert branch["stop_reason"] == "verified-lift"
     assert v.permutation[0] == branch["k"]
     assert v.diagnostics["candidates_tried"] == 1
@@ -532,9 +531,9 @@ def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
     assert v.upper_bound == -math.inf and v.to_json_dict()["upper_bound"] is None
-    assert v.diagnostics["branches"] == [
-        {"k": k, "dim": None, "iterations": 0, "stop_reason": None, "upper_bound": None,
-         "refuted_by": "refinement"}
+    assert list(res.branches) == [
+        {"k": k, "dim": None, "iterations": 0, "stop_reason": "refinement",
+         "upper_bound": -math.inf}
         for k in range(6)
     ]
 
@@ -565,7 +564,6 @@ def test_branches_left_open_leave_the_solve_as_if_it_never_branched(monkeypatch)
     assert_same_solve(res, shut)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
-    assert v.diagnostics.pop("branches") == [branch]
     assert v == decide(shut, g1, g2)
     v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "oracle"
@@ -609,8 +607,6 @@ def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
     assert th.is_isomorphism(v.permutation, g1, g2)
-    assert v.diagnostics["stop_reason"] == "verified-lift"
-    assert v.diagnostics["iterations"] == 32
 
 
 def test_a_diverged_branch_leaves_the_pair_to_the_running_solve(monkeypatch):
@@ -626,7 +622,7 @@ def test_a_diverged_branch_leaves_the_pair_to_the_running_solve(monkeypatch):
     assert branch["stop_reason"] == "diverged" and branch["iterations"] == 1
     assert res.stop_reason == "verified-lift" and res.iterations == 32
     v = decide(res, g1, g2)
-    assert v.kind is th.VerdictKind.ISOMORPHIC and v.diagnostics["branches"] == [branch]
+    assert v.kind is th.VerdictKind.ISOMORPHIC and "branches" not in v.diagnostics
 
 
 def test_branch_lift_goes_through_the_index_map(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact isomorphism search: correctness against brute force, cap semantics."""
 
+import sys
 from itertools import permutations
 
 import pytest
@@ -92,6 +93,14 @@ def test_size_limit():
     # explicit override allowed (cap keeps it fast)
     assert len(enumerate_isomorphisms(g, g, cap=1, size_limit=None)) == 1
 
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # One level of the search per vertex: it must not be bounded by Python's
+    # recursion limit.
+    n = sys.getrecursionlimit() + 10
+    g = th.empty_graph(n)
+    assert enumerate_isomorphisms(g, g, cap=1, size_limit=None) == [tuple(range(n))]
 
 def test_degree_sequence_prefilter():
     g1 = th.path_graph(4)

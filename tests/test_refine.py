@@ -137,6 +137,18 @@ def test_refinement_rejects_graphs_of_different_sizes():
         wl2_separates(th.path_graph(3), th.path_graph(4))
 
 
+
+@pytest.mark.parametrize("pin", [(6, 0), (-1, 0), (0, 6)])
+def test_a_pin_outside_the_vertex_range_is_rejected(pin):
+    # Both graphs share one array of 2n colours, so an unchecked v = n or
+    # v = -1 would pin a vertex of the second graph and refute the branch.
+    c6 = th.cycle_graph(6)
+    full = th.build_program(c6, th.relabel(c6, (1, 2, 3, 4, 5, 0)))
+    with pytest.raises(ValueError, match="pin"):
+        colour_refinement(c6, c6, pin)
+    with pytest.raises(ValueError, match="pin"):
+        th.branch_program(full, *pin)
+
 @st.composite
 def small_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=7))
