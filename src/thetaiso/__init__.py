@@ -6,8 +6,9 @@ doubly nonnegative relaxation with a projection-splitting method (``solve``),
 and turn the result into a verdict (``decide``) that is either an exactly
 certified isomorphism, a soundly separated non-isomorphism, or an explicit
 inconclusive.  On a pair that 2-WL cannot separate the solve pins a vertex
-at iteration 16 and solves one smaller program per branch; if the branches
-leave the pair open, the same solve runs on.  Supporting algebra
+at iteration 16 and solves one smaller program per branch, skipping the
+branches that a verified automorphism of the second graph maps from a
+refuted one; if the branches leave the pair open, the same solve runs on.  Supporting algebra
 (permutation lifts, feasibility checking, united-vector factorizations,
 Birkhoff decomposition) is exported alongside.
 """

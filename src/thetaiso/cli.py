@@ -2,9 +2,10 @@
 
 Subcommands: ``build`` compiles a graph pair to a JSON program description,
 ``decide`` solves a pair and prints the verdict (and, when the solve
-branched at the 2-WL gate, how many branches were tried and their largest
-bound), ``bench`` runs a corpus directory against its manifest, ``oracle``
-runs the exact search.  Exit codes from ``decide``/``oracle``: 0 isomorphic,
+branched at the 2-WL gate, how many branches were tried, their largest
+bound, and how many were solved, refuted by refinement and covered by an
+automorphism), ``bench`` runs a corpus directory against its manifest,
+``oracle`` runs the exact search.  Exit codes from ``decide``/``oracle``: 0 isomorphic,
 1 non-isomorphic, 2 bad input, 3 inconclusive, 4 solver diverged (for
 ``decide``, the status of its one solve, which runs on after branches that
 leave the pair open).
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 
 from .extraction import VerdictKind, decide
@@ -144,6 +146,7 @@ def run_pair(g1, g2, cfg, want_oracle=False):
             "dual_residual": _finite_or_none(result.dual_residual),
             "branches": [dict(b, upper_bound=_finite_or_none(b["upper_bound"]))
                          for b in result.branches],
+            "automorphisms": [list(a) for a in result.automorphisms],
         },
         "verdict": verdict_doc,
         "timings": timings,
@@ -208,13 +211,15 @@ def cmd_decide(args):
         line = f"verdict: {verdict.kind.value}"
         if verdict.decided_by:
             line += f" (by {verdict.decided_by})"
-        if verdict.decided_by == "oracle":
-            line += " [oracle-assisted]"
         print(line)
         if result.branches:
             largest = max(b["upper_bound"] for b in result.branches)
+            how = Counter(b["stop_reason"] for b in result.branches)
+            refined, covered = how["refinement"], how["automorphism"]
+            solved = len(result.branches) - refined - covered
             print(f"branches: {len(result.branches)} tried, largest bound {largest:.12f} "
-                  f"(threshold {verdict.threshold:.12f})")
+                  f"(threshold {verdict.threshold:.12f}); {solved} solved, "
+                  f"{refined} refuted by refinement, {covered} covered by an automorphism")
         if verdict.permutation is not None:
             print("isomorphism:", " ".join(str(j) for j in verdict.permutation))
     return _verdict_exit_code(verdict, result)

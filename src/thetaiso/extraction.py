@@ -11,11 +11,12 @@ solver carries when it stopped on a verified lift (``SolverResult.permutation``)
 never reads Y.  A solve of a pair that 2-WL cannot tell apart branches at
 iteration 16 (see ``solver``).  Its branch-bound stop, every pinned branch
 refuted, is NonIsomorphic, with the largest branch bound as the verdict's
-bound; a branch's lift reaches ``decide`` as the solve's permutation and is
-checked like any other.  If no route decides, the verdict is
-inconclusive, or, with the oracle fallback, settled by exact search; the
-solver's status (converged, out of iterations, diverged) changes none of
-these steps.
+bound (a branch an automorphism of the second graph covers carries the
+bound of the refuted branch it maps from); a branch's lift reaches
+``decide`` as the solve's permutation and is checked like any other.  If
+no route decides, the verdict is inconclusive, or, with the oracle
+fallback, settled by exact search; the solver's status (converged, out of
+iterations, diverged) changes none of these steps.
 
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no
@@ -191,9 +192,12 @@ def decide(result, g1, g2, cfg=None):
     A branch-bound verdict's ``upper_bound`` is the largest branch bound
     (-inf when refinement refuted every branch): an isomorphism sigma with
     sigma(0) = k keeps the pinned colours, so its lift is a feasible point
-    of value n in branch k, and no refuted branch has one.  ``diagnostics``
-    holds only what this ladder adds (``candidates_tried``, the bound's
-    ``separation``, the ``note``); the solve's own record is ``result``.
+    of value n in branch k, and no refuted branch has one.  A branch covered
+    by an automorphism a of the second graph carries the bound of the
+    refuted branch r with a(r) = k, which is branch k relabelled by a.
+    ``diagnostics`` holds only what this ladder adds (``candidates_tried``,
+    the bound's rank and dimension figures, the ``note``); the solve's own
+    record is ``result``.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -220,7 +224,6 @@ def decide(result, g1, g2, cfg=None):
     if result.upper_bound < threshold:
         # Any isomorphism would give a feasible point of value exactly n, and
         # no feasible point scores above the upper bound.
-        diagnostics["separation"] = float(threshold - result.upper_bound)
         diagnostics["cp_rank_bound"] = n * n * (n * n + 1) // 2
         diagnostics["realization_dim_bound"] = n ** 4
         return verdict(VerdictKind.NON_ISOMORPHIC, "bound")

@@ -45,6 +45,16 @@ that does not rest on that link.  A branch's verified lift stops the solve
 on that lift; every branch refuted stops it as branch-bound.  Otherwise the
 same solve runs on from iteration 17 as if the pair were 2-WL separated.
 
+Branches are pruned by automorphisms of the second graph: if no
+isomorphism maps 0 to r and a is an automorphism, none maps 0 to a(r), or
+a^-1 sigma would map 0 to r.  Once a branch r is refuted, a branch k is
+first offered to a short solve (at most ``AUTOMORPHISM_TRY_ITER``
+iterations) of the second graph against itself pinned at (r, k); a lift
+there that ``oracle.is_isomorphism`` accepts edge by edge is an
+automorphism with r -> k.  Union-find keeps the orbits of the automorphisms
+found, and a k in the orbit of a refuted branch is refuted with no branch
+solve.  The automorphisms used are ``SolverResult.automorphisms``.
+
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
 beta = ``POLISH_RELAXATION``, whose fixed points are still exactly P ∩ PSD.
@@ -57,13 +67,14 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .lifts import ZERO_EPS, consistent_set_search, lift, permutation_vector
-from .program import branch_program, decision_threshold, objective_value
+from .oracle import is_isomorphism
+from .program import branch_program, build_program, decision_threshold, objective_value
 from .refine import wl2_separates
 
 __all__ = [
@@ -81,6 +92,10 @@ __all__ = [
 # projection onto P (beta in (0, 2)); both keep the fixed points unchanged.
 RELAXATION = 1.6
 POLISH_RELAXATION = 1.9
+
+# Iteration cap of a branch rung's automorphism try, whose lift checks run at
+# iterations 2, 4, 8 and 16.
+AUTOMORPHISM_TRY_ITER = 16
 
 
 class SolverStatus(str, Enum):
@@ -134,6 +149,7 @@ class SolverResult:
     upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
     permutation: tuple | None = None  # the isomorphism Y lifts on a verified-lift stop
     branches: tuple = ()            # one row per branch tried at the 2-WL gate
+    automorphisms: tuple = ()       # the verified automorphisms of G2 that pruned branches
 
     @property
     def status(self):
@@ -354,36 +370,94 @@ def _two_wl_equivalent(p):
     return p.pin is None and not wl2_separates(*p.graphs)
 
 
+def _automorphism_try(auto, r, k, cfg):
+    """The permutation the branch (r, k) of ``auto``, the full layout of
+    (G2, G2), lifts to within ``AUTOMORPHISM_TRY_ITER`` iterations, else
+    None.  Such a lift is an automorphism of G2 that maps r to k; the rung
+    still checks it edge by edge before it prunes with it."""
+    program = branch_program(auto, r, k)
+    if program is None:
+        return None
+    return solve(program, replace(cfg, max_iter=AUTOMORPHISM_TRY_ITER)).permutation
+
+
 def _branch(p, cfg):
     """The branch rung of the full layout p: vertex 0 of the first graph
     pinned to each vertex k of the second in turn.
 
-    Unequal pinned colour histograms refute a branch with no solve; else
-    ``solve(branch, cfg)`` runs, and its bound below the threshold refutes
-    it.  Returns (stop_reason, permutation, rows), rows one per branch
-    tried: "verified-lift" and the permutation of the first branch that
-    lifts, "branch-bound" and None when every branch is refuted, or None
-    and None at the first branch that does neither.  Each row has the keys
-    k, dim, iterations, stop_reason and upper_bound; refinement's reads
-    "refinement", None, 0 and -inf (no isomorphism maps 0 to k).
+    Unequal pinned colour histograms refute a branch with no solve.  Else,
+    when k lies in the orbit of a refuted branch r under the automorphisms
+    of G2 found so far, the branch is refuted too: an isomorphism sigma
+    with sigma(0) = k = a(r) would give a^-1 sigma with 0 -> r.  Else, once
+    some branch is refuted, a short solve of the (G2, G2) branch (r, k)
+    looks for an automorphism a with a(r) = k (``_automorphism_try``, once
+    per refuted orbit), and one that ``is_isomorphism`` accepts joins every
+    i to a(i) in the orbits.  A k still outside every refuted orbit is
+    solved, ``solve(branch, cfg)``, and its bound below the threshold
+    refutes it.
+
+    Returns (stop_reason, permutation, rows, automorphisms): "verified-lift"
+    and the permutation of the first branch that lifts, "branch-bound" and
+    None when every branch is refuted, or None and None at the first branch
+    that does neither; rows one per branch tried, and the automorphisms
+    used, in the order found.  Each row has the keys k, dim, iterations,
+    stop_reason and upper_bound; refinement's reads "refinement", None, 0
+    and -inf (no isomorphism maps 0 to k), an orbit's "automorphism", None,
+    0 and the bound of the refuted branch r whose orbit holds k (branch k
+    is branch a(r) relabelled by a, so that bound holds for it too).
     """
-    threshold = decision_threshold(p.n)
-    rows = []
-    for k in range(p.n):
+    n = p.n
+    g2 = p.graphs[1]
+    threshold = decision_threshold(n)
+    parent = list(range(n))     # union-find forest of the orbits found
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def refuted_orbit(k):
+        return next((row for row in refuted if root(row["k"]) == root(k)), None)
+
+    rows, refuted, automorphisms = [], [], []
+    auto = None                 # the (G2, G2) layout, built at the first try
+    for k in range(n):
         program = branch_program(p, 0, k)
         if program is None:
             rows.append({"k": k, "dim": None, "iterations": 0,
                          "stop_reason": "refinement", "upper_bound": -math.inf})
             continue
+        covering = refuted_orbit(k)
+        sources = {}            # one try per refuted orbit, from its first branch
+        for row in refuted:
+            sources.setdefault(root(row["k"]), row["k"])
+        for r in sources.values():
+            if covering is not None:
+                break
+            if auto is None:
+                auto = build_program(g2, g2)
+            a = _automorphism_try(auto, r, k, cfg)
+            if a is not None and is_isomorphism(a, g2, g2):
+                automorphisms.append(a)
+                for i, j in enumerate(a):
+                    parent[root(i)] = root(j)
+                covering = refuted_orbit(k)
+        if covering is not None:
+            rows.append({"k": k, "dim": None, "iterations": 0,
+                         "stop_reason": "automorphism",
+                         "upper_bound": covering["upper_bound"]})
+            continue
         branch = solve(program, cfg)
-        rows.append({"k": k, "dim": program.dim, "iterations": branch.iterations,
-                     "stop_reason": branch.stop_reason,
-                     "upper_bound": branch.upper_bound})
+        row = {"k": k, "dim": program.dim, "iterations": branch.iterations,
+               "stop_reason": branch.stop_reason, "upper_bound": branch.upper_bound}
+        rows.append(row)
         if branch.permutation is not None:
-            return "verified-lift", branch.permutation, tuple(rows)
+            return "verified-lift", branch.permutation, tuple(rows), tuple(automorphisms)
         if not branch.upper_bound < threshold:
-            return None, None, tuple(rows)
-    return "branch-bound", None, tuple(rows)
+            return None, None, tuple(rows), tuple(automorphisms)
+        refuted.append(row)
+    return "branch-bound", None, tuple(rows), tuple(automorphisms)
 
 
 def solve(p, cfg=None):
@@ -402,9 +476,11 @@ def solve(p, cfg=None):
       exact dual certificate of value n, so the lift is optimal;
     - at iteration 16, after the bound and the lift, a full-layout program
       whose graphs 2-WL cannot separate solves its branches (``_branch``,
-      rows in ``branches``): a branch's lift ends it as verified-lift with
-      the full-layout lift, every branch refuted as branch-bound (status
-      Certified, Y the last PSD iterate, the unpinned bound, no polish).
+      rows in ``branches``, the automorphisms of the second graph that
+      pruned some of them in ``automorphisms``): a branch's lift ends it as
+      verified-lift with the full-layout lift, every branch refuted as
+      branch-bound (status Certified, Y the last PSD iterate, the unpinned
+      bound, no polish).
       Otherwise it runs on with its own iterates, as if it had not branched.
     A solve that converges at tolerance tries that rounding once more on its
     last polyhedral iterate and ends the same way if it lifts.
@@ -426,7 +502,7 @@ def solve(p, cfg=None):
     upper_bound = math.inf
 
     stop_reason = "max-iter"
-    branches = ()
+    branches = automorphisms = ()
     r_norm = s_norm = float("inf")
     best_combined = float("inf")
     it = 0
@@ -462,7 +538,7 @@ def solve(p, cfg=None):
                 stop_reason = "verified-lift"
                 break
             if it == 16 and _two_wl_equivalent(p):
-                branch_stop, sigma, branches = _branch(p, cfg)
+                branch_stop, sigma, branches, automorphisms = _branch(p, cfg)
                 if branch_stop is not None:
                     stop_reason = branch_stop
                     if sigma is not None:
@@ -524,4 +600,5 @@ def solve(p, cfg=None):
         upper_bound=min(upper_bound, float(n)),
         permutation=permutation,
         branches=branches,
+        automorphisms=automorphisms,
     )

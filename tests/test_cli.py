@@ -333,6 +333,18 @@ def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypa
     assert doc["oracle"] == {"isomorphic": not lift, "agrees_with_verdict": True}
 
 
+def test_decide_names_the_oracle_once(tmp_path, capsys):
+    # Cut off before its first bound check, C6 against 2 C3 is settled by
+    # the exact search, and the verdict line says so once.
+    files = (write_graph(tmp_path / "c6.txt", th.cycle_graph(6)),
+             write_graph(tmp_path / "2c3.txt",
+                         th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))))
+    assert main(["decide", *files, "--max-iter", "3", "--oracle-fallback"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict: NonIsomorphic (by oracle)" in lines
+    assert not any("oracle-assisted" in line for line in lines)
+
+
 def test_decide_json_report(c4_pair, capsys):
     assert main(["decide", *c4_pair, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -340,7 +352,7 @@ def test_decide_json_report(c4_pair, capsys):
     assert doc["verdict"]["kind"] == "Isomorphic"
     assert doc["solver"]["status"] == "Converged"
     assert doc["solver"]["stop_reason"] == "verified-lift"
-    assert doc["solver"]["branches"] == []
+    assert doc["solver"]["branches"] == [] and doc["solver"]["automorphisms"] == []
     assert list(doc["config"]) == ["tol", "max_iter", "oracle_fallback"]
     assert "oracle" not in doc  # distinct key, absent unless requested
     sigma = tuple(doc["verdict"]["permutation"])
@@ -352,7 +364,8 @@ def test_decide_json_report(c4_pair, capsys):
 def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
     # The pair 2-WL cannot separate goes to pinned branches: exit 1 by
     # branch-bound, one report row per branch, and a text summary with the
-    # branch count and the largest bound against the threshold.
+    # branch count, the largest bound against the threshold, and how the
+    # branches were refuted.
     files = (write_graph(tmp_path / "rook.txt", rook_graph(4)),
              write_graph(tmp_path / "shrikhande.txt", shrikhande_graph()))
     assert main(["decide", *files, "--json"]) == 1
@@ -368,11 +381,20 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
     largest = max(b["upper_bound"] for b in branches)
     assert largest < verdict["threshold"]
 
+    # One branch is solved; automorphisms of the Shrikhande graph, listed
+    # under solver, cover the other fifteen.
+    stops = [b["stop_reason"] for b in branches]
+    assert stops.count("dual-bound") == 1 and stops.count("automorphism") == 15
+    g2 = shrikhande_graph()
+    assert doc["solver"]["automorphisms"]
+    assert all(th.is_isomorphism(tuple(a), g2, g2) for a in doc["solver"]["automorphisms"])
+
     assert main(["decide", *files]) == 1
     out = capsys.readouterr().out
     assert "NonIsomorphic (by branch-bound)" in out
     assert (f"branches: 16 tried, largest bound {largest:.12f} "
-            f"(threshold {verdict['threshold']:.12f})") in out
+            f"(threshold {verdict['threshold']:.12f}); 1 solved, "
+            f"0 refuted by refinement, 15 covered by an automorphism\n") in out
 
 
 def test_decide_exits_diverged_when_the_solve_diverges_after_its_branches(

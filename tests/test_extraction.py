@@ -327,7 +327,7 @@ def test_decide_bound_branch(solved_corpus):
     assert verdict.decided_by == "bound"
     assert verdict.permutation is None
     assert verdict.upper_bound < verdict.threshold
-    assert verdict.diagnostics["separation"] == verdict.threshold - verdict.upper_bound
+    assert "separation" not in verdict.diagnostics
     assert verdict.diagnostics["cp_rank_bound"] == 36 * 37 // 2
     assert verdict.diagnostics["realization_dim_bound"] == 6 ** 4
 
@@ -455,10 +455,38 @@ def test_import_and_decide_leave_scipy_optimize_unloaded(monkeypatch):
 
 # ------------------------------------------------------------------ branches
 
+def orbit_of(i, generators):
+    """The orbit of vertex i under the group the permutations generate."""
+    orbit, frontier = {i}, [i]
+    while frontier:
+        j = frontier.pop()
+        for a in generators:
+            if a[j] not in orbit:
+                orbit.add(a[j])
+                frontier.append(a[j])
+    return orbit
+
+
+def assert_pruned_by_verified_automorphisms(res, g2):
+    """Every automorphism row lies in the orbit of a branch its bound
+    refuted, under res.automorphisms, and carries that branch's bound; each
+    automorphism holds edge by edge."""
+    for a in res.automorphisms:
+        assert th.is_isomorphism(a, g2, g2), a
+    refuted = [b for b in res.branches if b["stop_reason"] == "dual-bound"]
+    for b in res.branches:
+        if b["stop_reason"] == "automorphism":
+            assert b["dim"] is None and b["iterations"] == 0, b
+            assert any(b["k"] in orbit_of(r["k"], res.automorphisms)
+                       and b["upper_bound"] == r["upper_bound"] for r in refuted), b
+
+
 def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     # 2-WL cannot separate the pair, so the unpinned solve branches at
-    # iteration 16; every one of the 16 pinned branches is certified below
-    # the threshold, which leaves no isomorphism.
+    # iteration 16.  Branch 0 is certified below the threshold, and the
+    # Shrikhande graph is vertex-transitive: automorphisms found by short
+    # solves of it against itself carry that refutation to every other
+    # branch, which leaves no isomorphism.
     g1, g2 = rook_graph(4), shrikhande_graph()
     res = th.solve(th.build_program(g1, g2))
     assert res.stop_reason == "branch-bound" and res.iterations == 16
@@ -470,12 +498,90 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     branches = res.branches
     assert [b["k"] for b in branches] == list(range(16))
     for b in branches:
-        assert b["dim"] == 119 and b["stop_reason"] == "dual-bound", b
-        assert b["upper_bound"] < v.threshold, b
         assert set(b) == {"k", "dim", "iterations", "stop_reason", "upper_bound"}
+    [solved] = [b for b in branches if b["stop_reason"] != "automorphism"]
+    assert solved["stop_reason"] == "dual-bound" and solved["dim"] == 119
+    assert solved["upper_bound"] < v.threshold
+    assert res.automorphisms
+    for b in branches:
+        assert b["upper_bound"] == solved["upper_bound"], b
+    assert_pruned_by_verified_automorphisms(res, g2)
     # The verdict's bound is the largest branch bound, not the unpinned one.
     assert v.upper_bound == max(b["upper_bound"] for b in branches) < v.threshold
     assert v.diagnostics == {"candidates_tried": 0}
+
+
+def test_a_non_automorphism_prunes_no_branch(monkeypatch):
+    # Each try hands the rung the transposition of r and k, which maps r to
+    # k but is no automorphism of the Shrikhande graph (no two of its
+    # vertices have the same neighbours): the edge-by-edge check refuses
+    # it, so every branch is solved, as it was before pruning.
+    tries = []
+
+    def transposition(auto, r, k, cfg):
+        tries.append((r, k))
+        a = list(range(auto.n))
+        a[r], a[k] = k, r
+        return tuple(a)
+
+    monkeypatch.setattr(thetaiso.solver, "_automorphism_try", transposition)
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    res = th.solve(th.build_program(g1, g2))
+    assert res.stop_reason == "branch-bound" and res.automorphisms == ()
+    assert [b["k"] for b in res.branches] == list(range(16))
+    for b in res.branches:
+        assert b["stop_reason"] == "dual-bound" and b["dim"] == 119, b
+    # k was offered from every branch refuted before it.
+    assert tries == [(r, k) for k in range(1, 16) for r in range(k)]
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
+
+
+def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
+    # The Shrikhande graph is the Cayley graph of Z4 x Z4 with vertex
+    # 4a + b.  The tries are cut down to the translations by (x, y) with
+    # x + y even, real automorphisms whose two orbits are the vertices with
+    # a + b even and odd.  Branch 0 is solved and refuted; branch 1, in the
+    # other orbit, gets no automorphism from 0 and is solved too; every
+    # later branch falls in the orbit of 0 or of 1.
+    tries = []
+
+    def even_translation(auto, r, k, cfg):
+        tries.append((r, k))
+        x, y = (k // 4 - r // 4) % 4, (k % 4 - r % 4) % 4
+        if (x + y) % 2:
+            return None
+        return tuple(4 * ((i // 4 + x) % 4) + (i % 4 + y) % 4 for i in range(16))
+
+    monkeypatch.setattr(thetaiso.solver, "_automorphism_try", even_translation)
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    res = th.solve(th.build_program(g1, g2))
+    assert res.stop_reason == "branch-bound"
+    solved = [b for b in res.branches if b["stop_reason"] != "automorphism"]
+    assert [b["k"] for b in solved] == [0, 1]
+    assert all(b["stop_reason"] == "dual-bound" and b["dim"] == 119 for b in solved)
+    assert tries[0] == (0, 1)       # no automorphism there: branch 1 is solved
+    assert_pruned_by_verified_automorphisms(res, g2)
+    parity = {k: (k // 4 + k % 4) % 2 for k in range(16)}
+    for b in res.branches:
+        assert b["upper_bound"] == solved[parity[b["k"]]]["upper_bound"], b
+    for a in res.automorphisms:
+        assert all(parity[a[i]] == parity[i] for i in range(16)), a
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
+    assert v.upper_bound == max(b["upper_bound"] for b in solved)
+
+
+def relabelled_rook_lifting_only_in_branches(monkeypatch):
+    """Rook 4x4 and a relabelling of it, with the lift switched off for the
+    full layout only, so the pair goes to its branches."""
+    g1 = rook_graph(4)
+    sigma = tuple(np.random.default_rng(7).permutation(16).tolist())
+    g2 = th.relabel(g1, sigma)
+    verified_lift = thetaiso.solver._verified_lift
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift",
+                        lambda X, p: verified_lift(X, p) if p.pin is not None else None)
+    return g1, g2
 
 
 def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
@@ -484,12 +590,7 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
     # and lifts there, so the solve stops on the full-layout lift of that
     # permutation, which decide checks through
     # thetaiso.extraction.is_isomorphism.
-    g1 = rook_graph(4)
-    sigma = tuple(np.random.default_rng(7).permutation(16).tolist())
-    g2 = th.relabel(g1, sigma)
-    verified_lift = thetaiso.solver._verified_lift
-    monkeypatch.setattr(thetaiso.solver, "_verified_lift",
-                        lambda X, p: verified_lift(X, p) if p.pin is not None else None)
+    g1, g2 = relabelled_rook_lifting_only_in_branches(monkeypatch)
     checked = []
 
     def recording(s, a, b):
@@ -510,6 +611,21 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
     assert branch["stop_reason"] == "verified-lift"
     assert v.permutation[0] == branch["k"]
     assert v.diagnostics["candidates_tried"] == 1
+
+
+def test_relabelled_rook_lifts_in_its_first_branch(monkeypatch):
+    # No branch is refuted before branch 0 lifts, so the control pair makes
+    # no automorphism try and stops in its first branch.
+    def no_try(auto, r, k, cfg):
+        raise AssertionError("an automorphism was tried")
+
+    monkeypatch.setattr(thetaiso.solver, "_automorphism_try", no_try)
+    g1, g2 = relabelled_rook_lifting_only_in_branches(monkeypatch)
+    res = th.solve(th.build_program(g1, g2))
+    [branch] = res.branches
+    assert branch["k"] == 0 and branch["stop_reason"] == "verified-lift"
+    assert res.stop_reason == "verified-lift" and res.permutation[0] == 0
+    assert res.automorphisms == ()
 
 
 def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
