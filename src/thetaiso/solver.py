@@ -53,7 +53,11 @@ iterations) of the second graph against itself pinned at (r, k); a lift
 there that ``oracle.is_isomorphism`` accepts edge by edge is an
 automorphism with r -> k.  Union-find keeps the orbits of the automorphisms
 found, and a k in the orbit of a refuted branch is refuted with no branch
-solve.  The automorphisms used are ``SolverResult.automorphisms``.
+solve.  Tries are paid for by the solves they skip: counted at
+``AUTOMORPHISM_TRY_ITER`` iterations each, they spend at most the iterations
+of the first refuted branch plus those of every branch skipped, so a rung
+whose tries all fail costs at most one branch solve more than solving every
+branch.  The automorphisms used are ``SolverResult.automorphisms``.
 
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
@@ -94,7 +98,7 @@ RELAXATION = 1.6
 POLISH_RELAXATION = 1.9
 
 # Iteration cap of a branch rung's automorphism try, whose lift checks run at
-# iterations 2, 4, 8 and 16.
+# iterations 2, 4, 8 and 16; the rung's try budget counts each try at it.
 AUTOMORPHISM_TRY_ITER = 16
 
 
@@ -374,7 +378,7 @@ def _automorphism_try(auto, r, k, cfg):
     """The permutation the branch (r, k) of ``auto``, the full layout of
     (G2, G2), lifts to within ``AUTOMORPHISM_TRY_ITER`` iterations, else
     None.  Such a lift is an automorphism of G2 that maps r to k; the rung
-    still checks it edge by edge before it prunes with it."""
+    still checks a(r) = k and every edge before it prunes with it."""
     program = branch_program(auto, r, k)
     if program is None:
         return None
@@ -390,11 +394,15 @@ def _branch(p, cfg):
     of G2 found so far, the branch is refuted too: an isomorphism sigma
     with sigma(0) = k = a(r) would give a^-1 sigma with 0 -> r.  Else, once
     some branch is refuted, a short solve of the (G2, G2) branch (r, k)
-    looks for an automorphism a with a(r) = k (``_automorphism_try``, once
-    per refuted orbit), and one that ``is_isomorphism`` accepts joins every
-    i to a(i) in the orbits.  A k still outside every refuted orbit is
-    solved, ``solve(branch, cfg)``, and its bound below the threshold
-    refutes it.
+    looks for an automorphism a with a(r) = k (``_automorphism_try``, from
+    the first refuted branch r of each orbit until one is found), and one
+    that maps r to k and that ``is_isomorphism`` accepts joins every i to
+    a(i) in the orbits.  A try is made only while the budget holds
+    ``AUTOMORPHISM_TRY_ITER`` iterations, which it then spends; the first
+    refuted branch puts its iterations in the budget, and every skipped
+    branch those of the refuted branch whose orbit holds it (the solve it
+    skips).  A k still outside every refuted orbit is solved,
+    ``solve(branch, cfg)``, and its bound below the threshold refutes it.
 
     Returns (stop_reason, permutation, rows, automorphisms): "verified-lift"
     and the permutation of the first branch that lifts, "branch-bound" and
@@ -422,6 +430,7 @@ def _branch(p, cfg):
 
     rows, refuted, automorphisms = [], [], []
     auto = None                 # the (G2, G2) layout, built at the first try
+    budget = 0                  # the iterations tries may still spend
     for k in range(n):
         program = branch_program(p, 0, k)
         if program is None:
@@ -429,21 +438,26 @@ def _branch(p, cfg):
                          "stop_reason": "refinement", "upper_bound": -math.inf})
             continue
         covering = refuted_orbit(k)
-        sources = {}            # one try per refuted orbit, from its first branch
-        for row in refuted:
-            sources.setdefault(root(row["k"]), row["k"])
-        for r in sources.values():
-            if covering is not None:
-                break
-            if auto is None:
-                auto = build_program(g2, g2)
-            a = _automorphism_try(auto, r, k, cfg)
-            if a is not None and is_isomorphism(a, g2, g2):
-                automorphisms.append(a)
-                for i, j in enumerate(a):
-                    parent[root(i)] = root(j)
-                covering = refuted_orbit(k)
+        if covering is None:
+            sources = {}        # the first refuted branch of each orbit
+            for row in refuted:
+                sources.setdefault(root(row["k"]), row)
+            for row in sources.values():
+                if budget < AUTOMORPHISM_TRY_ITER:
+                    break
+                budget -= AUTOMORPHISM_TRY_ITER
+                if auto is None:
+                    auto = build_program(g2, g2)
+                r = row["k"]
+                a = _automorphism_try(auto, r, k, cfg)
+                if a is not None and a[r] == k and is_isomorphism(a, g2, g2):
+                    automorphisms.append(a)
+                    for i, j in enumerate(a):
+                        parent[root(i)] = root(j)
+                    covering = row
+                    break
         if covering is not None:
+            budget += covering["iterations"]
             rows.append({"k": k, "dim": None, "iterations": 0,
                          "stop_reason": "automorphism",
                          "upper_bound": covering["upper_bound"]})
@@ -456,6 +470,8 @@ def _branch(p, cfg):
             return "verified-lift", branch.permutation, tuple(rows), tuple(automorphisms)
         if not branch.upper_bound < threshold:
             return None, None, tuple(rows), tuple(automorphisms)
+        if not refuted:
+            budget = branch.iterations
         refuted.append(row)
     return "branch-bound", None, tuple(rows), tuple(automorphisms)
 

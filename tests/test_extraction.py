@@ -511,28 +511,41 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     assert v.diagnostics == {"candidates_tried": 0}
 
 
-def test_a_non_automorphism_prunes_no_branch(monkeypatch):
-    # Each try hands the rung the transposition of r and k, which maps r to
-    # k but is no automorphism of the Shrikhande graph (no two of its
-    # vertices have the same neighbours): the edge-by-edge check refuses
-    # it, so every branch is solved, as it was before pruning.
+def transposition(r, k):
+    """The transposition of r and k, which maps r to k but is no automorphism
+    of the Shrikhande graph (no two of its vertices have the same
+    neighbours)."""
+    a = list(range(16))
+    a[r], a[k] = k, r
+    return tuple(a)
+
+
+@pytest.mark.parametrize("offered", [transposition, lambda r, k: tuple(range(16))],
+                         ids=["non-automorphism", "identity"])
+def test_a_try_that_does_not_map_r_to_k_by_an_automorphism_prunes_no_branch(
+        monkeypatch, offered):
+    # Each try hands the rung a permutation that fails one of its checks:
+    # the transposition fails the edge-by-edge check, and the identity, a
+    # real automorphism, does not map r to k.  So every branch is solved,
+    # as it was before pruning.
     tries = []
 
-    def transposition(auto, r, k, cfg):
+    def offering(auto, r, k, cfg):
         tries.append((r, k))
-        a = list(range(auto.n))
-        a[r], a[k] = k, r
-        return tuple(a)
+        return offered(r, k)
 
-    monkeypatch.setattr(thetaiso.solver, "_automorphism_try", transposition)
+    monkeypatch.setattr(thetaiso.solver, "_automorphism_try", offering)
     g1, g2 = rook_graph(4), shrikhande_graph()
     res = th.solve(th.build_program(g1, g2))
     assert res.stop_reason == "branch-bound" and res.automorphisms == ()
     assert [b["k"] for b in res.branches] == list(range(16))
     for b in res.branches:
         assert b["stop_reason"] == "dual-bound" and b["dim"] == 119, b
-    # k was offered from every branch refuted before it.
-    assert tries == [(r, k) for k in range(1, 16) for r in range(k)]
+    # The failed tries spend the budget branch 0 put in, its 32 iterations:
+    # two tries of AUTOMORPHISM_TRY_ITER = 16.  No branch is skipped, so the
+    # budget earns nothing more and no later k is offered.
+    assert res.branches[0]["iterations"] == 32
+    assert tries == [(0, 1), (0, 2)]
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
 
@@ -543,7 +556,9 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     # x + y even, real automorphisms whose two orbits are the vertices with
     # a + b even and odd.  Branch 0 is solved and refuted; branch 1, in the
     # other orbit, gets no automorphism from 0 and is solved too; every
-    # later branch falls in the orbit of 0 or of 1.
+    # later branch falls in the orbit of 0 or of 1.  Branch 0's 32
+    # iterations pay for the tries (0, 1) and (0, 2); the tries (0, 4) and
+    # (1, 4) are paid for by the solves that skipping branches 2 and 3 saved.
     tries = []
 
     def even_translation(auto, r, k, cfg):
@@ -560,7 +575,7 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     solved = [b for b in res.branches if b["stop_reason"] != "automorphism"]
     assert [b["k"] for b in solved] == [0, 1]
     assert all(b["stop_reason"] == "dual-bound" and b["dim"] == 119 for b in solved)
-    assert tries[0] == (0, 1)       # no automorphism there: branch 1 is solved
+    assert tries == [(0, 1), (0, 2), (0, 4), (1, 4)]   # no automorphism at (0, 1)
     assert_pruned_by_verified_automorphisms(res, g2)
     parity = {k: (k // 4 + k % 4) % 2 for k in range(16)}
     for b in res.branches:
