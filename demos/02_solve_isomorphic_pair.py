@@ -11,6 +11,12 @@ rounds its iterate to a permutation; once that permutation's lift is
 exactly feasible it stops and returns the lift, an optimal matrix of value
 exactly n.  The decision stage then reads the permutation back out of the
 optimal matrix and verifies it exactly against the adjacency structure.
+
+2-WL never separates a relabelled pair, so before the full solve the
+solver pins vertex 0 of the first graph to each vertex of the second in
+turn and solves the smaller pinned program.  Here the first branch lifts,
+so the full layout is never iterated: its iteration count reads 0 and the
+work shows in the branch row.
 """
 
 import numpy as np
@@ -26,6 +32,9 @@ result = th.solve(program)
 print(f"\nstatus          : {result.status.value}")
 print(f"objective       : {result.objective:.9f}  (target n = {g1.n})")
 print(f"iterations      : {result.iterations} (stopped by {result.stop_reason})")
+for b in result.branches:
+    print(f"branch k = {b['k']:<5} : dim {b['dim']}, {b['iterations']} iterations "
+          f"({b['stop_reason']})")
 print(f"primal residual : {result.primal_residual:.2e}")
 print(f"dual residual   : {result.dual_residual:.2e}")
 print(f"wall time       : {result.solve_seconds:.2f} s")

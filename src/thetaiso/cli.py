@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``build`` compiles a graph pair to a JSON program description,
-``decide`` solves a pair and prints the verdict (and, when the solve
-branched at the 2-WL gate, how many branches were tried, their largest
-bound, and how many were solved, refuted by refinement and covered by an
-automorphism), ``bench`` runs a corpus directory against its manifest,
-``oracle`` runs the exact search.  Exit codes from ``decide``/``oracle``: 0 isomorphic,
-1 non-isomorphic, 2 bad input, 3 inconclusive, 4 solver diverged (for
-``decide``, the status of its one solve, which runs on after branches that
-leave the pair open).
+``decide`` solves a pair and prints the verdict, led by the bound it rests
+on (and, when the pair branched before the solve, how many branches were
+tried, their largest bound, and how many were solved, refuted by
+refinement and covered by an automorphism), ``bench`` runs a corpus
+directory against its manifest, ``oracle`` runs the exact search.  Exit
+codes from ``decide``/``oracle``: 0 isomorphic, 1 non-isomorphic, 2 bad
+input, 3 inconclusive, 4 solver diverged (for ``decide``, the status of its
+one solve of the full layout, which follows branches that leave the pair
+open).
 Environment variables THETAISO_TOL, THETAISO_MAX_ITER, and
 THETAISO_ORACLE_FALLBACK override the corresponding defaults when the flag
 is not given explicitly; a value that does not parse is bad input (exit 2).
@@ -204,7 +205,7 @@ def cmd_decide(args):
         sys.stdout.write(dumps_json(report))
     else:
         print(f"n = {g1.n}, objective = {result.objective:.12f}, "
-              f"upper bound = {result.upper_bound:.12f}, "
+              f"upper bound = {verdict.upper_bound:.12f}, "
               f"threshold = {verdict.threshold:.12f}")
         print(f"solver: {result.status.value} after {result.iterations} iterations "
               f"(primal {result.primal_residual:.2e}, dual {result.dual_residual:.2e})")

@@ -8,8 +8,8 @@ primal objective never decides, because a maximization's primal iterate only
 bounds the optimum from below.  Isomorphic rests on the permutation the
 solver carries when it stopped on a verified lift (``SolverResult.permutation``);
 ``decide`` checks it exactly against both edge sets before it is believed and
-never reads Y.  A solve of a pair that 2-WL cannot tell apart branches at
-iteration 16 (see ``solver``).  Its branch-bound stop, every pinned branch
+never reads Y.  A pair that 2-WL cannot tell apart branches before its
+full layout is solved (see ``solver``).  Its branch-bound stop, every pinned branch
 refuted, is NonIsomorphic, with the largest branch bound as the verdict's
 bound (a branch an automorphism of the second graph covers carries the
 bound of the refuted branch it maps from); a branch's lift reaches

@@ -17,14 +17,14 @@ average, which is the nearest point when every entry is counted once.
 Internally the sweep uses a variant weighted by matrix multiplicity (the
 mirrored omega column counts twice), which is the plain Frobenius projection.
 
-Every power-of-two iteration from 16 on, and once at exit, ``solve`` turns
+Every power-of-two iteration from 16 on, and once at exit, the loop turns
 the scaled dual into a weak-duality upper bound on the relaxation's optimum
 (``SolverResult.upper_bound``).  Once that bound falls below ``decision_threshold``
 no isomorphism is possible, so the solve stops there with status Certified,
 however far the primal iterate still is from converging.
 
 Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
-when the solve converges, ``solve`` also tries to round the polyhedral
+when the solve converges, the loop also tries to round the polyhedral
 iterate to a permutation whose lift is exactly feasible, i.e. an
 isomorphism; at a shared iteration the bound goes first.  Iteration 1 is
 skipped: its iterate has no positive entry between two distinct pairs, so
@@ -35,15 +35,17 @@ this is the only place a permutation is read out of a solve.  Convergence
 is the primal-dual tolerance test alone (Boyd et al. 2011, section 3.3).
 ``SolverResult.stop_reason`` says which of the stops ended a solve.
 
-At iteration 16 alone, after the bound and the lift, a solve of the full
-layout whose two graphs 2-WL cannot separate (``refine.wl2_separates``)
-branches: the bound is not expected to separate such a pair (Mancinska,
-Roberson, Samal, Severini & Varvitsiotis, ICALP 2017), so vertex 0 of the
-first graph is pinned to each vertex k of the second in turn and each
-branch's smaller program (``program.branch_program``) is solved, a proof
-that does not rest on that link.  A branch's verified lift stops the solve
-on that lift; every branch refuted stops it as branch-bound.  Otherwise the
-same solve runs on from iteration 17 as if the pair were 2-WL separated.
+The loop (``_admm``) runs one program and nothing else.  ``solve`` sits
+above it: before the solve, a full layout whose two graphs 2-WL cannot
+separate (``refine.wl2_separates``) branches, since the bound is not
+expected to separate such a pair (Mancinska, Roberson, Samal, Severini &
+Varvitsiotis, ICALP 2017).  Vertex 0 of the first graph is pinned to each
+vertex k of the second in turn and each branch's smaller program
+(``program.branch_program``) is solved by the loop, a proof that does not
+rest on that link.  A branch's verified lift ends the solve on that lift,
+and every branch refuted ends it as branch-bound, both with no iteration
+of the full layout.  Otherwise the loop solves the full layout from
+iteration 1, exactly as for a 2-WL separated pair.
 
 Branches are pruned by automorphisms of the second graph: if no
 isomorphism maps 0 to r and a is an automorphism, none maps 0 to a(r), or
@@ -130,7 +132,7 @@ class SolverConfig:
 # Each reason a solve can stop for, and the status it reports.  "tolerance"
 # is the convergence test, "verified-lift" an isomorphism's lift found
 # mid-solve, in a branch or at convergence, "branch-bound" every branch
-# refuted at the 2-WL gate.
+# refuted before the solve.
 STOP_STATUS = {
     "tolerance": SolverStatus.CONVERGED,
     "verified-lift": SolverStatus.CONVERGED,
@@ -152,7 +154,7 @@ class SolverResult:
     stop_reason: str                # why the solve stopped: a key of STOP_STATUS
     upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
     permutation: tuple | None = None  # the isomorphism Y lifts on a verified-lift stop
-    branches: tuple = ()            # one row per branch tried at the 2-WL gate
+    branches: tuple = ()            # one row per branch tried before the solve
     automorphisms: tuple = ()       # the verified automorphisms of G2 that pruned branches
 
     @property
@@ -370,7 +372,7 @@ def _verified_lift(X, p):
 
 def _two_wl_equivalent(p):
     """Whether p is a full-layout program of two graphs that 2-WL cannot
-    separate, the test of the gate at iteration 16."""
+    separate, the test ``solve`` makes before the solve to branch."""
     return p.pin is None and not wl2_separates(*p.graphs)
 
 
@@ -382,7 +384,7 @@ def _automorphism_try(auto, r, k, cfg):
     program = branch_program(auto, r, k)
     if program is None:
         return None
-    return solve(program, replace(cfg, max_iter=AUTOMORPHISM_TRY_ITER)).permutation
+    return _admm(program, replace(cfg, max_iter=AUTOMORPHISM_TRY_ITER)).permutation
 
 
 def _branch(p, cfg):
@@ -402,7 +404,7 @@ def _branch(p, cfg):
     refuted branch puts its iterations in the budget, and every skipped
     branch those of the refuted branch whose orbit holds it (the solve it
     skips).  A k still outside every refuted orbit is solved,
-    ``solve(branch, cfg)``, and its bound below the threshold refutes it.
+    ``_admm(branch, cfg)``, and its bound below the threshold refutes it.
 
     Returns (stop_reason, permutation, rows, automorphisms): "verified-lift"
     and the permutation of the first branch that lifts, "branch-bound" and
@@ -462,7 +464,7 @@ def _branch(p, cfg):
                          "stop_reason": "automorphism",
                          "upper_bound": covering["upper_bound"]})
             continue
-        branch = solve(program, cfg)
+        branch = _admm(program, cfg)
         row = {"k": k, "dim": program.dim, "iterations": branch.iterations,
                "stop_reason": branch.stop_reason, "upper_bound": branch.upper_bound}
         rows.append(row)
@@ -477,7 +479,48 @@ def _branch(p, cfg):
 
 
 def solve(p, cfg=None):
-    """Run the splitting iteration on a compiled program.
+    """Solve a compiled program: its branches first where they apply, then
+    the splitting iteration (``_admm``).
+
+    A full-layout program whose graphs 2-WL cannot separate solves its
+    branches before any iteration of the full layout (``_branch``; rows in
+    ``branches``, the automorphisms of the second graph that pruned some of
+    them in ``automorphisms``):
+    - a branch's lift ends the solve as verified-lift on the full-layout lift
+      of that permutation: status Converged, ``permutation`` the
+      permutation, objective and upper bound exactly n, both residuals 0,
+      iterations 0;
+    - every branch refuted ends it as branch-bound: status Certified,
+      iterations 0, Y the initial point, upper bound n (the cap of
+      ``_admm``; the verdict rests on the branch bounds), residuals inf.
+    Otherwise, and for every other program, the result is ``_admm``'s on the
+    full layout from iteration 1, with the branch rows attached.
+    ``solve_seconds`` covers the branches too.
+    """
+    if cfg is None:
+        cfg = SolverConfig()
+    t0 = time.perf_counter()
+    stop_reason, branches, automorphisms = None, (), ()
+    if _two_wl_equivalent(p):
+        stop_reason, sigma, branches, automorphisms = _branch(p, cfg)
+    if stop_reason is None:
+        result = _admm(p, cfg)
+    else:
+        # sigma is None on a branch-bound stop.
+        lifted = sigma is not None
+        Y = lift(sigma).extended() if lifted else initial_point(p)
+        residual = 0.0 if lifted else math.inf
+        result = SolverResult(
+            objective=objective_value(Y, p), Y=Y, iterations=0,
+            primal_residual=residual, dual_residual=residual, solve_seconds=0.0,
+            stop_reason=stop_reason, upper_bound=float(p.n), permutation=sigma,
+        )
+    return replace(result, solve_seconds=time.perf_counter() - t0,
+                   branches=branches, automorphisms=automorphisms)
+
+
+def _admm(p, cfg):
+    """Run the splitting iteration on one program.
 
     Stops at convergence, at the iteration cap, on divergence (residuals that
     blow up or turn non-finite, or an eigendecomposition that fails; the last
@@ -489,15 +532,7 @@ def solve(p, cfg=None):
       feasible: stop reason verified-lift, status Converged with Y that lift,
       ``permutation`` the permutation, objective and upper bound exactly n,
       both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
-      exact dual certificate of value n, so the lift is optimal;
-    - at iteration 16, after the bound and the lift, a full-layout program
-      whose graphs 2-WL cannot separate solves its branches (``_branch``,
-      rows in ``branches``, the automorphisms of the second graph that
-      pruned some of them in ``automorphisms``): a branch's lift ends it as
-      verified-lift with the full-layout lift, every branch refuted as
-      branch-bound (status Certified, Y the last PSD iterate, the unpinned
-      bound, no polish).
-      Otherwise it runs on with its own iterates, as if it had not branched.
+      exact dual certificate of value n, so the lift is optimal.
     A solve that converges at tolerance tries that rounding once more on its
     last polyhedral iterate and ends the same way if it lifts.
     Otherwise the bound is computed once more at exit and returned as
@@ -505,8 +540,6 @@ def solve(p, cfg=None):
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
     above n.  ``stop_reason`` records which stop ended the solve.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     t0 = time.perf_counter()
     eigh = eigh_backend("numpy")
     n = p.n
@@ -518,7 +551,6 @@ def solve(p, cfg=None):
     upper_bound = math.inf
 
     stop_reason = "max-iter"
-    branches = automorphisms = ()
     r_norm = s_norm = float("inf")
     best_combined = float("inf")
     it = 0
@@ -553,13 +585,6 @@ def solve(p, cfg=None):
             if lifted is not None:
                 stop_reason = "verified-lift"
                 break
-            if it == 16 and _two_wl_equivalent(p):
-                branch_stop, sigma, branches, automorphisms = _branch(p, cfg)
-                if branch_stop is not None:
-                    stop_reason = branch_stop
-                    if sigma is not None:
-                        lifted = sigma, lift(sigma).extended()
-                    break
 
         # The test needs r_norm <= tol * scale with scale <= 8, so the norm
         # of Z is taken only when that can hold.
@@ -594,10 +619,10 @@ def solve(p, cfg=None):
         permutation, Y = lifted
         r_norm, s_norm, upper_bound = 0.0, 0.0, float(n)
     else:
-        if stop_reason not in ("dual-bound", "branch-bound"):
-            # The bound of the last iteration stands on those two stops.
-            # After a failed step U holds U + X_hat, which is finite; the
-            # bound is valid for any U.
+        if stop_reason != "dual-bound":
+            # The bound of the last iteration stands on that stop.  After a
+            # failed step U holds U + X_hat, which is finite; the bound is
+            # valid for any U.
             upper_bound = _dual_upper_bound(p, rho, U)
         Y = Z
         if stop_reason == "tolerance":
@@ -615,6 +640,4 @@ def solve(p, cfg=None):
         stop_reason=stop_reason,
         upper_bound=min(upper_bound, float(n)),
         permutation=permutation,
-        branches=branches,
-        automorphisms=automorphisms,
     )

@@ -352,7 +352,12 @@ def test_decide_json_report(c4_pair, capsys):
     assert doc["verdict"]["kind"] == "Isomorphic"
     assert doc["solver"]["status"] == "Converged"
     assert doc["solver"]["stop_reason"] == "verified-lift"
-    assert doc["solver"]["branches"] == [] and doc["solver"]["automorphisms"] == []
+    # C4 is 2-WL equivalent to its relabelling: branch 0 lifts at iteration
+    # 2, before any iteration of the full layout.
+    assert doc["solver"]["iterations"] == 0
+    assert doc["solver"]["branches"] == [
+        {"k": 0, "dim": 7, "iterations": 2, "stop_reason": "verified-lift", "upper_bound": 4.0}]
+    assert doc["solver"]["automorphisms"] == []
     assert list(doc["config"]) == ["tol", "max_iter", "oracle_fallback"]
     assert "oracle" not in doc  # distinct key, absent unless requested
     sigma = tuple(doc["verdict"]["permutation"])
@@ -362,8 +367,9 @@ def test_decide_json_report(c4_pair, capsys):
 
 
 def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
-    # The pair 2-WL cannot separate goes to pinned branches: exit 1 by
-    # branch-bound, one report row per branch, and a text summary with the
+    # The pair 2-WL cannot separate goes to pinned branches before the solve:
+    # exit 1 by branch-bound, no iteration of the full layout and so no
+    # residuals, one report row per branch, and a text summary with the
     # branch count, the largest bound against the threshold, and how the
     # branches were refuted.
     files = (write_graph(tmp_path / "rook.txt", rook_graph(4)),
@@ -371,7 +377,8 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
     assert main(["decide", *files, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["solver"]["stop_reason"] == "branch-bound"
-    assert doc["solver"]["status"] == "Certified" and doc["solver"]["iterations"] == 16
+    assert doc["solver"]["status"] == "Certified" and doc["solver"]["iterations"] == 0
+    assert doc["solver"]["primal_residual"] is None and doc["solver"]["dual_residual"] is None
     verdict = doc["verdict"]
     assert verdict["kind"] == "NonIsomorphic" and verdict["decided_by"] == "branch-bound"
     branches = doc["solver"]["branches"]
@@ -399,35 +406,27 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
 
 def test_decide_exits_diverged_when_the_solve_diverges_after_its_branches(
         c4_pair, monkeypatch, capsys):
-    # With no lift and eigh failing for good after iteration 16, branch 0
-    # diverges, which leaves the pair open, and the solve that runs on
-    # diverges at iteration 17: exit 4, read from that one solve's status.
-    backend = thetaiso.solver.eigh_backend
-    calls = [0]
-
-    def failing_after_16(name):
-        eigh = backend(name)
-
+    # With no lift and eigh failing on every call, branch 0 diverges at its
+    # first iteration, which leaves the pair open, and the solve of the full
+    # layout diverges at its first: exit 4, read from that one solve's status.
+    def failing(name):
         def wrapped(M):
-            calls[0] += 1
-            if calls[0] > 16:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(M)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         return wrapped
 
-    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_after_16)
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing)
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     assert main(["decide", *c4_pair, "--json"]) == 4
     doc = json.loads(capsys.readouterr().out)
-    assert doc["solver"]["status"] == "Diverged" and doc["solver"]["iterations"] == 17
+    assert doc["solver"]["status"] == "Diverged" and doc["solver"]["iterations"] == 1
     assert doc["verdict"]["kind"] == "Inconclusive"
-    assert [b["stop_reason"] for b in doc["solver"]["branches"]] == ["diverged"]
+    assert [(b["stop_reason"], b["iterations"]) for b in doc["solver"]["branches"]] == [
+        ("diverged", 1)]
 
-    calls[0] = 0
     assert main(["decide", *c4_pair]) == 4
     out = capsys.readouterr().out
-    assert "solver: Diverged after 17 iterations" in out and "branches: 1 tried" in out
+    assert "solver: Diverged after 1 iterations" in out and "branches: 1 tried" in out
 
 
 BRANCH_ROW_KEYS = {"k", "dim", "iterations", "stop_reason", "upper_bound"}
@@ -439,7 +438,7 @@ def test_decide_json_says_each_fact_once(route, c4_pair, non_iso_pair, tmp_path,
     # verdict: no key in both, no copy of the objective or of the oracle
     # flag in the verdict, and branch rows only under solver, five keys each.
     args, code, rows = {
-        "extraction": (c4_pair, 0, 0),
+        "extraction": (c4_pair, 0, 1),
         "branch-bound": ((write_graph(tmp_path / "rook.txt", rook_graph(4)),
                           write_graph(tmp_path / "shrikhande.txt", shrikhande_graph())), 1, 16),
         "oracle": ((*non_iso_pair, "--max-iter", "5", "--oracle-fallback"), 1, 0),
@@ -452,6 +451,22 @@ def test_decide_json_says_each_fact_once(route, c4_pair, non_iso_pair, tmp_path,
     assert "objective" not in verdict and "oracle_used" not in verdict
     assert len(doc["solver"]["branches"]) == rows
     assert all(set(b) == BRANCH_ROW_KEYS for b in doc["solver"]["branches"])
+
+
+def test_decide_text_leads_with_the_bound_the_verdict_rests_on(tmp_path, capsys):
+    # Rook 4x4 vs Shrikhande is decided by its branch bounds; the first line
+    # gives the largest of them, below the threshold, not the capped bound n
+    # of the unbranched layout.
+    files = (write_graph(tmp_path / "rook.txt", rook_graph(4)),
+             write_graph(tmp_path / "shrikhande.txt", shrikhande_graph()))
+    assert main(["decide", *files]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    fields = dict(part.split(" = ") for part in first.split(", "))
+    assert float(fields["upper bound"]) < float(fields["threshold"])
+    assert float(fields["upper bound"]) < 13.0
+    assert main(["decide", *files, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert fields["upper bound"] == f"{doc['verdict']['upper_bound']:.12f}"
 
 
 def test_decide_reports_branches_refuted_by_refinement(monkeypatch, tmp_path, capsys):

@@ -24,7 +24,8 @@ from thetaiso.extraction import (
 )
 from thetaiso.solver import SolverConfig, SolverResult
 from conftest import (
-    failing_eigh_backend, random_doubly_stochastic, rook_graph, shrikhande_graph,
+    failing_eigh_backend, random_doubly_stochastic, recording_eigh_backend, rook_graph,
+    shrikhande_graph,
 )
 
 
@@ -285,10 +286,14 @@ def test_decide_not_converged_is_inconclusive():
 def test_decide_oracle_fallback_settles_unfinished_solves(pair, truth, stop, monkeypatch):
     # A solve cut off at the cap, or by a failing eigendecomposition, before
     # any bound or lift check leaves nothing to decide on: Inconclusive, and
-    # with the fallback, the exact search's answer.
+    # with the fallback, the exact search's answer.  C4 against its
+    # relabelling is 2-WL equivalent: its branch 0 takes the first eigh,
+    # stops at the cap unrefuted and leaves the pair to the solve, whose
+    # first eigh is the second.
     g1, g2 = pair
     if stop == "diverged":
-        monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
+        monkeypatch.setattr(thetaiso.solver, "eigh_backend",
+                            failing_eigh_backend(2 if truth else 1))
     res = th.solve(th.build_program(g1, g2), SolverConfig(max_iter=1))
     assert res.stop_reason == stop and res.permutation is None
 
@@ -482,14 +487,14 @@ def assert_pruned_by_verified_automorphisms(res, g2):
 
 
 def test_rook_against_shrikhande_is_decided_by_branch_bounds():
-    # 2-WL cannot separate the pair, so the unpinned solve branches at
-    # iteration 16.  Branch 0 is certified below the threshold, and the
+    # 2-WL cannot separate the pair, so it branches before the solve.
+    # Branch 0 is certified below the threshold, and the
     # Shrikhande graph is vertex-transitive: automorphisms found by short
     # solves of it against itself carry that refutation to every other
     # branch, which leaves no isomorphism.
     g1, g2 = rook_graph(4), shrikhande_graph()
     res = th.solve(th.build_program(g1, g2))
-    assert res.stop_reason == "branch-bound" and res.iterations == 16
+    assert res.stop_reason == "branch-bound" and res.iterations == 0
     assert res.status is th.SolverStatus.CERTIFIED
     assert res.permutation is None and res.upper_bound >= decision_threshold(16)
     v = decide(res, g1, g2)
@@ -509,6 +514,36 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     # The verdict's bound is the largest branch bound, not the unpinned one.
     assert v.upper_bound == max(b["upper_bound"] for b in branches) < v.threshold
     assert v.diagnostics == {"candidates_tried": 0}
+
+
+# The automorphisms of the Shrikhande graph the rung finds on rook 4x4 vs
+# Shrikhande; none depends on the BLAS thread count.
+ROOK_SHRIKHANDE_AUTOMORPHISMS = (
+    (1, 0, 3, 2, 6, 5, 4, 7, 11, 10, 9, 8, 12, 15, 14, 13),
+    (2, 1, 0, 3, 7, 6, 5, 4, 8, 11, 10, 9, 13, 12, 15, 14),
+    (4, 0, 12, 8, 7, 3, 15, 11, 6, 2, 14, 10, 5, 1, 13, 9),
+)
+
+
+def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monkeypatch):
+    # The rung runs before the solve, so no eigh sees the dim-257 full
+    # layout: branch 0 (dim 119) is solved for 32 iterations and the rest
+    # are covered by the same three automorphisms the rung has always found.
+    # The result carries the initial point, the capped bound n and no
+    # residuals.
+    dims = []
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend",
+                        recording_eigh_backend(lambda M: dims.append(M.shape[0])))
+    p = th.build_program(rook_graph(4), shrikhande_graph())
+    res = th.solve(p)
+    assert res.stop_reason == "branch-bound" and res.iterations == 0
+    assert p.dim == 257 and dims and max(dims) == 119
+    assert [(b["k"], b["dim"], b["iterations"], b["stop_reason"]) for b in res.branches] == (
+        [(0, 119, 32, "dual-bound")] + [(k, None, 0, "automorphism") for k in range(1, 16)])
+    assert res.automorphisms == ROOK_SHRIKHANDE_AUTOMORPHISMS
+    assert res.Y.tobytes() == thetaiso.solver.initial_point(p).tobytes()
+    assert res.upper_bound == 16.0
+    assert res.primal_residual == res.dual_residual == math.inf
 
 
 def transposition(r, k):
@@ -587,25 +622,20 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     assert v.upper_bound == max(b["upper_bound"] for b in solved)
 
 
-def relabelled_rook_lifting_only_in_branches(monkeypatch):
-    """Rook 4x4 and a relabelling of it, with the lift switched off for the
-    full layout only, so the pair goes to its branches."""
+def relabelled_rook():
+    """Rook 4x4 and a relabelling of it, a 2-WL equivalent pair that goes to
+    its branches."""
     g1 = rook_graph(4)
     sigma = tuple(np.random.default_rng(7).permutation(16).tolist())
-    g2 = th.relabel(g1, sigma)
-    verified_lift = thetaiso.solver._verified_lift
-    monkeypatch.setattr(thetaiso.solver, "_verified_lift",
-                        lambda X, p: verified_lift(X, p) if p.pin is not None else None)
-    return g1, g2
+    return g1, th.relabel(g1, sigma)
 
 
 def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
-    # With the lift switched off for the full layout only, the control pair
-    # branches like rook vs Shrikhande; branch 0 pins vertex 0 to its image
-    # and lifts there, so the solve stops on the full-layout lift of that
-    # permutation, which decide checks through
-    # thetaiso.extraction.is_isomorphism.
-    g1, g2 = relabelled_rook_lifting_only_in_branches(monkeypatch)
+    # The control pair branches like rook vs Shrikhande; a branch pins vertex
+    # 0 to its image and lifts there, so the solve stops on the full-layout
+    # lift of that permutation, with no iteration of the full layout, and
+    # decide checks it through thetaiso.extraction.is_isomorphism.
+    g1, g2 = relabelled_rook()
     checked = []
 
     def recording(s, a, b):
@@ -614,7 +644,7 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
 
     monkeypatch.setattr(thetaiso.extraction, "is_isomorphism", recording)
     res = th.solve(th.build_program(g1, g2))
-    assert res.stop_reason == "verified-lift" and res.iterations == 16
+    assert res.stop_reason == "verified-lift" and res.iterations == 0
     assert res.status is th.SolverStatus.CONVERGED
     assert res.Y.tobytes() == th.lift(res.permutation).extended().tobytes()
     assert res.objective == res.upper_bound == 16.0
@@ -630,34 +660,40 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
 
 def test_relabelled_rook_lifts_in_its_first_branch(monkeypatch):
     # No branch is refuted before branch 0 lifts, so the control pair makes
-    # no automorphism try and stops in its first branch.
+    # no automorphism try and stops in its first branch, and no eigh ever
+    # sees the full layout.
     def no_try(auto, r, k, cfg):
         raise AssertionError("an automorphism was tried")
 
+    dims = []
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", no_try)
-    g1, g2 = relabelled_rook_lifting_only_in_branches(monkeypatch)
-    res = th.solve(th.build_program(g1, g2))
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend",
+                        recording_eigh_backend(lambda M: dims.append(M.shape[0])))
+    g1, g2 = relabelled_rook()
+    p = th.build_program(g1, g2)
+    res = th.solve(p)
     [branch] = res.branches
     assert branch["k"] == 0 and branch["stop_reason"] == "verified-lift"
     assert res.stop_reason == "verified-lift" and res.permutation[0] == 0
     assert res.automorphisms == ()
+    assert res.iterations == 0
+    assert dims == [branch["dim"]] * branch["iterations"] and branch["dim"] < p.dim
 
 
 def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
-    # C6 against 2 C3 is 2-WL separated and its bound certifies at 16, so
-    # both are held open to drive the solver's branch step: every pinned
-    # 1-WL histogram differs, so no branch is solved.
-    def no_solve(p, cfg=None):
-        raise AssertionError("a refuted branch was solved")
+    # C6 against 2 C3 is 2-WL separated, so its 2-WL test is held open to
+    # drive the solver's branch step: every pinned 1-WL histogram differs,
+    # so neither a branch nor the full layout is solved.
+    def no_solve(p, cfg):
+        raise AssertionError("a program was solved")
 
-    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", lambda p, rho, U: math.inf)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: True)
     g1 = th.cycle_graph(6)
     g2 = th.disjoint_union(th.cycle_graph(3), th.cycle_graph(3))
     p = th.build_program(g1, g2)
-    monkeypatch.setattr(thetaiso.solver, "solve", no_solve)
+    monkeypatch.setattr(thetaiso.solver, "_admm", no_solve)
     res = th.solve(p)
-    assert res.stop_reason == "branch-bound" and res.iterations == 16
+    assert res.stop_reason == "branch-bound" and res.iterations == 0
     assert res.status is th.SolverStatus.CERTIFIED
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
@@ -677,9 +713,9 @@ def assert_same_solve(a, b):
 
 def test_branches_left_open_leave_the_solve_as_if_it_never_branched(monkeypatch):
     # Without any lift, C4's first branch converges at tolerance with its
-    # bound at n, which leaves the pair open.  The solve runs on from
-    # iteration 17 and matches, bit for bit, the same solve whose 2-WL check
-    # reports the pair separated; only its branch rows differ.
+    # bound at n, which leaves the pair open.  The full layout is then solved
+    # from iteration 1 and matches, bit for bit, the same solve whose 2-WL
+    # check reports the pair separated; only its branch rows differ.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
@@ -700,7 +736,7 @@ def test_branches_left_open_leave_the_solve_as_if_it_never_branched(monkeypatch)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "oracle"
 
 
-def lift_after_the_gate(monkeypatch):
+def lift_from_iteration_32(monkeypatch):
     """Refuse the lift in every branch and at the full layout's first four
     checks (iterations 2, 4, 8 and 16); returns the list of full-layout
     checks made."""
@@ -718,14 +754,14 @@ def lift_after_the_gate(monkeypatch):
 
 
 def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on(monkeypatch):
-    # The lift is refused at the four checks up to iteration 16 and in every
-    # branch, so branch 0 leaves the pair open.  The same solve lifts at its
-    # next check, iteration 32, exactly as the solve whose 2-WL check reports
-    # the pair separated does.
+    # The lift is refused in every branch, so branch 0 leaves the pair open,
+    # and at the full layout's four checks up to iteration 16.  The full
+    # layout lifts at its next check, iteration 32, exactly as the solve
+    # whose 2-WL check reports the pair separated does.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     p = th.build_program(g1, g2)
-    full_checks = lift_after_the_gate(monkeypatch)
+    full_checks = lift_from_iteration_32(monkeypatch)
     res = th.solve(p)
     assert res.stop_reason == "verified-lift" and res.iterations == 32
     assert len(full_checks) == 5
@@ -741,19 +777,49 @@ def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on
 
 
 def test_a_diverged_branch_leaves_the_pair_to_the_running_solve(monkeypatch):
-    # eigh fails at the first branch's first call: the branch row records
-    # the divergence, and the solve, whose own eighs succeed, runs on and
-    # lifts at iteration 32.
+    # eigh fails at the first branch's first call, the first eigh of all:
+    # the branch row records the divergence, and the full layout, whose own
+    # eighs succeed, is solved and lifts at iteration 32.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
-    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(17))
-    lift_after_the_gate(monkeypatch)
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
+    lift_from_iteration_32(monkeypatch)
     res = th.solve(th.build_program(g1, g2))
     [branch] = res.branches
     assert branch["stop_reason"] == "diverged" and branch["iterations"] == 1
     assert res.stop_reason == "verified-lift" and res.iterations == 32
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and "branches" not in v.diagnostics
+
+
+@pytest.mark.parametrize("branch_stop", ["diverged", "max-iter"])
+def test_a_rung_left_open_gives_the_plain_loop_result(monkeypatch, branch_stop):
+    # Branch 0 of C4 against its relabelling either diverges at its first
+    # eigh or, with its lift refused and its cap cut to 3, stops at the cap;
+    # neither refutes it, so the rung leaves the pair open.  The result is
+    # then the plain loop's on the full layout, bit for bit, with the rung's
+    # one row attached.
+    g1 = th.cycle_graph(4)
+    p = th.build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    if branch_stop == "diverged":
+        monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
+    else:
+        admm, verified_lift = thetaiso.solver._admm, thetaiso.solver._verified_lift
+        monkeypatch.setattr(thetaiso.solver, "_admm", lambda q, cfg: admm(
+            q, SolverConfig(max_iter=3) if q.pin is not None else cfg))
+        monkeypatch.setattr(thetaiso.solver, "_verified_lift",
+                            lambda X, q: None if q.pin is not None else verified_lift(X, q))
+    res = th.solve(p)
+    [branch] = res.branches
+    assert branch["k"] == 0 and branch["stop_reason"] == branch_stop
+    assert res.automorphisms == ()
+    plain = thetaiso.solver._admm(p, SolverConfig())
+    assert res.Y.tobytes() == plain.Y.tobytes()
+    assert (res.iterations, res.stop_reason, res.primal_residual, res.dual_residual,
+            res.upper_bound, res.permutation) == (
+        plain.iterations, plain.stop_reason, plain.primal_residual, plain.dual_residual,
+        plain.upper_bound, plain.permutation)
+    assert res.stop_reason == "verified-lift" and res.iterations == 2
 
 
 def test_branch_lift_goes_through_the_index_map(monkeypatch):

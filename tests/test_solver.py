@@ -368,13 +368,20 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     assert res.status is SolverStatus.CERTIFIED
     assert len(calls) == res.iterations
 
-    # A lifted solve stops without a polish.
+    # A lifted solve stops without a polish.  C4 against a relabelling is
+    # 2-WL equivalent, so it lifts in its first branch (dim 7) before any
+    # iteration of the full layout; the plain loop lifts the full layout.
     calls.clear()
     g1 = th.cycle_graph(4)
     p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
     res = solve(p)
+    assert res.stop_reason == "verified-lift" and res.iterations == 0
+    [branch] = res.branches
+    assert calls == [branch["dim"]] * branch["iterations"] and branch["dim"] < p.dim
+    calls.clear()
+    res = thetaiso.solver._admm(p, SolverConfig())
     assert res.stop_reason == "verified-lift"
-    assert len(calls) == res.iterations
+    assert calls == [p.dim] * res.iterations
 
     # The polish makes exactly one eigh per sweep: replaying as many relaxed
     # sweeps W <- psd(W + beta (proj_P(W) - W)) by hand gives the same bits.
@@ -411,8 +418,8 @@ def test_checks_run_at_powers_of_two(monkeypatch):
     # The lift is tried at iterations 2, 4, 8, 16, ... (iteration 1 cannot
     # lift: its X has no positive entry between two distinct pairs) and the
     # bound is checked at 16, 32, ...; at a shared iteration the bound goes
-    # first.  The 2-WL gate runs once, at 16, after both.  C10 vs 2C5 is
-    # 2-WL separated, so it runs on and is certified at iteration 32.
+    # first.  The 2-WL test runs once, before iteration 1.  C10 vs 2C5 is
+    # 2-WL separated, so it does not branch and is certified at iteration 32.
     eighs, checks = [], []
 
     def lift_at(X, p):
@@ -436,18 +443,20 @@ def test_checks_run_at_powers_of_two(monkeypatch):
                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
     res = solve(build_program(c10, two_c5))
     assert res.stop_reason == "dual-bound" and res.iterations == 32
-    assert checks == [("lift", 2), ("lift", 4), ("lift", 8),
-                      ("bound", 16), ("lift", 16), ("gate", 16), ("bound", 32)]
+    assert checks == [("gate", 0), ("lift", 2), ("lift", 4), ("lift", 8),
+                      ("bound", 16), ("lift", 16), ("bound", 32)]
 
 
 @pytest.mark.parametrize("fail", ["raise", "nan"])
 def test_eigen_failure_ends_as_diverged(fail, monkeypatch):
     # A failed or non-finite eigendecomposition stops the solve at once with
     # the last finite iterate, instead of a traceback or a NaN run to the cap.
-    # C4 lifts at iteration 2, so the lift is switched off to reach the third.
+    # C4 lifts at iteration 2, so the lift is switched off to reach the third,
+    # and its branches are switched off so that the third eigh is the solve's.
     g1 = th.cycle_graph(4)
     p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     before = solve(p, SolverConfig(max_iter=2))
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(3, fail))
     res = solve(p, SolverConfig(max_iter=50))
@@ -528,7 +537,11 @@ def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
         n = g1.n
         assert res.status is SolverStatus.CONVERGED
         assert res.stop_reason == "verified-lift"
-        assert res.iterations == 2   # the first check
+        # Both pairs are 2-WL equivalent: branch 0 lifts at the first check,
+        # iteration 2, before any iteration of the full layout.
+        assert res.iterations == 0
+        assert [(b["k"], b["iterations"], b["stop_reason"]) for b in res.branches] == [
+            (0, 2, "verified-lift")]
         verdict = th.decide(res, g1, g2)
         assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
         assert res.Y.tobytes() == th.lift(verdict.permutation).extended().tobytes()
@@ -563,10 +576,12 @@ def test_verified_lift_of_lift_combination():
 def test_converged_exit_tries_the_lift(corpus_entries, monkeypatch, name, stop):
     # At a loose tolerance these pairs converge before iteration 16.  The
     # tries at 2, 4 and 8 are declined, so the solve reaches its convergence
-    # test; the exit then rounds the last polyhedral iterate instead.
+    # test; the exit then rounds the last polyhedral iterate instead.  The
+    # branches, whose lift tries would be counted too, are switched off.
     g1, g2 = next((g1, g2) for entry, g1, g2, _ in corpus_entries if entry == name)
     cfg = SolverConfig(tol=0.1)
     p = build_program(g1, g2)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     plain = solve(p, cfg)
     assert plain.stop_reason == stop and plain.iterations < 16
