@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -139,7 +140,8 @@ def run_pair(g1, g2, cfg, want_oracle=False):
         "solver": {
             "status": result.status.value,
             "stop_reason": result.stop_reason,
-            "objective": result.objective,
+            # None on a branch-bound stop, which iterates no full-layout point
+            "objective": _finite_or_none(result.objective),
             "upper_bound": _finite_or_none(result.upper_bound),
             "iterations": result.iterations,
             # None when the solve diverged before any iteration finished
@@ -292,7 +294,7 @@ def cmd_bench(args):
             "isomorphic": truth,
             "verdict": verdict.kind.value,
             "decided_by": verdict.decided_by,
-            "objective": result.objective,
+            "objective": report["solver"]["objective"],
             "upper_bound": report["verdict"]["upper_bound"],
             "threshold": verdict.threshold,
             "gap": _finite_or_none(verdict.threshold - verdict.upper_bound),
@@ -312,8 +314,9 @@ def cmd_bench(args):
         ok = {True: "yes", False: "NO", None: "-"}[row["agree"]]
         by = row["decided_by"] or "-"
         gap = "-" if row["gap"] is None else f"{row['gap']:.3e}"
+        objective = math.nan if row["objective"] is None else row["objective"]
         print(f"{row['name']:<24} {row['n']:>3} {truth:>6} {row['verdict']:>15} "
-              f"{by:>10} {row['objective']:>16.9f} {gap:>11} "
+              f"{by:>10} {objective:>16.9f} {gap:>11} "
               f"{row['iterations']:>7} {row['seconds']:>8.2f} {ok:>4}")
     counts = {}
     decided = {"bound": 0, "branch-bound": 0, "extraction": 0, "oracle": 0, "inconclusive": 0}

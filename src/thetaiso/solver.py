@@ -17,11 +17,16 @@ average, which is the nearest point when every entry is counted once.
 Internally the sweep uses a variant weighted by matrix multiplicity (the
 mirrored omega column counts twice), which is the plain Frobenius projection.
 
-Every power-of-two iteration from 16 on, and once at exit, the loop turns
-the scaled dual into a weak-duality upper bound on the relaxation's optimum
-(``SolverResult.upper_bound``).  Once that bound falls below ``decision_threshold``
-no isomorphism is possible, so the solve stops there with status Certified,
-however far the primal iterate still is from converging.
+On a geometric schedule from iteration 8 (8, 10, 12, 14, 16, 20, 24, 28,
+32, 40, ...: four checks per doubling, each at most 25% past the one before,
+every power of two from 8 on among them; ``_bound_due``), and once at exit,
+the loop turns the scaled dual into a weak-duality upper bound on the
+relaxation's optimum (``SolverResult.upper_bound``).  Once that bound falls
+below ``decision_threshold`` no isomorphism is possible, so the solve stops
+there with status Certified, however far the primal iterate still is from
+converging.  The bound is never below its affine multiplier y_omega, which
+costs nothing to read, so a check where y_omega already reaches the
+threshold skips the eigenvalue computation (``_bound_can_certify``).
 
 Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
 when the solve converges, the loop also tries to round the polyhedral
@@ -55,11 +60,12 @@ iterations) of the second graph against itself pinned at (r, k); a lift
 there that ``oracle.is_isomorphism`` accepts edge by edge is an
 automorphism with r -> k.  Union-find keeps the orbits of the automorphisms
 found, and a k in the orbit of a refuted branch is refuted with no branch
-solve.  Tries are paid for by the solves they skip: counted at
-``AUTOMORPHISM_TRY_ITER`` iterations each, they spend at most the iterations
-of the first refuted branch plus those of every branch skipped, so a rung
-whose tries all fail costs at most one branch solve more than solving every
-branch.  The automorphisms used are ``SolverResult.automorphisms``.
+solve (or pinned build).  Tries are paid for by the solves they skip: each
+is charged the iterations it ran, and together they spend at most the
+iterations of the first refuted branch plus those of every branch skipped,
+so a rung whose tries all fail costs at most one branch solve more than
+solving every branch.  The automorphisms used are
+``SolverResult.automorphisms``.
 
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
@@ -100,7 +106,8 @@ RELAXATION = 1.6
 POLISH_RELAXATION = 1.9
 
 # Iteration cap of a branch rung's automorphism try, whose lift checks run at
-# iterations 2, 4, 8 and 16; the rung's try budget counts each try at it.
+# iterations 2, 4, 8 and 16; a try is also capped by the rung's try budget,
+# which is charged the iterations the try ran.
 AUTOMORPHISM_TRY_ITER = 16
 
 
@@ -297,6 +304,24 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     return W
 
 
+def _bound_due(it):
+    """Whether iteration it checks the dual bound: 8, 10, 12, 14, 16, 20, 24,
+    28, 32, 40, ..., i.e. every multiple of 2^(b - 3) for it of b bits, from
+    8 on.  Each check is at most 25% past the one before, every power of two
+    from 8 on is one, and there are four per doubling."""
+    return it >= 8 and it % (1 << (it.bit_length() - 3)) == 0
+
+
+def _bound_can_certify(p, rho, U, threshold):
+    """Whether the dual bound of (rho, U) can fall below threshold.
+
+    The bound is y_omega = -rho U_ww plus a nonnegative term, and its sum
+    rounds upward, so where y_omega alone reaches the threshold the bound
+    does too, and its eigenvalue computation can be skipped.
+    """
+    return -rho * U[p.omega, p.omega] < threshold
+
+
 def _dual_upper_bound(p, rho, U):
     """Weak-duality upper bound on the optimum from the scaled dual U.
 
@@ -377,30 +402,36 @@ def _two_wl_equivalent(p):
 
 
 def _automorphism_try(auto, r, k, cfg):
-    """The permutation the branch (r, k) of ``auto``, the full layout of
-    (G2, G2), lifts to within ``AUTOMORPHISM_TRY_ITER`` iterations, else
-    None.  Such a lift is an automorphism of G2 that maps r to k; the rung
-    still checks a(r) = k and every edge before it prunes with it."""
+    """(permutation, iterations): the permutation the branch (r, k) of
+    ``auto``, the full layout of (G2, G2), lifts to within ``cfg.max_iter``
+    iterations, else None, and the iterations its solve ran.  Such a lift is
+    an automorphism of G2 that maps r to k; the rung still checks a(r) = k
+    and every edge before it prunes with it."""
     program = branch_program(auto, r, k)
     if program is None:
-        return None
-    return _admm(program, replace(cfg, max_iter=AUTOMORPHISM_TRY_ITER)).permutation
+        return None, 0
+    result = _admm(program, cfg)
+    return result.permutation, result.iterations
 
 
 def _branch(p, cfg):
     """The branch rung of the full layout p: vertex 0 of the first graph
     pinned to each vertex k of the second in turn.
 
-    Unequal pinned colour histograms refute a branch with no solve.  Else,
-    when k lies in the orbit of a refuted branch r under the automorphisms
-    of G2 found so far, the branch is refuted too: an isomorphism sigma
-    with sigma(0) = k = a(r) would give a^-1 sigma with 0 -> r.  Else, once
-    some branch is refuted, a short solve of the (G2, G2) branch (r, k)
-    looks for an automorphism a with a(r) = k (``_automorphism_try``, from
-    the first refuted branch r of each orbit until one is found), and one
-    that maps r to k and that ``is_isomorphism`` accepts joins every i to
-    a(i) in the orbits.  A try is made only while the budget holds
-    ``AUTOMORPHISM_TRY_ITER`` iterations, which it then spends; the first
+    When k lies in the orbit of a refuted branch r under the automorphisms
+    of G2 found so far, the branch is refuted with no build or solve: an
+    isomorphism sigma with sigma(0) = k = a(r) would give a^-1 sigma with
+    0 -> r.  (Branch r passed pinned refinement, and a preserves pinned
+    colour histograms, so the check below could not have refuted k first.)
+    Else unequal pinned colour histograms refute the branch with no solve.
+    Else, once some branch is refuted, a short solve of the (G2, G2) branch
+    (r, k) looks for an automorphism a with a(r) = k
+    (``_automorphism_try``, from the first refuted branch r of each orbit
+    until one is found), and one that maps r to k and that
+    ``is_isomorphism`` accepts joins every i to a(i) in the orbits.  A try
+    is made only while the budget holds 2 iterations (iteration 1 cannot
+    lift), runs for at most ``AUTOMORPHISM_TRY_ITER`` of them and no more
+    than the budget holds, and spends the iterations it ran; the first
     refuted branch puts its iterations in the budget, and every skipped
     branch those of the refuted branch whose orbit holds it (the solve it
     skips).  A k still outside every refuted orbit is solved,
@@ -434,24 +465,25 @@ def _branch(p, cfg):
     auto = None                 # the (G2, G2) layout, built at the first try
     budget = 0                  # the iterations tries may still spend
     for k in range(n):
-        program = branch_program(p, 0, k)
-        if program is None:
-            rows.append({"k": k, "dim": None, "iterations": 0,
-                         "stop_reason": "refinement", "upper_bound": -math.inf})
-            continue
         covering = refuted_orbit(k)
         if covering is None:
+            program = branch_program(p, 0, k)
+            if program is None:
+                rows.append({"k": k, "dim": None, "iterations": 0,
+                             "stop_reason": "refinement", "upper_bound": -math.inf})
+                continue
             sources = {}        # the first refuted branch of each orbit
             for row in refuted:
                 sources.setdefault(root(row["k"]), row)
             for row in sources.values():
-                if budget < AUTOMORPHISM_TRY_ITER:
+                if budget < 2:      # a try of 1 iteration cannot lift
                     break
-                budget -= AUTOMORPHISM_TRY_ITER
                 if auto is None:
                     auto = build_program(g2, g2)
                 r = row["k"]
-                a = _automorphism_try(auto, r, k, cfg)
+                a, ran = _automorphism_try(
+                    auto, r, k, replace(cfg, max_iter=min(budget, AUTOMORPHISM_TRY_ITER)))
+                budget -= ran
                 if a is not None and a[r] == k and is_isomorphism(a, g2, g2):
                     automorphisms.append(a)
                     for i, j in enumerate(a):
@@ -491,8 +523,9 @@ def solve(p, cfg=None):
       permutation, objective and upper bound exactly n, both residuals 0,
       iterations 0;
     - every branch refuted ends it as branch-bound: status Certified,
-      iterations 0, Y the initial point, upper bound n (the cap of
-      ``_admm``; the verdict rests on the branch bounds), residuals inf.
+      iterations 0, Y the initial point, objective NaN (no point of the
+      full layout was iterated), upper bound n (the cap of ``_admm``; the
+      verdict rests on the branch bounds), residuals inf.
     Otherwise, and for every other program, the result is ``_admm``'s on the
     full layout from iteration 1, with the branch rows attached.
     ``solve_seconds`` covers the branches too.
@@ -511,7 +544,7 @@ def solve(p, cfg=None):
         Y = lift(sigma).extended() if lifted else initial_point(p)
         residual = 0.0 if lifted else math.inf
         result = SolverResult(
-            objective=objective_value(Y, p), Y=Y, iterations=0,
+            objective=objective_value(Y, p) if lifted else math.nan, Y=Y, iterations=0,
             primal_residual=residual, dual_residual=residual, solve_seconds=0.0,
             stop_reason=stop_reason, upper_bound=float(p.n), permutation=sigma,
         )
@@ -525,8 +558,10 @@ def _admm(p, cfg):
     Stops at convergence, at the iteration cap, on divergence (residuals that
     blow up or turn non-finite, or an eigendecomposition that fails; the last
     finite iterate is returned), or at one of the checks:
-    - at iterations 16, 32, 64, ..., the dual upper bound falls below
-      ``decision_threshold(n)``: status Certified, no polish;
+    - at iterations 8, 10, 12, 14, 16, 20, ... (``_bound_due``), the dual
+      upper bound falls below ``decision_threshold(n)``: status Certified, no
+      polish.  A check whose y_omega already reaches the threshold is
+      skipped (``_bound_can_certify``), as it cannot certify;
     - at iterations 2, 4, 8, 16, ..., after the bound where both run, the
       polyhedral iterate rounds to a permutation whose lift is exactly
       feasible: stop reason verified-lift, status Converged with Y that lift,
@@ -575,12 +610,12 @@ def _admm(p, cfg):
         U -= Z_new
         r_norm, s_norm, Z = r, s, Z_new
 
+        if _bound_due(it) and _bound_can_certify(p, rho, U, threshold):
+            upper_bound = _dual_upper_bound(p, rho, U)
+            if upper_bound < threshold:
+                stop_reason = "dual-bound"
+                break
         if it >= 2 and it & (it - 1) == 0:
-            if it >= 16:
-                upper_bound = _dual_upper_bound(p, rho, U)
-                if upper_bound < threshold:
-                    stop_reason = "dual-bound"
-                    break
             lifted = _verified_lift(X, p)
             if lifted is not None:
                 stop_reason = "verified-lift"

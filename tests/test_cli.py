@@ -463,10 +463,36 @@ def test_decide_text_leads_with_the_bound_the_verdict_rests_on(tmp_path, capsys)
     first = capsys.readouterr().out.splitlines()[0]
     fields = dict(part.split(" = ") for part in first.split(", "))
     assert float(fields["upper bound"]) < float(fields["threshold"])
-    assert float(fields["upper bound"]) < 13.0
     assert main(["decide", *files, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
+    largest = max(b["upper_bound"] for b in doc["solver"]["branches"])
+    assert fields["upper bound"] == f"{largest:.12f}"
     assert fields["upper bound"] == f"{doc['verdict']['upper_bound']:.12f}"
+
+
+def test_a_branch_bound_objective_is_nan(tmp_path, capsys):
+    # A branch-bound stop iterates no point of the full layout, so it has no
+    # objective: NaN, which decide prints as nan and writes as null, and
+    # bench prints as nan and writes as null.
+    files = (write_graph(tmp_path / "rook.txt", rook_graph(4)),
+             write_graph(tmp_path / "shrikhande.txt", shrikhande_graph()))
+    assert main(["decide", *files]) == 1
+    assert capsys.readouterr().out.startswith("n = 16, objective = nan, upper bound = ")
+    assert main(["decide", *files, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solver"]["stop_reason"] == "branch-bound"
+    assert doc["solver"]["objective"] is None
+
+    (tmp_path / "corpus").mkdir()
+    corpus = make_corpus(tmp_path / "corpus", [
+        ("rook-shrikhande", rook_graph(4), shrikhande_graph(), False),
+    ])
+    assert main(["bench", corpus, "--json", str(tmp_path / "report.json")]) == 0
+    [line] = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("rook-shrikhande")]
+    assert line.split()[4:6] == ["branch-bound", "nan"]
+    [row] = json.loads((tmp_path / "report.json").read_text())["pairs"]
+    assert row["decided_by"] == "branch-bound" and row["objective"] is None
 
 
 def test_decide_reports_branches_refuted_by_refinement(monkeypatch, tmp_path, capsys):
@@ -510,7 +536,7 @@ def test_decide_reports_identical_modulo_timings(c4_pair, capsys):
 def test_decide_eigen_failure_exits_diverged(call, non_iso_pair, monkeypatch, capsys):
     # A LinAlgError from eigh ends the solve as Diverged: Inconclusive, exit
     # 4, and a JSON report, even when no iteration finished (residuals null).
-    # The pair is undecided until its bound check at iteration 16.
+    # The pair is undecided until its bound check at iteration 8.
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(call))
     assert main(["decide", *non_iso_pair, "--json"]) == 4
     out, err = capsys.readouterr()

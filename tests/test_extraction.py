@@ -527,10 +527,11 @@ ROOK_SHRIKHANDE_AUTOMORPHISMS = (
 
 def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monkeypatch):
     # The rung runs before the solve, so no eigh sees the dim-257 full
-    # layout: branch 0 (dim 119) is solved for 32 iterations and the rest
-    # are covered by the same three automorphisms the rung has always found.
-    # The result carries the initial point, the capped bound n and no
-    # residuals.
+    # layout: branch 0 (dim 119) is certified at iteration 12, its first
+    # bound check below the threshold, and the rest are covered by the same
+    # three automorphisms the rung has always found.  The result carries the
+    # initial point, no objective (NaN: no full-layout point was iterated),
+    # the capped bound n and no residuals.
     dims = []
     monkeypatch.setattr(thetaiso.solver, "eigh_backend",
                         recording_eigh_backend(lambda M: dims.append(M.shape[0])))
@@ -539,11 +540,48 @@ def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monke
     assert res.stop_reason == "branch-bound" and res.iterations == 0
     assert p.dim == 257 and dims and max(dims) == 119
     assert [(b["k"], b["dim"], b["iterations"], b["stop_reason"]) for b in res.branches] == (
-        [(0, 119, 32, "dual-bound")] + [(k, None, 0, "automorphism") for k in range(1, 16)])
+        [(0, 119, 12, "dual-bound")] + [(k, None, 0, "automorphism") for k in range(1, 16)])
     assert res.automorphisms == ROOK_SHRIKHANDE_AUTOMORPHISMS
     assert res.Y.tobytes() == thetaiso.solver.initial_point(p).tobytes()
+    assert math.isnan(res.objective)
     assert res.upper_bound == 16.0
     assert res.primal_residual == res.dual_residual == math.inf
+
+
+def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
+    # The orbit test runs before the pinned build, so on rook 4x4 vs
+    # Shrikhande only branch 0 and the three branches offered to a try are
+    # built.  The rows are those of building every branch first: each
+    # covered branch passes pinned refinement (the automorphism that covers
+    # it preserves pinned colour histograms), so building it first would
+    # have come to the same orbit test and the same row.
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    p = th.build_program(g1, g2)
+    built, tries = [], []
+    pinned = thetaiso.solver.branch_program
+    attempt = thetaiso.solver._automorphism_try
+
+    def recording_build(q, v, k):
+        if q is p:
+            built.append(k)
+        return pinned(q, v, k)
+
+    def recording_try(auto, r, k, cfg):
+        tries.append(k)
+        return attempt(auto, r, k, cfg)
+
+    monkeypatch.setattr(thetaiso.solver, "branch_program", recording_build)
+    monkeypatch.setattr(thetaiso.solver, "_automorphism_try", recording_try)
+    res = th.solve(p)
+    assert res.stop_reason == "branch-bound"
+    assert built == [0] + tries and len(built) == 4
+    [solved, *covered] = res.branches
+    assert (solved["k"], solved["dim"], solved["stop_reason"]) == (0, 119, "dual-bound")
+    assert [b["k"] for b in covered] == list(range(1, 16))
+    for b in covered:
+        assert b == {"k": b["k"], "dim": None, "iterations": 0,
+                     "stop_reason": "automorphism", "upper_bound": solved["upper_bound"]}
+        assert pinned(p, 0, b["k"]) is not None, b
 
 
 def transposition(r, k):
@@ -559,15 +597,16 @@ def transposition(r, k):
                          ids=["non-automorphism", "identity"])
 def test_a_try_that_does_not_map_r_to_k_by_an_automorphism_prunes_no_branch(
         monkeypatch, offered):
-    # Each try hands the rung a permutation that fails one of its checks:
-    # the transposition fails the edge-by-edge check, and the identity, a
-    # real automorphism, does not map r to k.  So every branch is solved,
-    # as it was before pruning.
+    # Each try lifts at iteration 2, as the real tries do on this pair, to a
+    # permutation that fails one of the rung's checks: the transposition
+    # fails the edge-by-edge check, and the identity, a real automorphism,
+    # does not map r to k.  So every branch is solved, as it was before
+    # pruning.
     tries = []
 
     def offering(auto, r, k, cfg):
-        tries.append((r, k))
-        return offered(r, k)
+        tries.append((r, k, cfg.max_iter))
+        return offered(r, k), 2
 
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", offering)
     g1, g2 = rook_graph(4), shrikhande_graph()
@@ -576,11 +615,11 @@ def test_a_try_that_does_not_map_r_to_k_by_an_automorphism_prunes_no_branch(
     assert [b["k"] for b in res.branches] == list(range(16))
     for b in res.branches:
         assert b["stop_reason"] == "dual-bound" and b["dim"] == 119, b
-    # The failed tries spend the budget branch 0 put in, its 32 iterations:
-    # two tries of AUTOMORPHISM_TRY_ITER = 16.  No branch is skipped, so the
-    # budget earns nothing more and no later k is offered.
-    assert res.branches[0]["iterations"] == 32
-    assert tries == [(0, 1), (0, 2)]
+    # The failed tries spend the budget branch 0 put in, its 12 iterations,
+    # 2 at a time, each capped at what is left; no branch is skipped, so the
+    # budget earns nothing more and from branch 4 on no k is offered.
+    assert res.branches[0]["iterations"] == 12
+    assert tries == [(0, 1, 12), (0, 2, 10), (1, 2, 8), (0, 3, 6), (1, 3, 4), (2, 3, 2)]
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
 
@@ -589,19 +628,22 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     # The Shrikhande graph is the Cayley graph of Z4 x Z4 with vertex
     # 4a + b.  The tries are cut down to the translations by (x, y) with
     # x + y even, real automorphisms whose two orbits are the vertices with
-    # a + b even and odd.  Branch 0 is solved and refuted; branch 1, in the
-    # other orbit, gets no automorphism from 0 and is solved too; every
-    # later branch falls in the orbit of 0 or of 1.  Branch 0's 32
-    # iterations pay for the tries (0, 1) and (0, 2); the tries (0, 4) and
-    # (1, 4) are paid for by the solves that skipping branches 2 and 3 saved.
+    # a + b even and odd; a try for odd x + y lifts to the identity, which
+    # does not map r to k.  Every try lifts at iteration 2.  Branch 0 is
+    # solved and refuted at 12 iterations; branch 1, in the other orbit,
+    # gets no automorphism from 0 and is solved too; every later branch
+    # falls in the orbit of 0 or of 1.  Each try is charged its 2
+    # iterations and capped at the budget left: branch 0's 12 iterations pay
+    # for (0, 1) and (0, 2), and the solves that skipping branches 2 and 3
+    # saved pay for (0, 4) and (1, 4), capped at AUTOMORPHISM_TRY_ITER.
     tries = []
 
     def even_translation(auto, r, k, cfg):
-        tries.append((r, k))
+        tries.append((r, k, cfg.max_iter))
         x, y = (k // 4 - r // 4) % 4, (k % 4 - r % 4) % 4
         if (x + y) % 2:
-            return None
-        return tuple(4 * ((i // 4 + x) % 4) + (i % 4 + y) % 4 for i in range(16))
+            return tuple(range(16)), 2
+        return tuple(4 * ((i // 4 + x) % 4) + (i % 4 + y) % 4 for i in range(16)), 2
 
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", even_translation)
     g1, g2 = rook_graph(4), shrikhande_graph()
@@ -610,7 +652,8 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     solved = [b for b in res.branches if b["stop_reason"] != "automorphism"]
     assert [b["k"] for b in solved] == [0, 1]
     assert all(b["stop_reason"] == "dual-bound" and b["dim"] == 119 for b in solved)
-    assert tries == [(0, 1), (0, 2), (0, 4), (1, 4)]   # no automorphism at (0, 1)
+    assert solved[0]["iterations"] == 12
+    assert tries == [(0, 1, 12), (0, 2, 10), (0, 4, 16), (1, 4, 16)]   # no automorphism at (0, 1)
     assert_pruned_by_verified_automorphisms(res, g2)
     parity = {k: (k // 4 + k % 4) % 2 for k in range(16)}
     for b in res.branches:

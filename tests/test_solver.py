@@ -14,6 +14,8 @@ from thetaiso.cli import dumps_json
 from thetaiso.program import build_program, decision_threshold, program_to_json_dict
 from thetaiso.solver import (
     POLISH_RELAXATION,
+    _bound_can_certify,
+    _bound_due,
     _dual_upper_bound,
     _polish,
     _project_polyhedral,
@@ -29,7 +31,7 @@ from thetaiso.solver import (
     solve,
 )
 
-from conftest import failing_eigh_backend, recording_eigh_backend
+from conftest import failing_eigh_backend, recording_eigh_backend, rook_graph, shrikhande_graph
 
 # Doubly nonnegative optima for fixture pairs, confirmed independently with
 # an interior-point solver (SCS at eps=1e-9) and, for the first two, by the
@@ -337,7 +339,7 @@ def test_petersen_vs_prism_certified_early():
 
 
 def test_max_iter_status():
-    # P4 vs K1,3 is undecided until its bound check at iteration 16.
+    # P4 vs K1,3 is undecided until its bound check at iteration 8.
     res = solve(build_program(th.path_graph(4), th.star_graph(4)), SolverConfig(max_iter=5))
     assert res.status is SolverStatus.MAX_ITER
     assert res.stop_reason == "max-iter"
@@ -414,17 +416,23 @@ def test_every_eigh_input_is_exactly_symmetric(monkeypatch):
     assert np.array_equal(res.Y, res.Y.T)
 
 
-def test_checks_run_at_powers_of_two(monkeypatch):
+def test_checks_run_on_their_schedules(monkeypatch):
     # The lift is tried at iterations 2, 4, 8, 16, ... (iteration 1 cannot
     # lift: its X has no positive entry between two distinct pairs) and the
-    # bound is checked at 16, 32, ...; at a shared iteration the bound goes
-    # first.  The 2-WL test runs once, before iteration 1.  C10 vs 2C5 is
-    # 2-WL separated, so it does not branch and is certified at iteration 32.
+    # bound is due at 8, 10, 12, 14, 16, 20, ...; at a shared iteration the
+    # bound goes first.  A due check whose y_omega already reaches the
+    # threshold skips the bound's eigvalsh.  The 2-WL test runs once, before
+    # iteration 1.  C10 vs 2C5 is 2-WL separated, so it does not branch and
+    # is certified at iteration 20.
     eighs, checks = [], []
 
     def lift_at(X, p):
         checks.append(("lift", len(eighs)))
         return _verified_lift(X, p)
+
+    def due_at(p, rho, U, threshold):
+        checks.append(("due", len(eighs)))
+        return _bound_can_certify(p, rho, U, threshold)
 
     def bound_at(p, rho, U):
         checks.append(("bound", len(eighs)))
@@ -436,15 +444,51 @@ def test_checks_run_at_powers_of_two(monkeypatch):
 
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", recording_eigh_backend(eighs.append))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lift_at)
+    monkeypatch.setattr(thetaiso.solver, "_bound_can_certify", due_at)
     monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", bound_at)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", gate_at)
     c10 = th.cycle_graph(10)
     two_c5 = th.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
     res = solve(build_program(c10, two_c5))
-    assert res.stop_reason == "dual-bound" and res.iterations == 32
-    assert checks == [("gate", 0), ("lift", 2), ("lift", 4), ("lift", 8),
-                      ("bound", 16), ("lift", 16), ("bound", 32)]
+    assert res.stop_reason == "dual-bound" and res.iterations == 20
+    assert checks == [("gate", 0), ("lift", 2), ("lift", 4),
+                      ("due", 8), ("lift", 8), ("due", 10),
+                      ("due", 12), ("bound", 12), ("due", 14), ("bound", 14),
+                      ("due", 16), ("bound", 16), ("lift", 16),
+                      ("due", 20), ("bound", 20)]
+
+
+def test_bound_schedule_is_geometric_with_every_power_of_two():
+    # Every power of two from 8 on is a check, so no certifying stop comes
+    # later than on a powers-of-two schedule; each check is at most 25% past
+    # the one before; there are four per doubling, O(log) up to the default
+    # cap.
+    due = [it for it in range(1, 50001) if _bound_due(it)]
+    assert due[:10] == [8, 10, 12, 14, 16, 20, 24, 28, 32, 40]
+    assert all(1 << e in due for e in range(3, 16))
+    assert all(b <= 1.25 * a for a, b in zip(due, due[1:]))
+    assert len(due) == 51
+
+
+def test_skipped_bound_checks_could_not_have_certified(solved_corpus, monkeypatch):
+    # The pre-test skips a due check when y_omega = -rho U_ww already reaches
+    # the threshold; the bound is never below y_omega, so each skipped check
+    # would have left the solve running.  Checked on the corpus and on the
+    # branches and tries of rook 4x4 vs Shrikhande.
+    skipped = []
+
+    def checked(p, rho, U, threshold):
+        can = _bound_can_certify(p, rho, U, threshold)
+        if not can:
+            skipped.append(_dual_upper_bound(p, rho, U) >= threshold)
+        return can
+
+    monkeypatch.setattr(thetaiso.solver, "_bound_can_certify", checked)
+    for _, _, _, program, _, _ in solved_corpus.values():
+        solve(program)
+    assert solve(build_program(rook_graph(4), shrikhande_graph())).stop_reason == "branch-bound"
+    assert skipped and all(skipped)
 
 
 @pytest.mark.parametrize("fail", ["raise", "nan"])
@@ -522,7 +566,7 @@ def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     assert solve(build_program(g1, th.relabel(g1, (2, 0, 3, 1)))).stop_reason == "tolerance"
-    assert len(seen) >= checks + 2   # the checks at 16, ... and the one at exit
+    assert len(seen) >= checks + 2   # the checks y_omega lets through and the one at exit
     for U in seen:
         lam = float(np.linalg.eigvalsh(-0.5 * (U + U.T))[0])
         assert lam >= -1e-12 * (1.0 + float(np.linalg.norm(U))), lam
