@@ -6,8 +6,10 @@ round-trips, so equal runs produce byte-identical files that parse back to
 the same values in any standards-compliant parser.  Plain values go through
 the standard encoder.  A long list of fixed-shape rows, such as a compiled
 program's affine rows, is given as a ``Table``: each row shape is encoded
-once into a ``%``-template and filled from integer columns with one C-level
-``map``, with no per-row Python object.
+once and split at its slots, each distinct column value is turned into digits
+once, and a slice of rows is one ``"".join`` over an object array that
+interleaves the shape's pieces with the shared digit strings, with no
+Python-level call per row.
 """
 
 from __future__ import annotations
@@ -65,16 +67,18 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)} to JSON")
 
 
-# The writer's indent, and the most Table rows it fills in one go: a longer
-# block is written a slice at a time, so the text of only one slice is held
-# as per-row strings before it joins the output.  On the 95,626-row rook 5x5
-# program, 1,024-row slices filled 10-15% faster than 4,096-row ones.
+# The writer's indent, and the most Table rows it joins in one go: a longer
+# block is written a slice at a time, so only one slice's cells are held in
+# an object array before their text joins the output.  On the 95,626-row
+# rook 5x5 program (Python 3.11, numpy 2.4, a 2-CPU Xeon), slices of 1,024,
+# 4,096 and 16,384 rows wrote in the same time, 256-row slices took about
+# 50% longer and unsliced blocks about 15% longer.
 _INDENT = 2
 _SLICE = 1024
 
-# What a SLOT writes in a shape's text before it becomes a template's "%s";
-# encoded JSON cannot hold it, as the standard encoder escapes control
-# characters inside strings.
+# What a SLOT writes in a shape's text, where the text is split into the
+# pieces between slots; encoded JSON cannot hold it, as the standard encoder
+# escapes control characters inside strings.
 _MARK = "\0"
 
 
@@ -125,21 +129,34 @@ def _write(obj, level, out):
 
 
 def _write_table(table, level, out):
+    """Append the JSON list of table's rows.  A block's k slots split its
+    shape's text into k + 1 pieces; a slice of rows is a (rows, 2k + 1)
+    object array holding the pieces in its even columns and the rows' digit
+    strings, one shared str per distinct value, in its odd ones, with the
+    row separator after the last piece, and its text is one join."""
     inner = _newline(level + 1)
     sep = "[" + inner
     for shape, columns in table.blocks:
         text = []
         _write(shape, level + 1, text)
-        text = "".join(text)
-        if text.count(_MARK) != len(columns):
-            raise ValueError(f"a Table row shape has {text.count(_MARK)} slots "
+        pieces = "".join(text).split(_MARK)
+        if len(pieces) != len(columns) + 1:
+            raise ValueError(f"a Table row shape has {len(pieces) - 1} slots "
                              f"for {len(columns)} columns")
-        template = text.replace("%", "%%").replace(_MARK, "%s")
+        values, inverse = np.unique(columns, return_inverse=True)
+        digits = np.array([str(v) for v in values.tolist()], dtype=object)
+        digits = digits[inverse.reshape(columns.shape)]
+        row = np.empty(2 * len(pieces) - 1, dtype=object)
+        row[0::2] = pieces
+        row[-1] = pieces[-1] + "," + inner
         for start in range(0, columns.shape[1], _SLICE):
-            chunk = columns[:, start:start + _SLICE]
-            rows = zip(*chunk.tolist()) if len(chunk) else [()] * chunk.shape[1]
+            chunk = digits[:, start:start + _SLICE]
+            cells = np.empty((chunk.shape[1], len(row)), dtype=object)
+            cells[:] = row
+            cells[:, 1::2] = chunk.T
+            cells[-1, -1] = pieces[-1]
             out.append(sep)
-            out.append(("," + inner).join(map(template.__mod__, rows)))
+            out.append("".join(cells.ravel().tolist()))
             sep = "," + inner
     out.append("[]" if sep[0] == "[" else _newline(level) + "]")   # "[]": no rows
 

@@ -36,8 +36,10 @@ skipped: its iterate has no positive entry between two distinct pairs, so
 it cannot round to a lift for n >= 2.  That lift scores exactly n, which no
 feasible point exceeds, so the solve stops there with status Converged and
 returns the lift itself and its permutation (``SolverResult.permutation``);
-this is the only place a permutation is read out of a solve.  Convergence
-is the primal-dual tolerance test alone (Boyd et al. 2011, section 3.3).
+this is the only place a permutation is read out of a solve.  A full
+layout whose graphs 2-WL separates has no isomorphism, so its solve makes
+none of these tries; its result is the same without them.  Convergence is
+the primal-dual tolerance test alone (Boyd et al. 2011, section 3.3).
 ``SolverResult.stop_reason`` says which of the stops ended a solve.
 
 The loop (``_admm``) runs one program and nothing else.  ``solve`` sits
@@ -527,17 +529,21 @@ def solve(p, cfg=None):
       full layout was iterated), upper bound n (the cap of ``_admm``; the
       verdict rests on the branch bounds), residuals inf.
     Otherwise, and for every other program, the result is ``_admm``'s on the
-    full layout from iteration 1, with the branch rows attached.
+    full layout from iteration 1, with the branch rows attached; a full
+    layout that 2-WL separates makes no lift try there, as no permutation
+    of a non-isomorphic pair lifts.
     ``solve_seconds`` covers the branches too.
     """
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
     stop_reason, branches, automorphisms = None, (), ()
-    if _two_wl_equivalent(p):
+    equivalent = _two_wl_equivalent(p)
+    if equivalent:
         stop_reason, sigma, branches, automorphisms = _branch(p, cfg)
     if stop_reason is None:
-        result = _admm(p, cfg)
+        # A full layout that 2-WL separates has no isomorphism to lift.
+        result = _admm(p, cfg, lifts=equivalent or p.pin is not None)
     else:
         # sigma is None on a branch-bound stop.
         lifted = sigma is not None
@@ -552,7 +558,7 @@ def solve(p, cfg=None):
                    branches=branches, automorphisms=automorphisms)
 
 
-def _admm(p, cfg):
+def _admm(p, cfg, lifts=True):
     """Run the splitting iteration on one program.
 
     Stops at convergence, at the iteration cap, on divergence (residuals that
@@ -569,7 +575,10 @@ def _admm(p, cfg):
       both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
       exact dual certificate of value n, so the lift is optimal.
     A solve that converges at tolerance tries that rounding once more on its
-    last polyhedral iterate and ends the same way if it lifts.
+    last polyhedral iterate and ends the same way if it lifts.  With
+    ``lifts`` false, for a program known to have no lift, no rounding is
+    tried; the result is the same as with the tries, none of which could
+    lift.
     Otherwise the bound is computed once more at exit and returned as
     ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
@@ -615,7 +624,7 @@ def _admm(p, cfg):
             if upper_bound < threshold:
                 stop_reason = "dual-bound"
                 break
-        if it >= 2 and it & (it - 1) == 0:
+        if lifts and it >= 2 and it & (it - 1) == 0:
             lifted = _verified_lift(X, p)
             if lifted is not None:
                 stop_reason = "verified-lift"
@@ -644,7 +653,7 @@ def _admm(p, cfg):
                 rho *= 0.5
                 U *= 2.0
 
-    if stop_reason == "tolerance":
+    if lifts and stop_reason == "tolerance":
         lifted = _verified_lift(X, p)
         if lifted is not None:
             stop_reason = "verified-lift"

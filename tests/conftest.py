@@ -31,6 +31,21 @@ def rook_graph(k):
     ])
 
 
+def cube_graph():
+    return th.Graph(8, ((v, v ^ bit) for v in range(8) for bit in (1, 2, 4)))
+
+
+def wagner_graph():
+    """Moebius ladder on 8 vertices: C8 plus the four long diagonals; cubic like the cube."""
+    return th.Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+def paley_graph(q):
+    """Paley graph on Z_q, q prime and 1 mod 4: adjacent when the difference is a square."""
+    squares = {(x * x) % q for x in range(1, q)}
+    return th.Graph(q, [(i, j) for i in range(q) for j in range(i + 1, q) if (j - i) % q in squares])
+
+
 def shrikhande_graph():
     """Cayley graph of Z4 x Z4 on ±(1,0), ±(0,1), ±(1,1): SRG(16,6,2,2) like rook 4x4."""
     return th.Graph(16, [

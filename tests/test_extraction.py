@@ -799,8 +799,8 @@ def lift_from_iteration_32(monkeypatch):
 def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on(monkeypatch):
     # The lift is refused in every branch, so branch 0 leaves the pair open,
     # and at the full layout's four checks up to iteration 16.  The full
-    # layout lifts at its next check, iteration 32, exactly as the solve
-    # whose 2-WL check reports the pair separated does.
+    # layout lifts at its next check, iteration 32, exactly as the plain
+    # loop on the full layout does.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     p = th.build_program(g1, g2)
@@ -810,10 +810,9 @@ def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on
     assert len(full_checks) == 5
     assert [b["stop_reason"] for b in res.branches] == ["tolerance"]
     full_checks.clear()
-    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
-    shut = th.solve(p)
-    assert shut.branches == () and len(full_checks) == 5
-    assert_same_solve(res, shut)
+    plain = thetaiso.solver._admm(p, SolverConfig())
+    assert len(full_checks) == 5
+    assert_same_solve(res, plain)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
     assert th.is_isomorphism(v.permutation, g1, g2)
@@ -848,8 +847,8 @@ def test_a_rung_left_open_gives_the_plain_loop_result(monkeypatch, branch_stop):
         monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
     else:
         admm, verified_lift = thetaiso.solver._admm, thetaiso.solver._verified_lift
-        monkeypatch.setattr(thetaiso.solver, "_admm", lambda q, cfg: admm(
-            q, SolverConfig(max_iter=3) if q.pin is not None else cfg))
+        monkeypatch.setattr(thetaiso.solver, "_admm", lambda q, cfg, **kw: admm(
+            q, SolverConfig(max_iter=3) if q.pin is not None else cfg, **kw))
         monkeypatch.setattr(thetaiso.solver, "_verified_lift",
                             lambda X, q: None if q.pin is not None else verified_lift(X, q))
     res = th.solve(p)

@@ -14,7 +14,7 @@ import thetaiso.lifts
 from thetaiso.cli import dumps_json
 from thetaiso.program import build_program, objective_value, program_to_json_dict
 
-from conftest import rook_graph, shrikhande_graph
+from conftest import paley_graph, rook_graph, shrikhande_graph
 
 
 def expected_counts(g1, g2):
@@ -156,12 +156,23 @@ GOLDEN_DIGESTS = {
 }
 
 
-# The same for pairs built in code: more rows than one writer slice, and the
-# edge cases where every conflict kind (K1) or both mismatch kinds (K3) are empty.
+# The same for pairs built in code: more rows than one writer slice, the
+# largest programs the compile benchmark writes (rook 5x5 has 95,626 rows),
+# and the edge cases where every conflict kind (K1) or both mismatch kinds
+# (K3) are empty.
 BUILT_GOLDEN_DIGESTS = {
     "rook4-shrikhande":
         ((rook_graph(4), shrikhande_graph()),
          "f61d0f0cf677cef0ebc3dd0f1fcafc50d3776ee8e3b6d03f68bf65868dbbdb3d"),
+    "rook5":
+        ((rook_graph(5), rook_graph(5)),
+         "37c9b8bb3931e8c655304a263e91ac5e60816d29d8d1fa042e1e7480ac2a3620"),
+    "paley17":
+        ((paley_graph(17), paley_graph(17)),
+         "80cae5467c613996ad99bfa97139018ea4aaab56d364739fdc66e2673344bd0b"),
+    "c20":
+        ((th.cycle_graph(20), th.cycle_graph(20)),
+         "863afd9636193c7a65f70570491e355b1e8011ab0d5a62ae7d1e3f2f7ded6d43"),
     "k1":
         ((th.Graph(1, []), th.Graph(1, [])),
          "a0fc498c9586a2027d1a174ec1c18163845111e99c1b63f6ea5d9d4bca5a6a80"),

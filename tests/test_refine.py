@@ -10,15 +10,7 @@ from hypothesis import given, settings, strategies as st
 import thetaiso as th
 from thetaiso.refine import colour_refinement, wl2_separates
 
-from conftest import rook_graph, shrikhande_graph
-
-
-def cube_graph():
-    return th.Graph(8, ((v, v ^ bit) for v in range(8) for bit in (1, 2, 4)))
-
-
-def wagner_graph():
-    return th.Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+from conftest import cube_graph, rook_graph, shrikhande_graph, wagner_graph
 
 
 def prism_graph(k):

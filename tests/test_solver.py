@@ -31,7 +31,10 @@ from thetaiso.solver import (
     solve,
 )
 
-from conftest import failing_eigh_backend, recording_eigh_backend, rook_graph, shrikhande_graph
+from conftest import (
+    cube_graph, failing_eigh_backend, recording_eigh_backend, rook_graph, shrikhande_graph,
+    wagner_graph,
+)
 
 # Doubly nonnegative optima for fixture pairs, confirmed independently with
 # an interior-point solver (SCS at eps=1e-9) and, for the first two, by the
@@ -422,8 +425,9 @@ def test_checks_run_on_their_schedules(monkeypatch):
     # bound is due at 8, 10, 12, 14, 16, 20, ...; at a shared iteration the
     # bound goes first.  A due check whose y_omega already reaches the
     # threshold skips the bound's eigvalsh.  The 2-WL test runs once, before
-    # iteration 1.  C10 vs 2C5 is 2-WL separated, so it does not branch and
-    # is certified at iteration 20.
+    # iteration 1.  C10 vs 2C5 is 2-WL separated, so it does not branch, makes
+    # no lift try (no permutation can lift) and is certified at iteration 20;
+    # the loop run on its own, with its lift tries, stops there too.
     eighs, checks = [], []
 
     def lift_at(X, p):
@@ -450,9 +454,19 @@ def test_checks_run_on_their_schedules(monkeypatch):
     c10 = th.cycle_graph(10)
     two_c5 = th.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
-    res = solve(build_program(c10, two_c5))
+    p = build_program(c10, two_c5)
+    res = solve(p)
     assert res.stop_reason == "dual-bound" and res.iterations == 20
-    assert checks == [("gate", 0), ("lift", 2), ("lift", 4),
+    assert checks == [("gate", 0),
+                      ("due", 8), ("due", 10),
+                      ("due", 12), ("bound", 12), ("due", 14), ("bound", 14),
+                      ("due", 16), ("bound", 16),
+                      ("due", 20), ("bound", 20)]
+    checks.clear()
+    eighs.clear()
+    res = thetaiso.solver._admm(p, SolverConfig())
+    assert res.stop_reason == "dual-bound" and res.iterations == 20
+    assert checks == [("lift", 2), ("lift", 4),
                       ("due", 8), ("lift", 8), ("due", 10),
                       ("due", 12), ("bound", 12), ("due", 14), ("bound", 14),
                       ("due", 16), ("bound", 16), ("lift", 16),
@@ -621,11 +635,12 @@ def test_converged_exit_tries_the_lift(corpus_entries, monkeypatch, name, stop):
     # At a loose tolerance these pairs converge before iteration 16.  The
     # tries at 2, 4 and 8 are declined, so the solve reaches its convergence
     # test; the exit then rounds the last polyhedral iterate instead.  The
-    # branches, whose lift tries would be counted too, are switched off.
+    # branch rung, whose lift tries would be counted too, is left open, so
+    # the full layout of this 2-WL equivalent pair is solved with its tries.
     g1, g2 = next((g1, g2) for entry, g1, g2, _ in corpus_entries if entry == name)
     cfg = SolverConfig(tol=0.1)
     p = build_program(g1, g2)
-    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
+    monkeypatch.setattr(thetaiso.solver, "_branch", lambda p, cfg: (None, None, (), ()))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     plain = solve(p, cfg)
     assert plain.stop_reason == stop and plain.iterations < 16
@@ -654,12 +669,12 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     # A rounded permutation whose lift hits a zeroed pair is discarded: the
     # solve runs on to the same iterations and the same Y bits as a solve
     # whose rounding never finds anything.  Both then take the non-lift exit,
-    # where the polish holds the objective ceiling and feasibility.  The 2-WL
-    # gate is held open so that both reach it.
+    # where the polish holds the objective ceiling and feasibility.  The
+    # branch rung is left open so that both reach it with their lift tries.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
     p = build_program(g1, g2)
-    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
+    monkeypatch.setattr(thetaiso.solver, "_branch", lambda p, cfg: (None, None, (), ()))
     bad = next(s for s in itertools.permutations(range(4)) if not th.is_isomorphism(s, g1, g2))
     calls = []
 
@@ -685,6 +700,25 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
         assert report.max_violation <= 10.0 * tol, report.describe()
     assert rounded.iterations == plain.iterations
     assert rounded.Y.tobytes() == plain.Y.tobytes()
+
+
+def test_a_2wl_separated_full_layout_makes_no_lift_try(corpus_entries, monkeypatch):
+    # Cube vs Wagner: 2-WL separates them, so no permutation lifts and the
+    # solve rounds nothing, in the loop or at exit; it still certifies by the
+    # bound.  An isomorphic pair's branches still lift.
+    def unreachable(X, p):
+        raise AssertionError("lift tried on a 2-WL separated full layout")
+
+    p = build_program(cube_graph(), wagner_graph())
+    plain = solve(p)
+    with monkeypatch.context() as mp:
+        mp.setattr(thetaiso.solver, "_verified_lift", unreachable)
+        res = solve(p)
+    assert res.stop_reason == "dual-bound" and res.branches == ()
+    assert (res.iterations, res.upper_bound) == (plain.iterations, plain.upper_bound)
+    assert res.Y.tobytes() == plain.Y.tobytes()
+    g1, g2 = next((g1, g2) for entry, g1, g2, _ in corpus_entries if entry == "petersen")
+    assert solve(build_program(g1, g2)).stop_reason == "verified-lift"
 
 
 def test_verified_lift_does_not_reach_into_extraction(monkeypatch):
