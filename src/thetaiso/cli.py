@@ -142,6 +142,7 @@ def run_pair(g1, g2, cfg, want_oracle=False):
             "stop_reason": result.stop_reason,
             # None on a branch-bound stop, which iterates no full-layout point
             "objective": _finite_or_none(result.objective),
+            # the bound a NonIsomorphic verdict rests on; None when not finite
             "upper_bound": _finite_or_none(result.upper_bound),
             "iterations": result.iterations,
             # None when the solve diverged before any iteration finished
@@ -207,7 +208,7 @@ def cmd_decide(args):
         sys.stdout.write(dumps_json(report))
     else:
         print(f"n = {g1.n}, objective = {result.objective:.12f}, "
-              f"upper bound = {verdict.upper_bound:.12f}, "
+              f"upper bound = {result.upper_bound:.12f}, "
               f"threshold = {verdict.threshold:.12f}")
         print(f"solver: {result.status.value} after {result.iterations} iterations "
               f"(primal {result.primal_residual:.2e}, dual {result.dual_residual:.2e})")
@@ -295,9 +296,9 @@ def cmd_bench(args):
             "verdict": verdict.kind.value,
             "decided_by": verdict.decided_by,
             "objective": report["solver"]["objective"],
-            "upper_bound": report["verdict"]["upper_bound"],
+            "upper_bound": report["solver"]["upper_bound"],
             "threshold": verdict.threshold,
-            "gap": _finite_or_none(verdict.threshold - verdict.upper_bound),
+            "gap": _finite_or_none(verdict.threshold - result.upper_bound),
             "threshold_decided": verdict.decided_by == "bound",
             "status": result.status.value,
             "iterations": result.iterations,

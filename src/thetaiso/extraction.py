@@ -10,7 +10,7 @@ solver carries when it stopped on a verified lift (``SolverResult.permutation``)
 ``decide`` checks it exactly against both edge sets before it is believed and
 never reads Y.  A pair that 2-WL cannot tell apart branches before its
 full layout is solved (see ``solver``).  Its branch-bound stop, every pinned branch
-refuted, is NonIsomorphic, with the largest branch bound as the verdict's
+refuted, is NonIsomorphic, and its ``upper_bound`` is the largest branch
 bound (a branch an automorphism of the second graph covers carries the
 bound of the refuted branch it maps from); a branch's lift reaches
 ``decide`` as the solve's permutation and is checked like any other.  If
@@ -34,7 +34,6 @@ from enum import Enum
 
 import numpy as np
 
-from .jsonwriter import _finite_or_none
 from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
 from .oracle import enumerate_isomorphisms, is_isomorphism
 from .program import decision_threshold
@@ -155,13 +154,11 @@ class VerdictKind(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """The decision on a pair; the solve it rests on is the ``SolverResult``."""
+    """The decision on a pair; the solve it rests on, and the certified
+    bound of a NonIsomorphic verdict, are the ``SolverResult``'s."""
 
     kind: VerdictKind
     permutation: tuple | None
-    # The certified bound: the solver's (inf if none), or with branch-bound
-    # the largest branch bound (-inf if refinement refuted every branch).
-    upper_bound: float
     threshold: float
     decided_by: str | None        # 'bound', 'branch-bound', 'extraction', 'oracle', or None
     diagnostics: dict = field(default_factory=dict)   # what decide adds, never the solve's
@@ -170,7 +167,6 @@ class Verdict:
         return {
             "kind": self.kind.value,
             "permutation": list(self.permutation) if self.permutation is not None else None,
-            "upper_bound": _finite_or_none(self.upper_bound),
             "threshold": float(self.threshold),
             "decided_by": self.decided_by,
             "diagnostics": self.diagnostics,
@@ -189,12 +185,9 @@ def decide(result, g1, g2, cfg=None):
     Anything else is inconclusive.  No step reads the solver status, so a
     MaxIter or Diverged solve goes down the same ladder as a Converged one.
 
-    A branch-bound verdict's ``upper_bound`` is the largest branch bound
-    (-inf when refinement refuted every branch): an isomorphism sigma with
-    sigma(0) = k keeps the pinned colours, so its lift is a feasible point
-    of value n in branch k, and no refuted branch has one.  A branch covered
-    by an automorphism a of the second graph carries the bound of the
-    refuted branch r with a(r) = k, which is branch k relabelled by a.
+    Every NonIsomorphic verdict but the oracle's rests on
+    ``result.upper_bound``, on a branch-bound stop the largest branch bound
+    (``solve`` says why it holds); the verdict keeps no copy of it.
     ``diagnostics`` holds only what this ladder adds (``candidates_tried``,
     the bound's rank and dimension figures, the ``note``); the solve's own
     record is ``result``.
@@ -207,19 +200,11 @@ def decide(result, g1, g2, cfg=None):
     threshold = decision_threshold(n)
     diagnostics = {"candidates_tried": 0}
 
-    def verdict(kind, decided_by, permutation=None, upper_bound=result.upper_bound):
-        return Verdict(
-            kind=kind,
-            permutation=permutation,
-            upper_bound=float(upper_bound),
-            threshold=threshold,
-            decided_by=decided_by,
-            diagnostics=diagnostics,
-        )
+    def verdict(kind, decided_by, permutation=None):
+        return Verdict(kind, permutation, threshold, decided_by, diagnostics)
 
     if result.stop_reason == "branch-bound":
-        largest = max(b["upper_bound"] for b in result.branches)
-        return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound", upper_bound=largest)
+        return verdict(VerdictKind.NON_ISOMORPHIC, "branch-bound")
 
     if result.upper_bound < threshold:
         # Any isomorphism would give a feasible point of value exactly n, and

@@ -103,6 +103,14 @@ class Program:
         return f"Program(n={self.n}, dim={self.dim}, constraints={rows})"
 
 
+def _conflicts_by_kind(p):
+    """(kind, r, s) for each conflict kind of p, in ``zero_counts`` order:
+    its pairs (r, s), r < s, split from the first half of the zero arrays."""
+    m = len(p.zero_rows) // 2
+    cuts = np.cumsum(list(p.zero_counts.values()))[:-1]
+    return zip(p.zero_counts, np.split(p.zero_rows[:m], cuts), np.split(p.zero_cols[:m], cuts))
+
+
 def build_program(g1, g2):
     """Compile the objective and affine rows for a pair of equal-size graphs."""
     return Program((g1, g2), conflict_pairs(g1, g2))
@@ -126,11 +134,8 @@ def branch_program(full, v, k):
         return None
     keep = (c1[:, None] == c2[None, :]).reshape(-1)
     renumber = np.cumsum(keep) - 1          # each kept pair's own index
-    m = len(full.zero_rows) // 2
-    cuts = np.cumsum(list(full.zero_counts.values()))[:-1]
     conflicts = {}
-    for kind, r, s in zip(full.zero_counts, np.split(full.zero_rows[:m], cuts),
-                          np.split(full.zero_cols[:m], cuts)):
+    for kind, r, s in _conflicts_by_kind(full):
         both = keep[r] & keep[s]
         conflicts[kind] = (renumber[r[both]], renumber[s[both]])
     return Program(full.graphs, conflicts, pairs=np.flatnonzero(keep), pin=(v, k))
@@ -164,9 +169,6 @@ def program_to_json_dict(p):
     if p.pin is not None:
         raise ValueError(f"branch program {p.pin} has no JSON form; build the full layout")
     omega, d = p.omega, p.pair_diag
-    m = len(p.zero_rows) // 2
-    cuts = np.cumsum(list(p.zero_counts.values()))[:-1]
-    kinds = zip(p.zero_counts, np.split(p.zero_rows[:m], cuts), np.split(p.zero_cols[:m], cuts))
     mirrored = [[SLOT, SLOT, 0.5], [SLOT, SLOT, 0.5]]
     rows = [
         ({"kind": "omega-norm", "entries": [[omega, omega, 1.0]], "rhs": 1.0},
@@ -174,7 +176,8 @@ def program_to_json_dict(p):
         ({"kind": "diag-link", "entries": [[SLOT, omega, 0.5], [omega, SLOT, 0.5],
                                            [SLOT, SLOT, -1.0]], "rhs": 0.0},
          (d, d, d, d)),
-    ] + [({"kind": kind, "entries": mirrored, "rhs": 0.0}, (r, s, s, r)) for kind, r, s in kinds]
+    ] + [({"kind": kind, "entries": mirrored, "rhs": 0.0}, (r, s, s, r))
+         for kind, r, s in _conflicts_by_kind(p)]
     return {
         "dim": p.dim,
         "n": p.n,

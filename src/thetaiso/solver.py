@@ -161,7 +161,10 @@ class SolverResult:
     dual_residual: float
     solve_seconds: float
     stop_reason: str                # why the solve stopped: a key of STOP_STATUS
-    upper_bound: float = math.inf   # certified bound on the optimum; inf if never computed
+    # The certified bound every NonIsomorphic verdict rests on: the dual
+    # bound capped at n, or on a branch-bound stop the largest branch bound
+    # (-inf if refinement refuted every branch); inf if never computed.
+    upper_bound: float = math.inf
     permutation: tuple | None = None  # the isomorphism Y lifts on a verified-lift stop
     branches: tuple = ()            # one row per branch tried before the solve
     automorphisms: tuple = ()       # the verified automorphisms of G2 that pruned branches
@@ -526,8 +529,11 @@ def solve(p, cfg=None):
       iterations 0;
     - every branch refuted ends it as branch-bound: status Certified,
       iterations 0, Y the initial point, objective NaN (no point of the
-      full layout was iterated), upper bound n (the cap of ``_admm``; the
-      verdict rests on the branch bounds), residuals inf.
+      full layout was iterated), residuals inf, and upper bound the largest
+      branch row bound (-inf when refinement refuted every branch).  Each
+      row bounds its branch, and an isomorphism sigma keeps the pinned
+      colours of branch sigma(0), where its lift is a point of value n, so
+      no isomorphism exists.
     Otherwise, and for every other program, the result is ``_admm``'s on the
     full layout from iteration 1, with the branch rows attached; a full
     layout that 2-WL separates makes no lift try there, as no permutation
@@ -549,10 +555,11 @@ def solve(p, cfg=None):
         lifted = sigma is not None
         Y = lift(sigma).extended() if lifted else initial_point(p)
         residual = 0.0 if lifted else math.inf
+        bound = float(p.n) if lifted else max(b["upper_bound"] for b in branches)
         result = SolverResult(
             objective=objective_value(Y, p) if lifted else math.nan, Y=Y, iterations=0,
             primal_residual=residual, dual_residual=residual, solve_seconds=0.0,
-            stop_reason=stop_reason, upper_bound=float(p.n), permutation=sigma,
+            stop_reason=stop_reason, upper_bound=bound, permutation=sigma,
         )
     return replace(result, solve_seconds=time.perf_counter() - t0,
                    branches=branches, automorphisms=automorphisms)
@@ -584,7 +591,6 @@ def _admm(p, cfg, lifts=True):
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
     above n.  ``stop_reason`` records which stop ended the solve.
     """
-    t0 = time.perf_counter()
     eigh = eigh_backend("numpy")
     n = p.n
     rho = 1.0
@@ -680,7 +686,7 @@ def _admm(p, cfg, lifts=True):
         iterations=it,
         primal_residual=r_norm,
         dual_residual=s_norm,
-        solve_seconds=time.perf_counter() - t0,
+        solve_seconds=0.0,          # timed by solve
         stop_reason=stop_reason,
         upper_bound=min(upper_bound, float(n)),
         permutation=permutation,

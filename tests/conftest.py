@@ -1,5 +1,6 @@
 """Shared fixtures: the graph zoo and cached solver runs over the corpus."""
 
+import itertools
 import json
 import os
 
@@ -52,6 +53,26 @@ def shrikhande_graph():
         (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
         for a in range(4) for b in range(4) for x, y in ((1, 0), (0, 1), (1, 1))
     ])
+
+
+def cfi_k4_graph(twisted):
+    """The Cai-Fuerer-Immerman graph over K4 (n = 40): each base vertex v
+    becomes the even subsets of its incident edges plus two ends (v, e, 0)
+    and (v, e, 1) per incident edge e, a subset S joined to (v, e, [e in S]);
+    the ends of each base edge are joined bit to bit, and across for the
+    first base edge when twisted."""
+    base = list(itertools.combinations(range(4), 2))
+    ids = {}                    # vertex key -> number, in order of first use
+    pairs = []
+    for v in range(4):
+        incident = [e for e in base if v in e]
+        for S in [()] + list(itertools.combinations(incident, 2)):
+            pairs += [(("set", v, S), ("end", v, e, int(e in S))) for e in incident]
+    for e in base:
+        flip = int(twisted and e == base[0])
+        pairs += [(("end", e[0], e, i), ("end", e[1], e, i ^ flip)) for i in (0, 1)]
+    edges = [tuple(ids.setdefault(key, len(ids)) for key in pair) for pair in pairs]
+    return th.Graph(len(ids), edges)
 
 
 @pytest.fixture(scope="session")

@@ -432,21 +432,26 @@ def test_decide_exits_diverged_when_the_solve_diverges_after_its_branches(
 BRANCH_ROW_KEYS = {"k", "dim", "iterations", "stop_reason", "upper_bound"}
 
 
-@pytest.mark.parametrize("route", ["extraction", "branch-bound", "oracle"])
+@pytest.mark.parametrize("route", ["extraction", "bound", "branch-bound", "oracle",
+                                   "inconclusive"])
 def test_decide_json_says_each_fact_once(route, c4_pair, non_iso_pair, tmp_path, capsys):
     # The solve's record is the report's solver section, the decision's the
-    # verdict: no key in both, no copy of the objective or of the oracle
-    # flag in the verdict, and branch rows only under solver, five keys each.
+    # verdict: no key in both (the certified bound is solver.upper_bound
+    # alone), no copy of the objective or of the oracle flag in the
+    # verdict, and branch rows only under solver, five keys each.
     args, code, rows = {
         "extraction": (c4_pair, 0, 1),
+        "bound": (non_iso_pair, 1, 0),
         "branch-bound": ((write_graph(tmp_path / "rook.txt", rook_graph(4)),
                           write_graph(tmp_path / "shrikhande.txt", shrikhande_graph())), 1, 16),
         "oracle": ((*non_iso_pair, "--max-iter", "5", "--oracle-fallback"), 1, 0),
+        "inconclusive": ((*non_iso_pair, "--max-iter", "5"), 3, 0),
     }[route]
     assert main(["decide", *args, "--json"]) == code
     doc = json.loads(capsys.readouterr().out)
     verdict = doc["verdict"]
-    assert verdict["decided_by"] == route
+    assert (verdict["decided_by"] or "inconclusive") == route
+    assert not set(doc["solver"]) & set(verdict)
     assert not set(doc["solver"]) & set(verdict["diagnostics"])
     assert "objective" not in verdict and "oracle_used" not in verdict
     assert len(doc["solver"]["branches"]) == rows
@@ -467,7 +472,7 @@ def test_decide_text_leads_with_the_bound_the_verdict_rests_on(tmp_path, capsys)
     doc = json.loads(capsys.readouterr().out)
     largest = max(b["upper_bound"] for b in doc["solver"]["branches"])
     assert fields["upper bound"] == f"{largest:.12f}"
-    assert fields["upper bound"] == f"{doc['verdict']['upper_bound']:.12f}"
+    assert fields["upper bound"] == f"{doc['solver']['upper_bound']:.12f}"
 
 
 def test_a_branch_bound_objective_is_nan(tmp_path, capsys):
@@ -506,7 +511,7 @@ def test_decide_reports_branches_refuted_by_refinement(monkeypatch, tmp_path, ca
     assert main(["decide", *files, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"]["decided_by"] == "branch-bound"
-    assert doc["verdict"]["upper_bound"] is None
+    assert doc["solver"]["upper_bound"] is None
     assert doc["solver"]["branches"] == [
         {"k": k, "dim": None, "iterations": 0, "stop_reason": "refinement",
          "upper_bound": None}
@@ -637,9 +642,10 @@ def test_bench_small_corpus(tmp_path, capsys):
 
 
 def test_bench_gap_of_a_branch_bound_row(tmp_path, capsys):
-    # The gap and the upper bound of a row both come from the verdict: on a
-    # branch-bound row the gap is the margin of the largest branch bound, not
-    # the unpinned solve's, and the threshold alone did not decide.
+    # The gap and the upper bound of a row both come from the solve's
+    # certified bound: on a branch-bound row the gap is the margin of the
+    # largest branch bound, not the unpinned solve's cap n, and the
+    # threshold alone did not decide.
     corpus = make_corpus(tmp_path, [
         ("rook-shrikhande", rook_graph(4), shrikhande_graph(), False),
     ])

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from thetaiso.extraction import (
 )
 from thetaiso.solver import SolverConfig, SolverResult
 from conftest import (
-    failing_eigh_backend, random_doubly_stochastic, recording_eigh_backend, rook_graph,
-    shrikhande_graph,
+    cfi_k4_graph, failing_eigh_backend, random_doubly_stochastic, recording_eigh_backend,
+    rook_graph, shrikhande_graph,
 )
 
 
@@ -318,7 +319,7 @@ def test_decide_primal_objective_alone_never_separates():
     v = decide(fake_result(np.zeros((17, 17)), 0.0, upper_bound=math.inf), g1, g2)
     assert v.kind is not th.VerdictKind.NON_ISOMORPHIC
     assert v.decided_by != "bound"
-    assert v.to_json_dict()["upper_bound"] is None
+    assert "upper_bound" not in v.to_json_dict()   # the bound is the result's alone
 
     v = decide(fake_result(np.zeros((17, 17)), 0.0, upper_bound=3.5), g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC
@@ -331,7 +332,7 @@ def test_decide_bound_branch(solved_corpus):
     assert verdict.kind is th.VerdictKind.NON_ISOMORPHIC
     assert verdict.decided_by == "bound"
     assert verdict.permutation is None
-    assert verdict.upper_bound < verdict.threshold
+    assert result.upper_bound < verdict.threshold
     assert "separation" not in verdict.diagnostics
     assert verdict.diagnostics["cp_rank_bound"] == 36 * 37 // 2
     assert verdict.diagnostics["realization_dim_bound"] == 6 ** 4
@@ -400,8 +401,7 @@ def test_verdict_serialization(solved_corpus):
     assert doc["kind"] == "Isomorphic"
     assert isinstance(doc["permutation"], list)
     assert doc["decided_by"] == "extraction"
-    assert list(doc) == ["kind", "permutation", "upper_bound", "threshold", "decided_by",
-                         "diagnostics"]
+    assert list(doc) == ["kind", "permutation", "threshold", "decided_by", "diagnostics"]
     assert doc["diagnostics"] == {"candidates_tried": 1}
 
 
@@ -496,7 +496,7 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     res = th.solve(th.build_program(g1, g2))
     assert res.stop_reason == "branch-bound" and res.iterations == 0
     assert res.status is th.SolverStatus.CERTIFIED
-    assert res.permutation is None and res.upper_bound >= decision_threshold(16)
+    assert res.permutation is None and res.upper_bound < decision_threshold(16)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
     assert v.permutation is None
@@ -511,9 +511,32 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     for b in branches:
         assert b["upper_bound"] == solved["upper_bound"], b
     assert_pruned_by_verified_automorphisms(res, g2)
-    # The verdict's bound is the largest branch bound, not the unpinned one.
-    assert v.upper_bound == max(b["upper_bound"] for b in branches) < v.threshold
+    # The solve's bound is the largest branch bound, not the unpinned cap n.
+    assert res.upper_bound == max(b["upper_bound"] for b in branches) < v.threshold
     assert v.diagnostics == {"candidates_tried": 0}
+
+
+def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
+    # 2-WL cannot separate the CFI pair over K4 (n = 40, dim 1601), so it
+    # branches: pinned refinement refutes the 24 branches that pin vertex 0,
+    # a subset vertex, to an edge end, one branch is certified by its bound,
+    # and automorphisms of the twisted graph cover the other 15.  How many
+    # automorphisms the tries find depends on the BLAS thread count, so each
+    # is checked, not counted.  The solve's bound is the largest branch bound.
+    g1, g2 = cfi_k4_graph(False), cfi_k4_graph(True)
+    p = th.build_program(g1, g2)
+    assert (p.n, p.dim) == (40, 1601)
+    res = th.solve(p, SolverConfig(max_iter=4000))
+    assert res.stop_reason == "branch-bound" and res.iterations == 0
+    assert Counter(b["stop_reason"] for b in res.branches) == {
+        "refinement": 24, "automorphism": 15, "dual-bound": 1}
+    assert res.automorphisms
+    assert_pruned_by_verified_automorphisms(res, g2)
+    largest = max(b["upper_bound"] for b in res.branches)
+    assert round(largest, 2) == 39.85
+    assert res.upper_bound == largest < decision_threshold(40)
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
 
 
 # The automorphisms of the Shrikhande graph the rung finds on rook 4x4 vs
@@ -531,7 +554,7 @@ def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monke
     # bound check below the threshold, and the rest are covered by the same
     # three automorphisms the rung has always found.  The result carries the
     # initial point, no objective (NaN: no full-layout point was iterated),
-    # the capped bound n and no residuals.
+    # the largest branch bound and no residuals.
     dims = []
     monkeypatch.setattr(thetaiso.solver, "eigh_backend",
                         recording_eigh_backend(lambda M: dims.append(M.shape[0])))
@@ -544,7 +567,7 @@ def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monke
     assert res.automorphisms == ROOK_SHRIKHANDE_AUTOMORPHISMS
     assert res.Y.tobytes() == thetaiso.solver.initial_point(p).tobytes()
     assert math.isnan(res.objective)
-    assert res.upper_bound == 16.0
+    assert res.upper_bound == res.branches[0]["upper_bound"] < decision_threshold(16)
     assert res.primal_residual == res.dual_residual == math.inf
 
 
@@ -662,7 +685,7 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
         assert all(parity[a[i]] == parity[i] for i in range(16)), a
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
-    assert v.upper_bound == max(b["upper_bound"] for b in solved)
+    assert res.upper_bound == max(b["upper_bound"] for b in solved)
 
 
 def relabelled_rook():
@@ -740,7 +763,7 @@ def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
     assert res.status is th.SolverStatus.CERTIFIED
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
-    assert v.upper_bound == -math.inf and v.to_json_dict()["upper_bound"] is None
+    assert res.upper_bound == -math.inf
     assert list(res.branches) == [
         {"k": k, "dim": None, "iterations": 0, "stop_reason": "refinement",
          "upper_bound": -math.inf}

@@ -46,5 +46,5 @@ def test_verdicts_agree_with_exact_search(pair):
             assert verdict.permutation == result.permutation
     elif verdict.kind is th.VerdictKind.NON_ISOMORPHIC:
         assert not truth
-        if verdict.decided_by == "bound":
-            assert verdict.upper_bound < verdict.threshold
+        if verdict.decided_by in ("bound", "branch-bound"):
+            assert result.upper_bound < verdict.threshold

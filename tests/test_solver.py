@@ -338,7 +338,7 @@ def test_petersen_vs_prism_certified_early():
     verdict = th.decide(res, petersen, prism)
     assert verdict.kind is th.VerdictKind.NON_ISOMORPHIC
     assert verdict.decided_by == "bound"
-    assert verdict.upper_bound < verdict.threshold
+    assert res.upper_bound < verdict.threshold
 
 
 def test_max_iter_status():
