@@ -17,16 +17,17 @@ average, which is the nearest point when every entry is counted once.
 Internally the sweep uses a variant weighted by matrix multiplicity (the
 mirrored omega column counts twice), which is the plain Frobenius projection.
 
-On a geometric schedule from iteration 8 (8, 10, 12, 14, 16, 20, 24, 28,
-32, 40, ...: four checks per doubling, each at most 25% past the one before,
-every power of two from 8 on among them; ``_bound_due``), and once at exit,
-the loop turns the scaled dual into a weak-duality upper bound on the
-relaxation's optimum (``SolverResult.upper_bound``).  Once that bound falls
-below ``decision_threshold`` no isomorphism is possible, so the solve stops
-there with status Certified, however far the primal iterate still is from
+At every iteration from 8 on, and once at exit, the loop turns the scaled
+dual into a weak-duality upper bound on the relaxation's optimum
+(``SolverResult.upper_bound``).  Once that bound falls below
+``decision_threshold`` no isomorphism is possible, so the solve stops there
+with status Certified, however far the primal iterate still is from
 converging.  The bound is never below its affine multiplier y_omega, which
 costs nothing to read, so a check where y_omega already reaches the
-threshold skips the eigenvalue computation (``_bound_can_certify``).
+threshold goes no further (``_bound_can_certify``).  Any other check first
+asks one Cholesky factorization whether the bound's smallest eigenvalue is
+high enough to certify (``_bound_screen``), at a fraction of the cost of
+the eigenvalues, and computes them only where it is.
 
 Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
 when the solve converges, the loop also tries to round the polyhedral
@@ -220,14 +221,24 @@ def _psd_part(W, eigh):
     return B @ B.T
 
 
-def _apply_affine(M, p, link_weight):
+def _zero_index(p):
+    """The flat indices of p's zeroed pairs in a C-ordered dim x dim matrix,
+    both triangles, ascending, so that a scatter through them walks the
+    matrix in memory order."""
+    return np.sort(p.zero_rows * p.dim + p.zero_cols)
+
+
+def _apply_affine(M, p, link_weight, zero_index=None):
     """Overwrite the affine-row entries of M in place.
 
     Each zeroed pair, the omega corner, and each diagonal/omega link group is
     replaced by the point nearest in a weighted least-squares sense; the
     diagonal entry of a link group carries weight 1 and the omega pair carries
     weight ``link_weight`` (1 treats each stored value once, 2 counts the
-    mirrored matrix entry twice, i.e. plain Frobenius distance).
+    mirrored matrix entry twice, i.e. plain Frobenius distance).  The zeroed
+    pairs are read from ``zero_index`` (``_zero_index(p)``, built here if not
+    given) through the flat view of M, which is C-contiguous: every caller
+    passes a fresh array.
     """
     d = p.pair_diag
     omega = p.omega
@@ -238,7 +249,7 @@ def _apply_affine(M, p, link_weight):
     M[omega, d] = m
     M[d, d] = m
     M[omega, omega] = 1.0
-    M[p.zero_rows, p.zero_cols] = 0.0
+    M.reshape(-1)[_zero_index(p) if zero_index is None else zero_index] = 0.0
     return M
 
 
@@ -253,14 +264,14 @@ def project_affine(M, p):
     return _apply_affine(M.copy(), p, link_weight=1.0)
 
 
-def _project_polyhedral(W, p):
+def _project_polyhedral(W, p, zero_index=None):
     """Frobenius projection onto P = {affine rows, Y >= 0}; overwrites W.
 
     Every entry group of P is independent: a zeroed pair is 0, the corner is
     1, a link group is max(mean of its three entries, 0), any other entry is
     clipped at 0.
     """
-    return np.maximum(_apply_affine(W, p, link_weight=2.0), 0.0, out=W)
+    return np.maximum(_apply_affine(W, p, 2.0, zero_index), 0.0, out=W)
 
 
 def initial_point(p):
@@ -291,9 +302,10 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     """
     d = p.pair_diag
     omega = p.omega
+    zero_index = _zero_index(p)
     W = Z
     for sweep in range(1, max_sweeps + 1):
-        W = W + POLISH_RELAXATION * (_project_polyhedral(W.copy(), p) - W)
+        W = W + POLISH_RELAXATION * (_project_polyhedral(W.copy(), p, zero_index) - W)
         W = _psd_part(W, eigh)
         viol = max(
             float(np.abs(W[p.zero_rows, p.zero_cols]).max(initial=0.0)),
@@ -309,14 +321,6 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     return W
 
 
-def _bound_due(it):
-    """Whether iteration it checks the dual bound: 8, 10, 12, 14, 16, 20, 24,
-    28, 32, 40, ..., i.e. every multiple of 2^(b - 3) for it of b bits, from
-    8 on.  Each check is at most 25% past the one before, every power of two
-    from 8 on is one, and there are four per doubling."""
-    return it >= 8 and it % (1 << (it.bit_length() - 3)) == 0
-
-
 def _bound_can_certify(p, rho, U, threshold):
     """Whether the dual bound of (rho, U) can fall below threshold.
 
@@ -327,7 +331,25 @@ def _bound_can_certify(p, rho, U, threshold):
     return -rho * U[p.omega, p.omega] < threshold
 
 
-def _dual_upper_bound(p, rho, U):
+def _dual_slack(p, rho, U, zero_index):
+    """y_omega and the slack matrix S of the dual bound of (rho, U), a new
+    array (``_dual_upper_bound``); ``zero_index`` is ``_zero_index(p)``."""
+    d = p.pair_diag
+    omega = p.omega
+    G = -rho * (0.5 * (U + U.T))
+    y_omega = G[omega, omega]
+    y_link = (2.0 * G[d, omega] - 2.0 * G[d, d] - 2.0) / 3.0
+
+    # -N, C-ordered for its flat view; the support entries are overwritten below.
+    S = np.minimum(G, 0.0, order="C")
+    S.reshape(-1)[zero_index] = G.reshape(-1)[zero_index]
+    S[omega, omega] = y_omega
+    S[d, omega] = S[omega, d] = 0.5 * y_link
+    S[d, d] = -y_link - 1.0
+    return float(y_omega), S
+
+
+def _dual_upper_bound(p, rho, U, zero_index=None):
     """Weak-duality upper bound on the optimum from the scaled dual U.
 
     C is the objective, the identity on the pair diagonal.  G = -rho sym(U)
@@ -340,24 +362,20 @@ def _dual_upper_bound(p, rho, U):
     every feasible Y has <C, Y> = y_omega - <S, Y> - <N, Y>
     <= y_omega - lambda_min(S) tr Y, and tr Y <= n + 1 there: for each row
     i, x = e_omega - sum_j e_(i,j) gives 0 <= x^T Y x = 1 - sum_j Y_(ij)(ij).
-    The eigenvalue's rounding error is covered by dim^2 eps ||S||_F
-    (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).  Only y_omega has
-    a nonzero right-hand side, so the other multipliers can be taken as the
-    exact values that give the stored S.  A branch program needs no change:
-    each kept pair index lies in exactly one row i, so the same x_i over the
-    kept pairs of row i still give tr Y <= n + 1.
+    The eigenvalue's rounding error is covered by
+    delta = dim^2 eps ||S||_F (Jansson, Chaykin & Keil, SIAM J. Numer.
+    Anal. 2007).  Only y_omega has a nonzero right-hand side, so the other
+    multipliers can be taken as the exact values that give the stored S.  A
+    branch program needs no change: each kept pair index lies in exactly one
+    row i, so the same x_i over the kept pairs of row i still give
+    tr Y <= n + 1.  ``zero_index`` is ``_zero_index(p)``, built here if not
+    given.  The loop's checks reach this bound through ``_screened_bound``,
+    which skips it where one Cholesky factorization shows it would not fall
+    below the threshold.
     """
-    d = p.pair_diag
-    omega = p.omega
-    G = -rho * (0.5 * (U + U.T))
-    y_omega = G[omega, omega]
-    y_link = (2.0 * G[d, omega] - 2.0 * G[d, d] - 2.0) / 3.0
-
-    S = np.minimum(G, 0.0)   # -N; the support entries are overwritten below
-    S[p.zero_rows, p.zero_cols] = G[p.zero_rows, p.zero_cols]
-    S[omega, omega] = y_omega
-    S[d, omega] = S[omega, d] = 0.5 * y_link
-    S[d, d] = -y_link - 1.0
+    if zero_index is None:
+        zero_index = _zero_index(p)
+    y_omega, S = _dual_slack(p, rho, U, zero_index)
     if not np.isfinite(S).all():
         return math.inf
     try:
@@ -365,8 +383,39 @@ def _dual_upper_bound(p, rho, U):
     except np.linalg.LinAlgError:
         return math.inf
     delta = p.dim ** 2 * float(np.finfo(float).eps) * float(np.linalg.norm(S))
-    bound = float(y_omega) + (p.n + 1) * max(0.0, delta - lam)
+    bound = y_omega + (p.n + 1) * max(0.0, delta - lam)
     return math.nextafter(bound, math.inf)  # round the last sum upward
+
+
+def _bound_screen(y_omega, S, threshold, n):
+    """Whether the dual bound of (y_omega, S) may fall below threshold, by one
+    Cholesky factorization of S + ((threshold - y_omega) / (n + 1)) I, which
+    overwrites the diagonal of S.
+
+    The bound falls below threshold exactly when lambda_min(S) > -mu, with
+    mu = (threshold - y_omega) / (n + 1) - delta (``_dual_upper_bound``); mu
+    may be <= 0.  The factorization asks whether lambda_min(S) > -(mu + delta):
+    the margin delta, the bound's own allowance for rounding, also covers
+    the factorization's, so where it fails the bound would not have
+    certified either, up to rounding.  S must be finite.
+    """
+    S.flat[::S.shape[0] + 1] += (threshold - y_omega) / (n + 1)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _screened_bound(p, rho, U, threshold, zero_index):
+    """``_dual_upper_bound(p, rho, U)`` where the Cholesky screen
+    (``_bound_screen``) lets it through, else inf with no eigenvalue
+    computed; inf also when S is not finite.  The screen shifts the
+    diagonal of S, so a bound that passes is computed afresh."""
+    y_omega, S = _dual_slack(p, rho, U, zero_index)
+    if not (np.isfinite(S).all() and _bound_screen(y_omega, S, threshold, p.n)):
+        return math.inf
+    return _dual_upper_bound(p, rho, U, zero_index)
 
 
 def _verified_lift(X, p):
@@ -571,10 +620,11 @@ def _admm(p, cfg, lifts=True):
     Stops at convergence, at the iteration cap, on divergence (residuals that
     blow up or turn non-finite, or an eigendecomposition that fails; the last
     finite iterate is returned), or at one of the checks:
-    - at iterations 8, 10, 12, 14, 16, 20, ... (``_bound_due``), the dual
-      upper bound falls below ``decision_threshold(n)``: status Certified, no
-      polish.  A check whose y_omega already reaches the threshold is
-      skipped (``_bound_can_certify``), as it cannot certify;
+    - at every iteration from 8 on, the dual upper bound falls below
+      ``decision_threshold(n)``: status Certified, no polish.  A check whose
+      y_omega already reaches the threshold is skipped
+      (``_bound_can_certify``), and one whose Cholesky screen fails computes
+      no eigenvalue (``_screened_bound``), as neither can certify;
     - at iterations 2, 4, 8, 16, ..., after the bound where both run, the
       polyhedral iterate rounds to a permutation whose lift is exactly
       feasible: stop reason verified-lift, status Converged with Y that lift,
@@ -597,6 +647,7 @@ def _admm(p, cfg, lifts=True):
 
     Z = initial_point(p)
     U = np.zeros((p.dim, p.dim))
+    zero_index = _zero_index(p)
     threshold = decision_threshold(n)
     upper_bound = math.inf
 
@@ -607,7 +658,7 @@ def _admm(p, cfg, lifts=True):
     for it in range(1, cfg.max_iter + 1):
         W = Z - U
         W[p.pair_diag, p.pair_diag] += 1.0 / rho   # tilt C / rho, C = pair-diagonal I
-        X = _project_polyhedral(W, p)
+        X = _project_polyhedral(W, p, zero_index)
         # The PSD step's input U + X_hat, X_hat = alpha X + (1 - alpha) Z, is
         # built in U itself, so the relaxation keeps no extra dim x dim array.
         U += Z
@@ -625,8 +676,10 @@ def _admm(p, cfg, lifts=True):
         U -= Z_new
         r_norm, s_norm, Z = r, s, Z_new
 
-        if _bound_due(it) and _bound_can_certify(p, rho, U, threshold):
-            upper_bound = _dual_upper_bound(p, rho, U)
+        # No pair measured certifies before iteration 8, and a check there
+        # would cost a fair share of a sweep.
+        if it >= 8 and _bound_can_certify(p, rho, U, threshold):
+            upper_bound = _screened_bound(p, rho, U, threshold, zero_index)
             if upper_bound < threshold:
                 stop_reason = "dual-bound"
                 break
@@ -673,7 +726,7 @@ def _admm(p, cfg, lifts=True):
             # The bound of the last iteration stands on that stop.  After a
             # failed step U holds U + X_hat, which is finite; the bound is
             # valid for any U.
-            upper_bound = _dual_upper_bound(p, rho, U)
+            upper_bound = _dual_upper_bound(p, rho, U, zero_index)
         Y = Z
         if stop_reason == "tolerance":
             try:

@@ -293,7 +293,7 @@ def test_decide_malformed_file(tmp_path, capsys):
 
 
 def test_decide_inconclusive_exit_three(non_iso_pair, capsys):
-    # The first bound check comes at iteration 16, so the pair is still
+    # The first bound check comes at iteration 8, so the pair is still
     # undecided at the cap.
     assert main(["decide", *non_iso_pair, "--max-iter", "5"]) == 3
     assert "Inconclusive" in capsys.readouterr().out
@@ -308,8 +308,8 @@ def test_decide_oracle_fallback_settles_the_cap(non_iso_pair, capsys):
 @pytest.mark.parametrize("lift", [True, False], ids=["bound-decides", "oracle-decides"])
 def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypatch, capsys):
     # The report's oracle section reuses decide's search when the fallback
-    # ran it.  Without its lift, C4 against its relabelling branches at
-    # iteration 16, and its first branch and then the solve that runs on
+    # ran it.  Without its lift, C4 against its relabelling branches before
+    # the solve, and its first branch and then the solve that runs on
     # converge at tolerance with nothing to check, so decide's fallback
     # settles it.
     searches = []

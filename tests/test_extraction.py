@@ -522,7 +522,9 @@ def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
     # a subset vertex, to an edge end, one branch is certified by its bound,
     # and automorphisms of the twisted graph cover the other 15.  How many
     # automorphisms the tries find depends on the BLAS thread count, so each
-    # is checked, not counted.  The solve's bound is the largest branch bound.
+    # is checked, not counted.  The certified branch stops at iteration 68,
+    # at one BLAS thread and at two.  The solve's bound is the largest
+    # branch bound.
     g1, g2 = cfi_k4_graph(False), cfi_k4_graph(True)
     p = th.build_program(g1, g2)
     assert (p.n, p.dim) == (40, 1601)
@@ -532,8 +534,10 @@ def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
         "refinement": 24, "automorphism": 15, "dual-bound": 1}
     assert res.automorphisms
     assert_pruned_by_verified_automorphisms(res, g2)
+    [solved] = [b for b in res.branches if b["stop_reason"] == "dual-bound"]
+    assert (solved["k"], solved["dim"], solved["iterations"]) == (0, 263, 68)
     largest = max(b["upper_bound"] for b in res.branches)
-    assert round(largest, 2) == 39.85
+    assert round(largest, 2) == 39.93
     assert res.upper_bound == largest < decision_threshold(40)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"

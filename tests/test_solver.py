@@ -11,17 +11,22 @@ import thetaiso as th
 import thetaiso.extraction
 import thetaiso.solver
 from thetaiso.cli import dumps_json
-from thetaiso.program import build_program, decision_threshold, program_to_json_dict
+from thetaiso.program import (
+    branch_program, build_program, decision_threshold, program_to_json_dict,
+)
 from thetaiso.solver import (
     POLISH_RELAXATION,
     _bound_can_certify,
-    _bound_due,
+    _bound_screen,
+    _dual_slack,
     _dual_upper_bound,
     _polish,
     _project_polyhedral,
     _psd_part,
+    _screened_bound,
     _two_wl_equivalent,
     _verified_lift,
+    _zero_index,
     SolverConfig,
     SolverStatus,
     eigh_backend,
@@ -32,8 +37,8 @@ from thetaiso.solver import (
 )
 
 from conftest import (
-    cube_graph, failing_eigh_backend, recording_eigh_backend, rook_graph, shrikhande_graph,
-    wagner_graph,
+    cfi_k4_graph, cube_graph, failing_eigh_backend, recording_eigh_backend, rook_graph,
+    shrikhande_graph, wagner_graph,
 )
 
 # Doubly nonnegative optima for fixture pairs, confirmed independently with
@@ -327,7 +332,7 @@ def test_dual_upper_bound_matches_explicit_rows_for_any_duals():
 
 def test_petersen_vs_prism_certified_early():
     # Its primal iterate is far from converging when the dual bound already
-    # separates it, at the first check.
+    # separates it, at iteration 11.
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     prism = th.Graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
@@ -422,12 +427,14 @@ def test_every_eigh_input_is_exactly_symmetric(monkeypatch):
 def test_checks_run_on_their_schedules(monkeypatch):
     # The lift is tried at iterations 2, 4, 8, 16, ... (iteration 1 cannot
     # lift: its X has no positive entry between two distinct pairs) and the
-    # bound is due at 8, 10, 12, 14, 16, 20, ...; at a shared iteration the
-    # bound goes first.  A due check whose y_omega already reaches the
-    # threshold skips the bound's eigvalsh.  The 2-WL test runs once, before
-    # iteration 1.  C10 vs 2C5 is 2-WL separated, so it does not branch, makes
-    # no lift try (no permutation can lift) and is certified at iteration 20;
-    # the loop run on its own, with its lift tries, stops there too.
+    # bound is checked at every iteration from 8; at a shared iteration the
+    # bound goes first.  A check whose y_omega already reaches the threshold
+    # goes no further, one that passes runs the Cholesky screen, and only a
+    # screen that passes computes the bound's eigvalsh.  The 2-WL test runs
+    # once, before iteration 1.  C10 vs 2C5 is 2-WL separated, so it does
+    # not branch, makes no lift try (no permutation can lift) and is
+    # certified at iteration 17, after screens at 12 to 16 that reject; the
+    # loop run on its own, with its lift tries, stops there too.
     eighs, checks = [], []
 
     def lift_at(X, p):
@@ -438,9 +445,13 @@ def test_checks_run_on_their_schedules(monkeypatch):
         checks.append(("due", len(eighs)))
         return _bound_can_certify(p, rho, U, threshold)
 
-    def bound_at(p, rho, U):
+    def screen_at(y_omega, S, threshold, n):
+        checks.append(("screen", len(eighs)))
+        return _bound_screen(y_omega, S, threshold, n)
+
+    def bound_at(p, rho, U, zero_index=None):
         checks.append(("bound", len(eighs)))
-        return _dual_upper_bound(p, rho, U)
+        return _dual_upper_bound(p, rho, U, zero_index)
 
     def gate_at(p):
         checks.append(("gate", len(eighs)))
@@ -449,6 +460,7 @@ def test_checks_run_on_their_schedules(monkeypatch):
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", recording_eigh_backend(eighs.append))
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lift_at)
     monkeypatch.setattr(thetaiso.solver, "_bound_can_certify", due_at)
+    monkeypatch.setattr(thetaiso.solver, "_bound_screen", screen_at)
     monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", bound_at)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", gate_at)
     c10 = th.cycle_graph(10)
@@ -456,37 +468,51 @@ def test_checks_run_on_their_schedules(monkeypatch):
                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
     p = build_program(c10, two_c5)
     res = solve(p)
-    assert res.stop_reason == "dual-bound" and res.iterations == 20
+    assert res.stop_reason == "dual-bound" and res.iterations == 17
     assert checks == [("gate", 0),
-                      ("due", 8), ("due", 10),
-                      ("due", 12), ("bound", 12), ("due", 14), ("bound", 14),
-                      ("due", 16), ("bound", 16),
-                      ("due", 20), ("bound", 20)]
+                      ("due", 8), ("due", 9), ("due", 10), ("due", 11),
+                      ("due", 12), ("screen", 12), ("due", 13), ("screen", 13),
+                      ("due", 14), ("screen", 14), ("due", 15), ("screen", 15),
+                      ("due", 16), ("screen", 16),
+                      ("due", 17), ("screen", 17), ("bound", 17)]
     checks.clear()
     eighs.clear()
     res = thetaiso.solver._admm(p, SolverConfig())
-    assert res.stop_reason == "dual-bound" and res.iterations == 20
+    assert res.stop_reason == "dual-bound" and res.iterations == 17
     assert checks == [("lift", 2), ("lift", 4),
-                      ("due", 8), ("lift", 8), ("due", 10),
-                      ("due", 12), ("bound", 12), ("due", 14), ("bound", 14),
-                      ("due", 16), ("bound", 16), ("lift", 16),
-                      ("due", 20), ("bound", 20)]
+                      ("due", 8), ("lift", 8), ("due", 9), ("due", 10), ("due", 11),
+                      ("due", 12), ("screen", 12), ("due", 13), ("screen", 13),
+                      ("due", 14), ("screen", 14), ("due", 15), ("screen", 15),
+                      ("due", 16), ("screen", 16), ("lift", 16),
+                      ("due", 17), ("screen", 17), ("bound", 17)]
 
 
-def test_bound_schedule_is_geometric_with_every_power_of_two():
-    # Every power of two from 8 on is a check, so no certifying stop comes
-    # later than on a powers-of-two schedule; each check is at most 25% past
-    # the one before; there are four per doubling, O(log) up to the default
-    # cap.
-    due = [it for it in range(1, 50001) if _bound_due(it)]
-    assert due[:10] == [8, 10, 12, 14, 16, 20, 24, 28, 32, 40]
-    assert all(1 << e in due for e in range(3, 16))
-    assert all(b <= 1.25 * a for a, b in zip(due, due[1:]))
-    assert len(due) == 51
+@pytest.mark.parametrize("pair", ["cube-wagner", "petersen-prism"])
+def test_the_bound_certifies_at_its_only_eigvalsh(pair, monkeypatch):
+    # Screens that reject cost no eigvalsh, so each of these pairs makes
+    # exactly one, the one that certifies, at iteration 11.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(S):
+        calls.append(S.shape[0])
+        return eigvalsh(S)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    prism = th.Graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
+    g1, g2 = {"cube-wagner": (cube_graph(), wagner_graph()),
+              "petersen-prism": (th.petersen_graph(), prism)}[pair]
+    p = build_program(g1, g2)
+    res = solve(p)
+    assert res.stop_reason == "dual-bound" and res.iterations == 11
+    assert calls == [p.dim]
+    assert res.upper_bound < decision_threshold(p.n)
 
 
 def test_skipped_bound_checks_could_not_have_certified(solved_corpus, monkeypatch):
-    # The pre-test skips a due check when y_omega = -rho U_ww already reaches
+    # The pre-test skips a check when y_omega = -rho U_ww already reaches
     # the threshold; the bound is never below y_omega, so each skipped check
     # would have left the solve running.  Checked on the corpus and on the
     # branches and tries of rook 4x4 vs Shrikhande.
@@ -503,6 +529,71 @@ def test_skipped_bound_checks_could_not_have_certified(solved_corpus, monkeypatc
         solve(program)
     assert solve(build_program(rook_graph(4), shrikhande_graph())).stop_reason == "branch-bound"
     assert skipped and all(skipped)
+
+
+def test_the_cholesky_screen_never_vetoes_a_certificate(solved_corpus, monkeypatch):
+    # Every check the pre-test lets through is screened by a Cholesky
+    # factorization before its eigvalsh.  Wherever the screen rejects, the
+    # bound it spared would not have certified; wherever it passes, the bound
+    # is the one _dual_upper_bound gives.  Checked on the corpus, the
+    # benchmark's pairs, the branch and tries of rook 4x4 vs Shrikhande and
+    # branch 0 of CFI(K4), untwisted vs twisted.
+    rejected, passed = [], []
+
+    def checked(p, rho, U, threshold, zero_index):
+        bound = _screened_bound(p, rho, U, threshold, zero_index)
+        if _bound_screen(*_dual_slack(p, rho, U, zero_index), threshold, p.n):
+            passed.append(bound == _dual_upper_bound(p, rho, U))
+        else:
+            rejected.append(bound == math.inf and _dual_upper_bound(p, rho, U) >= threshold)
+        return bound
+
+    monkeypatch.setattr(thetaiso.solver, "_screened_bound", checked)
+    for _, _, _, program, _, _ in solved_corpus.values():
+        solve(program)
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    prism = th.Graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
+    for k in (4, 5):
+        two_ck = th.Graph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                          + [(k + i, k + (i + 1) % k) for i in range(k)])
+        assert solve(build_program(th.cycle_graph(2 * k), two_ck)).stop_reason == "dual-bound"
+    for g1, g2 in ((cube_graph(), wagner_graph()), (th.petersen_graph(), prism)):
+        assert solve(build_program(g1, g2)).stop_reason == "dual-bound"
+    for g in (cube_graph(), th.path_graph(8), th.cycle_graph(12), th.path_graph(10)):
+        perm = tuple(np.random.default_rng(g.n).permutation(g.n).tolist())
+        assert solve(build_program(g, th.relabel(g, perm))).stop_reason == "verified-lift"
+    assert solve(build_program(rook_graph(4), shrikhande_graph())).stop_reason == "branch-bound"
+    branch = branch_program(build_program(cfi_k4_graph(False), cfi_k4_graph(True)), 0, 0)
+    assert thetaiso.solver._admm(branch, SolverConfig(max_iter=4000)).stop_reason == "dual-bound"
+    assert rejected and all(rejected)
+    assert passed and all(passed)
+
+
+def test_the_cholesky_screen_on_hand_made_slack_matrices():
+    # mu = (threshold - y_omega) / (n + 1) - delta <= 0 still factors
+    # S + (mu + delta) I: a positive definite S passes, and its bound
+    # certifies; an S with a negative eigenvalue is rejected, and its bound
+    # does not.  A non-finite S gives inf with no factorization.
+    n = 3
+    p = build_program(th.path_graph(n), th.path_graph(n))
+    threshold = decision_threshold(n)
+    Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((p.dim, p.dim)))
+    for lam_min, passes in ((0.5, True), (-1e-3, False)):
+        S = (Q * np.linspace(lam_min, 2.0, p.dim)) @ Q.T
+        S = 0.5 * (S + S.T)
+        lam = np.linalg.eigvalsh(S)[0]
+        delta = p.dim ** 2 * np.finfo(float).eps * np.linalg.norm(S)
+        y_omega = threshold - 0.5 * (n + 1) * delta
+        assert (threshold - y_omega) / (n + 1) - delta <= 0.0
+        assert _bound_screen(y_omega, S.copy(), threshold, n) is passes
+        bound = y_omega + (n + 1) * max(0.0, delta - lam)
+        assert (bound < threshold) == passes
+    U = np.zeros((p.dim, p.dim))
+    for bad in (math.nan, math.inf, -math.inf):
+        U[1, 2] = U[2, 1] = bad
+        assert _screened_bound(p, 1.0, U, threshold, _zero_index(p)) == math.inf
+        assert _dual_upper_bound(p, 1.0, U) == math.inf
 
 
 @pytest.mark.parametrize("fail", ["raise", "nan"])
@@ -565,10 +656,15 @@ def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
     # G = -rho sym(U), the bound's PSD multiplier, is PSD at every check.
     seen = []
 
-    def capturing(p, rho, U):
+    def screening(p, rho, U, threshold, zero_index):
         seen.append(U.copy())
-        return _dual_upper_bound(p, rho, U)
+        return _screened_bound(p, rho, U, threshold, zero_index)
 
+    def capturing(p, rho, U, zero_index):
+        seen.append(U.copy())
+        return _dual_upper_bound(p, rho, U, zero_index)
+
+    monkeypatch.setattr(thetaiso.solver, "_screened_bound", screening)
     monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", capturing)
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
