@@ -143,10 +143,10 @@ def _worst_at(Y, rows, cols):
 def check_feasible(Y, g1, g2, tol=1e-6):
     """Check a candidate matrix against all eight feasibility conditions.
 
-    Y must be symmetric of size (n^2+1) with n = g1.n = g2.n.  Conditions 2-8
-    flag entries whose deviation exceeds tol; the eigenvalue condition uses
-    the relative slack tol * (1 + ||Y||_F).  The report always records the
-    worst magnitude for every condition, violated or not.
+    Y must be finite and symmetric of size (n^2+1) with n = g1.n = g2.n.
+    Conditions 2-8 flag entries whose deviation exceeds tol; the eigenvalue
+    condition uses the relative slack tol * (1 + ||Y||_F).  The report always
+    records the worst magnitude for every condition, violated or not.
     """
     if g1.n != g2.n:
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
@@ -154,6 +154,8 @@ def check_feasible(Y, g1, g2, tol=1e-6):
     n = _lifted_order(Y)
     if n != g1.n:
         raise ValueError(f"matrix is for n = {n}, graphs have n = {g1.n}")
+    if not np.isfinite(Y).all():
+        raise ValueError("matrix contains non-finite entries")
     dim = n * n + 1
     asym = float(np.abs(Y - Y.T).max())
     if asym > tol:

@@ -22,12 +22,8 @@ dual into a weak-duality upper bound on the relaxation's optimum
 (``SolverResult.upper_bound``).  Once that bound falls below
 ``decision_threshold`` no isomorphism is possible, so the solve stops there
 with status Certified, however far the primal iterate still is from
-converging.  The bound is never below its affine multiplier y_omega, which
-costs nothing to read, so a check where y_omega already reaches the
-threshold goes no further (``_bound_can_certify``).  Any other check first
-asks one Cholesky factorization whether the bound's smallest eigenvalue is
-high enough to certify (``_bound_screen``), at a fraction of the cost of
-the eigenvalues, and computes them only where it is.
+converging.  A check computes the bound's eigenvalues only where two
+cheaper tests leave it able to certify (``_dual_upper_bound``).
 
 Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
 when the solve converges, the loop also tries to round the polyhedral
@@ -107,6 +103,7 @@ __all__ = [
 # projection onto P (beta in (0, 2)); both keep the fixed points unchanged.
 RELAXATION = 1.6
 POLISH_RELAXATION = 1.9
+POLISH_MAX_SWEEPS = 2000        # the polish's sweep cap
 
 # Iteration cap of a branch rung's automorphism try, whose lift checks run at
 # iterations 2, 4, 8 and 16; a try is also capped by the rung's try budget,
@@ -228,7 +225,7 @@ def _zero_index(p):
     return np.sort(p.zero_rows * p.dim + p.zero_cols)
 
 
-def _apply_affine(M, p, link_weight, zero_index=None):
+def _apply_affine(M, p, link_weight, zero_index):
     """Overwrite the affine-row entries of M in place.
 
     Each zeroed pair, the omega corner, and each diagonal/omega link group is
@@ -236,9 +233,8 @@ def _apply_affine(M, p, link_weight, zero_index=None):
     diagonal entry of a link group carries weight 1 and the omega pair carries
     weight ``link_weight`` (1 treats each stored value once, 2 counts the
     mirrored matrix entry twice, i.e. plain Frobenius distance).  The zeroed
-    pairs are read from ``zero_index`` (``_zero_index(p)``, built here if not
-    given) through the flat view of M, which is C-contiguous: every caller
-    passes a fresh array.
+    pairs are read from ``zero_index`` (``_zero_index(p)``) through the flat
+    view of M, which is C-contiguous: every caller passes a fresh array.
     """
     d = p.pair_diag
     omega = p.omega
@@ -249,7 +245,7 @@ def _apply_affine(M, p, link_weight, zero_index=None):
     M[omega, d] = m
     M[d, d] = m
     M[omega, omega] = 1.0
-    M.reshape(-1)[_zero_index(p) if zero_index is None else zero_index] = 0.0
+    M.reshape(-1)[zero_index] = 0.0
     return M
 
 
@@ -261,15 +257,15 @@ def project_affine(M, p):
         raise ValueError(f"expected a {p.dim} x {p.dim} matrix, got {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
-    return _apply_affine(M.copy(), p, link_weight=1.0)
+    return _apply_affine(M.copy(), p, 1.0, _zero_index(p))
 
 
-def _project_polyhedral(W, p, zero_index=None):
+def _project_polyhedral(W, p, zero_index):
     """Frobenius projection onto P = {affine rows, Y >= 0}; overwrites W.
 
     Every entry group of P is independent: a zeroed pair is 0, the corner is
     1, a link group is max(mean of its three entries, 0), any other entry is
-    clipped at 0.
+    clipped at 0.  ``zero_index`` is ``_zero_index(p)``.
     """
     return np.maximum(_apply_affine(W, p, 2.0, zero_index), 0.0, out=W)
 
@@ -287,7 +283,7 @@ def initial_point(p):
     return Z
 
 
-def _polish(Z, p, eigh, max_sweeps=2000):
+def _polish(Z, p, eigh, zero_index):
     """Restore feasibility of a converged iterate by alternating projections.
 
     The positive semidefinite iterate sits a hair outside P, which can leave
@@ -299,12 +295,12 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     (Bauschke & Combettes, Prop. 4.49).  The walk covers a distance of the order of the final primal
     residual, so the objective moves well within tolerance.  A non-finite
     iterate raises LinAlgError, like a failed eigendecomposition.
+    ``zero_index`` is ``_zero_index(p)``.
     """
     d = p.pair_diag
     omega = p.omega
-    zero_index = _zero_index(p)
     W = Z
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, POLISH_MAX_SWEEPS + 1):
         W = W + POLISH_RELAXATION * (_project_polyhedral(W.copy(), p, zero_index) - W)
         W = _psd_part(W, eigh)
         viol = max(
@@ -321,35 +317,7 @@ def _polish(Z, p, eigh, max_sweeps=2000):
     return W
 
 
-def _bound_can_certify(p, rho, U, threshold):
-    """Whether the dual bound of (rho, U) can fall below threshold.
-
-    The bound is y_omega = -rho U_ww plus a nonnegative term, and its sum
-    rounds upward, so where y_omega alone reaches the threshold the bound
-    does too, and its eigenvalue computation can be skipped.
-    """
-    return -rho * U[p.omega, p.omega] < threshold
-
-
-def _dual_slack(p, rho, U, zero_index):
-    """y_omega and the slack matrix S of the dual bound of (rho, U), a new
-    array (``_dual_upper_bound``); ``zero_index`` is ``_zero_index(p)``."""
-    d = p.pair_diag
-    omega = p.omega
-    G = -rho * (0.5 * (U + U.T))
-    y_omega = G[omega, omega]
-    y_link = (2.0 * G[d, omega] - 2.0 * G[d, d] - 2.0) / 3.0
-
-    # -N, C-ordered for its flat view; the support entries are overwritten below.
-    S = np.minimum(G, 0.0, order="C")
-    S.reshape(-1)[zero_index] = G.reshape(-1)[zero_index]
-    S[omega, omega] = y_omega
-    S[d, omega] = S[omega, d] = 0.5 * y_link
-    S[d, d] = -y_link - 1.0
-    return float(y_omega), S
-
-
-def _dual_upper_bound(p, rho, U, zero_index=None):
+def _dual_upper_bound(p, rho, U, zero_index, threshold=math.inf):
     """Weak-duality upper bound on the optimum from the scaled dual U.
 
     C is the objective, the identity on the pair diagonal.  G = -rho sym(U)
@@ -368,15 +336,34 @@ def _dual_upper_bound(p, rho, U, zero_index=None):
     multipliers can be taken as the exact values that give the stored S.  A
     branch program needs no change: each kept pair index lies in exactly one
     row i, so the same x_i over the kept pairs of row i still give
-    tr Y <= n + 1.  ``zero_index`` is ``_zero_index(p)``, built here if not
-    given.  The loop's checks reach this bound through ``_screened_bound``,
-    which skips it where one Cholesky factorization shows it would not fall
-    below the threshold.
+    tr Y <= n + 1.  ``zero_index`` is ``_zero_index(p)``.  The bound is inf
+    when S is not finite or its eigenvalues fail.
+
+    With a finite ``threshold`` (the loop's checks) the bound is also inf
+    where it could not fall below the threshold, found before the
+    eigenvalues: the bound is never below y_omega, which costs nothing to
+    read, and its sum rounds upward, so where y_omega alone reaches the
+    threshold the bound does too and S is not built; else one Cholesky
+    factorization (``_bound_screen``) shows whether lambda_min(S) is high
+    enough.
     """
-    if zero_index is None:
-        zero_index = _zero_index(p)
-    y_omega, S = _dual_slack(p, rho, U, zero_index)
+    d = p.pair_diag
+    omega = p.omega
+    y_omega = float(-rho * U[omega, omega])
+    if y_omega >= threshold:
+        return math.inf
+    G = -rho * (0.5 * (U + U.T))
+    y_link = (2.0 * G[d, omega] - 2.0 * G[d, d] - 2.0) / 3.0
+
+    # -N, C-ordered for its flat view; the support entries are overwritten below.
+    S = np.minimum(G, 0.0, order="C")
+    S.reshape(-1)[zero_index] = G.reshape(-1)[zero_index]
+    S[omega, omega] = y_omega
+    S[d, omega] = S[omega, d] = 0.5 * y_link
+    S[d, d] = -y_link - 1.0
     if not np.isfinite(S).all():
+        return math.inf
+    if math.isfinite(threshold) and not _bound_screen(y_omega, S, threshold, p.n):
         return math.inf
     try:
         lam = float(np.linalg.eigvalsh(S)[0])
@@ -389,8 +376,8 @@ def _dual_upper_bound(p, rho, U, zero_index=None):
 
 def _bound_screen(y_omega, S, threshold, n):
     """Whether the dual bound of (y_omega, S) may fall below threshold, by one
-    Cholesky factorization of S + ((threshold - y_omega) / (n + 1)) I, which
-    overwrites the diagonal of S.
+    Cholesky factorization of S + ((threshold - y_omega) / (n + 1)) I, a
+    shifted copy: S is left as it is.
 
     The bound falls below threshold exactly when lambda_min(S) > -mu, with
     mu = (threshold - y_omega) / (n + 1) - delta (``_dual_upper_bound``); mu
@@ -399,23 +386,13 @@ def _bound_screen(y_omega, S, threshold, n):
     the factorization's, so where it fails the bound would not have
     certified either, up to rounding.  S must be finite.
     """
-    S.flat[::S.shape[0] + 1] += (threshold - y_omega) / (n + 1)
+    shifted = S.copy()
+    shifted.flat[::S.shape[0] + 1] += (threshold - y_omega) / (n + 1)
     try:
-        np.linalg.cholesky(S)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _screened_bound(p, rho, U, threshold, zero_index):
-    """``_dual_upper_bound(p, rho, U)`` where the Cholesky screen
-    (``_bound_screen``) lets it through, else inf with no eigenvalue
-    computed; inf also when S is not finite.  The screen shifts the
-    diagonal of S, so a bound that passes is computed afresh."""
-    y_omega, S = _dual_slack(p, rho, U, zero_index)
-    if not (np.isfinite(S).all() and _bound_screen(y_omega, S, threshold, p.n)):
-        return math.inf
-    return _dual_upper_bound(p, rho, U, zero_index)
 
 
 def _verified_lift(X, p):
@@ -621,10 +598,8 @@ def _admm(p, cfg, lifts=True):
     blow up or turn non-finite, or an eigendecomposition that fails; the last
     finite iterate is returned), or at one of the checks:
     - at every iteration from 8 on, the dual upper bound falls below
-      ``decision_threshold(n)``: status Certified, no polish.  A check whose
-      y_omega already reaches the threshold is skipped
-      (``_bound_can_certify``), and one whose Cholesky screen fails computes
-      no eigenvalue (``_screened_bound``), as neither can certify;
+      ``decision_threshold(n)``: status Certified, no polish.  A check that
+      cannot certify stops before the eigenvalues (``_dual_upper_bound``);
     - at iterations 2, 4, 8, 16, ..., after the bound where both run, the
       polyhedral iterate rounds to a permutation whose lift is exactly
       feasible: stop reason verified-lift, status Converged with Y that lift,
@@ -678,8 +653,8 @@ def _admm(p, cfg, lifts=True):
 
         # No pair measured certifies before iteration 8, and a check there
         # would cost a fair share of a sweep.
-        if it >= 8 and _bound_can_certify(p, rho, U, threshold):
-            upper_bound = _screened_bound(p, rho, U, threshold, zero_index)
+        if it >= 8:
+            upper_bound = _dual_upper_bound(p, rho, U, zero_index, threshold)
             if upper_bound < threshold:
                 stop_reason = "dual-bound"
                 break
@@ -730,7 +705,7 @@ def _admm(p, cfg, lifts=True):
         Y = Z
         if stop_reason == "tolerance":
             try:
-                Y = _polish(Z, p, eigh)
+                Y = _polish(Z, p, eigh, zero_index)
             except np.linalg.LinAlgError:
                 stop_reason = "diverged"
     return SolverResult(

@@ -502,8 +502,12 @@ def test_a_branch_bound_objective_is_nan(tmp_path, capsys):
 
 def test_decide_reports_branches_refuted_by_refinement(monkeypatch, tmp_path, capsys):
     # C6 against 2 C3 held open to the branch step: every branch is refuted
-    # by its colour histogram, so every bound is -inf, null in the report.
-    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", lambda p, rho, U: np.inf)
+    # by its colour histogram, so every bound is -inf, null in the report,
+    # and no program is solved.
+    def unsolved(p, cfg, lifts=True):
+        raise AssertionError("a branch refuted by refinement was solved")
+
+    monkeypatch.setattr(thetaiso.solver, "_admm", unsolved)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: True)
     files = (write_graph(tmp_path / "c6.txt", th.cycle_graph(6)),
              write_graph(tmp_path / "2c3.txt",

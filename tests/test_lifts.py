@@ -100,6 +100,17 @@ def test_check_feasible_rejects_bad_input():
     Y[0, 1] += 1.0  # symmetric no more
     with pytest.raises(ValueError):
         check_feasible(Y, g, g)
+    # Every comparison with NaN is false, so a NaN on the diagonal of C4's
+    # identity lift would pass every condition, and a NaN pair or an
+    # infinite matrix would fail inside eigvalsh.
+    g = th.cycle_graph(4)
+    nan_diagonal = lift((0, 1, 2, 3)).extended()
+    nan_diagonal[0, 0] = np.nan
+    nan_pair = lift((0, 1, 2, 3)).extended()
+    nan_pair[0, 5] = nan_pair[5, 0] = np.nan
+    for Y in (nan_diagonal, nan_pair, np.full((17, 17), np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_feasible(Y, g, g)
 
 
 def test_is_united_basics():

@@ -16,15 +16,11 @@ from thetaiso.program import (
 )
 from thetaiso.solver import (
     POLISH_RELAXATION,
-    _bound_can_certify,
     _bound_screen,
-    _dual_slack,
     _dual_upper_bound,
     _polish,
     _project_polyhedral,
     _psd_part,
-    _screened_bound,
-    _two_wl_equivalent,
     _verified_lift,
     _zero_index,
     SolverConfig,
@@ -325,7 +321,7 @@ def test_dual_upper_bound_matches_explicit_rows_for_any_duals():
     for _ in range(50):
         rho = rng.uniform(0.1, 4.0)
         U = rng.standard_normal((p.dim, p.dim)) * rng.uniform(0.0, 3.0)
-        bound = _dual_upper_bound(p, rho, U)
+        bound = _dual_upper_bound(p, rho, U, _zero_index(p))
         assert bound == pytest.approx(_reference_upper_bound(p, rho, U), rel=1e-9)
         assert bound >= 4.0
 
@@ -399,11 +395,11 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     Z = solve(p, SolverConfig(max_iter=10)).Y
     calls.clear()
-    polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"))
+    polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"), _zero_index(p))
     assert len(calls) >= 2
     W = Z.copy()
     for _ in calls:
-        P = _project_polyhedral(W.copy(), p)
+        P = _project_polyhedral(W.copy(), p, _zero_index(p))
         W = _psd_part(W + POLISH_RELAXATION * (P - W), np.linalg.eigh)
     assert W.tobytes() == polished.tobytes()
 
@@ -430,39 +426,27 @@ def test_checks_run_on_their_schedules(monkeypatch):
     # bound is checked at every iteration from 8; at a shared iteration the
     # bound goes first.  A check whose y_omega already reaches the threshold
     # goes no further, one that passes runs the Cholesky screen, and only a
-    # screen that passes computes the bound's eigvalsh.  The 2-WL test runs
+    # screen that passes computes the bound's eigvalsh (numpy's own
+    # cholesky and eigvalsh are counted).  The 2-WL test runs
     # once, before iteration 1.  C10 vs 2C5 is 2-WL separated, so it does
     # not branch, makes no lift try (no permutation can lift) and is
     # certified at iteration 17, after screens at 12 to 16 that reject; the
     # loop run on its own, with its lift tries, stops there too.
     eighs, checks = [], []
 
-    def lift_at(X, p):
-        checks.append(("lift", len(eighs)))
-        return _verified_lift(X, p)
-
-    def due_at(p, rho, U, threshold):
-        checks.append(("due", len(eighs)))
-        return _bound_can_certify(p, rho, U, threshold)
-
-    def screen_at(y_omega, S, threshold, n):
-        checks.append(("screen", len(eighs)))
-        return _bound_screen(y_omega, S, threshold, n)
-
-    def bound_at(p, rho, U, zero_index=None):
-        checks.append(("bound", len(eighs)))
-        return _dual_upper_bound(p, rho, U, zero_index)
-
-    def gate_at(p):
-        checks.append(("gate", len(eighs)))
-        return _two_wl_equivalent(p)
+    def recording(label, f):
+        def recorded(*args):
+            checks.append((label, len(eighs)))
+            return f(*args)
+        return recorded
 
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", recording_eigh_backend(eighs.append))
-    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lift_at)
-    monkeypatch.setattr(thetaiso.solver, "_bound_can_certify", due_at)
-    monkeypatch.setattr(thetaiso.solver, "_bound_screen", screen_at)
-    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", bound_at)
-    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", gate_at)
+    for label, module, name in (("gate", thetaiso.solver, "_two_wl_equivalent"),
+                                ("lift", thetaiso.solver, "_verified_lift"),
+                                ("bound", thetaiso.solver, "_dual_upper_bound"),
+                                ("screen", np.linalg, "cholesky"),
+                                ("eigvalsh", np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, recording(label, getattr(module, name)))
     c10 = th.cycle_graph(10)
     two_c5 = th.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
@@ -470,21 +454,21 @@ def test_checks_run_on_their_schedules(monkeypatch):
     res = solve(p)
     assert res.stop_reason == "dual-bound" and res.iterations == 17
     assert checks == [("gate", 0),
-                      ("due", 8), ("due", 9), ("due", 10), ("due", 11),
-                      ("due", 12), ("screen", 12), ("due", 13), ("screen", 13),
-                      ("due", 14), ("screen", 14), ("due", 15), ("screen", 15),
-                      ("due", 16), ("screen", 16),
-                      ("due", 17), ("screen", 17), ("bound", 17)]
+                      ("bound", 8), ("bound", 9), ("bound", 10), ("bound", 11),
+                      ("bound", 12), ("screen", 12), ("bound", 13), ("screen", 13),
+                      ("bound", 14), ("screen", 14), ("bound", 15), ("screen", 15),
+                      ("bound", 16), ("screen", 16),
+                      ("bound", 17), ("screen", 17), ("eigvalsh", 17)]
     checks.clear()
     eighs.clear()
     res = thetaiso.solver._admm(p, SolverConfig())
     assert res.stop_reason == "dual-bound" and res.iterations == 17
     assert checks == [("lift", 2), ("lift", 4),
-                      ("due", 8), ("lift", 8), ("due", 9), ("due", 10), ("due", 11),
-                      ("due", 12), ("screen", 12), ("due", 13), ("screen", 13),
-                      ("due", 14), ("screen", 14), ("due", 15), ("screen", 15),
-                      ("due", 16), ("screen", 16), ("lift", 16),
-                      ("due", 17), ("screen", 17), ("bound", 17)]
+                      ("bound", 8), ("lift", 8), ("bound", 9), ("bound", 10), ("bound", 11),
+                      ("bound", 12), ("screen", 12), ("bound", 13), ("screen", 13),
+                      ("bound", 14), ("screen", 14), ("bound", 15), ("screen", 15),
+                      ("bound", 16), ("screen", 16), ("lift", 16),
+                      ("bound", 17), ("screen", 17), ("eigvalsh", 17)]
 
 
 @pytest.mark.parametrize("pair", ["cube-wagner", "petersen-prism"])
@@ -511,44 +495,29 @@ def test_the_bound_certifies_at_its_only_eigvalsh(pair, monkeypatch):
     assert res.upper_bound < decision_threshold(p.n)
 
 
-def test_skipped_bound_checks_could_not_have_certified(solved_corpus, monkeypatch):
-    # The pre-test skips a check when y_omega = -rho U_ww already reaches
-    # the threshold; the bound is never below y_omega, so each skipped check
-    # would have left the solve running.  Checked on the corpus and on the
-    # branches and tries of rook 4x4 vs Shrikhande.
-    skipped = []
-
-    def checked(p, rho, U, threshold):
-        can = _bound_can_certify(p, rho, U, threshold)
-        if not can:
-            skipped.append(_dual_upper_bound(p, rho, U) >= threshold)
-        return can
-
-    monkeypatch.setattr(thetaiso.solver, "_bound_can_certify", checked)
-    for _, _, _, program, _, _ in solved_corpus.values():
-        solve(program)
-    assert solve(build_program(rook_graph(4), shrikhande_graph())).stop_reason == "branch-bound"
-    assert skipped and all(skipped)
-
-
 def test_the_cholesky_screen_never_vetoes_a_certificate(solved_corpus, monkeypatch):
-    # Every check the pre-test lets through is screened by a Cholesky
-    # factorization before its eigvalsh.  Wherever the screen rejects, the
-    # bound it spared would not have certified; wherever it passes, the bound
-    # is the one _dual_upper_bound gives.  Checked on the corpus, the
-    # benchmark's pairs, the branch and tries of rook 4x4 vs Shrikhande and
-    # branch 0 of CFI(K4), untwisted vs twisted.
-    rejected, passed = [], []
+    # A check skips the bound when y_omega = -rho U_ww already reaches the
+    # threshold (the bound is never below y_omega), and otherwise screens it
+    # by a Cholesky factorization before its eigvalsh.  Every check that
+    # returns inf spared a bound that would not have certified; every other
+    # check returns, bit for bit, the bound computed with no threshold.
+    # Checked on the corpus, the benchmark's pairs, the branches and tries of
+    # rook 4x4 vs Shrikhande and branch 0 of CFI(K4), untwisted vs twisted.
+    skipped, rejected, passed = [], [], []
 
-    def checked(p, rho, U, threshold, zero_index):
-        bound = _screened_bound(p, rho, U, threshold, zero_index)
-        if _bound_screen(*_dual_slack(p, rho, U, zero_index), threshold, p.n):
-            passed.append(bound == _dual_upper_bound(p, rho, U))
-        else:
-            rejected.append(bound == math.inf and _dual_upper_bound(p, rho, U) >= threshold)
+    def checked(p, rho, U, zero_index, threshold=math.inf):
+        bound = _dual_upper_bound(p, rho, U, zero_index, threshold)
+        if math.isfinite(threshold):
+            unscreened = _dual_upper_bound(p, rho, U, zero_index)
+            if -rho * U[p.omega, p.omega] >= threshold:
+                skipped.append(bound == math.inf and unscreened >= threshold)
+            elif bound == math.inf:
+                rejected.append(unscreened >= threshold)
+            else:
+                passed.append(bound == unscreened)
         return bound
 
-    monkeypatch.setattr(thetaiso.solver, "_screened_bound", checked)
+    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", checked)
     for _, _, _, program, _, _ in solved_corpus.values():
         solve(program)
     outer = [(i, (i + 1) % 5) for i in range(5)]
@@ -566,6 +535,7 @@ def test_the_cholesky_screen_never_vetoes_a_certificate(solved_corpus, monkeypat
     assert solve(build_program(rook_graph(4), shrikhande_graph())).stop_reason == "branch-bound"
     branch = branch_program(build_program(cfi_k4_graph(False), cfi_k4_graph(True)), 0, 0)
     assert thetaiso.solver._admm(branch, SolverConfig(max_iter=4000)).stop_reason == "dual-bound"
+    assert skipped and all(skipped)
     assert rejected and all(rejected)
     assert passed and all(passed)
 
@@ -574,7 +544,8 @@ def test_the_cholesky_screen_on_hand_made_slack_matrices():
     # mu = (threshold - y_omega) / (n + 1) - delta <= 0 still factors
     # S + (mu + delta) I: a positive definite S passes, and its bound
     # certifies; an S with a negative eigenvalue is rejected, and its bound
-    # does not.  A non-finite S gives inf with no factorization.
+    # does not.  The screen leaves S as it is.  A non-finite S gives inf,
+    # checked or not.
     n = 3
     p = build_program(th.path_graph(n), th.path_graph(n))
     threshold = decision_threshold(n)
@@ -586,14 +557,16 @@ def test_the_cholesky_screen_on_hand_made_slack_matrices():
         delta = p.dim ** 2 * np.finfo(float).eps * np.linalg.norm(S)
         y_omega = threshold - 0.5 * (n + 1) * delta
         assert (threshold - y_omega) / (n + 1) - delta <= 0.0
-        assert _bound_screen(y_omega, S.copy(), threshold, n) is passes
+        before = S.copy()
+        assert _bound_screen(y_omega, S, threshold, n) is passes
+        assert S.tobytes() == before.tobytes()
         bound = y_omega + (n + 1) * max(0.0, delta - lam)
         assert (bound < threshold) == passes
     U = np.zeros((p.dim, p.dim))
     for bad in (math.nan, math.inf, -math.inf):
         U[1, 2] = U[2, 1] = bad
-        assert _screened_bound(p, 1.0, U, threshold, _zero_index(p)) == math.inf
-        assert _dual_upper_bound(p, 1.0, U) == math.inf
+        assert _dual_upper_bound(p, 1.0, U, _zero_index(p), threshold) == math.inf
+        assert _dual_upper_bound(p, 1.0, U, _zero_index(p)) == math.inf
 
 
 @pytest.mark.parametrize("fail", ["raise", "nan"])
@@ -626,7 +599,7 @@ def test_polish_failure_ends_as_diverged(fail, monkeypatch):
     # the converged iterate as Diverged.
     g1 = th.cycle_graph(4)
     p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
-    monkeypatch.setattr(thetaiso.solver, "_polish", lambda Z, p, eigh: Z)
+    monkeypatch.setattr(thetaiso.solver, "_polish", lambda Z, p, eigh, zero_index: Z)
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     unpolished = solve(p)
@@ -648,7 +621,7 @@ def test_dual_upper_bound_survives_an_eigvalsh_failure(monkeypatch):
 
     p = build_program(th.cycle_graph(4), th.cycle_graph(4))
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    assert _dual_upper_bound(p, 1.0, np.zeros((p.dim, p.dim))) == math.inf
+    assert _dual_upper_bound(p, 1.0, np.zeros((p.dim, p.dim)), _zero_index(p)) == math.inf
 
 
 def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
@@ -656,15 +629,10 @@ def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
     # G = -rho sym(U), the bound's PSD multiplier, is PSD at every check.
     seen = []
 
-    def screening(p, rho, U, threshold, zero_index):
+    def capturing(p, rho, U, zero_index, threshold=math.inf):
         seen.append(U.copy())
-        return _screened_bound(p, rho, U, threshold, zero_index)
+        return _dual_upper_bound(p, rho, U, zero_index, threshold)
 
-    def capturing(p, rho, U, zero_index):
-        seen.append(U.copy())
-        return _dual_upper_bound(p, rho, U, zero_index)
-
-    monkeypatch.setattr(thetaiso.solver, "_screened_bound", screening)
     monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", capturing)
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
@@ -676,7 +644,7 @@ def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     assert solve(build_program(g1, th.relabel(g1, (2, 0, 3, 1)))).stop_reason == "tolerance"
-    assert len(seen) >= checks + 2   # the checks y_omega lets through and the one at exit
+    assert len(seen) >= checks + 2   # the checks from iteration 8 and the one at exit
     for U in seen:
         lam = float(np.linalg.eigvalsh(-0.5 * (U + U.T))[0])
         assert lam >= -1e-12 * (1.0 + float(np.linalg.norm(U))), lam
