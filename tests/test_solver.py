@@ -495,6 +495,27 @@ def test_the_bound_certifies_at_its_only_eigvalsh(pair, monkeypatch):
     assert res.upper_bound < decision_threshold(p.n)
 
 
+def test_skipped_bound_checks_could_not_have_certified(solved_corpus, monkeypatch):
+    # A check returns inf before building S when y_omega = -rho U_ww already
+    # reaches the threshold; the bound is never below y_omega, so each
+    # skipped check would have left the solve running.  Checked on the corpus
+    # and on the branches and tries of rook 4x4 vs Shrikhande.
+    skipped = []
+
+    def checked(p, rho, U, zero_index, threshold=math.inf):
+        bound = _dual_upper_bound(p, rho, U, zero_index, threshold)
+        if -rho * U[p.omega, p.omega] >= threshold:
+            skipped.append(bound == math.inf
+                           and _dual_upper_bound(p, rho, U, zero_index) >= threshold)
+        return bound
+
+    monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", checked)
+    for _, _, _, program, _, _ in solved_corpus.values():
+        solve(program)
+    assert solve(build_program(rook_graph(4), shrikhande_graph())).stop_reason == "branch-bound"
+    assert skipped and all(skipped)
+
+
 def test_the_cholesky_screen_never_vetoes_a_certificate(solved_corpus, monkeypatch):
     # A check skips the bound when y_omega = -rho U_ww already reaches the
     # threshold (the bound is never below y_omega), and otherwise screens it
