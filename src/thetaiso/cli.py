@@ -104,11 +104,12 @@ def _agrees(verdict, truth):
 
 
 def _write_text(path, text):
-    """Write text to path, or to stdout when path is '-'."""
+    """Write text to path, or to stdout when path is '-'.  A file holds the
+    text as UTF-8 with bare newlines on every platform."""
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 

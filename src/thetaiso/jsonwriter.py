@@ -7,9 +7,9 @@ the same values in any standards-compliant parser.  Plain values go through
 the standard encoder.  A long list of fixed-shape rows, such as a compiled
 program's affine rows, is given as a ``Table``: each row shape is encoded
 once and split at its slots, each distinct column value is turned into digits
-once, and a slice of rows is one ``"".join`` over an object array that
-interleaves the shape's pieces with the shared digit strings, with no
-Python-level call per row.
+once, and each slot gets a table from value to its digits followed by the
+shape's next piece.  A slice of rows is then one table lookup per cell and
+one ``"".join``, with no sort and no Python-level call per row.
 """
 
 from __future__ import annotations
@@ -70,9 +70,13 @@ def _json_default(obj):
 # The writer's indent, and the most Table rows it joins in one go: a longer
 # block is written a slice at a time, so only one slice's cells are held in
 # an object array before their text joins the output.  On the 95,626-row
-# rook 5x5 program (Python 3.11, numpy 2.4, a 2-CPU Xeon), slices of 1,024,
-# 4,096 and 16,384 rows wrote in the same time, 256-row slices took about
-# 50% longer and unsliced blocks about 15% longer.
+# rook 5x5 program (Python 3.11, numpy 2.4, a 2-CPU Xeon, best of 7 to 15
+# calls, several runs), slices of 1,024, 4,096 and 16,384 rows wrote in
+# 16-28, 14-17 and 14-17 ms, 256-row slices in 19-22 ms and unsliced blocks
+# in 18-42 ms; each range moves more with the allocator's state than with
+# the slice.  The compile benchmark's pass read 0.093-0.104 s with 1,024
+# rows and 0.091-0.094 s with 4,096 (three alternating runs), inside its
+# spread, so the slice that holds the fewest cells stays.
 _INDENT = 2
 _SLICE = 1024
 
@@ -130,10 +134,13 @@ def _write(obj, level, out):
 
 def _write_table(table, level, out):
     """Append the JSON list of table's rows.  A block's k slots split its
-    shape's text into k + 1 pieces; a slice of rows is a (rows, 2k + 1)
-    object array holding the pieces in its even columns and the rows' digit
-    strings, one shared str per distinct value, in its odd ones, with the
-    row separator after the last piece, and its text is one join."""
+    shape's text into k + 1 pieces, and its values get a dense index once:
+    the offset from the least value when the span is under the cell count,
+    else the rank among the distinct values.  Slot i's table maps an index to
+    the value's digits followed by piece i + 1, and the last slot's also to
+    the row separator and the next row's first piece, so a slice of rows is
+    one lookup per cell and one join; the block's first piece is written
+    once and its last cell ends at the closing piece."""
     inner = _newline(level + 1)
     sep = "[" + inner
     for shape, columns in table.blocks:
@@ -143,21 +150,31 @@ def _write_table(table, level, out):
         if len(pieces) != len(columns) + 1:
             raise ValueError(f"a Table row shape has {len(pieces) - 1} slots "
                              f"for {len(columns)} columns")
-        values, inverse = np.unique(columns, return_inverse=True)
-        digits = np.array([str(v) for v in values.tolist()], dtype=object)
-        digits = digits[inverse.reshape(columns.shape)]
-        row = np.empty(2 * len(pieces) - 1, dtype=object)
-        row[0::2] = pieces
-        row[-1] = pieces[-1] + "," + inner
-        for start in range(0, columns.shape[1], _SLICE):
-            chunk = digits[:, start:start + _SLICE]
-            cells = np.empty((chunk.shape[1], len(row)), dtype=object)
-            cells[:] = row
-            cells[:, 1::2] = chunk.T
-            cells[-1, -1] = pieces[-1]
-            out.append(sep)
+        count = columns.shape[1]
+        if not count:
+            continue
+        out.append(sep + pieces[0])
+        sep = "," + inner
+        if not len(columns):
+            out.append((sep + pieces[0]) * (count - 1))
+            continue
+        lo, hi = columns.min(), columns.max()
+        if int(hi) - int(lo) < columns.size:
+            index, values = columns - lo, range(int(lo), int(hi) + 1)
+        else:
+            values, index = np.unique(columns, return_inverse=True)
+            index, values = index.reshape(columns.shape), values.tolist()
+        digits = np.array([str(v) for v in values], dtype=object)
+        tables = [digits + piece for piece in pieces[1:-1]]
+        tables.append(digits + (pieces[-1] + sep + pieces[0]))
+        for start in range(0, count, _SLICE):
+            chunk = index[:, start:start + _SLICE]
+            cells = np.empty(chunk.shape[::-1], dtype=object)
+            for i, slot in enumerate(tables):
+                cells[:, i] = slot[chunk[i]]
+            if start + _SLICE >= count:
+                cells[-1, -1] = digits[chunk[-1, -1]] + pieces[-1]
             out.append("".join(cells.ravel().tolist()))
-            sep = "," + inner
     out.append("[]" if sep[0] == "[" else _newline(level) + "]")   # "[]": no rows
 
 

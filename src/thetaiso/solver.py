@@ -614,7 +614,8 @@ def _admm(p, cfg, lifts=True):
     Otherwise the bound is computed once more at exit and returned as
     ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
-    above n.  ``stop_reason`` records which stop ended the solve.
+    above n.  A cap stop whose exit bound falls below the threshold is a
+    dual-bound stop.  ``stop_reason`` records which stop ended the solve.
     """
     eigh = eigh_backend("numpy")
     n = p.n
@@ -700,8 +701,11 @@ def _admm(p, cfg, lifts=True):
         if stop_reason != "dual-bound":
             # The bound of the last iteration stands on that stop.  After a
             # failed step U holds U + X_hat, which is finite; the bound is
-            # valid for any U.
+            # valid for any U.  A cap below the first check can still stop
+            # on a bound that certifies.
             upper_bound = _dual_upper_bound(p, rho, U, zero_index)
+            if stop_reason == "max-iter" and upper_bound < threshold:
+                stop_reason = "dual-bound"
         Y = Z
         if stop_reason == "tolerance":
             try:

@@ -193,7 +193,9 @@ def _tables(draw):
     blocks = []
     for shape in draw(st.lists(_shapes, max_size=3)):
         count = draw(st.integers(0, 5))
-        column = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=count, max_size=count)
+        # A narrow span takes the writer's dense index, a wide one np.unique.
+        values = draw(st.sampled_from([st.integers(-3, 40), st.integers(-2 ** 63, 2 ** 63 - 1)]))
+        column = st.lists(values, min_size=count, max_size=count)
         blocks.append((shape, [draw(column) for _ in range(_slots(shape))], count))
     return _Rows(blocks)
 
@@ -220,6 +222,17 @@ _documents = st.recursive(
     ({"kind": "100%", "rhs": 0.0}, [], 4),
     ({"entries": [[SLOT, 7, 0.5], [7, SLOT, 0.5]]}, [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]], 5),
 ])}, slice_size=3)
+@example(doc=_Rows([                                # rows an exact multiple of a slice
+    ([SLOT, SLOT], [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]], 6),
+]), slice_size=3)
+@example(doc=[_Rows([                               # an empty block between two
+    ({"rhs": SLOT}, [[2, 9]], 2),
+    ([SLOT, SLOT, 0.5], [[], []], 0),
+    ([SLOT], [[7]], 1),
+])], slice_size=1024)
+@example(doc={"rows": _Rows([                       # the int64 extremes: a span no table holds
+    ([SLOT, -1, SLOT], [[-2 ** 63, 0, 2 ** 63 - 1], [2 ** 63 - 1, -2 ** 63, -2 ** 63]], 3),
+])}, slice_size=1)
 def test_dumps_json_matches_the_standard_encoder(doc, slice_size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thetaiso.jsonwriter, "_SLICE", slice_size)   # small slices cut short tables too
@@ -259,6 +272,22 @@ def test_build_stdout(c4_pair, capsys):
     assert main(["build", c4_pair[0], c4_pair[1], "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 4
+
+
+def test_build_file_holds_the_writer_bytes_whatever_the_platform_defaults(
+        c4_pair, tmp_path, monkeypatch):
+    # open() as on a platform that translates newlines and has another locale
+    # encoding: the file must still hold the UTF-8 text with bare newlines.
+    def foreign_open(file, mode="r", **kwargs):
+        kwargs.setdefault("newline", "\r\n")
+        kwargs.setdefault("encoding", "utf-16")
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(thetaiso.cli, "open", foreign_open, raising=False)
+    out = tmp_path / "prog.json"
+    assert main(["build", *c4_pair, str(out)]) == 0
+    program = th.build_program(*map(th.load_graph, c4_pair))
+    assert out.read_bytes() == dumps_json(th.program_to_json_dict(program)).encode()
 
 
 def test_build_unwritable_output(c4_pair, tmp_path, capsys):

@@ -343,11 +343,22 @@ def test_petersen_vs_prism_certified_early():
 
 
 def test_max_iter_status():
-    # P4 vs K1,3 is undecided until its bound check at iteration 8.
+    # P4 vs K1,3 is undecided at iteration 5: its exit bound is 4.0.
     res = solve(build_program(th.path_graph(4), th.star_graph(4)), SolverConfig(max_iter=5))
     assert res.status is SolverStatus.MAX_ITER
     assert res.stop_reason == "max-iter"
     assert res.iterations == 5
+    assert res.upper_bound >= decision_threshold(4)
+
+
+def test_a_cap_stop_whose_exit_bound_certifies_is_a_dual_bound_stop():
+    # Only the exit bound sees iteration 7, below the loop's first check at 8;
+    # it reads 3.9598 against the threshold 3.9990.
+    res = solve(build_program(th.path_graph(4), th.star_graph(4)), SolverConfig(max_iter=7))
+    assert res.status is SolverStatus.CERTIFIED
+    assert res.stop_reason == "dual-bound"
+    assert res.iterations == 7
+    assert res.upper_bound < decision_threshold(4)
 
 
 def test_determinism_bitwise():
