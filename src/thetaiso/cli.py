@@ -7,9 +7,9 @@ tried, their largest bound, and how many were solved, refuted by
 refinement and covered by an automorphism), ``bench`` runs a corpus
 directory against its manifest, ``oracle`` runs the exact search.  Exit
 codes from ``decide``/``oracle``: 0 isomorphic, 1 non-isomorphic, 2 bad
-input, 3 inconclusive, 4 solver diverged (for ``decide``, the status of its
-one solve of the full layout, which follows branches that leave the pair
-open).
+input or an instance too large for memory, 3 inconclusive, 4 solver
+diverged (for ``decide``, the status of its one solve of the full layout,
+which follows branches that leave the pair open).
 Environment variables THETAISO_TOL, THETAISO_MAX_ITER, and
 THETAISO_ORACLE_FALLBACK override the corresponding defaults when the flag
 is not given explicitly; a value that does not parse is bad input (exit 2).
@@ -391,7 +391,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:      # an instance too large to hold is bad input
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ out of a lifted matrix (``diagonal_matrix``, ``consistent_set_search``).
 
 Every lifted matrix here is (n^2+1)-square with n >= 1: pair (i, j) at
 i*n + j, omega last.  ``_lifted_order`` is the one check of that shape.
+The search behind ``consistent_set_search`` also reads a branch's layout.
 """
 
 from __future__ import annotations
@@ -341,19 +342,32 @@ def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
     candidate pairs have had their cross entries tested.
     """
     Y = np.asarray(Y, dtype=float)
-    diag = diagonal_matrix(Y)
-    n = len(diag)
-    nn = n * n
-    order = [
-        [int(j) for j in np.argsort(-diag[i], kind="stable") if diag[i, j] > eps]
-        for i in range(n)
-    ]
+    n = _lifted_order(Y)
+    return _consistent_set(Y, np.arange(n * n + 1), eps, budget)
+
+
+def _consistent_set(X, index, eps, budget):
+    """``consistent_set_search`` on X, whose row a holds the full-layout
+    index index[a] (``Program.index``: kept pairs increasing, omega n^2
+    last).  For eps >= 0 this is the search on X placed in the full layout
+    with every other pair 0, which holds no candidate and is never built:
+    each row's candidates are its kept pairs above eps, by decreasing
+    diagonal mass, ties by column.
+    """
+    n = math.isqrt(int(index[-1]))
+    kept = len(index) - 1
+    diag = X.diagonal()[:kept]
+    rows, cols = np.divmod(index[:kept], n)
+    order = [[] for _ in range(n)]  # per row, its candidates (a, column)
+    for a in np.lexsort((-diag, rows)):  # stable: equal mass keeps column order
+        if diag[a] > eps:
+            order[rows[a]].append((int(a), int(cols[a])))
     if not all(order):
         return None
-    # Row a of `support` marks the pairs b with Y[b, a] > eps: the cross
+    # Row a of `support` marks the pairs b with X[b, a] > eps: the cross
     # entries a later pair b must clear once pair a is chosen.  The search
     # carries the rows of the chosen pairs ANDed together as `allowed`.
-    support = (Y[:nn, :nn] > eps).T.copy()
+    support = (X[:kept, :kept] > eps).T.copy()
     chosen = []
     used = [False] * n
     tries = 0
@@ -362,13 +376,12 @@ def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
         nonlocal tries
         if i == n:
             return True
-        for j in order[i]:
+        for a, j in order[i]:
             if used[j]:
                 continue
             if budget is not None and tries >= budget:
                 return False
             tries += 1
-            a = i * n + j
             if allowed[a]:
                 chosen.append(j)
                 used[j] = True
@@ -378,6 +391,6 @@ def consistent_set_search(Y, eps=ZERO_EPS, budget=None):
                 used[j] = False
         return False
 
-    found = grow(0, np.ones(nn, dtype=bool))
+    found = grow(0, np.ones(kept, dtype=bool))
     del grow  # it refers to itself; breaking the cycle frees `support` at once
     return tuple(chosen) if found else None

@@ -27,10 +27,10 @@ cheaper tests leave it able to certify (``_dual_upper_bound``).
 
 Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
 when the solve converges, the loop also tries to round the polyhedral
-iterate to a permutation whose lift is exactly feasible, i.e. an
-isomorphism; at a shared iteration the bound goes first.  Iteration 1 is
-skipped: its iterate has no positive entry between two distinct pairs, so
-it cannot round to a lift for n >= 2.  That lift scores exactly n, which no
+iterate, in the layout of the program it iterates, to a permutation whose
+lift is exactly feasible, i.e. an isomorphism; at a shared iteration the
+bound goes first.  Iteration 1 is skipped: its iterate has no positive
+entry between two distinct pairs, so it cannot round to a lift for n >= 2.  That lift scores exactly n, which no
 feasible point exceeds, so the solve stops there with status Converged and
 returns the lift itself and its permutation (``SolverResult.permutation``);
 this is the only place a permutation is read out of a solve.  A full
@@ -46,10 +46,11 @@ expected to separate such a pair (Mancinska, Roberson, Samal, Severini &
 Varvitsiotis, ICALP 2017).  Vertex 0 of the first graph is pinned to each
 vertex k of the second in turn and each branch's smaller program
 (``program.branch_program``) is solved by the loop, a proof that does not
-rest on that link.  A branch's verified lift ends the solve on that lift,
-and every branch refuted ends it as branch-bound, both with no iteration
-of the full layout.  Otherwise the loop solves the full layout from
-iteration 1, exactly as for a 2-WL separated pair.
+rest on that link.  A branch's verified lift ends the solve on the
+full-layout lift of its permutation, and every branch refuted ends it as
+branch-bound with no Y, both with no iteration of the full layout.
+Otherwise the loop solves the full layout from iteration 1, exactly as for
+a 2-WL separated pair.
 
 Branches are pruned by automorphisms of the second graph: if no
 isomorphism maps 0 to r and a is an automorphism, none maps 0 to a(r), or
@@ -83,7 +84,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import ZERO_EPS, consistent_set_search, lift, permutation_vector
+from .lifts import ZERO_EPS, _consistent_set, lift, permutation_vector
 from .oracle import is_isomorphism
 from .program import branch_program, build_program, decision_threshold, objective_value
 from .refine import wl2_separates
@@ -153,7 +154,7 @@ STOP_STATUS = {
 @dataclass(frozen=True)
 class SolverResult:
     objective: float
-    Y: np.ndarray
+    Y: np.ndarray | None            # None on a branch-bound stop
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -396,30 +397,22 @@ def _bound_screen(y_omega, S, threshold, n):
 
 
 def _verified_lift(X, p):
-    """A permutation read off X and its extended lift Y, if the lift is
-    exactly feasible, else None.
+    """A permutation read off X and its lift Y in the layout of p, if the
+    lift is exactly feasible, else None.
 
-    The consistent-set search gets n^2 candidate tries on the full layout;
-    a branch's X is first placed there through ``p.index``, with every
-    dropped pair 0.  The lift Y = q q^T, q the permutation vector with
-    omega's 1 appended, read through ``p.index``, is PSD, nonnegative and
-    meets the omega and diag-link rows by construction when the permutation
-    uses only kept pairs (otherwise it is no point of the program).  It
+    The consistent-set search runs on X in place, each row read as its
+    full-layout pair through ``p.index``, with n^2 candidate tries; it picks
+    only pairs that p keeps.  The lift Y = q q^T, q the permutation vector
+    with omega's 1 appended, read through ``p.index``, is then PSD,
+    nonnegative and meets the omega and diag-link rows by construction.  It
     meets the zero rows exactly when no zeroed pair has both ends in the
     support of q, which holds exactly when the permutation is an
     isomorphism.
     """
-    n = p.n
-    if p.pin is not None:
-        full = np.zeros((n * n + 1, n * n + 1))
-        full[np.ix_(p.index, p.index)] = X
-        X = full
-    sigma = consistent_set_search(X, ZERO_EPS, budget=n * n)
+    sigma = _consistent_set(X, p.index, ZERO_EPS, p.n * p.n)
     if sigma is None:
         return None
     q = np.append(permutation_vector(sigma), 1.0)[p.index]
-    if q.sum() != n + 1:       # sigma maps some i along a dropped pair
-        return None
     Y = np.outer(q, q)
     if Y[p.zero_rows, p.zero_cols].any():
         return None
@@ -554,8 +547,8 @@ def solve(p, cfg=None):
       permutation, objective and upper bound exactly n, both residuals 0,
       iterations 0;
     - every branch refuted ends it as branch-bound: status Certified,
-      iterations 0, Y the initial point, objective NaN (no point of the
-      full layout was iterated), residuals inf, and upper bound the largest
+      iterations 0, Y None and objective NaN (no point of the full layout
+      was iterated), residuals inf, and upper bound the largest
       branch row bound (-inf when refinement refuted every branch).  Each
       row bounds its branch, and an isomorphism sigma keeps the pinned
       colours of branch sigma(0), where its lift is a point of value n, so
@@ -577,9 +570,9 @@ def solve(p, cfg=None):
         # A full layout that 2-WL separates has no isomorphism to lift.
         result = _admm(p, cfg, lifts=equivalent or p.pin is not None)
     else:
-        # sigma is None on a branch-bound stop.
+        # sigma is None on a branch-bound stop, which iterated no point of p.
         lifted = sigma is not None
-        Y = lift(sigma).extended() if lifted else initial_point(p)
+        Y = lift(sigma).extended() if lifted else None
         residual = 0.0 if lifted else math.inf
         bound = float(p.n) if lifted else max(b["upper_bound"] for b in branches)
         result = SolverResult(

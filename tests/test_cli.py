@@ -647,6 +647,20 @@ def test_oracle_cap_below_one_is_input_error(cap, c4_pair, capsys):
     assert "found" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["build", "decide", "oracle"])
+def test_a_graph_too_large_for_memory_is_input_error(command, tmp_path, capsys):
+    # n = 10^9 asks for a 10^18-entry adjacency matrix, beyond any address
+    # space, so the allocation fails at once: exit 2 with an error line,
+    # not a traceback and exit 1, which reads as NonIsomorphic.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000 0\n")
+    extra = [str(tmp_path / "x.json")] if command == "build" else []
+    assert main([command, str(huge), str(huge), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: "), captured.err
+    assert captured.out == "" and not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------------- bench
 
 def make_corpus(tmp_path, entries):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -23,6 +24,7 @@ from thetaiso.extraction import (
     diagonal_matrix,
     stochastic_deviation,
 )
+from thetaiso.lifts import _consistent_set
 from thetaiso.solver import SolverConfig, SolverResult
 from conftest import (
     cfi_k4_graph, failing_eigh_backend, random_doubly_stochastic, recording_eigh_backend,
@@ -218,19 +220,36 @@ def _loop_consistent_set_search(Y, eps, budget=None):
     return tuple(chosen) if grow(0) else None
 
 
+def _scattered(X, p):
+    """X, a matrix in the layout of p, placed in the full layout through
+    ``p.index`` with every other pair 0: the reference input for the search
+    read in a branch's own layout."""
+    full = np.zeros((p.n * p.n + 1,) * 2)
+    full[np.ix_(p.index, p.index)] = X
+    return full
+
+
 def test_consistent_set_search_matches_the_loop_search():
     # The vectorized search tries the same candidates in the same order and
     # counts them the same way, so it agrees with the loop under any budget,
     # on symmetric and unsymmetric matrices.  Entries sit on both sides of
     # eps and exactly at it.  A third matrix has one row whose pair-diagonal
     # entries are all at or below eps, so no column is a candidate there;
-    # the search gives up on it at once and the loop fails on it.
+    # the search gives up on it at once and the loop fails on it.  Each
+    # matrix is also cut to the branch layouts of a cycle (an edge for
+    # n = 2) against a relabelling, pinned at (0, 0) and (0, n - 1); the
+    # search read in such a layout agrees with the search of the cut
+    # placed back in the full layout with the dropped pairs 0.
     eps = 1e-6
     outcomes = {"found": 0, "none": 0}
+    in_layout = {"found": 0, "none": 0}
     for seed in range(300):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         dim = n * n + 1
+        g = th.cycle_graph(n) if n >= 3 else th.complete_graph(n)
+        full = th.build_program(g, th.relabel(g, tuple(rng.permutation(n).tolist())))
+        branches = [th.branch_program(full, 0, k) for k in (0, n - 1)]
         values = np.array([0.0, 0.5 * eps, eps, 2.0 * eps, 0.3, 1.0])
         p = rng.dirichlet(np.ones(len(values)))
         Y = rng.choice(values, size=(dim, dim), p=p)
@@ -242,7 +261,14 @@ def test_consistent_set_search_matches_the_loop_search():
                 expected = _loop_consistent_set_search(matrix, eps, budget)
                 assert consistent_set_search(matrix, eps, budget) == expected, (seed, budget)
                 outcomes["found" if expected else "none"] += 1
+                for q in branches:
+                    X = matrix[np.ix_(q.index, q.index)]
+                    expected = consistent_set_search(_scattered(X, q), eps, budget)
+                    assert _consistent_set(X, q.index, eps, budget) == expected, (
+                        seed, q.pin, budget)
+                    in_layout["found" if expected else "none"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+    assert min(in_layout.values()) >= 100, in_layout
 
 
 def test_consistent_set_search_frees_its_input():
@@ -524,11 +550,19 @@ def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
     # automorphisms the tries find depends on the BLAS thread count, so each
     # is checked, not counted.  The certified branch stops at iteration 68,
     # at one BLAS thread and at two.  The solve's bound is the largest
-    # branch bound.
+    # branch bound.  No array of the full layout is made: the traced peak
+    # stays below one dim-1601 square of floats, since branches are rounded
+    # in their own layout and a branch-bound stop returns no Y.
     g1, g2 = cfi_k4_graph(False), cfi_k4_graph(True)
     p = th.build_program(g1, g2)
     assert (p.n, p.dim) == (40, 1601)
-    res = th.solve(p, SolverConfig(max_iter=4000))
+    tracemalloc.start()
+    try:
+        res = th.solve(p, SolverConfig(max_iter=4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.dim ** 2 * np.dtype(float).itemsize, peak
     assert res.stop_reason == "branch-bound" and res.iterations == 0
     assert Counter(b["stop_reason"] for b in res.branches) == {
         "refinement": 24, "automorphism": 15, "dual-bound": 1}
@@ -556,8 +590,8 @@ def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monke
     # The rung runs before the solve, so no eigh sees the dim-257 full
     # layout: branch 0 (dim 119) is certified at iteration 12, its first
     # bound check below the threshold, and the rest are covered by the same
-    # three automorphisms the rung has always found.  The result carries the
-    # initial point, no objective (NaN: no full-layout point was iterated),
+    # three automorphisms the rung has always found.  The result carries no
+    # Y and no objective (NaN): no full-layout point was iterated.  It holds
     # the largest branch bound and no residuals.
     dims = []
     monkeypatch.setattr(thetaiso.solver, "eigh_backend",
@@ -569,7 +603,7 @@ def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monke
     assert [(b["k"], b["dim"], b["iterations"], b["stop_reason"]) for b in res.branches] == (
         [(0, 119, 12, "dual-bound")] + [(k, None, 0, "automorphism") for k in range(1, 16)])
     assert res.automorphisms == ROOK_SHRIKHANDE_AUTOMORPHISMS
-    assert res.Y.tobytes() == thetaiso.solver.initial_point(p).tobytes()
+    assert res.Y is None
     assert math.isnan(res.objective)
     assert res.upper_bound == res.branches[0]["upper_bound"] < decision_threshold(16)
     assert res.primal_residual == res.dual_residual == math.inf
@@ -892,26 +926,16 @@ def test_a_rung_left_open_gives_the_plain_loop_result(monkeypatch, branch_stop):
 
 
 def test_branch_lift_goes_through_the_index_map(monkeypatch):
-    # A rounded permutation that uses a pair the branch dropped is no lift of
-    # the branch, even an isomorphism; one that keeps to the branch's pairs
-    # lifts to the full lift read through the index map.
+    # A rounded permutation that keeps to the branch's pairs lifts to the
+    # full lift read through the index map, in the branch's own layout.
     g1 = rook_graph(4)
     sigma = tuple(np.random.default_rng(3).permutation(16).tolist())
     g2 = th.relabel(g1, sigma)
     p = th.branch_program(th.build_program(g1, g2), 0, sigma[0])
-    # sigma after the row shift u -> u + 4 (mod 16), an automorphism of rook
-    # 4x4: an isomorphism too, but one that maps vertex 0 elsewhere.
-    other = tuple(sigma[(i + 4) % 16] for i in range(16))
-    assert th.is_isomorphism(other, g1, g2) and other[0] != sigma[0]
     X = np.zeros((p.dim, p.dim))
-    for candidate, expected in ((other, None), (sigma, sigma)):
-        monkeypatch.setattr(thetaiso.solver, "consistent_set_search",
-                            lambda Y, eps, budget=None, c=candidate: c)
-        lifted = thetaiso.solver._verified_lift(X, p)
-        if expected is None:
-            assert lifted is None
-        else:
-            s, Y = lifted
-            assert s == sigma
-            full = th.lift(sigma).extended()
-            assert Y.tobytes() == full[np.ix_(p.index, p.index)].tobytes()
+    monkeypatch.setattr(thetaiso.solver, "_consistent_set",
+                        lambda X, index, eps, budget: sigma)
+    s, Y = thetaiso.solver._verified_lift(X, p)
+    assert s == sigma and Y.shape == (p.dim, p.dim)
+    full = th.lift(sigma).extended()
+    assert Y.tobytes() == full[np.ix_(p.index, p.index)].tobytes()

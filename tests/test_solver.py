@@ -775,16 +775,16 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     calls = []
 
     def rounding_to(sigma):
-        def search(Y, eps, budget=None):
+        def search(X, index, eps, budget):
             calls.append(budget)
             return sigma
         return search
 
-    monkeypatch.setattr(thetaiso.solver, "consistent_set_search", rounding_to(None))
+    monkeypatch.setattr(thetaiso.solver, "_consistent_set", rounding_to(None))
     plain = solve(p)
     assert calls
     calls.clear()
-    monkeypatch.setattr(thetaiso.solver, "consistent_set_search", rounding_to(bad))
+    monkeypatch.setattr(thetaiso.solver, "_consistent_set", rounding_to(bad))
     rounded = solve(p)
     assert calls and set(calls) == {16}  # budget n^2
     tol = SolverConfig().tol
