@@ -7,10 +7,11 @@ solver splits the feasible set into two blocks: P, the affine constraints
 together with Y >= 0, which has a closed-form projection, and the positive
 semidefinite cone.  Two-block ADMM alternates between the two projections
 and a scaled dual that pulls them together.  Every so often it
-rounds its iterate to a permutation; once that permutation's lift is
-exactly feasible it stops and returns the lift, an optimal matrix of value
-exactly n.  The decision stage then reads the permutation back out of the
-optimal matrix and verifies it exactly against the adjacency structure.
+rounds its iterate to a permutation; once that permutation is an
+isomorphism it stops and returns it, with no matrix: the permutation's lift
+``lift(result.permutation).extended()`` is an optimal matrix of value
+exactly n, fixed by the permutation alone.  The decision stage then
+verifies the permutation exactly against the adjacency structure.
 
 2-WL never separates a relabelled pair, so before the full solve the
 solver pins vertex 0 of the first graph to each vertex of the second in
@@ -39,9 +40,12 @@ print(f"primal residual : {result.primal_residual:.2e}")
 print(f"dual residual   : {result.dual_residual:.2e}")
 print(f"wall time       : {result.solve_seconds:.2f} s")
 
-# The optimal matrix is feasible: nonnegative, unit omega corner, diagonal
-# tied to the omega row, forced zeros in place.
-report = th.check_feasible(result.Y, g1, g2, tol=1e-5)
+# The solve returns no matrix (result.Y is None); the optimal one is the
+# lift of its permutation, and it is feasible: nonnegative, unit omega
+# corner, diagonal tied to the omega row, forced zeros in place.
+Y = th.lift(result.permutation).extended()
+print(f"\nresult.Y is None: {result.Y is None}")
+report = th.check_feasible(Y, g1, g2, tol=1e-5)
 print(f"\nfeasibility within 1e-5: {report.feasible} "
       f"(worst violation {report.max_violation:.2e})")
 

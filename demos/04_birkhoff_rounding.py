@@ -48,17 +48,18 @@ total = sum(w for w, _ in res.terms)
 print(f"\nrandom 7x7 mixture: {len(res.terms)} terms, weight sum {total:.12f}")
 
 # An end-to-end solve on an isomorphic pair stops once it rounds its
-# iterate to a verified isomorphism, and returns that permutation and its
-# lift: the lift's diagonal is a single permutation matrix and peels into
-# one term, the permutation the solver carries.
+# iterate to a verified isomorphism, and returns that permutation and no
+# matrix.  Its lift, the optimal point, has a diagonal that is a single
+# permutation matrix and peels into one term, the permutation the solver
+# carries.
 g1 = th.path_graph(5)
 g2 = th.relabel(g1, (4, 2, 0, 3, 1))
 result = th.solve(th.build_program(g1, g2))
-diag = th.diagonal_matrix(result.Y)
+diag = th.diagonal_matrix(th.lift(result.permutation).extended())
 print(f"\nsolver stopped by {result.stop_reason} with permutation {result.permutation}; "
       f"row/column sums drift from 1 by {th.stochastic_deviation(diag):.2e}")
 res = th.birkhoff_decompose(diag)
-print("solver diagonal for a relabeled path peels into:")
+print("the lift's diagonal for a relabeled path peels into:")
 for weight, sigma in res.terms:
     print(f"  weight {weight:.6f}  permutation {sigma}  "
           f"isomorphism: {th.is_isomorphism(sigma, g1, g2)}")

@@ -60,8 +60,8 @@ def permutation_vector(sigma):
     """Row-major 0/1 vectorization of the permutation matrix of sigma."""
     sigma = tuple(int(v) for v in sigma)
     n = len(sigma)
-    if not is_permutation(sigma, n):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
+    if n < 1 or not is_permutation(sigma, n):
+        raise ValueError(f"not a permutation of 0..n-1 with n >= 1: {sigma}")
     p = np.zeros(n * n)
     for i, j in enumerate(sigma):
         p[i * n + j] = 1.0

@@ -27,16 +27,18 @@ cheaper tests leave it able to certify (``_dual_upper_bound``).
 
 Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
 when the solve converges, the loop also tries to round the polyhedral
-iterate, in the layout of the program it iterates, to a permutation whose
-lift is exactly feasible, i.e. an isomorphism; at a shared iteration the
-bound goes first.  Iteration 1 is skipped: its iterate has no positive
-entry between two distinct pairs, so it cannot round to a lift for n >= 2.  That lift scores exactly n, which no
-feasible point exceeds, so the solve stops there with status Converged and
-returns the lift itself and its permutation (``SolverResult.permutation``);
-this is the only place a permutation is read out of a solve.  A full
-layout whose graphs 2-WL separates has no isomorphism, so its solve makes
-none of these tries; its result is the same without them.  Convergence is
-the primal-dual tolerance test alone (Boyd et al. 2011, section 3.3).
+iterate, in the layout of the program it iterates, to a permutation that
+is an isomorphism; at a shared iteration the bound goes first.  Iteration 1
+is skipped: its iterate has no positive entry between two distinct pairs,
+so it cannot round to a lift for n >= 2.  The lift of an isomorphism scores
+exactly n, which no feasible point exceeds, so the solve stops there with
+status Converged, the permutation (``SolverResult.permutation``) and no Y:
+the lift ``lifts.lift(permutation).extended()`` is fixed by the permutation
+and the solver never builds it.  This is the only place a permutation is
+read out of a solve.  A full layout whose graphs 2-WL separates has no
+isomorphism, so its solve makes none of these tries; its result is the
+same without them.  Convergence is the primal-dual tolerance test alone
+(Boyd et al. 2011, section 3.3).
 ``SolverResult.stop_reason`` says which of the stops ended a solve.
 
 The loop (``_admm``) runs one program and nothing else.  ``solve`` sits
@@ -46,9 +48,9 @@ expected to separate such a pair (Mancinska, Roberson, Samal, Severini &
 Varvitsiotis, ICALP 2017).  Vertex 0 of the first graph is pinned to each
 vertex k of the second in turn and each branch's smaller program
 (``program.branch_program``) is solved by the loop, a proof that does not
-rest on that link.  A branch's verified lift ends the solve on the
-full-layout lift of its permutation, and every branch refuted ends it as
-branch-bound with no Y, both with no iteration of the full layout.
+rest on that link.  A branch's verified lift ends the solve on its
+permutation, and every branch refuted ends it as branch-bound, both with no
+Y and no iteration of the full layout.
 Otherwise the loop solves the full layout from iteration 1, exactly as for
 a 2-WL separated pair.
 
@@ -84,7 +86,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import ZERO_EPS, _consistent_set, lift, permutation_vector
+from .lifts import ZERO_EPS, _consistent_set
 from .oracle import is_isomorphism
 from .program import branch_program, build_program, decision_threshold, objective_value
 from .refine import wl2_separates
@@ -154,7 +156,9 @@ STOP_STATUS = {
 @dataclass(frozen=True)
 class SolverResult:
     objective: float
-    Y: np.ndarray | None            # None on a branch-bound stop
+    # The last iterate, polished after a tolerance stop; None on a
+    # verified-lift or branch-bound stop.
+    Y: np.ndarray | None
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -164,7 +168,7 @@ class SolverResult:
     # bound capped at n, or on a branch-bound stop the largest branch bound
     # (-inf if refinement refuted every branch); inf if never computed.
     upper_bound: float = math.inf
-    permutation: tuple | None = None  # the isomorphism Y lifts on a verified-lift stop
+    permutation: tuple | None = None  # the isomorphism of a verified-lift stop
     branches: tuple = ()            # one row per branch tried before the solve
     automorphisms: tuple = ()       # the verified automorphisms of G2 that pruned branches
 
@@ -192,8 +196,8 @@ def project_psd(M):
     negative eigenvalues are clipped to zero and the matrix rebuilt.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
     asym = float(np.abs(M - M.T).max())
@@ -397,26 +401,21 @@ def _bound_screen(y_omega, S, threshold, n):
 
 
 def _verified_lift(X, p):
-    """A permutation read off X and its lift Y in the layout of p, if the
-    lift is exactly feasible, else None.
+    """A permutation read off X whose lift is exactly feasible for p, i.e.
+    an isomorphism of p's graphs, else None; no lift is built.
 
     The consistent-set search runs on X in place, each row read as its
     full-layout pair through ``p.index``, with n^2 candidate tries; it picks
-    only pairs that p keeps.  The lift Y = q q^T, q the permutation vector
-    with omega's 1 appended, read through ``p.index``, is then PSD,
-    nonnegative and meets the omega and diag-link rows by construction.  It
-    meets the zero rows exactly when no zeroed pair has both ends in the
-    support of q, which holds exactly when the permutation is an
-    isomorphism.
+    only pairs that p keeps.  The lift q q^T, q the permutation vector with
+    omega's 1 appended, read through ``p.index``, is then PSD, nonnegative
+    and meets the omega and diag-link rows.  No two pairs of its support
+    share a row or a column, so of the zero rows only the edge-mismatch
+    ones can meet it, and they miss it exactly when ``is_isomorphism`` holds.
     """
     sigma = _consistent_set(X, p.index, ZERO_EPS, p.n * p.n)
-    if sigma is None:
+    if sigma is None or not is_isomorphism(sigma, *p.graphs):
         return None
-    q = np.append(permutation_vector(sigma), 1.0)[p.index]
-    Y = np.outer(q, q)
-    if Y[p.zero_rows, p.zero_cols].any():
-        return None
-    return sigma, Y
+    return sigma
 
 
 def _two_wl_equivalent(p):
@@ -542,10 +541,9 @@ def solve(p, cfg=None):
     branches before any iteration of the full layout (``_branch``; rows in
     ``branches``, the automorphisms of the second graph that pruned some of
     them in ``automorphisms``):
-    - a branch's lift ends the solve as verified-lift on the full-layout lift
-      of that permutation: status Converged, ``permutation`` the
-      permutation, objective and upper bound exactly n, both residuals 0,
-      iterations 0;
+    - a branch's lift ends the solve as verified-lift: status Converged,
+      ``permutation`` the permutation, Y None, objective and upper bound
+      exactly n, both residuals 0, iterations 0;
     - every branch refuted ends it as branch-bound: status Certified,
       iterations 0, Y None and objective NaN (no point of the full layout
       was iterated), residuals inf, and upper bound the largest
@@ -570,13 +568,12 @@ def solve(p, cfg=None):
         # A full layout that 2-WL separates has no isomorphism to lift.
         result = _admm(p, cfg, lifts=equivalent or p.pin is not None)
     else:
-        # sigma is None on a branch-bound stop, which iterated no point of p.
+        # No point of p was iterated; sigma is None on a branch-bound stop.
         lifted = sigma is not None
-        Y = lift(sigma).extended() if lifted else None
         residual = 0.0 if lifted else math.inf
         bound = float(p.n) if lifted else max(b["upper_bound"] for b in branches)
         result = SolverResult(
-            objective=objective_value(Y, p) if lifted else math.nan, Y=Y, iterations=0,
+            objective=float(p.n) if lifted else math.nan, Y=None, iterations=0,
             primal_residual=residual, dual_residual=residual, solve_seconds=0.0,
             stop_reason=stop_reason, upper_bound=bound, permutation=sigma,
         )
@@ -595,10 +592,10 @@ def _admm(p, cfg, lifts=True):
       cannot certify stops before the eigenvalues (``_dual_upper_bound``);
     - at iterations 2, 4, 8, 16, ..., after the bound where both run, the
       polyhedral iterate rounds to a permutation whose lift is exactly
-      feasible: stop reason verified-lift, status Converged with Y that lift,
-      ``permutation`` the permutation, objective and upper bound exactly n,
-      both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T below is an
-      exact dual certificate of value n, so the lift is optimal.
+      feasible (``_verified_lift``): stop reason verified-lift, status
+      Converged, ``permutation`` the permutation, Y None, objective and upper
+      bound exactly n, both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T
+      below is an exact dual certificate of value n, so the lift is optimal.
     A solve that converges at tolerance tries that rounding once more on its
     last polyhedral iterate and ends the same way if it lifts.  With
     ``lifts`` false, for a program known to have no lift, no rounding is
@@ -621,6 +618,7 @@ def _admm(p, cfg, lifts=True):
     upper_bound = math.inf
 
     stop_reason = "max-iter"
+    permutation = None
     r_norm = s_norm = float("inf")
     best_combined = float("inf")
     it = 0
@@ -653,8 +651,8 @@ def _admm(p, cfg, lifts=True):
                 stop_reason = "dual-bound"
                 break
         if lifts and it >= 2 and it & (it - 1) == 0:
-            lifted = _verified_lift(X, p)
-            if lifted is not None:
+            permutation = _verified_lift(X, p)
+            if permutation is not None:
                 stop_reason = "verified-lift"
                 break
 
@@ -682,13 +680,12 @@ def _admm(p, cfg, lifts=True):
                 U *= 2.0
 
     if lifts and stop_reason == "tolerance":
-        lifted = _verified_lift(X, p)
-        if lifted is not None:
+        permutation = _verified_lift(X, p)
+        if permutation is not None:
             stop_reason = "verified-lift"
-    permutation = None
     if stop_reason == "verified-lift":
         # The lift meets every constraint exactly and scores n, the optimum.
-        permutation, Y = lifted
+        Y = None
         r_norm, s_norm, upper_bound = 0.0, 0.0, float(n)
     else:
         if stop_reason != "dual-bound":
@@ -706,7 +703,7 @@ def _admm(p, cfg, lifts=True):
             except np.linalg.LinAlgError:
                 stop_reason = "diverged"
     return SolverResult(
-        objective=objective_value(Y, p),
+        objective=float(n) if Y is None else objective_value(Y, p),
         Y=Y,
         iterations=it,
         primal_residual=r_norm,

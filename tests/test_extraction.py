@@ -542,6 +542,16 @@ def test_rook_against_shrikhande_is_decided_by_branch_bounds():
     assert v.diagnostics == {"candidates_tried": 0}
 
 
+def traced_solve(p, cfg=None):
+    """solve(p, cfg) and the peak of the Python memory traced during it."""
+    tracemalloc.start()
+    try:
+        res = th.solve(p, cfg)
+        return res, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
     # 2-WL cannot separate the CFI pair over K4 (n = 40, dim 1601), so it
     # branches: pinned refinement refutes the 24 branches that pin vertex 0,
@@ -556,12 +566,7 @@ def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
     g1, g2 = cfi_k4_graph(False), cfi_k4_graph(True)
     p = th.build_program(g1, g2)
     assert (p.n, p.dim) == (40, 1601)
-    tracemalloc.start()
-    try:
-        res = th.solve(p, SolverConfig(max_iter=4000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_solve(p, SolverConfig(max_iter=4000))
     assert peak < p.dim ** 2 * np.dtype(float).itemsize, peak
     assert res.stop_reason == "branch-bound" and res.iterations == 0
     assert Counter(b["stop_reason"] for b in res.branches) == {
@@ -575,6 +580,21 @@ def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
     assert res.upper_bound == largest < decision_threshold(40)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
+
+
+def test_cfi_k4_against_a_relabelling_lifts_with_no_full_layout_array():
+    # The relabelled CFI pair branches too, and branch 0 lifts at iteration
+    # 2.  The solve returns the permutation and no Y, and builds no lift, so
+    # the traced peak stays below one dim-1601 square of floats.
+    g1 = cfi_k4_graph(False)
+    g2 = th.relabel(g1, tuple(np.random.default_rng(0).permutation(40).tolist()))
+    p = th.build_program(g1, g2)
+    res, peak = traced_solve(p)
+    assert peak < p.dim ** 2 * np.dtype(float).itemsize, peak
+    assert res.stop_reason == "verified-lift" and res.iterations == 0 and res.Y is None
+    assert [(b["k"], b["dim"], b["iterations"]) for b in res.branches] == [(0, 263, 2)]
+    assert res.objective == res.upper_bound == 40.0
+    assert th.is_isomorphism(res.permutation, g1, g2)
 
 
 # The automorphisms of the Shrikhande graph the rung finds on rook 4x4 vs
@@ -736,9 +756,9 @@ def relabelled_rook():
 
 def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
     # The control pair branches like rook vs Shrikhande; a branch pins vertex
-    # 0 to its image and lifts there, so the solve stops on the full-layout
-    # lift of that permutation, with no iteration of the full layout, and
-    # decide checks it through thetaiso.extraction.is_isomorphism.
+    # 0 to its image and lifts there, so the solve stops on that permutation
+    # with no Y (its point is the lift) and no iteration of the full layout,
+    # and decide checks it through thetaiso.extraction.is_isomorphism.
     g1, g2 = relabelled_rook()
     checked = []
 
@@ -750,7 +770,9 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
     res = th.solve(th.build_program(g1, g2))
     assert res.stop_reason == "verified-lift" and res.iterations == 0
     assert res.status is th.SolverStatus.CONVERGED
-    assert res.Y.tobytes() == th.lift(res.permutation).extended().tobytes()
+    assert res.Y is None
+    report = th.check_feasible(th.lift(res.permutation).extended(), g1, g2)
+    assert report.feasible, report.describe()
     assert res.objective == res.upper_bound == 16.0
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
@@ -810,7 +832,10 @@ def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
 
 
 def assert_same_solve(a, b):
-    assert a.Y.tobytes() == b.Y.tobytes()
+    # Y is None on a verified-lift stop; elsewhere its bytes match.
+    assert (a.Y is None) == (b.Y is None)
+    if a.Y is not None:
+        assert a.Y.tobytes() == b.Y.tobytes()
     assert (a.iterations, a.stop_reason, a.upper_bound, a.permutation) == (
         b.iterations, b.stop_reason, b.upper_bound, b.permutation)
 
@@ -874,6 +899,8 @@ def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on
     plain = thetaiso.solver._admm(p, SolverConfig())
     assert len(full_checks) == 5
     assert_same_solve(res, plain)
+    assert res.Y is None
+    assert th.check_feasible(th.lift(res.permutation).extended(), g1, g2).feasible
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
     assert th.is_isomorphism(v.permutation, g1, g2)
@@ -917,25 +944,31 @@ def test_a_rung_left_open_gives_the_plain_loop_result(monkeypatch, branch_stop):
     assert branch["k"] == 0 and branch["stop_reason"] == branch_stop
     assert res.automorphisms == ()
     plain = thetaiso.solver._admm(p, SolverConfig())
-    assert res.Y.tobytes() == plain.Y.tobytes()
-    assert (res.iterations, res.stop_reason, res.primal_residual, res.dual_residual,
-            res.upper_bound, res.permutation) == (
-        plain.iterations, plain.stop_reason, plain.primal_residual, plain.dual_residual,
-        plain.upper_bound, plain.permutation)
+    assert_same_solve(res, plain)
+    assert (res.primal_residual, res.dual_residual) == (
+        plain.primal_residual, plain.dual_residual)
     assert res.stop_reason == "verified-lift" and res.iterations == 2
+    assert res.Y is None
+    assert th.check_feasible(th.lift(res.permutation).extended(), *p.graphs).feasible
 
 
 def test_branch_lift_goes_through_the_index_map(monkeypatch):
-    # A rounded permutation that keeps to the branch's pairs lifts to the
-    # full lift read through the index map, in the branch's own layout.
+    # A branch's rounding reads its iterate through the index map, and a
+    # rounded isomorphism that keeps to the branch's pairs is accepted.
+    # The lift itself is never built in the branch's layout; that the index
+    # map cuts the full lift is held by tests/test_program.py.
     g1 = rook_graph(4)
     sigma = tuple(np.random.default_rng(3).permutation(16).tolist())
     g2 = th.relabel(g1, sigma)
     p = th.branch_program(th.build_program(g1, g2), 0, sigma[0])
     X = np.zeros((p.dim, p.dim))
-    monkeypatch.setattr(thetaiso.solver, "_consistent_set",
-                        lambda X, index, eps, budget: sigma)
-    s, Y = thetaiso.solver._verified_lift(X, p)
-    assert s == sigma and Y.shape == (p.dim, p.dim)
-    full = th.lift(sigma).extended()
-    assert Y.tobytes() == full[np.ix_(p.index, p.index)].tobytes()
+    indices = []
+
+    def search(X, index, eps, budget):
+        indices.append(index)
+        return sigma
+
+    monkeypatch.setattr(thetaiso.solver, "_consistent_set", search)
+    assert thetaiso.solver._verified_lift(X, p) == sigma
+    [index] = indices
+    assert index is p.index

@@ -36,6 +36,14 @@ def test_lift_rejects_non_permutation():
         lift((0, 0, 1))
 
 
+def test_lift_rejects_the_empty_permutation():
+    # Every lifted matrix has n >= 1; the empty permutation used to give a
+    # 1 x 1 "lift", the omega corner alone.
+    for make in (lift, permutation_vector):
+        with pytest.raises(ValueError, match="n >= 1"):
+            make(())
+
+
 def test_check_feasible_clean_on_isomorphism():
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))

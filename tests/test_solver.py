@@ -11,6 +11,7 @@ import thetaiso as th
 import thetaiso.extraction
 import thetaiso.solver
 from thetaiso.cli import dumps_json
+from thetaiso.lifts import permutation_vector
 from thetaiso.program import (
     branch_program, build_program, decision_threshold, program_to_json_dict,
 )
@@ -155,6 +156,13 @@ def test_project_psd_rejects():
         project_psd(np.zeros((2, 3)))
 
 
+def test_project_psd_rejects_an_empty_matrix():
+    # It used to fail inside numpy on an empty max ("zero-size array to
+    # reduction operation maximum which has no identity").
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        project_psd(np.zeros((0, 0)))
+
+
 def test_backend_selection():
     assert eigh_backend("numpy") is np.linalg.eigh
     with pytest.raises(ValueError):
@@ -254,8 +262,12 @@ def test_converged_results_meet_invariants(solved_corpus):
             continue
         n = program.n
         assert result.objective <= n + 10.0 * cfg.tol, name
-        assert np.array_equal(result.Y, result.Y.T), name
-        report = th.check_feasible(result.Y, g1, g2, tol=cfg.tol)
+        # Every converged corpus solve stops on a verified lift, which
+        # returns no Y: its point is the lift of its permutation.
+        assert result.Y is None, name
+        Y = th.lift(result.permutation).extended()
+        assert np.array_equal(Y, Y.T), name
+        report = th.check_feasible(Y, g1, g2, tol=cfg.tol)
         assert report.max_violation <= 10.0 * cfg.tol, (
             name, report.describe()
         )
@@ -698,15 +710,44 @@ def test_verified_lift_is_exactly_feasible_and_optimal(solved_corpus):
             (0, 2, "verified-lift")]
         verdict = th.decide(res, g1, g2)
         assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
-        assert res.Y.tobytes() == th.lift(verdict.permutation).extended().tobytes()
+        # The solve returns the permutation and no Y; its point is the lift.
+        assert res.Y is None and verdict.permutation == res.permutation
         assert res.objective == n and res.upper_bound == n
         assert res.primal_residual == 0.0 and res.dual_residual == 0.0
-        report = th.check_feasible(res.Y, g1, g2)
+        report = th.check_feasible(th.lift(res.permutation).extended(), g1, g2)
         assert all(report.magnitudes[c] == 0.0 for c in range(2, 9)), report.describe()
         # A positive zero, so describe() prints 0.000e+00, not -0.000e+00.
         assert all(math.copysign(1.0, report.magnitudes[c]) == 1.0 for c in range(2, 9))
         # The psd condition reads eigvalsh rounding, so it is tiny, not 0.
         assert report.magnitudes[1] <= 1e-12, report.describe()
+
+
+def test_verified_lift_accepts_exactly_where_the_lift_meets_the_zero_rows(zoo4):
+    # The reference: a permutation's lift q q^T, read through the index map,
+    # is feasible exactly when no zeroed pair has both ends in the support
+    # of q.  _verified_lift, handed that lift, reads the permutation back and
+    # accepts it exactly there, though it builds no lift.  Every ordered pair
+    # of the 4-vertex zoo and of {C5, P5}, over the full layout and every
+    # pinned branch, and every permutation that keeps to the kept pairs.
+    graphs5 = (th.cycle_graph(5), th.path_graph(5))
+    pairs = [(g1, g2) for g1 in zoo4.values() for g2 in zoo4.values()]
+    pairs += [(g1, g2) for g1 in graphs5 for g2 in graphs5]
+    cases = {True: 0, False: 0}
+    for g1, g2 in pairs:
+        full = build_program(g1, g2)
+        programs = [full] + [branch_program(full, 0, k) for k in range(full.n)]
+        for p in filter(None, programs):
+            n = p.n
+            kept = set(p.index.tolist())
+            for sigma in itertools.permutations(range(n)):
+                if any(i * n + j not in kept for i, j in enumerate(sigma)):
+                    continue
+                q = np.append(permutation_vector(sigma), 1.0)[p.index]
+                Y = np.outer(q, q)
+                feasible = not Y[p.zero_rows, p.zero_cols].any()
+                assert _verified_lift(Y, p) == (sigma if feasible else None), (p.pin, sigma)
+                cases[feasible] += 1
+    assert sum(cases.values()) == 1750 and min(cases.values()) >= 100, cases
 
 
 def test_verified_lift_of_lift_combination():
@@ -721,9 +762,7 @@ def test_verified_lift_of_lift_combination():
         weights = rng.dirichlet(np.ones(4))
         chosen = [isos[i] for i in rng.choice(len(isos), 4, replace=False)]
         X = sum(w * th.lift(s).extended() for w, s in zip(weights, chosen))
-        sigma, Y = thetaiso.solver._verified_lift(X, p)
-        assert sigma in chosen
-        assert Y.tobytes() == th.lift(sigma).extended().tobytes()
+        assert thetaiso.solver._verified_lift(X, p) in chosen
 
 
 @pytest.mark.parametrize("name, stop", [("c4", "tolerance"), ("p5", "tolerance")])
@@ -754,7 +793,8 @@ def test_converged_exit_tries_the_lift(corpus_entries, monkeypatch, name, stop):
     assert len(tries) == in_loop + 1
     assert res.iterations == plain.iterations
     assert res.stop_reason == "verified-lift" and res.status is SolverStatus.CONVERGED
-    assert res.Y.tobytes() == th.lift(res.permutation).extended().tobytes()
+    assert res.Y is None
+    assert th.check_feasible(th.lift(res.permutation).extended(), g1, g2).feasible
     assert res.objective == p.n and res.upper_bound == p.n
     verdict = th.decide(res, g1, g2, cfg)
     assert verdict.kind is th.VerdictKind.ISOMORPHIC and verdict.decided_by == "extraction"
