@@ -53,9 +53,12 @@ __all__ = [
 
 
 def stochastic_deviation(X):
-    """Worst deviation of a square array from doubly stochastic: the largest
-    distance of a row or column sum from 1, or of an entry below 0."""
+    """Worst deviation of a non-empty square matrix from doubly stochastic:
+    the largest distance of a row or column sum from 1, or of an entry
+    below 0."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got {X.shape}")
     return max(
         float(np.abs(X.sum(axis=1) - 1.0).max()),
         float(np.abs(X.sum(axis=0) - 1.0).max()),
@@ -114,10 +117,8 @@ def birkhoff_decompose(X, eps=ZERO_EPS):
     order is the assignment solver's, the same on every run but unspecified.
     """
     X = np.array(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"expected a square matrix, got {X.shape}")
+    dev = stochastic_deviation(X)      # rejects all but a non-empty square matrix
     n = X.shape[0]
-    dev = stochastic_deviation(X)
     if dev > 10.0 * eps:
         raise ValueError(
             f"matrix is not doubly stochastic within {10 * eps:.1e} (deviation {dev:.3e})"

@@ -57,11 +57,13 @@ CONDITION_NAMES = {
 
 
 def permutation_vector(sigma):
-    """Row-major 0/1 vectorization of the permutation matrix of sigma."""
-    sigma = tuple(int(v) for v in sigma)
+    """Row-major 0/1 vectorization of the permutation matrix of sigma.  An
+    entry must be integral: 1.0 reads as 1, and 1.9 is refused, not cut."""
+    values = tuple(sigma)
+    sigma = tuple(int(v) for v in values)
     n = len(sigma)
-    if n < 1 or not is_permutation(sigma, n):
-        raise ValueError(f"not a permutation of 0..n-1 with n >= 1: {sigma}")
+    if n < 1 or sigma != values or not is_permutation(sigma, n):
+        raise ValueError(f"not a permutation of 0..n-1 with n >= 1: {values}")
     p = np.zeros(n * n)
     for i, j in enumerate(sigma):
         p[i * n + j] = 1.0
@@ -92,9 +94,9 @@ class PermutationLift:
 
 
 def lift(sigma):
-    sigma = tuple(int(v) for v in sigma)
+    sigma = tuple(sigma)
     permutation_vector(sigma)  # rejects a non-permutation here, not at first use
-    return PermutationLift(sigma=sigma, n=len(sigma))
+    return PermutationLift(sigma=tuple(int(v) for v in sigma), n=len(sigma))
 
 
 @dataclass(frozen=True)

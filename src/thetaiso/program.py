@@ -5,18 +5,20 @@ vertex pairs (i,j) -> i*n+j plus a final slack index omega.  The objective sums
 the pair-diagonal entries; the affine rows pin the omega corner to 1, tie the
 omega column to the diagonal, and zero every entry whose index pair conflicts
 (``graphs.conflict_pairs``: same row, same column, or mismatched adjacency
-across the two graphs).  A ``Program`` holds these rows as index arrays only,
-and ``program_to_json_dict`` hands them to the JSON writer as tables filled
-from those arrays.  The two cone conditions (positive semidefinite,
-entrywise nonnegative) are not affine rows; the solver enforces them by
-projection.
+across the two graphs).  A ``Program`` holds this zero pattern once, in the
+two forms its readers use: ``conflicts``, the pairs (r, s), r < s, by kind,
+which ``program_to_json_dict`` hands to the JSON writer as tables, and
+``zero_index``, the ascending flat indices of both triangles, through which
+the solver reads and writes the zeroed entries.  The two cone conditions
+(positive semidefinite, entrywise nonnegative) are not affine rows; the
+solver enforces them by projection.
 
 ``build_program`` gives the full layout.  ``branch_program`` gives the
 program of one branch, a vertex v of the first graph pinned to a vertex k of
 the second: it keeps only the pairs (i, j) whose pinned 1-WL colours agree
 (``refine.colour_refinement``), numbered in row-major order with omega
 last, and its zero rows are the full layout's conflicts between kept pairs,
-filtered from its arrays rather than listed again.
+filtered from its ``conflicts`` rather than listed again.
 ``Program.index`` maps each row of either layout to its full-layout index.
 """
 
@@ -43,9 +45,11 @@ __all__ = [
 class Program:
     """Immutable compiled program for one graph pair.
 
-    zero_rows/zero_cols scatter over both triangles of the zero pattern: the
-    first half lists each conflicting pair (r, s), r < s, grouped by kind in
-    the order of ``conflict_pairs``, and the second half mirrors it.
+    ``conflicts`` maps each conflict kind, in the order of
+    ``conflict_pairs``, to its pairs (r, s) with r < s.  ``zero_index``
+    lists the flat indices r * dim + s and s * dim + r of both triangles in
+    ascending order, so that a scatter through it walks a C-ordered
+    dim x dim matrix in memory order.  All arrays are read-only.
 
     ``graphs`` is the pair the program was built from.  The ``pairs``
     argument lists the full-layout index i*n + j of each kept pair in
@@ -57,31 +61,31 @@ class Program:
 
     __slots__ = (
         "n", "dim", "omega", "pair_diag",
-        "zero_rows", "zero_cols", "zero_counts",
+        "conflicts", "zero_index",
         "index", "pin", "graphs",
     )
 
     def __init__(self, graphs, conflicts, pairs=None, pin=None):
         n = graphs[0].n
         kept = n * n if pairs is None else len(pairs)
+        dim = kept + 1
         pair_diag = np.arange(kept)
         index = np.append(pair_diag if pairs is None else pairs, n * n)
-        upper_r = np.concatenate([r for r, _ in conflicts.values()])
-        upper_s = np.concatenate([s for _, s in conflicts.values()])
-        zero_rows = np.concatenate([upper_r, upper_s])
-        zero_cols = np.concatenate([upper_s, upper_r])
-        for a in (pair_diag, zero_rows, zero_cols, index):
+        upper_r = [r for r, _ in conflicts.values()]
+        upper_s = [s for _, s in conflicts.values()]
+        zero_index = np.concatenate(upper_r + upper_s)
+        zero_index *= dim
+        zero_index += np.concatenate(upper_s + upper_r)
+        zero_index.sort()
+        for a in (pair_diag, zero_index, index, *(a for rs in conflicts.values() for a in rs)):
             a.setflags(write=False)
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", kept + 1)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "omega", kept)
         object.__setattr__(self, "pair_diag", pair_diag)
-        object.__setattr__(self, "zero_rows", zero_rows)
-        object.__setattr__(self, "zero_cols", zero_cols)
-        object.__setattr__(self, "zero_counts", MappingProxyType(
-            {kind: len(r) for kind, (r, _) in conflicts.items()}
-        ))
+        object.__setattr__(self, "conflicts", MappingProxyType(dict(conflicts)))
+        object.__setattr__(self, "zero_index", zero_index)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "pin", pin)
         object.__setattr__(self, "graphs", graphs)
@@ -91,24 +95,16 @@ class Program:
 
     def constraint_counts(self):
         """Number of affine rows of each kind, in output order."""
-        return {"omega-norm": 1, "diag-link": len(self.pair_diag), **self.zero_counts}
+        zero_rows = {kind: len(r) for kind, (r, _) in self.conflicts.items()}
+        return {"omega-norm": 1, "diag-link": len(self.pair_diag), **zero_rows}
 
     def zero_pair_set(self):
         """Zeroed index pairs as a set of (r, s) with r < s."""
-        m = len(self.zero_rows) // 2
-        return set(zip(self.zero_rows[:m].tolist(), self.zero_cols[:m].tolist()))
+        return {pair for r, s in self.conflicts.values() for pair in zip(r.tolist(), s.tolist())}
 
     def __repr__(self):
         rows = sum(self.constraint_counts().values())
         return f"Program(n={self.n}, dim={self.dim}, constraints={rows})"
-
-
-def _conflicts_by_kind(p):
-    """(kind, r, s) for each conflict kind of p, in ``zero_counts`` order:
-    its pairs (r, s), r < s, split from the first half of the zero arrays."""
-    m = len(p.zero_rows) // 2
-    cuts = np.cumsum(list(p.zero_counts.values()))[:-1]
-    return zip(p.zero_counts, np.split(p.zero_rows[:m], cuts), np.split(p.zero_cols[:m], cuts))
 
 
 def build_program(g1, g2):
@@ -135,7 +131,7 @@ def branch_program(full, v, k):
     keep = (c1[:, None] == c2[None, :]).reshape(-1)
     renumber = np.cumsum(keep) - 1          # each kept pair's own index
     conflicts = {}
-    for kind, r, s in _conflicts_by_kind(full):
+    for kind, (r, s) in full.conflicts.items():
         both = keep[r] & keep[s]
         conflicts[kind] = (renumber[r[both]], renumber[s[both]])
     return Program(full.graphs, conflicts, pairs=np.flatnonzero(keep), pin=(v, k))
@@ -177,7 +173,7 @@ def program_to_json_dict(p):
                                            [SLOT, SLOT, -1.0]], "rhs": 0.0},
          (d, d, d, d)),
     ] + [({"kind": kind, "entries": mirrored, "rhs": 0.0}, (r, s, s, r))
-         for kind, r, s in _conflicts_by_kind(p)]
+         for kind, (r, s) in p.conflicts.items()]
     return {
         "dim": p.dim,
         "n": p.n,

@@ -223,14 +223,7 @@ def _psd_part(W, eigh):
     return B @ B.T
 
 
-def _zero_index(p):
-    """The flat indices of p's zeroed pairs in a C-ordered dim x dim matrix,
-    both triangles, ascending, so that a scatter through them walks the
-    matrix in memory order."""
-    return np.sort(p.zero_rows * p.dim + p.zero_cols)
-
-
-def _apply_affine(M, p, link_weight, zero_index):
+def _apply_affine(M, p, link_weight):
     """Overwrite the affine-row entries of M in place.
 
     Each zeroed pair, the omega corner, and each diagonal/omega link group is
@@ -238,8 +231,8 @@ def _apply_affine(M, p, link_weight, zero_index):
     diagonal entry of a link group carries weight 1 and the omega pair carries
     weight ``link_weight`` (1 treats each stored value once, 2 counts the
     mirrored matrix entry twice, i.e. plain Frobenius distance).  The zeroed
-    pairs are read from ``zero_index`` (``_zero_index(p)``) through the flat
-    view of M, which is C-contiguous: every caller passes a fresh array.
+    pairs are written through ``p.zero_index`` into the flat view of M, which
+    is C-contiguous: every caller passes a fresh array.
     """
     d = p.pair_diag
     omega = p.omega
@@ -250,7 +243,7 @@ def _apply_affine(M, p, link_weight, zero_index):
     M[omega, d] = m
     M[d, d] = m
     M[omega, omega] = 1.0
-    M.reshape(-1)[zero_index] = 0.0
+    M.reshape(-1)[p.zero_index] = 0.0
     return M
 
 
@@ -262,17 +255,17 @@ def project_affine(M, p):
         raise ValueError(f"expected a {p.dim} x {p.dim} matrix, got {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
-    return _apply_affine(M.copy(), p, 1.0, _zero_index(p))
+    return _apply_affine(M.copy(), p, 1.0)
 
 
-def _project_polyhedral(W, p, zero_index):
+def _project_polyhedral(W, p):
     """Frobenius projection onto P = {affine rows, Y >= 0}; overwrites W.
 
     Every entry group of P is independent: a zeroed pair is 0, the corner is
     1, a link group is max(mean of its three entries, 0), any other entry is
-    clipped at 0.  ``zero_index`` is ``_zero_index(p)``.
+    clipped at 0.
     """
-    return np.maximum(_apply_affine(W, p, 2.0, zero_index), 0.0, out=W)
+    return np.maximum(_apply_affine(W, p, 2.0), 0.0, out=W)
 
 
 def initial_point(p):
@@ -288,7 +281,7 @@ def initial_point(p):
     return Z
 
 
-def _polish(Z, p, eigh, zero_index):
+def _polish(Z, p, eigh):
     """Restore feasibility of a converged iterate by alternating projections.
 
     The positive semidefinite iterate sits a hair outside P, which can leave
@@ -300,16 +293,15 @@ def _polish(Z, p, eigh, zero_index):
     (Bauschke & Combettes, Prop. 4.49).  The walk covers a distance of the order of the final primal
     residual, so the objective moves well within tolerance.  A non-finite
     iterate raises LinAlgError, like a failed eigendecomposition.
-    ``zero_index`` is ``_zero_index(p)``.
     """
     d = p.pair_diag
     omega = p.omega
     W = Z
     for sweep in range(1, POLISH_MAX_SWEEPS + 1):
-        W = W + POLISH_RELAXATION * (_project_polyhedral(W.copy(), p, zero_index) - W)
+        W = W + POLISH_RELAXATION * (_project_polyhedral(W.copy(), p) - W)
         W = _psd_part(W, eigh)
         viol = max(
-            float(np.abs(W[p.zero_rows, p.zero_cols]).max(initial=0.0)),
+            float(np.abs(W.reshape(-1)[p.zero_index]).max(initial=0.0)),
             float(np.abs(W[d, omega] - W[d, d]).max()),
             abs(float(W[omega, omega]) - 1.0),
             max(0.0, -float(W.min())),
@@ -322,7 +314,7 @@ def _polish(Z, p, eigh, zero_index):
     return W
 
 
-def _dual_upper_bound(p, rho, U, zero_index, threshold=math.inf):
+def _dual_upper_bound(p, rho, U, threshold=math.inf):
     """Weak-duality upper bound on the optimum from the scaled dual U.
 
     C is the objective, the identity on the pair diagonal.  G = -rho sym(U)
@@ -341,8 +333,8 @@ def _dual_upper_bound(p, rho, U, zero_index, threshold=math.inf):
     multipliers can be taken as the exact values that give the stored S.  A
     branch program needs no change: each kept pair index lies in exactly one
     row i, so the same x_i over the kept pairs of row i still give
-    tr Y <= n + 1.  ``zero_index`` is ``_zero_index(p)``.  The bound is inf
-    when S is not finite or its eigenvalues fail.
+    tr Y <= n + 1.  The bound is inf when S is not finite or its eigenvalues
+    fail.
 
     With a finite ``threshold`` (the loop's checks) the bound is also inf
     where it could not fall below the threshold, found before the
@@ -362,7 +354,7 @@ def _dual_upper_bound(p, rho, U, zero_index, threshold=math.inf):
 
     # -N, C-ordered for its flat view; the support entries are overwritten below.
     S = np.minimum(G, 0.0, order="C")
-    S.reshape(-1)[zero_index] = G.reshape(-1)[zero_index]
+    S.reshape(-1)[p.zero_index] = G.reshape(-1)[p.zero_index]
     S[omega, omega] = y_omega
     S[d, omega] = S[omega, d] = 0.5 * y_link
     S[d, d] = -y_link - 1.0
@@ -613,7 +605,6 @@ def _admm(p, cfg, lifts=True):
 
     Z = initial_point(p)
     U = np.zeros((p.dim, p.dim))
-    zero_index = _zero_index(p)
     threshold = decision_threshold(n)
     upper_bound = math.inf
 
@@ -625,7 +616,7 @@ def _admm(p, cfg, lifts=True):
     for it in range(1, cfg.max_iter + 1):
         W = Z - U
         W[p.pair_diag, p.pair_diag] += 1.0 / rho   # tilt C / rho, C = pair-diagonal I
-        X = _project_polyhedral(W, p, zero_index)
+        X = _project_polyhedral(W, p)
         # The PSD step's input U + X_hat, X_hat = alpha X + (1 - alpha) Z, is
         # built in U itself, so the relaxation keeps no extra dim x dim array.
         U += Z
@@ -646,7 +637,7 @@ def _admm(p, cfg, lifts=True):
         # No pair measured certifies before iteration 8, and a check there
         # would cost a fair share of a sweep.
         if it >= 8:
-            upper_bound = _dual_upper_bound(p, rho, U, zero_index, threshold)
+            upper_bound = _dual_upper_bound(p, rho, U, threshold)
             if upper_bound < threshold:
                 stop_reason = "dual-bound"
                 break
@@ -693,13 +684,13 @@ def _admm(p, cfg, lifts=True):
             # failed step U holds U + X_hat, which is finite; the bound is
             # valid for any U.  A cap below the first check can still stop
             # on a bound that certifies.
-            upper_bound = _dual_upper_bound(p, rho, U, zero_index)
+            upper_bound = _dual_upper_bound(p, rho, U)
             if stop_reason == "max-iter" and upper_bound < threshold:
                 stop_reason = "dual-bound"
         Y = Z
         if stop_reason == "tolerance":
             try:
-                Y = _polish(Z, p, eigh, zero_index)
+                Y = _polish(Z, p, eigh)
             except np.linalg.LinAlgError:
                 stop_reason = "diverged"
     return SolverResult(

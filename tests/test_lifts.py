@@ -36,6 +36,18 @@ def test_lift_rejects_non_permutation():
         lift((0, 0, 1))
 
 
+def test_lift_rejects_a_non_integral_entry():
+    # int() would truncate these to (1, 0), (1, 0, 2) and (0, 1), all
+    # permutations.
+    for make in (lift, permutation_vector):
+        for sigma in ((1.9, 0.2), (1.5, 0.5, 2.0), np.array([0.0, 1.5])):
+            with pytest.raises(ValueError, match="not a permutation"):
+                make(sigma)
+    # Integer-valued floats are still read as the permutation they name.
+    assert lift(np.array([1.0, 0.0])).sigma == (1, 0)
+    assert np.array_equal(permutation_vector(np.array([1.0, 0.0])), [0.0, 1.0, 1.0, 0.0])
+
+
 def test_lift_rejects_the_empty_permutation():
     # Every lifted matrix has n >= 1; the empty permutation used to give a
     # 1 x 1 "lift", the omega corner alone.

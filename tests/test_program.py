@@ -98,10 +98,12 @@ def test_conflict_pairs_match_brute_force():
 
 def test_zero_pairs_are_deduplicated():
     p = build_program(th.cycle_graph(4), th.cycle_graph(4))
-    pairs = list(zip(p.zero_rows.tolist(), p.zero_cols.tolist()))
+    pairs = [pair for r, s in p.conflicts.values() for pair in zip(r.tolist(), s.tolist())]
     assert len(pairs) == len(set(pairs))
     # both triangles present
-    assert {(r, s) for r, s in pairs} == {(s, r) for r, s in pairs}
+    flat = [(int(f) // p.dim, int(f) % p.dim) for f in p.zero_index]
+    assert len(flat) == len(set(flat)) == 2 * len(pairs)
+    assert set(flat) == {(r, s) for r, s in pairs} | {(s, r) for r, s in pairs}
 
 
 def row_matrix(row, dim):
@@ -219,16 +221,38 @@ def test_mixture_objective_is_n():
     assert objective_value(Y, p) == pytest.approx(5.0, abs=1e-12)
 
 
+def assert_zero_pattern_is_one(p):
+    """p's zero_index is the ascending flat indices of both triangles of its
+    conflicts, and neither form takes a write."""
+    upper = [r * p.dim + s for r, s in p.conflicts.values()]
+    lower = [s * p.dim + r for r, s in p.conflicts.values()]
+    assert np.array_equal(p.zero_index, np.sort(np.concatenate(upper + lower)))
+    assert (np.diff(p.zero_index) > 0).all()
+    assert not p.zero_index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        p.zero_index[:1] = 0
+    for r, s in p.conflicts.values():
+        assert (r < s).all()
+        assert not r.flags.writeable and not s.flags.writeable
+    with pytest.raises(TypeError):
+        p.conflicts["row-orth"] = (np.arange(1), np.arange(1))
+    with pytest.raises(TypeError):
+        del p.conflicts["row-orth"]
+
+
 def test_program_immutable():
     p = build_program(th.complete_graph(2), th.complete_graph(2))
     with pytest.raises(AttributeError):
         p.n = 3
     assert not p.pair_diag.flags.writeable
-    assert not p.zero_rows.flags.writeable
     counts = p.constraint_counts()
-    with pytest.raises(TypeError):
-        p.zero_counts["row-orth"] = 0
+    assert_zero_pattern_is_one(p)
     assert p.constraint_counts() == counts
+    # n = 1 has no conflict of any kind, so an empty zero pattern.
+    single = build_program(th.empty_graph(1), th.empty_graph(1))
+    assert list(single.conflicts) == list(th.conflict_pairs(th.empty_graph(1), th.empty_graph(1)))
+    assert single.zero_index.size == 0 and single.zero_pair_set() == set()
+    assert_zero_pattern_is_one(single)
 
 
 def test_json_serialization():
@@ -273,6 +297,7 @@ def test_branch_program_layout_on_rook_against_shrikhande():
     g1, g2 = rook_graph(4), shrikhande_graph()
     full = build_program(g1, g2)
     conflicts = th.conflict_pairs(g1, g2)
+    assert_zero_pattern_is_one(full)
     for k in (0, 5):
         p = th.branch_program(full, 0, k)
         assert p.pin == (0, k) and p.graphs == (g1, g2)
@@ -286,19 +311,18 @@ def test_branch_program_layout_on_rook_against_shrikhande():
         expected = {(position[r], position[s]) for r, s in full.zero_pair_set()
                     if r in position and s in position}
         assert p.zero_pair_set() == expected
-        m = len(p.zero_rows) // 2
-        assert (p.zero_rows[:m] < p.zero_cols[:m]).all()
-        # Cut from the full layout's arrays, they keep conflict_pairs' order
+        assert_zero_pattern_is_one(p)
+        # Cut from the full layout's conflicts, they keep conflict_pairs' order
         # kind by kind, as filtering conflict_pairs itself would.
         keep = np.zeros(256, dtype=bool)
         keep[p.index[:-1]] = True
         renumber = np.cumsum(keep) - 1
         rows = [renumber[r[keep[r] & keep[s]]] for r, s in conflicts.values()]
         cols = [renumber[s[keep[r] & keep[s]]] for r, s in conflicts.values()]
-        assert list(p.zero_counts) == list(conflicts)
-        assert [p.zero_counts[kind] for kind in conflicts] == [len(r) for r in rows]
-        assert np.array_equal(p.zero_rows[:m], np.concatenate(rows))
-        assert np.array_equal(p.zero_cols[:m], np.concatenate(cols))
+        assert list(p.conflicts) == list(conflicts)
+        assert [p.constraint_counts()[kind] for kind in conflicts] == [len(r) for r in rows]
+        for (r, s), want_r, want_s in zip(p.conflicts.values(), rows, cols):
+            assert np.array_equal(r, want_r) and np.array_equal(s, want_s)
     with pytest.raises(ValueError, match="full layout"):
         th.branch_program(th.branch_program(full, 0, 0), 0, 0)
 
@@ -342,5 +366,5 @@ def test_branch_keeps_every_pair_of_an_isomorphism_through_its_pin(case):
     kept = set(p.index.tolist())
     assert all(i * n + sigma[i] in kept for i in range(n))
     Y = th.lift(sigma).extended()[np.ix_(p.index, p.index)]
-    assert not Y[p.zero_rows, p.zero_cols].any()
+    assert not Y.reshape(-1)[p.zero_index].any()
     assert objective_value(Y, p) == n

@@ -23,7 +23,6 @@ from thetaiso.solver import (
     _project_polyhedral,
     _psd_part,
     _verified_lift,
-    _zero_index,
     SolverConfig,
     SolverStatus,
     eigh_backend,
@@ -158,9 +157,15 @@ def test_project_psd_rejects():
 
 def test_project_psd_rejects_an_empty_matrix():
     # It used to fail inside numpy on an empty max ("zero-size array to
-    # reduction operation maximum which has no identity").
-    with pytest.raises(ValueError, match="non-empty square matrix"):
-        project_psd(np.zeros((0, 0)))
+    # reduction operation maximum which has no identity"), as did the two
+    # extraction functions on a 0 x 0 matrix; stochastic_deviation failed
+    # on a 1-D array with numpy's AxisError.
+    for reject in (project_psd, th.birkhoff_decompose, th.stochastic_deviation):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got \(0, 0\)"):
+            reject(np.zeros((0, 0)))
+    for reject in (th.birkhoff_decompose, th.stochastic_deviation):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got \(3,\)"):
+            reject(np.ones(3))
 
 
 def test_backend_selection():
@@ -201,7 +206,7 @@ def test_project_affine_idempotent_and_zeroing():
     M = rng.standard_normal((p.dim, p.dim))
     M = 0.5 * (M + M.T)
     out = project_affine(M, p)
-    assert np.abs(out[p.zero_rows, p.zero_cols]).max() == 0.0
+    assert np.abs(out.reshape(-1)[p.zero_index]).max() == 0.0
     assert out[p.omega, p.omega] == 1.0
     d = p.pair_diag
     assert np.abs(out[d, p.omega] - out[d, d]).max() == 0.0
@@ -333,7 +338,7 @@ def test_dual_upper_bound_matches_explicit_rows_for_any_duals():
     for _ in range(50):
         rho = rng.uniform(0.1, 4.0)
         U = rng.standard_normal((p.dim, p.dim)) * rng.uniform(0.0, 3.0)
-        bound = _dual_upper_bound(p, rho, U, _zero_index(p))
+        bound = _dual_upper_bound(p, rho, U)
         assert bound == pytest.approx(_reference_upper_bound(p, rho, U), rel=1e-9)
         assert bound >= 4.0
 
@@ -418,11 +423,11 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     Z = solve(p, SolverConfig(max_iter=10)).Y
     calls.clear()
-    polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"), _zero_index(p))
+    polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"))
     assert len(calls) >= 2
     W = Z.copy()
     for _ in calls:
-        P = _project_polyhedral(W.copy(), p, _zero_index(p))
+        P = _project_polyhedral(W.copy(), p)
         W = _psd_part(W + POLISH_RELAXATION * (P - W), np.linalg.eigh)
     assert W.tobytes() == polished.tobytes()
 
@@ -525,11 +530,11 @@ def test_skipped_bound_checks_could_not_have_certified(solved_corpus, monkeypatc
     # and on the branches and tries of rook 4x4 vs Shrikhande.
     skipped = []
 
-    def checked(p, rho, U, zero_index, threshold=math.inf):
-        bound = _dual_upper_bound(p, rho, U, zero_index, threshold)
+    def checked(p, rho, U, threshold=math.inf):
+        bound = _dual_upper_bound(p, rho, U, threshold)
         if -rho * U[p.omega, p.omega] >= threshold:
             skipped.append(bound == math.inf
-                           and _dual_upper_bound(p, rho, U, zero_index) >= threshold)
+                           and _dual_upper_bound(p, rho, U) >= threshold)
         return bound
 
     monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", checked)
@@ -549,10 +554,10 @@ def test_the_cholesky_screen_never_vetoes_a_certificate(solved_corpus, monkeypat
     # rook 4x4 vs Shrikhande and branch 0 of CFI(K4), untwisted vs twisted.
     skipped, rejected, passed = [], [], []
 
-    def checked(p, rho, U, zero_index, threshold=math.inf):
-        bound = _dual_upper_bound(p, rho, U, zero_index, threshold)
+    def checked(p, rho, U, threshold=math.inf):
+        bound = _dual_upper_bound(p, rho, U, threshold)
         if math.isfinite(threshold):
-            unscreened = _dual_upper_bound(p, rho, U, zero_index)
+            unscreened = _dual_upper_bound(p, rho, U)
             if -rho * U[p.omega, p.omega] >= threshold:
                 skipped.append(bound == math.inf and unscreened >= threshold)
             elif bound == math.inf:
@@ -609,8 +614,8 @@ def test_the_cholesky_screen_on_hand_made_slack_matrices():
     U = np.zeros((p.dim, p.dim))
     for bad in (math.nan, math.inf, -math.inf):
         U[1, 2] = U[2, 1] = bad
-        assert _dual_upper_bound(p, 1.0, U, _zero_index(p), threshold) == math.inf
-        assert _dual_upper_bound(p, 1.0, U, _zero_index(p)) == math.inf
+        assert _dual_upper_bound(p, 1.0, U, threshold) == math.inf
+        assert _dual_upper_bound(p, 1.0, U) == math.inf
 
 
 @pytest.mark.parametrize("fail", ["raise", "nan"])
@@ -643,7 +648,7 @@ def test_polish_failure_ends_as_diverged(fail, monkeypatch):
     # the converged iterate as Diverged.
     g1 = th.cycle_graph(4)
     p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
-    monkeypatch.setattr(thetaiso.solver, "_polish", lambda Z, p, eigh, zero_index: Z)
+    monkeypatch.setattr(thetaiso.solver, "_polish", lambda Z, p, eigh: Z)
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
     unpolished = solve(p)
@@ -665,7 +670,7 @@ def test_dual_upper_bound_survives_an_eigvalsh_failure(monkeypatch):
 
     p = build_program(th.cycle_graph(4), th.cycle_graph(4))
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    assert _dual_upper_bound(p, 1.0, np.zeros((p.dim, p.dim)), _zero_index(p)) == math.inf
+    assert _dual_upper_bound(p, 1.0, np.zeros((p.dim, p.dim))) == math.inf
 
 
 def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
@@ -673,9 +678,9 @@ def test_relaxed_sweep_keeps_the_psd_multiplier_psd(monkeypatch):
     # G = -rho sym(U), the bound's PSD multiplier, is PSD at every check.
     seen = []
 
-    def capturing(p, rho, U, zero_index, threshold=math.inf):
+    def capturing(p, rho, U, threshold=math.inf):
         seen.append(U.copy())
-        return _dual_upper_bound(p, rho, U, zero_index, threshold)
+        return _dual_upper_bound(p, rho, U, threshold)
 
     monkeypatch.setattr(thetaiso.solver, "_dual_upper_bound", capturing)
     outer = [(i, (i + 1) % 5) for i in range(5)]
@@ -744,7 +749,7 @@ def test_verified_lift_accepts_exactly_where_the_lift_meets_the_zero_rows(zoo4):
                     continue
                 q = np.append(permutation_vector(sigma), 1.0)[p.index]
                 Y = np.outer(q, q)
-                feasible = not Y[p.zero_rows, p.zero_cols].any()
+                feasible = not Y.reshape(-1)[p.zero_index].any()
                 assert _verified_lift(Y, p) == (sigma if feasible else None), (p.pin, sigma)
                 cases[feasible] += 1
     assert sum(cases.values()) == 1750 and min(cases.values()) >= 100, cases
@@ -873,11 +878,13 @@ def test_against_interior_point_solver():
     g1 = th.path_graph(4)
     g2 = th.star_graph(4)
     p = build_program(g1, g2)
+    # Rows and columns, not a flat reshape: cvxpy reshapes column-major.
+    zero_rows, zero_cols = np.divmod(p.zero_index, p.dim)
     Y = cp.Variable((p.dim, p.dim), symmetric=True)
     d = p.pair_diag
     cons = [Y >> 0, Y >= 0, Y[p.omega, p.omega] == 1,
             Y[d, p.omega] == cp.diag(Y)[d],
-            Y[p.zero_rows, p.zero_cols] == 0]
+            Y[zero_rows, zero_cols] == 0]
     prob = cp.Problem(cp.Maximize(cp.sum(cp.diag(Y)[d])), cons)
     prob.solve(solver=cp.SCS, eps=1e-8, max_iters=100000)
     res = solve(p)
