@@ -1,12 +1,19 @@
 """Simple undirected graphs, file parsing, and the conflicts of a graph pair.
 
-Vertices are 0-based integers.  Graphs are immutable after construction and
-safe to share between threads.  ``conflict_pairs`` is the one definition of
-which assignment pairs conflict; the association graph, the compiled program
-and the feasibility check all read it.
+Vertices are 0-based integers.  A graph is its adjacency table; the edge set
+is read off that table on first use.  Graphs are immutable after
+construction and safe to share between threads (two threads that read the
+edge set first at once may each build it, equal both times).
+``conflict_pairs`` is the one definition of which assignment pairs
+conflict; the association graph, the compiled program and the feasibility
+check all read it.
 """
 
 from __future__ import annotations
+
+import operator
+import re
+from functools import cached_property
 
 import numpy as np
 
@@ -46,32 +53,34 @@ class GraphParseError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Stores both the edge set (as sorted vertex pairs) and a symmetric boolean
-    adjacency table; the two always agree.  Self-loops are rejected.
+    Stored as a symmetric, read-only boolean adjacency table.  ``edges``,
+    the set of vertex pairs (i, j) with i < j, is read off that table the
+    first time it is asked for.  Vertex ids must be integers (int or numpy
+    integer); self-loops are rejected.
     """
-
-    __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n, edges=()):
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
-        normalized = set()
         adj = np.zeros((n, n), dtype=bool)
         for i, j in edges:
+            i, j = _vertex(i), _vertex(j)
             if i == j:
                 raise ValueError(f"self-loop ({i},{i}) not allowed")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            a, b = (i, j) if i < j else (j, i)
-            normalized.add((a, b))
-            adj[a, b] = adj[b, a] = True
+            adj[i, j] = adj[j, i] = True
         adj.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "adjacency", adj)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    @cached_property
+    def edges(self):
+        i, j = np.nonzero(np.triu(self.adjacency, 1))
+        return frozenset(zip(i.tolist(), j.tolist()))
 
     def has_edge(self, i, j):
         return bool(self.adjacency[i, j])
@@ -82,18 +91,39 @@ class Graph:
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adjacency.tobytes()))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _vertex(v):
+    """v as an int if it is an integer (int or numpy integer); else ValueError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex id {v!r} is not an integer") from None
+
+
+_INTEGER_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _integers(tokens, what, line, lineno):
+    """The tokens of a graph file line as ints.  Each must be ASCII decimal
+    digits with an optional leading '-': int() would also read '1_0' or
+    non-ASCII digits, which no graph file means."""
+    values = [int(t) for t in tokens if _INTEGER_TOKEN.fullmatch(t)]
+    if len(values) != len(tokens):
+        raise GraphParseError(f"non-integer {what} {line!r}", lineno)
+    return values
 
 
 def _data_lines(text, comment_chars):
@@ -120,10 +150,7 @@ def parse_graph(text):
     parts = header.split()
     if len(parts) != 2:
         raise GraphParseError(f"expected 'n m' header, got {header!r}", lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphParseError(f"non-integer header {header!r}", lineno) from None
+    n, m = _integers(parts, "header", header, lineno)
     if n < 1:
         raise GraphParseError(f"vertex count must be positive, got {n}", lineno)
     if m < 0:
@@ -137,10 +164,7 @@ def parse_graph(text):
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"expected 'i j' edge line, got {line!r}", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"non-integer edge line {line!r}", lineno) from None
+        i, j = _integers(parts, "edge line", line, lineno)
         if i == j:
             raise GraphParseError(f"self-loop ({i},{j}) not allowed", lineno)
         if not (0 <= i < n and 0 <= j < n):
@@ -169,10 +193,7 @@ def parse_dimacs(text):
                 raise GraphParseError("duplicate problem line", lineno)
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphParseError(f"expected 'p edge n m', got {line!r}", lineno)
-            try:
-                n, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphParseError(f"non-integer problem line {line!r}", lineno) from None
+            n, declared = _integers(parts[2:], "problem line", line, lineno)
             if n < 1:
                 raise GraphParseError(f"vertex count must be positive, got {n}", lineno)
             if declared < 0:
@@ -182,10 +203,7 @@ def parse_dimacs(text):
                 raise GraphParseError("edge line before problem line", lineno)
             if len(parts) != 3:
                 raise GraphParseError(f"expected 'e i j', got {line!r}", lineno)
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphParseError(f"non-integer edge line {line!r}", lineno) from None
+            i, j = _integers(parts[1:], "edge line", line, lineno)
             if i == j:
                 raise GraphParseError(f"self-loop ({i},{j}) not allowed", lineno)
             if not (1 <= i <= n and 1 <= j <= n):
@@ -198,8 +216,8 @@ def parse_dimacs(text):
     if len(edges) < declared:
         raise GraphParseError(f"expected {declared} edge lines, found {len(edges)}")
     g = Graph(n, edges)
-    if len(g.edges) > declared:
-        raise GraphParseError(f"found {len(g.edges)} distinct edges, declared {declared}")
+    if g.num_edges > declared:
+        raise GraphParseError(f"found {g.num_edges} distinct edges, declared {declared}")
     return g
 
 
@@ -284,7 +302,7 @@ def association_graph(g1, g2):
 def relabel(g, sigma):
     """Apply a vertex bijection: edge (i,j) becomes (sigma[i], sigma[j])."""
     if not is_permutation(sigma, g.n):
-        raise ValueError("sigma is not a bijection on the vertex set")
+        raise ValueError(f"sigma is not a bijection on the vertex set: {sigma}")
     return Graph(g.n, ((sigma[i], sigma[j]) for i, j in g.edges))
 
 

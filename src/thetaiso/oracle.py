@@ -7,6 +7,9 @@ exact; no tolerances anywhere in this module.
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -19,8 +22,13 @@ DEFAULT_SIZE_LIMIT = 10
 
 
 def is_permutation(sigma, n):
-    """True iff sigma is a bijection [0,n) -> [0,n)."""
-    return len(sigma) == n and sorted(sigma) == list(range(n))
+    """True iff sigma is a bijection [0,n) -> [0,n): n integer entries (int
+    or numpy integer) holding each of 0..n-1 once.  1.0 is not an entry."""
+    try:
+        values = sorted(map(operator.index, sigma))
+    except TypeError:
+        return False
+    return values == list(range(n))
 
 
 def is_isomorphism(sigma, g1, g2):
@@ -46,7 +54,8 @@ def enumerate_isomorphisms(g1, g2, cap=None, size_limit=DEFAULT_SIZE_LIMIT):
     Parameters
     ----------
     cap : int or None
-        Stop after this many isomorphisms.  None means enumerate all.
+        Stop after this many isomorphisms.  None means enumerate all; a cap
+        that is not an integer is a ValueError.
     size_limit : int or None
         Guard against accidental huge runs; pass None (or a larger bound) to
         override.
@@ -59,6 +68,8 @@ def enumerate_isomorphisms(g1, g2, cap=None, size_limit=DEFAULT_SIZE_LIMIT):
             f"n={n} exceeds the enumeration size limit {size_limit}; "
             "pass size_limit=None to override"
         )
+    if cap is not None and not isinstance(cap, numbers.Integral):
+        raise ValueError(f"cap must be an integer or None, got {cap!r}")
     if cap is not None and cap <= 0:
         return []
 

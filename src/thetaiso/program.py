@@ -5,13 +5,14 @@ vertex pairs (i,j) -> i*n+j plus a final slack index omega.  The objective sums
 the pair-diagonal entries; the affine rows pin the omega corner to 1, tie the
 omega column to the diagonal, and zero every entry whose index pair conflicts
 (``graphs.conflict_pairs``: same row, same column, or mismatched adjacency
-across the two graphs).  A ``Program`` holds this zero pattern once, in the
-two forms its readers use: ``conflicts``, the pairs (r, s), r < s, by kind,
-which ``program_to_json_dict`` hands to the JSON writer as tables, and
-``zero_index``, the ascending flat indices of both triangles, through which
-the solver reads and writes the zeroed entries.  The two cone conditions
-(positive semidefinite, entrywise nonnegative) are not affine rows; the
-solver enforces them by projection.
+across the two graphs).  A ``Program`` holds this zero pattern once, as
+``conflicts``, the pairs (r, s), r < s, by kind, which
+``program_to_json_dict`` hands to the JSON writer as tables.  The solver
+reads and writes the zeroed entries through ``zero_index``, the ascending
+flat indices of both triangles, which is built from ``conflicts`` on first
+read, so a program that is only written or cut into branches never builds
+it.  The two cone conditions (positive semidefinite, entrywise nonnegative)
+are not affine rows; the solver enforces them by projection.
 
 ``build_program`` gives the full layout.  ``branch_program`` gives the
 program of one branch, a vertex v of the first graph pinned to a vertex k of
@@ -24,6 +25,7 @@ filtered from its ``conflicts`` rather than listed again.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -49,7 +51,8 @@ class Program:
     ``conflict_pairs``, to its pairs (r, s) with r < s.  ``zero_index``
     lists the flat indices r * dim + s and s * dim + r of both triangles in
     ascending order, so that a scatter through it walks a C-ordered
-    dim x dim matrix in memory order.  All arrays are read-only.
+    dim x dim matrix in memory order; it is built on first read and kept.
+    All arrays are read-only.
 
     ``graphs`` is the pair the program was built from.  The ``pairs``
     argument lists the full-layout index i*n + j of each kept pair in
@@ -59,25 +62,13 @@ class Program:
     n^2.  ``pin`` is a branch's (v, k), ``None`` for the full layout.
     """
 
-    __slots__ = (
-        "n", "dim", "omega", "pair_diag",
-        "conflicts", "zero_index",
-        "index", "pin", "graphs",
-    )
-
     def __init__(self, graphs, conflicts, pairs=None, pin=None):
         n = graphs[0].n
         kept = n * n if pairs is None else len(pairs)
         dim = kept + 1
         pair_diag = np.arange(kept)
         index = np.append(pair_diag if pairs is None else pairs, n * n)
-        upper_r = [r for r, _ in conflicts.values()]
-        upper_s = [s for _, s in conflicts.values()]
-        zero_index = np.concatenate(upper_r + upper_s)
-        zero_index *= dim
-        zero_index += np.concatenate(upper_s + upper_r)
-        zero_index.sort()
-        for a in (pair_diag, zero_index, index, *(a for rs in conflicts.values() for a in rs)):
+        for a in (pair_diag, index, *(a for rs in conflicts.values() for a in rs)):
             a.setflags(write=False)
 
         object.__setattr__(self, "n", n)
@@ -85,13 +76,23 @@ class Program:
         object.__setattr__(self, "omega", kept)
         object.__setattr__(self, "pair_diag", pair_diag)
         object.__setattr__(self, "conflicts", MappingProxyType(dict(conflicts)))
-        object.__setattr__(self, "zero_index", zero_index)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "pin", pin)
         object.__setattr__(self, "graphs", graphs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Program is immutable")
+
+    @cached_property
+    def zero_index(self):
+        upper_r = [r for r, _ in self.conflicts.values()]
+        upper_s = [s for _, s in self.conflicts.values()]
+        zero_index = np.concatenate(upper_r + upper_s)
+        zero_index *= self.dim
+        zero_index += np.concatenate(upper_s + upper_r)
+        zero_index.sort()
+        zero_index.setflags(write=False)
+        return zero_index
 
     def constraint_counts(self):
         """Number of affine rows of each kind, in output order."""

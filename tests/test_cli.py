@@ -321,6 +321,18 @@ def test_decide_malformed_file(tmp_path, capsys):
     assert main(["decide", str(bad), str(bad)]) == 2
 
 
+@pytest.mark.parametrize("text", ["12 1\n0 1_0\n", "p edge 12 1\ne 1 1_0\n",
+                                  "p edge \u0663 0\n"])
+def test_decide_refuses_a_token_int_reads_but_a_graph_file_does_not_mean(
+        text, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["decide", str(bad), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "non-integer" in captured.err, captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_decide_inconclusive_exit_three(non_iso_pair, capsys):
     # The first bound check comes at iteration 8, so the pair is still
     # undecided at the cap.

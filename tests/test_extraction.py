@@ -638,7 +638,7 @@ def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
     # have come to the same orbit test and the same row.
     g1, g2 = rook_graph(4), shrikhande_graph()
     p = th.build_program(g1, g2)
-    built, tries = [], []
+    built, tries, autos = [], [], []
     pinned = thetaiso.solver.branch_program
     attempt = thetaiso.solver._automorphism_try
 
@@ -649,6 +649,7 @@ def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
 
     def recording_try(auto, r, k, cfg):
         tries.append(k)
+        autos.append(auto)
         return attempt(auto, r, k, cfg)
 
     monkeypatch.setattr(thetaiso.solver, "branch_program", recording_build)
@@ -656,6 +657,10 @@ def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
     res = th.solve(p)
     assert res.stop_reason == "branch-bound"
     assert built == [0] + tries and len(built) == 4
+    # Neither the full layout nor the (G2, G2) layout the tries are cut from
+    # is iterated, so neither builds its flat zero index.
+    assert autos and all(auto is autos[0] for auto in autos)
+    assert "zero_index" not in vars(p) and "zero_index" not in vars(autos[0])
     [solved, *covered] = res.branches
     assert (solved["k"], solved["dim"], solved["stop_reason"]) == (0, 119, "dual-bound")
     assert [b["k"] for b in covered] == list(range(1, 16))

@@ -8,10 +8,20 @@ from thetaiso.graphs import parse_graph, parse_dimacs, parse_graph_text
 
 
 def test_graph_basics():
-    g = th.Graph(4, [(0, 1), (2, 1), (1, 2)])
+    g = th.Graph(4, [(0, 1), (2, 1), (1, 2), (1, 0)])
+    # A graph is its adjacency: the edge count and equality read it, and the
+    # edge set is read off it on first use, normalised (i < j, no repeats).
+    assert set(vars(g)) == {"n", "adjacency"}
     assert g.n == 4
+    assert g.num_edges == 2 and type(g.num_edges) is int
+    assert g == th.Graph(4, [(1, 2), (0, 1)])
+    assert "edges" not in vars(g)
     assert g.edges == frozenset({(0, 1), (1, 2)})
-    assert g.num_edges == 2
+    assert g.edges is g.edges
+    with pytest.raises(AttributeError):
+        g.edges = frozenset()
+    with pytest.raises(AttributeError):
+        g.n = 5
     assert g.has_edge(1, 0) and g.has_edge(1, 2)
     assert not g.has_edge(0, 2)
     assert g.degrees() == (1, 2, 1, 0)
@@ -29,6 +39,12 @@ def test_graph_rejects_bad_edges():
         th.Graph(3, [(-1, 0)])
     with pytest.raises(ValueError):
         th.Graph(0, [])
+    # A vertex id must be an integer; numpy would reject 0.5 and 1.0 only as
+    # indices, with an IndexError that names no value.
+    for edge, value in [((0.5, 1), "0.5"), ((1.0, 2.0), "1.0"), ((0, "1"), "'1'")]:
+        with pytest.raises(ValueError, match=f"vertex id {value} is not an integer"):
+            th.Graph(3, [edge])
+    assert th.Graph(3, [(np.int64(0), np.int32(2))]).edges == frozenset({(0, 2)})
 
 
 def test_graph_equality_and_hash():
@@ -37,6 +53,13 @@ def test_graph_equality_and_hash():
     c = th.Graph(3, [(0, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != c
+    # Equal graphs from different edge orders hash alike, and neither the
+    # hash nor == builds the edge set.
+    d = th.Graph(5, [(0, 1), (2, 3), (1, 2), (4, 0)])
+    e = th.Graph(5, [(3, 2), (0, 4), (2, 1), (1, 0), (0, 1)])
+    assert d == e and hash(d) == hash(e)
+    assert d != th.Graph(4, [(0, 1), (2, 3), (1, 2)])
+    assert "edges" not in vars(d) and "edges" not in vars(e)
 
 
 def test_parse_edge_list():
@@ -60,6 +83,15 @@ def test_parse_edge_list_duplicates_collapse():
     ("2 1\n0 1\n1 0\n", "line 3"),
     ("3 2\n0 1\n", "expected 2 edge lines"),
     ("2 1\n0 1 junk\n", "line 2"),
+    # int() reads these; a graph file means none of them.
+    ("12 1\n0 1_0\n", "line 2: non-integer edge line"),
+    ("12 1\n0 \u0661\n", "line 2: non-integer edge line"),
+    ("1_2 1\n0 1\n", "line 1: non-integer header"),
+    ("12 1\n+0 1\n", "line 2: non-integer edge line"),
+    ("12 1\n0 1.0\n", "line 2: non-integer edge line"),
+    # A leading '-' still parses, so these keep their own messages.
+    ("2 -1\n", "edge count must be nonnegative, got -1"),
+    ("2 1\n-1 0\n", "vertex id out of range in (-1,0)"),
 ])
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(th.GraphParseError) as err:
@@ -83,6 +115,15 @@ def test_parse_dimacs_errors():
         parse_graph_text("p edge 4 3\ne 1 2\n")  # truncated, like the edge-list dialect
     with pytest.raises(th.GraphParseError, match="edge count must be nonnegative"):
         parse_dimacs("p edge 2 -1\n")
+    with pytest.raises(th.GraphParseError, match="out of range in \\(-1,2\\)"):
+        parse_dimacs("p edge 2 1\ne -1 2\n")
+    # Tokens int() reads but a graph file does not mean: '1_0' would read 10
+    # and the Arabic-Indic digits 3 and 1.
+    for text, what in [("p edge 12 1\ne 1 1_0\n", "line 2: non-integer edge line"),
+                       ("p edge \u0663 0\n", "line 1: non-integer problem line"),
+                       ("p edge 3 1\ne 1 \u0661\n", "line 2: non-integer edge line")]:
+        with pytest.raises(th.GraphParseError, match=what):
+            parse_dimacs(text)
     # Each edge listed in both directions is still one declared edge.
     assert parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\ne 2 3\ne 3 2\n") == th.path_graph(3)
 

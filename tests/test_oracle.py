@@ -3,6 +3,7 @@
 import sys
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 import thetaiso as th
@@ -24,6 +25,18 @@ def test_is_permutation():
     assert not is_permutation((0, 0, 1), 3)
     assert not is_permutation((0, 1), 3)
     assert not is_permutation((0, 1, 3), 3)
+    # Entries must be integers: 1.0 == 1, but it indexes no vertex.
+    assert is_permutation((np.int64(1), 0, np.int32(2)), 3)
+    assert not is_permutation((1.0, 0.0, 3.0, 2.0), 4)
+
+
+def test_a_non_integer_permutation_is_a_value_error():
+    g = th.cycle_graph(4)
+    sigma = (1.0, 0.0, 3.0, 2.0)
+    with pytest.raises(ValueError, match=r"\(1\.0, 0\.0, 3\.0, 2\.0\)"):
+        is_isomorphism(sigma, g, g)
+    with pytest.raises(ValueError, match=r"\(1\.0, 0\.0, 3\.0, 2\.0\)"):
+        th.relabel(g, sigma)
 
 
 def test_is_isomorphism_exact():
@@ -84,6 +97,14 @@ def test_enumeration_is_sorted_and_cap_is_prefix():
 def test_cap_zero_and_negative():
     g = th.cycle_graph(4)
     assert enumerate_isomorphisms(g, g, cap=0) == []
+    assert enumerate_isomorphisms(g, g, cap=-1) == []
+
+
+def test_cap_must_be_an_integer():
+    g = th.cycle_graph(4)
+    with pytest.raises(ValueError, match="got 1.5"):
+        enumerate_isomorphisms(g, g, cap=1.5)
+    assert len(enumerate_isomorphisms(g, g, cap=np.int64(3))) == 3
 
 
 def test_size_limit():

@@ -255,6 +255,24 @@ def test_program_immutable():
     assert_zero_pattern_is_one(single)
 
 
+def test_zero_index_is_built_by_the_first_read():
+    # Writing a program and counting its rows never build the solver's flat
+    # index; the solve that reads it builds it once and keeps it.
+    p = build_program(th.complete_graph(2), th.empty_graph(2))
+    program_to_json_dict(p)
+    written_program(p)
+    p.constraint_counts()
+    p.zero_pair_set()
+    assert "zero_index" not in vars(p)
+    th.solve(p)
+    first = vars(p)["zero_index"]
+    assert p.zero_index is first
+    assert_zero_pattern_is_one(p)
+    with pytest.raises(AttributeError):
+        p.zero_index = np.arange(3)
+    assert p.zero_index is first
+
+
 def test_json_serialization():
     g1 = th.complete_graph(2)
     p = build_program(g1, g1)
