@@ -42,6 +42,7 @@ from .program import (
     Program,
     branch_program,
     build_program,
+    decision_threshold,
     objective_value,
     program_to_json_dict,
 )
@@ -75,7 +76,6 @@ from .extraction import (
     VerdictKind,
     birkhoff_decompose,
     decide,
-    decision_threshold,
     stochastic_deviation,
 )
 from .data import corpus_path

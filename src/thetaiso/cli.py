@@ -13,6 +13,9 @@ which follows branches that leave the pair open).
 Environment variables THETAISO_TOL, THETAISO_MAX_ITER, and
 THETAISO_ORACLE_FALLBACK override the corresponding defaults when the flag
 is not given explicitly; a value that does not parse is bad input (exit 2).
+The defaults are ``SolverConfig``'s own, which ``--help`` prints.  The
+subcommands raise; ``main`` alone turns an OSError, a ValueError (such as a
+GraphParseError) or a MemoryError into one ``error: …`` line and exit 2.
 
 Programs and reports are serialized by ``jsonwriter.dumps_json``, which
 prints the same bytes as ``json.dumps(indent=2)``, so equal runs produce
@@ -32,7 +35,7 @@ from collections import Counter
 from dataclasses import asdict
 
 from .extraction import VerdictKind, decide
-from .graphs import GraphParseError, load_graph
+from .graphs import load_graph
 from .jsonwriter import _finite_or_none, dumps_json
 from .oracle import enumerate_isomorphisms
 from .program import build_program, program_to_json_dict
@@ -49,16 +52,6 @@ EXIT_DIVERGED = 4
 ENV_PREFIX = "THETAISO_"
 
 
-def _env(name, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad value for {ENV_PREFIX}{name}: {raw!r} ({exc})") from None
-
-
 def _flag(text):
     word = text.strip().lower()
     if word in ("1", "true", "yes", "on"):
@@ -69,23 +62,29 @@ def _flag(text):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--tol", type=float, default=None,
-                     help="primal/dual stopping tolerance (default 1e-7)")
-    sub.add_argument("--max-iter", type=int, default=None,
-                     help="iteration cap (default 50000)")
+    sub.add_argument("--tol", type=float,
+                     help=f"primal/dual stopping tolerance (default {SolverConfig.tol})")
+    sub.add_argument("--max-iter", type=int,
+                     help=f"iteration cap (default {SolverConfig.max_iter})")
     sub.add_argument("--oracle-fallback", action="store_true", default=None,
                      help="settle inconclusive runs by exact search")
 
 
 def _config_from_args(args):
-    tol = args.tol if args.tol is not None else _env("TOL", float, 1e-7)
-    max_iter = args.max_iter if args.max_iter is not None else _env("MAX_ITER", int, 50000)
-    fallback = (
-        args.oracle_fallback
-        if args.oracle_fallback is not None
-        else _env("ORACLE_FALLBACK", _flag, False)
-    )
-    return SolverConfig(tol=tol, max_iter=max_iter, oracle_fallback=fallback)
+    """The SolverConfig of the solver flags: each field is its flag, else its
+    THETAISO_<FIELD> variable parsed, else SolverConfig's default."""
+    given = {}
+    for field, parse in (("tol", float), ("max_iter", int), ("oracle_fallback", _flag)):
+        name, value = ENV_PREFIX + field.upper(), getattr(args, field)
+        raw = os.environ.get(name)
+        if value is None and raw is not None:
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {name}: {raw!r} ({exc})") from None
+        if value is not None:
+            given[field] = value
+    return SolverConfig(**given)
 
 
 def _load_pair(path1, path2):
@@ -179,17 +178,9 @@ def _verdict_exit_code(verdict, result):
 
 
 def cmd_build(args):
-    try:
-        g1, g2 = _load_pair(args.graph1, args.graph2)
-        program = build_program(g1, g2)
-    except (OSError, GraphParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        _write_text(args.out, dumps_json(program_to_json_dict(program)))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    g1, g2 = _load_pair(args.graph1, args.graph2)
+    program = build_program(g1, g2)
+    _write_text(args.out, dumps_json(program_to_json_dict(program)))
     if args.out != "-":
         counts = program.constraint_counts()
         summary = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
@@ -198,12 +189,8 @@ def cmd_build(args):
 
 
 def cmd_decide(args):
-    try:
-        g1, g2 = _load_pair(args.graph1, args.graph2)
-        cfg = _config_from_args(args)
-    except (OSError, GraphParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    g1, g2 = _load_pair(args.graph1, args.graph2)
+    cfg = _config_from_args(args)
     verdict, result, report = run_pair(g1, g2, cfg, want_oracle=cfg.oracle_fallback)
     if args.json:
         sys.stdout.write(dumps_json(report))
@@ -231,14 +218,10 @@ def cmd_decide(args):
 
 
 def cmd_oracle(args):
-    try:
-        if args.cap is not None and args.cap < 1:
-            raise ValueError(f"--cap must be at least 1, got {args.cap}")
-        g1, g2 = _load_pair(args.graph1, args.graph2)
-        isos = enumerate_isomorphisms(g1, g2, cap=args.cap, size_limit=None)
-    except (OSError, GraphParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
+    g1, g2 = _load_pair(args.graph1, args.graph2)
+    isos = enumerate_isomorphisms(g1, g2, cap=args.cap, size_limit=None)
     for sigma in isos:
         print(" ".join(str(j) for j in sigma))
     suffix = f" (stopped at cap {args.cap})" if args.cap and len(isos) == args.cap else ""
@@ -246,44 +229,45 @@ def cmd_oracle(args):
     return EXIT_ISOMORPHIC if isos else EXIT_NON_ISOMORPHIC
 
 
-def cmd_bench(args):
-    manifest_path = os.path.join(args.corpus, "manifest.json")
+def _read_manifest(corpus):
+    """The (name, g1 path, g2 path, isomorphic) entries of a corpus manifest."""
+    path = os.path.join(corpus, "manifest.json")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         pairs = [(e["name"], e["g1"], e["g2"], e["isomorphic"]) for e in manifest["pairs"]]
         for name, _, _, truth in pairs:
             if not isinstance(truth, bool):
                 raise TypeError(f"pair {name}: isomorphic is {truth!r}, not true or false")
     except (KeyError, TypeError) as exc:
-        print(f"error: {manifest_path} needs a 'pairs' list of objects with name, "
-              f"g1, g2 and isomorphic ({type(exc).__name__}: {exc})", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError(f"{path} needs a 'pairs' list of objects with name, g1, g2 "
+                         f"and isomorphic ({type(exc).__name__}: {exc})") from None
+    return pairs
+
+
+def _load_corpus_pair(corpus, name, path1, path2):
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _load_pair(os.path.join(corpus, path1), os.path.join(corpus, path2))
+    except (OSError, TypeError, ValueError) as exc:  # TypeError: a path that is not a string
+        raise ValueError(f"pair {name}: {exc}") from None
+
+
+def cmd_bench(args):
+    pairs = _read_manifest(args.corpus)
+    cfg = _config_from_args(args)
 
     rows = []
     mismatches = 0
     for name, path1, path2, truth in pairs:
-        try:
-            g1, g2 = _load_pair(os.path.join(args.corpus, path1),
-                                os.path.join(args.corpus, path2))
-        except (OSError, TypeError, ValueError) as exc:
-            print(f"error: pair {name}: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        g1, g2 = _load_corpus_pair(args.corpus, name, path1, path2)
         if args.verify_manifest:
             recomputed = bool(enumerate_isomorphisms(g1, g2, cap=1, size_limit=None))
             if recomputed != truth:
-                print(f"error: manifest says isomorphic={truth} for {name}, "
-                      f"exact search says {recomputed}", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                raise ValueError(f"manifest says isomorphic={truth} for {name}, "
+                                 f"exact search says {recomputed}")
         t0 = time.perf_counter()
         verdict, result, report = run_pair(g1, g2, cfg)
         elapsed = time.perf_counter() - t0
@@ -337,11 +321,7 @@ def cmd_bench(args):
     print("decided by: " + ", ".join(f"{k}={v}" for k, v in decided.items()))
     doc = {"config": asdict(cfg), "pairs": rows, "summary": summary}
     if args.json is not None:
-        try:
-            _write_text(args.json, dumps_json(doc))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        _write_text(args.json, dumps_json(doc))
         if args.json != "-":
             print(f"report written to {args.json}")
     return 0 if mismatches == 0 else EXIT_NON_ISOMORPHIC
@@ -389,13 +369,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MemoryError as exc:      # an instance too large to hold is bad input
         print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except (OSError, ValueError) as exc:  # bad input, bad environment, I/O
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

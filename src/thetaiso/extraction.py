@@ -20,10 +20,10 @@ iterations, diverged) changes none of these steps.
 
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no
-verdict depends on them.  ``consistent_set_search`` and ``diagonal_matrix``
-are re-exported from ``lifts``.  ``decide`` calls none of these, but
-``benchmarks/tracing.py`` patches ``consistent_set_search`` and
-``birkhoff_decompose`` here by name, and CI's traced benchmark runs fail
+verdict depends on them.  ``benchmarks/tracing.py`` patches three names
+here: ``is_isomorphism``, which ``decide`` calls, and
+``consistent_set_search`` (re-exported from ``lifts``) and
+``birkhoff_decompose``, which it does not; CI's traced benchmark runs fail
 without them until ROADMAP item 1 updates the tracer.
 """
 
@@ -34,20 +34,18 @@ from enum import Enum
 
 import numpy as np
 
-from .lifts import ZERO_EPS, consistent_set_search, diagonal_matrix
+from .lifts import ZERO_EPS, consistent_set_search
 from .oracle import enumerate_isomorphisms, is_isomorphism
 from .program import decision_threshold
 from .solver import SolverConfig
 
 __all__ = [
-    "diagonal_matrix",
     "stochastic_deviation",
     "BirkhoffResult",
     "birkhoff_decompose",
     "consistent_set_search",
     "VerdictKind",
     "Verdict",
-    "decision_threshold",
     "decide",
 ]
 

@@ -55,11 +55,12 @@ class Graph:
 
     Stored as a symmetric, read-only boolean adjacency table.  ``edges``,
     the set of vertex pairs (i, j) with i < j, is read off that table the
-    first time it is asked for.  Vertex ids must be integers (int or numpy
-    integer); self-loops are rejected.
+    first time it is asked for.  The vertex count and vertex ids must be
+    integers (int or numpy integer); self-loops are rejected.
     """
 
     def __init__(self, n, edges=()):
+        n = _vertex(n, "vertex count")
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
         adj = np.zeros((n, n), dtype=bool)
@@ -83,6 +84,9 @@ class Graph:
         return frozenset(zip(i.tolist(), j.tolist()))
 
     def has_edge(self, i, j):
+        i, j = _vertex(i), _vertex(j)
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"vertex pair ({i},{j}) out of range for n={self.n}")
         return bool(self.adjacency[i, j])
 
     def degrees(self):
@@ -105,12 +109,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _vertex(v):
-    """v as an int if it is an integer (int or numpy integer); else ValueError."""
+def _vertex(v, what="vertex id"):
+    """v as an int if it is an integer (int or numpy integer); else a
+    ValueError that names it as what."""
     try:
         return operator.index(v)
     except TypeError:
-        raise ValueError(f"vertex id {v!r} is not an integer") from None
+        raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
 _INTEGER_TOKEN = re.compile(r"-?[0-9]+")

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import _vertex
+
 __all__ = ["colour_refinement", "wl2_separates"]
 
 
@@ -40,12 +42,12 @@ def colour_refinement(g1, g2, pin):
 
     A vertex's signature is its colour and the number of neighbours of each
     colour; the rounds stop once they split no colour class.  Raises
-    ValueError unless 0 <= v, k < n.
+    ValueError unless v and k are integers with 0 <= v, k < n.
     """
     if g1.n != g2.n:
         raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
     n = g1.n
-    v, k = pin
+    v, k = (_vertex(u, "pin vertex") for u in pin)
     if not (0 <= v < n and 0 <= k < n):
         raise ValueError(f"pin {(v, k)} is not a vertex pair of two {n}-vertex graphs")
     adjacency = (g1.adjacency.astype(np.int64), g2.adjacency.astype(np.int64))

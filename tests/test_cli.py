@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -773,6 +774,93 @@ def test_bench_mismatched_sizes(tmp_path, capsys):
     ])
     assert main(["bench", corpus]) == 2
     assert "error: pair p3-p4: graph sizes differ" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- error path
+
+K2_ENTRY = {"name": "k2", "g1": "k2.txt", "g2": "k2.txt", "isomorphic": True}
+
+# The README's exit-2 list, per subcommand: (id, argv with {d} for the case's
+# directory, environment, manifest.json contents).  bench --json to a path
+# that cannot be written prints its table first (test_bench_unwritable_report).
+EXIT_2_CASES = [
+    ("build-sizes", "build {d}/p3.txt {d}/k2.txt {d}/x.json", {}, None),
+    ("build-token", "build {d}/tok.txt {d}/tok.txt {d}/x.json", {}, None),
+    ("build-missing-file", "build {d}/gone.txt {d}/k2.txt -", {}, None),
+    ("build-unwritable", "build {d}/k2.txt {d}/k2.txt {d}/no/x.json", {}, None),
+    ("build-too-large", "build {d}/huge.txt {d}/huge.txt {d}/x.json", {}, None),
+    ("decide-sizes", "decide {d}/p3.txt {d}/k2.txt", {}, None),
+    ("decide-token", "decide {d}/tok.txt {d}/tok.txt", {}, None),
+    ("decide-missing-file", "decide {d}/gone.txt {d}/k2.txt", {}, None),
+    ("decide-too-large", "decide {d}/huge.txt {d}/huge.txt", {}, None),
+    ("decide-tol-nan", "decide {d}/k2.txt {d}/k2.txt --tol nan", {}, None),
+    ("decide-max-iter-0", "decide {d}/k2.txt {d}/k2.txt --max-iter 0", {}, None),
+    ("decide-env-tol", "decide {d}/k2.txt {d}/k2.txt", {"THETAISO_TOL": "abc"}, None),
+    ("decide-env-max-iter", "decide {d}/k2.txt {d}/k2.txt", {"THETAISO_MAX_ITER": "1.5"}, None),
+    ("decide-env-fallback", "decide {d}/k2.txt {d}/k2.txt",
+     {"THETAISO_ORACLE_FALLBACK": "ture"}, None),
+    ("oracle-cap-0", "oracle {d}/k2.txt {d}/k2.txt --cap 0", {}, None),
+    ("oracle-sizes", "oracle {d}/p3.txt {d}/k2.txt", {}, None),
+    ("oracle-missing-file", "oracle {d}/k2.txt {d}/gone.txt", {}, None),
+    ("oracle-too-large", "oracle {d}/huge.txt {d}/huge.txt", {}, None),
+    ("bench-no-manifest", "bench {d}/nowhere", {}, None),
+    ("bench-manifest-not-json", "bench {d}", {}, b"{not json"),
+    ("bench-manifest-not-utf8", "bench {d}", {}, b"\xff\xfe"),
+    ("bench-no-pairs", "bench {d}", {}, {"cases": []}),
+    ("bench-no-g1", "bench {d}", {}, {"pairs": [{"name": "k2", "g2": "k2.txt",
+                                                  "isomorphic": True}]}),
+    ("bench-isomorphic-a-string", "bench {d}", {}, {"pairs": [dict(K2_ENTRY, isomorphic="false")]}),
+    ("bench-missing-pair-file", "bench {d}", {},
+     {"pairs": [K2_ENTRY, dict(K2_ENTRY, g1="gone.txt")]}),
+    ("bench-sizes", "bench {d}", {}, {"pairs": [dict(K2_ENTRY, g1="p3.txt")]}),
+    ("bench-too-large", "bench {d}", {}, {"pairs": [dict(K2_ENTRY, g1="huge.txt", g2="huge.txt")]}),
+    ("bench-env-tol", "bench {d}", {"THETAISO_TOL": "abc"}, {"pairs": [K2_ENTRY]}),
+    ("bench-manifest-lies", "bench {d} --verify-manifest", {},
+     {"pairs": [dict(K2_ENTRY, g2="e2.txt")]}),
+]
+
+
+@pytest.mark.parametrize("argv, env, manifest", [case[1:] for case in EXIT_2_CASES],
+                         ids=[case[0] for case in EXIT_2_CASES])
+def test_every_error_is_one_error_line_and_exit_two(argv, env, manifest, tmp_path,
+                                                    monkeypatch, capsys):
+    for name, g in [("k2", th.complete_graph(2)), ("e2", th.empty_graph(2)),
+                    ("p3", th.path_graph(3))]:
+        write_graph(tmp_path / f"{name}.txt", g)
+    (tmp_path / "tok.txt").write_text("1_0 0\n")
+    (tmp_path / "huge.txt").write_text("1000000000 0\n")
+    if manifest is not None:
+        text = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+        (tmp_path / "manifest.json").write_bytes(text)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([arg.format(d=tmp_path) for arg in argv.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError])
+def test_an_error_raised_while_solving_is_exit_two(error, c4_pair, monkeypatch, capsys):
+    # Not a traceback and exit 1, which reads as NonIsomorphic.
+    def failing(*args, **kwargs):
+        raise error("no solve today")
+
+    monkeypatch.setattr(thetaiso.cli, "solve", failing)
+    assert main(["decide", *c4_pair, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no solve today\n"
+
+
+def test_solver_defaults_come_from_solver_config(c4_pair, capsys):
+    assert main(["decide", *c4_pair, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == asdict(th.SolverConfig())
+    with pytest.raises(SystemExit):
+        main(["decide", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {th.SolverConfig.tol})" in help_text
+    assert f"(default {th.SolverConfig.max_iter})" in help_text
 
 
 def test_missing_subcommand_exits():

@@ -15,16 +15,16 @@ import pytest
 
 import thetaiso as th
 import thetaiso.extraction
+import thetaiso.lifts
 import thetaiso.solver
 from thetaiso.extraction import (
     birkhoff_decompose,
     consistent_set_search,
     decide,
-    decision_threshold,
-    diagonal_matrix,
     stochastic_deviation,
 )
-from thetaiso.lifts import _consistent_set
+from thetaiso.lifts import _consistent_set, diagonal_matrix
+from thetaiso.program import decision_threshold
 from thetaiso.solver import SolverConfig, SolverResult
 from conftest import (
     cfi_k4_graph, failing_eigh_backend, random_doubly_stochastic, recording_eigh_backend,
@@ -471,9 +471,9 @@ def test_import_and_decide_leave_scipy_optimize_unloaded(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("decide searched Y for a permutation")
 
-    for name in ("consistent_set_search", "diagonal_matrix", "stochastic_deviation",
-                 "birkhoff_decompose"):
+    for name in ("consistent_set_search", "stochastic_deviation", "birkhoff_decompose"):
         monkeypatch.setattr(thetaiso.extraction, name, unreachable)
+    monkeypatch.setattr(thetaiso.lifts, "diagonal_matrix", unreachable)
     g = th.path_graph(4)
     h = th.relabel(g, (2, 0, 3, 1))
     assert decide(th.solve(th.build_program(g, h)), g, h).kind is th.VerdictKind.ISOMORPHIC

@@ -45,6 +45,23 @@ def test_graph_rejects_bad_edges():
         with pytest.raises(ValueError, match=f"vertex id {value} is not an integer"):
             th.Graph(3, [edge])
     assert th.Graph(3, [(np.int64(0), np.int32(2))]).edges == frozenset({(0, 2)})
+    # So must the vertex count, which numpy would reject with a TypeError.
+    for n, value in [(3.0, "3.0"), ("3", "'3'"), (None, "None")]:
+        with pytest.raises(ValueError, match=f"vertex count {value} is not an integer"):
+            th.Graph(n)
+    assert type(th.Graph(np.int64(3)).n) is int
+
+
+def test_has_edge_rejects_a_vertex_outside_the_graph():
+    # numpy would wrap -1 round to vertex 3 and answer True for the edge
+    # (3, 2), and reject 4 and 0.5 with an IndexError that names no value.
+    g = th.path_graph(4)
+    for i, j in [(-1, 2), (2, -1), (4, 0), (0, 4)]:
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            g.has_edge(i, j)
+    with pytest.raises(ValueError, match="vertex id 0.5 is not an integer"):
+        g.has_edge(0.5, 1)
+    assert g.has_edge(np.int64(3), 2) and not g.has_edge(0, 3)
 
 
 def test_graph_equality_and_hash():

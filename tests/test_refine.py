@@ -130,10 +130,11 @@ def test_refinement_rejects_graphs_of_different_sizes():
 
 
 
-@pytest.mark.parametrize("pin", [(6, 0), (-1, 0), (0, 6)])
+@pytest.mark.parametrize("pin", [(6, 0), (-1, 0), (0, 6), (0.0, 1)])
 def test_a_pin_outside_the_vertex_range_is_rejected(pin):
     # Both graphs share one array of 2n colours, so an unchecked v = n or
-    # v = -1 would pin a vertex of the second graph and refute the branch.
+    # v = -1 would pin a vertex of the second graph and refute the branch;
+    # a pin that is not an integer is named, not left to numpy's IndexError.
     c6 = th.cycle_graph(6)
     full = th.build_program(c6, th.relabel(c6, (1, 2, 3, 4, 5, 0)))
     with pytest.raises(ValueError, match="pin"):
