@@ -5,7 +5,8 @@ Subcommands: ``build`` compiles a graph pair to a JSON program description,
 on (and, when the pair branched before the solve, how many branches were
 tried, their largest bound, and how many were solved, refuted by
 refinement and covered by an automorphism), ``bench`` runs a corpus
-directory against its manifest, ``oracle`` runs the exact search.  Exit
+directory against its manifest (every graph file read and the report file
+opened before the first solve), ``oracle`` runs the exact search.  Exit
 codes from ``decide``/``oracle``: 0 isomorphic, 1 non-isomorphic, 2 bad
 input or an instance too large for memory, 3 inconclusive, 4 solver
 diverged (for ``decide``, the status of its one solve of the full layout,
@@ -26,6 +27,7 @@ from the ``Program``'s index arrays.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -102,14 +104,13 @@ def _agrees(verdict, truth):
     return (verdict.kind is VerdictKind.ISOMORPHIC) == truth
 
 
-def _write_text(path, text):
-    """Write text to path, or to stdout when path is '-'.  A file holds the
-    text as UTF-8 with bare newlines on every platform."""
+def _open_output(path):
+    """A context manager that opens path for writing, or stdout when path is
+    '-'.  A file holds the text as UTF-8 with bare newlines on every
+    platform."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def run_pair(g1, g2, cfg, want_oracle=False):
@@ -180,7 +181,8 @@ def _verdict_exit_code(verdict, result):
 def cmd_build(args):
     g1, g2 = _load_pair(args.graph1, args.graph2)
     program = build_program(g1, g2)
-    _write_text(args.out, dumps_json(program_to_json_dict(program)))
+    with _open_output(args.out) as fh:
+        fh.write(dumps_json(program_to_json_dict(program)))
     if args.out != "-":
         counts = program.constraint_counts()
         summary = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
@@ -256,11 +258,12 @@ def _load_corpus_pair(corpus, name, path1, path2):
 
 
 def cmd_bench(args):
+    """Solve every pair of a corpus and print the table.  Every input is
+    read and checked, and the report file opened, before the first solve,
+    so bad input or a report path that cannot be written costs no solve."""
     pairs = _read_manifest(args.corpus)
     cfg = _config_from_args(args)
-
-    rows = []
-    mismatches = 0
+    loaded = []
     for name, path1, path2, truth in pairs:
         g1, g2 = _load_corpus_pair(args.corpus, name, path1, path2)
         if args.verify_manifest:
@@ -268,6 +271,21 @@ def cmd_bench(args):
             if recomputed != truth:
                 raise ValueError(f"manifest says isomorphic={truth} for {name}, "
                                  f"exact search says {recomputed}")
+        loaded.append((name, g1, g2, truth))
+    with (contextlib.nullcontext() if args.json is None else _open_output(args.json)) as out:
+        mismatches = _bench_pairs(loaded, cfg, args.verify_manifest, out)
+    if args.json not in (None, "-"):
+        print(f"report written to {args.json}")
+    return 0 if mismatches == 0 else EXIT_NON_ISOMORPHIC
+
+
+def _bench_pairs(loaded, cfg, manifest_verified, out):
+    """Solve the loaded (name, g1, g2, isomorphic) pairs, print the table,
+    write the JSON report to the open file ``out`` unless it is None, and
+    return the number of wrong verdicts."""
+    rows = []
+    mismatches = 0
+    for name, g1, g2, truth in loaded:
         t0 = time.perf_counter()
         verdict, result, report = run_pair(g1, g2, cfg)
         elapsed = time.perf_counter() - t0
@@ -314,17 +332,14 @@ def cmd_bench(args):
         "verdicts": counts,
         "decided_by": decided,
         "mismatches": mismatches,
-        "manifest_verified": bool(args.verify_manifest),
+        "manifest_verified": bool(manifest_verified),
     }
     print(f"\n{len(rows)} pairs: " + ", ".join(f"{k}={v}" for k, v in counts.items())
           + f", mismatches={mismatches}")
     print("decided by: " + ", ".join(f"{k}={v}" for k, v in decided.items()))
-    doc = {"config": asdict(cfg), "pairs": rows, "summary": summary}
-    if args.json is not None:
-        _write_text(args.json, dumps_json(doc))
-        if args.json != "-":
-            print(f"report written to {args.json}")
-    return 0 if mismatches == 0 else EXIT_NON_ISOMORPHIC
+    if out is not None:
+        out.write(dumps_json({"config": asdict(cfg), "pairs": rows, "summary": summary}))
+    return mismatches
 
 
 def build_parser():

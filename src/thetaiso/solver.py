@@ -57,17 +57,19 @@ a 2-WL separated pair.
 Branches are pruned by automorphisms of the second graph: if no
 isomorphism maps 0 to r and a is an automorphism, none maps 0 to a(r), or
 a^-1 sigma would map 0 to r.  Once a branch r is refuted, a branch k is
-first offered to a short solve (at most ``AUTOMORPHISM_TRY_ITER``
-iterations) of the second graph against itself pinned at (r, k); a lift
-there that ``oracle.is_isomorphism`` accepts edge by edge is an
-automorphism with r -> k.  Union-find keeps the orbits of the automorphisms
-found, and a k in the orbit of a refuted branch is refuted with no branch
-solve (or pinned build).  Tries are paid for by the solves they skip: each
-is charged the iterations it ran, and together they spend at most the
-iterations of the first refuted branch plus those of every branch skipped,
-so a rung whose tries all fail costs at most one branch solve more than
-solving every branch.  The automorphisms used are
-``SolverResult.automorphisms``.
+first offered to a try: an individualisation-refinement search of the
+second graph against itself pinned at (r, k) (``refine.pinned_isomorphism``,
+at most ``AUTOMORPHISM_TRY_NODES`` nodes), which builds no program and
+makes no eigh; a permutation it finds that maps r to k and that
+``oracle.is_isomorphism`` accepts edge by edge is an automorphism with
+r -> k.  Union-find keeps the orbits of the automorphisms found, and a k in
+the orbit of a refuted branch is refuted with no branch solve (or pinned
+build).  Tries are paid for by the solves they skip: each is charged the
+nodes it visited as if they were iterations, and together they spend at
+most the iterations of the first refuted branch plus those of every branch
+skipped.  A node, one refinement, costs far less than a sweep, so a rung
+whose tries all fail costs at most one branch solve more than solving every
+branch.  The automorphisms used are ``SolverResult.automorphisms``.
 
 A solve that converges at tolerance without a lift is polished by relaxed
 alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
@@ -88,8 +90,8 @@ import numpy as np
 
 from .lifts import ZERO_EPS, _consistent_set
 from .oracle import is_isomorphism
-from .program import branch_program, build_program, decision_threshold, objective_value
-from .refine import wl2_separates
+from .program import branch_program, decision_threshold, objective_value
+from .refine import pinned_isomorphism, wl2_separates
 
 __all__ = [
     "SolverStatus",
@@ -108,10 +110,9 @@ RELAXATION = 1.6
 POLISH_RELAXATION = 1.9
 POLISH_MAX_SWEEPS = 2000        # the polish's sweep cap
 
-# Iteration cap of a branch rung's automorphism try, whose lift checks run at
-# iterations 2, 4, 8 and 16; a try is also capped by the rung's try budget,
-# which is charged the iterations the try ran.
-AUTOMORPHISM_TRY_ITER = 16
+# Node cap of a branch rung's automorphism try; a try is also capped by the
+# rung's try budget, which is charged the nodes the try visited.
+AUTOMORPHISM_TRY_NODES = 16
 
 
 class SolverStatus(str, Enum):
@@ -416,17 +417,12 @@ def _two_wl_equivalent(p):
     return p.pin is None and not wl2_separates(*p.graphs)
 
 
-def _automorphism_try(auto, r, k, cfg):
-    """(permutation, iterations): the permutation the branch (r, k) of
-    ``auto``, the full layout of (G2, G2), lifts to within ``cfg.max_iter``
-    iterations, else None, and the iterations its solve ran.  Such a lift is
-    an automorphism of G2 that maps r to k; the rung still checks a(r) = k
-    and every edge before it prunes with it."""
-    program = branch_program(auto, r, k)
-    if program is None:
-        return None, 0
-    result = _admm(program, cfg)
-    return result.permutation, result.iterations
+def _automorphism_try(g2, r, k, cap):
+    """(permutation, nodes): an automorphism of g2 that maps r to k, found
+    by ``pinned_isomorphism`` within ``cap`` nodes, else None, and the nodes
+    the search visited.  The rung still checks a(r) = k and every edge
+    before it prunes with it."""
+    return pinned_isomorphism(g2, g2, [(r, k)], cap)
 
 
 def _branch(p, cfg):
@@ -439,17 +435,17 @@ def _branch(p, cfg):
     0 -> r.  (Branch r passed pinned refinement, and a preserves pinned
     colour histograms, so the check below could not have refuted k first.)
     Else unequal pinned colour histograms refute the branch with no solve.
-    Else, once some branch is refuted, a short solve of the (G2, G2) branch
-    (r, k) looks for an automorphism a with a(r) = k
-    (``_automorphism_try``, from the first refuted branch r of each orbit
-    until one is found), and one that maps r to k and that
+    Else, once some branch is refuted, an individualisation-refinement
+    search of (G2, G2) pinned at (r, k) looks for an automorphism a with
+    a(r) = k (``_automorphism_try``, from the first refuted branch r of each
+    orbit until one is found), and one that maps r to k and that
     ``is_isomorphism`` accepts joins every i to a(i) in the orbits.  A try
-    is made only while the budget holds 2 iterations (iteration 1 cannot
-    lift), runs for at most ``AUTOMORPHISM_TRY_ITER`` of them and no more
-    than the budget holds, and spends the iterations it ran; the first
-    refuted branch puts its iterations in the budget, and every skipped
-    branch those of the refuted branch whose orbit holds it (the solve it
-    skips).  A k still outside every refuted orbit is solved,
+    is made only while the budget holds 1 node (a single refinement can
+    already be discrete), visits at most ``AUTOMORPHISM_TRY_NODES`` nodes
+    and no more than the budget holds, and spends the nodes it visited; the
+    first refuted branch puts its iterations in the budget, and every
+    skipped branch those of the refuted branch whose orbit holds it (the
+    solve it skips).  A k still outside every refuted orbit is solved,
     ``_admm(branch, cfg)``, and its bound below the threshold refutes it.
 
     Returns (stop_reason, permutation, rows, automorphisms): "verified-lift"
@@ -477,8 +473,7 @@ def _branch(p, cfg):
         return next((row for row in refuted if root(row["k"]) == root(k)), None)
 
     rows, refuted, automorphisms = [], [], []
-    auto = None                 # the (G2, G2) layout, built at the first try
-    budget = 0                  # the iterations tries may still spend
+    budget = 0                  # the nodes tries may still spend
     for k in range(n):
         covering = refuted_orbit(k)
         if covering is None:
@@ -491,13 +486,10 @@ def _branch(p, cfg):
             for row in refuted:
                 sources.setdefault(root(row["k"]), row)
             for row in sources.values():
-                if budget < 2:      # a try of 1 iteration cannot lift
+                if budget < 1:
                     break
-                if auto is None:
-                    auto = build_program(g2, g2)
                 r = row["k"]
-                a, ran = _automorphism_try(
-                    auto, r, k, replace(cfg, max_iter=min(budget, AUTOMORPHISM_TRY_ITER)))
+                a, ran = _automorphism_try(g2, r, k, min(budget, AUTOMORPHISM_TRY_NODES))
                 budget -= ran
                 if a is not None and a[r] == k and is_isomorphism(a, g2, g2):
                     automorphisms.append(a)

@@ -734,12 +734,35 @@ def test_bench_manifest_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
-def test_bench_unwritable_report(tmp_path, capsys):
+def unsolvable(*args, **kwargs):
+    raise AssertionError("a pair was solved")
+
+
+def test_bench_unwritable_report(tmp_path, monkeypatch, capsys):
+    # The report file is opened before the first solve, so a path in a
+    # missing directory fails with no pair solved and no table printed.
     corpus = make_corpus(tmp_path, [
         ("k2", th.complete_graph(2), th.complete_graph(2), True),
     ])
+    monkeypatch.setattr(thetaiso.cli, "run_pair", unsolvable)
     assert main(["bench", corpus, "--json", str(tmp_path / "missing" / "r.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_bench_loads_every_pair_before_solving(tmp_path, monkeypatch, capsys):
+    # The second pair's g1 is missing, and that is reported before the first
+    # pair is solved.
+    corpus = make_corpus(tmp_path, [
+        ("k2", th.complete_graph(2), th.complete_graph(2), True),
+        ("k2e", th.complete_graph(2), th.empty_graph(2), False),
+    ])
+    os.remove(tmp_path / "k2e_a.txt")
+    monkeypatch.setattr(thetaiso.cli, "run_pair", unsolvable)
+    assert main(["bench", corpus]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: pair k2e: "), err
 
 
 @pytest.mark.parametrize("manifest", [
@@ -781,8 +804,7 @@ def test_bench_mismatched_sizes(tmp_path, capsys):
 K2_ENTRY = {"name": "k2", "g1": "k2.txt", "g2": "k2.txt", "isomorphic": True}
 
 # The README's exit-2 list, per subcommand: (id, argv with {d} for the case's
-# directory, environment, manifest.json contents).  bench --json to a path
-# that cannot be written prints its table first (test_bench_unwritable_report).
+# directory, environment, manifest.json contents).
 EXIT_2_CASES = [
     ("build-sizes", "build {d}/p3.txt {d}/k2.txt {d}/x.json", {}, None),
     ("build-token", "build {d}/tok.txt {d}/tok.txt {d}/x.json", {}, None),
@@ -815,6 +837,7 @@ EXIT_2_CASES = [
     ("bench-sizes", "bench {d}", {}, {"pairs": [dict(K2_ENTRY, g1="p3.txt")]}),
     ("bench-too-large", "bench {d}", {}, {"pairs": [dict(K2_ENTRY, g1="huge.txt", g2="huge.txt")]}),
     ("bench-env-tol", "bench {d}", {"THETAISO_TOL": "abc"}, {"pairs": [K2_ENTRY]}),
+    ("bench-unwritable-report", "bench {d} --json {d}/no/r.json", {}, {"pairs": [K2_ENTRY]}),
     ("bench-manifest-lies", "bench {d} --verify-manifest", {},
      {"pairs": [dict(K2_ENTRY, g2="e2.txt")]}),
 ]

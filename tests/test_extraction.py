@@ -16,6 +16,7 @@ import pytest
 import thetaiso as th
 import thetaiso.extraction
 import thetaiso.lifts
+import thetaiso.program
 import thetaiso.solver
 from thetaiso.extraction import (
     birkhoff_decompose,
@@ -552,15 +553,28 @@ def traced_solve(p, cfg=None):
         tracemalloc.stop()
 
 
+# The automorphisms of the twisted CFI(K4) graph the rung finds against the
+# untwisted one, which map vertex 0 to 4, 7 and 10.
+CFI_K4_AUTOMORPHISMS = (
+    (4, 3, 5, 6, 9, 8, 1, 7, 2, 0, 34, 35, 36, 33, 30, 31, 32, 39, 38, 37,
+     19, 11, 18, 16, 14, 15, 13, 17, 12, 10, 24, 25, 23, 26, 29, 21, 28, 20, 22, 27),
+    (7, 2, 5, 8, 9, 6, 1, 4, 3, 0, 24, 25, 26, 23, 20, 21, 22, 29, 28, 27,
+     19, 11, 16, 18, 17, 15, 12, 14, 13, 10, 34, 35, 33, 36, 39, 31, 38, 30, 32, 37),
+    (10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+     20, 22, 21, 23, 24, 26, 25, 29, 28, 27, 30, 32, 31, 33, 34, 36, 35, 39, 38, 37),
+)
+
+
 def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
     # 2-WL cannot separate the CFI pair over K4 (n = 40, dim 1601), so it
     # branches: pinned refinement refutes the 24 branches that pin vertex 0,
     # a subset vertex, to an edge end, one branch is certified by its bound,
-    # and automorphisms of the twisted graph cover the other 15.  How many
-    # automorphisms the tries find depends on the BLAS thread count, so each
-    # is checked, not counted.  The certified branch stops at iteration 68,
-    # at one BLAS thread and at two.  The solve's bound is the largest
-    # branch bound.  No array of the full layout is made: the traced peak
+    # and automorphisms of the twisted graph cover the other 15.  The tries
+    # search by individualisation-refinement, in integers, so the three
+    # automorphisms they find do not depend on the BLAS thread count; each
+    # is also checked.  The certified branch stops at iteration 68, at one
+    # BLAS thread and at two.  The solve's bound is the largest branch
+    # bound.  No array of the full layout is made: the traced peak
     # stays below one dim-1601 square of floats, since branches are rounded
     # in their own layout and a branch-bound stop returns no Y.
     g1, g2 = cfi_k4_graph(False), cfi_k4_graph(True)
@@ -571,7 +585,7 @@ def test_cfi_k4_untwisted_against_twisted_is_decided_by_branch_bounds():
     assert res.stop_reason == "branch-bound" and res.iterations == 0
     assert Counter(b["stop_reason"] for b in res.branches) == {
         "refinement": 24, "automorphism": 15, "dual-bound": 1}
-    assert res.automorphisms
+    assert res.automorphisms == CFI_K4_AUTOMORPHISMS
     assert_pruned_by_verified_automorphisms(res, g2)
     [solved] = [b for b in res.branches if b["stop_reason"] == "dual-bound"]
     assert (solved["k"], solved["dim"], solved["iterations"]) == (0, 263, 68)
@@ -598,7 +612,8 @@ def test_cfi_k4_against_a_relabelling_lifts_with_no_full_layout_array():
 
 
 # The automorphisms of the Shrikhande graph the rung finds on rook 4x4 vs
-# Shrikhande; none depends on the BLAS thread count.
+# Shrikhande; none depends on the BLAS thread count.  The tries found the
+# same three when they were short ADMM solves of (G2, G2).
 ROOK_SHRIKHANDE_AUTOMORPHISMS = (
     (1, 0, 3, 2, 6, 5, 4, 7, 11, 10, 9, 8, 12, 15, 14, 13),
     (2, 1, 0, 3, 7, 6, 5, 4, 8, 11, 10, 9, 13, 12, 15, 14),
@@ -632,13 +647,14 @@ def test_rook_against_shrikhande_branches_before_any_full_layout_iteration(monke
 def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
     # The orbit test runs before the pinned build, so on rook 4x4 vs
     # Shrikhande only branch 0 and the three branches offered to a try are
-    # built.  The rows are those of building every branch first: each
+    # built, and every try searches the Shrikhande graph against itself.
+    # The rows are those of building every branch first: each
     # covered branch passes pinned refinement (the automorphism that covers
     # it preserves pinned colour histograms), so building it first would
     # have come to the same orbit test and the same row.
     g1, g2 = rook_graph(4), shrikhande_graph()
     p = th.build_program(g1, g2)
-    built, tries, autos = [], [], []
+    built, tries = [], []
     pinned = thetaiso.solver.branch_program
     attempt = thetaiso.solver._automorphism_try
 
@@ -647,20 +663,18 @@ def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
             built.append(k)
         return pinned(q, v, k)
 
-    def recording_try(auto, r, k, cfg):
+    def recording_try(g, r, k, cap):
         tries.append(k)
-        autos.append(auto)
-        return attempt(auto, r, k, cfg)
+        assert g is g2
+        return attempt(g, r, k, cap)
 
     monkeypatch.setattr(thetaiso.solver, "branch_program", recording_build)
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", recording_try)
     res = th.solve(p)
     assert res.stop_reason == "branch-bound"
     assert built == [0] + tries and len(built) == 4
-    # Neither the full layout nor the (G2, G2) layout the tries are cut from
-    # is iterated, so neither builds its flat zero index.
-    assert autos and all(auto is autos[0] for auto in autos)
-    assert "zero_index" not in vars(p) and "zero_index" not in vars(autos[0])
+    # The full layout is not iterated, so it builds no flat zero index.
+    assert "zero_index" not in vars(p)
     [solved, *covered] = res.branches
     assert (solved["k"], solved["dim"], solved["stop_reason"]) == (0, 119, "dual-bound")
     assert [b["k"] for b in covered] == list(range(1, 16))
@@ -668,6 +682,36 @@ def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
         assert b == {"k": b["k"], "dim": None, "iterations": 0,
                      "stop_reason": "automorphism", "upper_bound": solved["upper_bound"]}
         assert pinned(p, 0, b["k"]) is not None, b
+
+
+def test_rook_against_shrikhande_tries_build_no_program_and_make_no_eigh(monkeypatch):
+    # The tries search the Shrikhande graph against itself by refinement:
+    # every program built during the solve is a branch of (rook, Shrikhande),
+    # the loop runs once, on branch 0, and every eigh is one of its 12
+    # iterations.
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    p = th.build_program(g1, g2)
+    built, solved, dims = [], [], []
+    init, admm = thetaiso.program.Program.__init__, thetaiso.solver._admm
+
+    def recording_init(self, graphs, *args, **kwargs):
+        built.append(graphs)
+        init(self, graphs, *args, **kwargs)
+
+    def recording_admm(q, cfg, **kwargs):
+        solved.append(q.pin)
+        return admm(q, cfg, **kwargs)
+
+    monkeypatch.setattr(thetaiso.program.Program, "__init__", recording_init)
+    monkeypatch.setattr(thetaiso.solver, "_admm", recording_admm)
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend",
+                        recording_eigh_backend(lambda M: dims.append(M.shape[0])))
+    res = th.solve(p)
+    assert res.stop_reason == "branch-bound"
+    assert res.automorphisms == ROOK_SHRIKHANDE_AUTOMORPHISMS
+    assert len(built) == 4 and all(graphs is p.graphs for graphs in built)
+    assert solved == [(0, 0)]
+    assert dims == [119] * 12 == [res.branches[0]["dim"]] * res.branches[0]["iterations"]
 
 
 def transposition(r, k):
@@ -683,15 +727,15 @@ def transposition(r, k):
                          ids=["non-automorphism", "identity"])
 def test_a_try_that_does_not_map_r_to_k_by_an_automorphism_prunes_no_branch(
         monkeypatch, offered):
-    # Each try lifts at iteration 2, as the real tries do on this pair, to a
-    # permutation that fails one of the rung's checks: the transposition
+    # Each try returns after 2 nodes a permutation that fails one of the
+    # rung's checks: the transposition
     # fails the edge-by-edge check, and the identity, a real automorphism,
     # does not map r to k.  So every branch is solved, as it was before
     # pruning.
     tries = []
 
-    def offering(auto, r, k, cfg):
-        tries.append((r, k, cfg.max_iter))
+    def offering(g, r, k, cap):
+        tries.append((r, k, cap))
         return offered(r, k), 2
 
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", offering)
@@ -702,7 +746,7 @@ def test_a_try_that_does_not_map_r_to_k_by_an_automorphism_prunes_no_branch(
     for b in res.branches:
         assert b["stop_reason"] == "dual-bound" and b["dim"] == 119, b
     # The failed tries spend the budget branch 0 put in, its 12 iterations,
-    # 2 at a time, each capped at what is left; no branch is skipped, so the
+    # 2 nodes at a time, each capped at what is left; no branch is skipped, so the
     # budget earns nothing more and from branch 4 on no k is offered.
     assert res.branches[0]["iterations"] == 12
     assert tries == [(0, 1, 12), (0, 2, 10), (1, 2, 8), (0, 3, 6), (1, 3, 4), (2, 3, 2)]
@@ -715,17 +759,17 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     # 4a + b.  The tries are cut down to the translations by (x, y) with
     # x + y even, real automorphisms whose two orbits are the vertices with
     # a + b even and odd; a try for odd x + y lifts to the identity, which
-    # does not map r to k.  Every try lifts at iteration 2.  Branch 0 is
+    # does not map r to k.  Every try returns after 2 nodes.  Branch 0 is
     # solved and refuted at 12 iterations; branch 1, in the other orbit,
     # gets no automorphism from 0 and is solved too; every later branch
-    # falls in the orbit of 0 or of 1.  Each try is charged its 2
-    # iterations and capped at the budget left: branch 0's 12 iterations pay
-    # for (0, 1) and (0, 2), and the solves that skipping branches 2 and 3
-    # saved pay for (0, 4) and (1, 4), capped at AUTOMORPHISM_TRY_ITER.
+    # falls in the orbit of 0 or of 1.  Each try is charged its 2 nodes
+    # and capped at the budget left: branch 0's 12 iterations pay for (0, 1)
+    # and (0, 2), and the solves that skipping branches 2 and 3 saved pay
+    # for (0, 4) and (1, 4), capped at AUTOMORPHISM_TRY_NODES.
     tries = []
 
-    def even_translation(auto, r, k, cfg):
-        tries.append((r, k, cfg.max_iter))
+    def even_translation(g, r, k, cap):
+        tries.append((r, k, cap))
         x, y = (k // 4 - r // 4) % 4, (k % 4 - r % 4) % 4
         if (x + y) % 2:
             return tuple(range(16)), 2
@@ -793,7 +837,7 @@ def test_relabelled_rook_lifts_in_its_first_branch(monkeypatch):
     # No branch is refuted before branch 0 lifts, so the control pair makes
     # no automorphism try and stops in its first branch, and no eigh ever
     # sees the full layout.
-    def no_try(auto, r, k, cfg):
+    def no_try(g, r, k, cap):
         raise AssertionError("an automorphism was tried")
 
     dims = []

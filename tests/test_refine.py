@@ -1,4 +1,5 @@
-"""Joint colour refinement (1-WL and 2-WL) on graph pairs, against loop references."""
+"""Joint colour refinement (1-WL and 2-WL) on graph pairs, against loop
+references, and the individualisation-refinement search built on it."""
 
 import itertools
 import os
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thetaiso as th
-from thetaiso.refine import colour_refinement, wl2_separates
+from thetaiso.refine import colour_refinement, pinned_isomorphism, wl2_separates
+from thetaiso.solver import AUTOMORPHISM_TRY_NODES
 
 from conftest import cube_graph, rook_graph, shrikhande_graph, wagner_graph
 
@@ -68,13 +70,14 @@ def reference_wl2_separates(g1, g2):
         colours = refined
 
 
-def reference_colour_classes(g1, g2, pin):
+def reference_colour_classes(g1, g2, pins):
     """Stable pinned 1-WL classes as a partition of the 2n joint vertices
-    (graph, vertex), by a plain loop."""
+    (graph, vertex), by a plain loop; pin i starts in class i + 1."""
     n = g1.n
     graphs = (g1, g2)
     colour = {(g, v): 0 for g in range(2) for v in range(n)}
-    colour[0, pin[0]] = colour[1, pin[1]] = 1
+    for i, (v, k) in enumerate(pins, start=1):
+        colour[0, v] = colour[1, k] = i
     while True:
         sig = {
             (g, v): (colour[g, v], tuple(sorted(colour[g, u] for u in range(n)
@@ -130,6 +133,13 @@ def test_refinement_rejects_graphs_of_different_sizes():
 
 
 
+def test_pins_that_repeat_a_vertex_are_rejected():
+    c6 = th.cycle_graph(6)
+    for pins in ([(0, 1), (0, 2)], [(1, 0), (2, 0)], [(3, 3), (3, 3)]):
+        with pytest.raises(ValueError, match="pin"):
+            colour_refinement(c6, c6, *pins)
+
+
 @pytest.mark.parametrize("pin", [(6, 0), (-1, 0), (0, 6), (0.0, 1)])
 def test_a_pin_outside_the_vertex_range_is_rejected(pin):
     # Both graphs share one array of 2n colours, so an unchecked v = n or
@@ -153,16 +163,99 @@ def small_pairs(draw):
 
     g1 = graph()
     g2 = th.relabel(g1, draw(st.permutations(range(n)))) if draw(st.booleans()) else graph()
-    pin = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
-    return g1, g2, pin
+    count = draw(st.integers(0, min(n, 3)))
+    vs = draw(st.permutations(range(n)))[:count]
+    ks = draw(st.permutations(range(n)))[:count]
+    return g1, g2, list(zip(vs, ks))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(small_pairs())
 def test_vectorised_refinement_matches_the_loop_reference(case):
-    g1, g2, pin = case
+    # Zero to three pins, each pinning distinct vertices on either side.
+    g1, g2, pins = case
     assert wl2_separates(g1, g2) == reference_wl2_separates(g1, g2)
-    c1, c2 = colour_refinement(g1, g2, pin)
+    c1, c2 = colour_refinement(g1, g2, *pins)
     colour = {**{(0, v): int(c) for v, c in enumerate(c1)},
               **{(1, v): int(c) for v, c in enumerate(c2)}}
-    assert partition(colour) == reference_colour_classes(g1, g2, pin)
+    assert partition(colour) == reference_colour_classes(g1, g2, pins)
+
+
+# Stable colours with one pin, as the one-pin refinement numbered them
+# before it took a sequence of pins; every branch program is cut by them.
+ONE_PIN_COLOURS = {
+    "rook4-shrikhande": (
+        rook_graph(4), shrikhande_graph(), (0, 0),
+        [2, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1],
+        [2, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0]),
+    "petersen": (
+        th.petersen_graph(), th.petersen_graph(), (3, 7),
+        [1, 1, 0, 2, 0, 1, 1, 1, 0, 1],
+        [1, 1, 0, 1, 1, 0, 1, 2, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PIN_COLOURS))
+def test_one_pin_gives_the_one_pin_colours(name):
+    g1, g2, pin, c1, c2 = ONE_PIN_COLOURS[name]
+    got = colour_refinement(g1, g2, pin)
+    assert [a.tolist() for a in got] == [c1, c2]
+
+
+def frucht_graph():
+    """The Frucht graph, LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]: cubic, and its
+    only automorphism is the identity."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    return th.Graph(12, [(i, (i + 1) % 12) for i in range(12)]
+                    + [(i, (i + s) % 12) for i, s in enumerate(lcf) if i < (i + s) % 12])
+
+
+def test_the_search_maps_0_to_every_shrikhande_vertex_within_the_rung_cap():
+    g = shrikhande_graph()
+    for k in range(16):
+        sigma, nodes = pinned_isomorphism(g, g, [(0, k)], AUTOMORPHISM_TRY_NODES)
+        assert sigma[0] == k and th.is_isomorphism(sigma, g, g), k
+        assert 1 <= nodes <= AUTOMORPHISM_TRY_NODES, (k, nodes)
+
+
+def test_the_search_finds_no_automorphism_of_a_rigid_graph():
+    g = frucht_graph()
+    assert th.enumerate_isomorphisms(g, g, size_limit=None) == [tuple(range(12))]
+    assert pinned_isomorphism(g, g, [(0, 0)], 1) == (tuple(range(12)), 1)
+    cap = 4
+    for r, k in itertools.permutations(range(12), 2):
+        sigma, nodes = pinned_isomorphism(g, g, [(r, k)], cap)
+        assert sigma is None and 1 <= nodes <= cap, (r, k, nodes)
+
+
+def test_pins_whose_histograms_differ_end_the_search_at_its_root():
+    # An end of P3 cannot map to its middle.
+    p3 = th.path_graph(3)
+    assert pinned_isomorphism(p3, p3, [(0, 1)], 16) == (None, 1)
+    c6, two_c3 = th.cycle_graph(6), two_cycles(3)
+    assert pinned_isomorphism(c6, two_c3, [(0, 0)], 16) == (None, 1)
+
+
+def test_the_search_stops_at_its_cap():
+    # Rook 4x4 and Shrikhande pass refinement pinned at (0, 0), so the search
+    # individualises below the root; it exhausts its tree at 7 nodes, and a
+    # smaller cap stops it there.
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    assert pinned_isomorphism(g1, g2, [(0, 0)], 100) == (None, 7)
+    for cap in (1, 4, 7):
+        assert pinned_isomorphism(g1, g2, [(0, 0)], cap) == (None, cap)
+    for cap in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="cap"):
+            pinned_isomorphism(g1, g2, [(0, 0)], cap)
+
+
+def test_the_search_finds_a_relabelling():
+    # Two pins and none: the search returns an isomorphism that keeps every
+    # pin, read off discrete colours and checked edge by edge.
+    g = rook_graph(4)
+    sigma = tuple(np.random.default_rng(3).permutation(16).tolist())
+    h = th.relabel(g, sigma)
+    for pins in ([], [(0, sigma[0]), (5, sigma[5])]):
+        found, nodes = pinned_isomorphism(g, h, pins, 100)
+        assert th.is_isomorphism(found, g, h), pins
+        assert all(found[v] == k for v, k in pins)
