@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .lifts import ZERO_EPS, consistent_set_search
-from .oracle import enumerate_isomorphisms, is_isomorphism
+from .oracle import enumerate_isomorphisms, is_isomorphism, pair_order
 from .program import decision_threshold
 from .solver import SolverConfig
 
@@ -193,9 +193,7 @@ def decide(result, g1, g2, cfg=None):
     """
     if cfg is None:
         cfg = SolverConfig()
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
+    n = pair_order(g1, g2)
     threshold = decision_threshold(n)
     diagnostics = {"candidates_tried": 0}
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .oracle import is_permutation
+from .oracle import is_permutation, pair_order
 
 __all__ = [
     "Graph",
@@ -56,7 +56,7 @@ class Graph:
     Stored as a symmetric, read-only boolean adjacency table.  ``edges``,
     the set of vertex pairs (i, j) with i < j, is read off that table the
     first time it is asked for.  The vertex count and vertex ids must be
-    integers (int or numpy integer); self-loops are rejected.
+    integers (int or numpy integer, not bool); self-loops are rejected.
     """
 
     def __init__(self, n, edges=()):
@@ -110,8 +110,10 @@ class Graph:
 
 
 def _vertex(v, what="vertex id"):
-    """v as an int if it is an integer (int or numpy integer); else a
-    ValueError that names it as what."""
+    """v as an int if it is an integer (int or numpy integer, not a bool);
+    else a ValueError that names it as what."""
+    if type(v) is bool:
+        raise ValueError(f"{what} {v!r} is not an integer")
     try:
         return operator.index(v)
     except TypeError:
@@ -274,9 +276,7 @@ def conflict_pairs(g1, g2):
     "edge-mismatch-1" takes each edge of g1 (sorted) against each non-edge
     of g2, "edge-mismatch-2" each non-edge of g1 against each edge of g2.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
+    n = pair_order(g1, g2)
     lo, hi = np.triu_indices(n, k=1)
     base = np.arange(n)[:, None]
     adj1 = g1.adjacency[lo, hi]

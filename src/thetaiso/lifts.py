@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import conflict_pairs
-from .oracle import is_permutation
+from .oracle import is_permutation, pair_order
 
 __all__ = [
     "PermutationLift",
@@ -151,12 +151,11 @@ def check_feasible(Y, g1, g2, tol=1e-6):
     condition uses the relative slack tol * (1 + ||Y||_F).  The report always
     records the worst magnitude for every condition, violated or not.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
+    n = pair_order(g1, g2)
     Y = np.asarray(Y, dtype=float)
-    n = _lifted_order(Y)
-    if n != g1.n:
-        raise ValueError(f"matrix is for n = {n}, graphs have n = {g1.n}")
+    order = _lifted_order(Y)
+    if order != n:
+        raise ValueError(f"matrix is for n = {order}, graphs have n = {n}")
     if not np.isfinite(Y).all():
         raise ValueError("matrix contains non-finite entries")
     dim = n * n + 1

@@ -21,22 +21,30 @@ __all__ = [
 DEFAULT_SIZE_LIMIT = 10
 
 
+def pair_order(g1, g2):
+    """The vertex count n of two graphs of equal size; else a ValueError."""
+    if g1.n != g2.n:
+        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
+    return g1.n
+
+
 def is_permutation(sigma, n):
     """True iff sigma is a bijection [0,n) -> [0,n): n integer entries (int
-    or numpy integer) holding each of 0..n-1 once.  1.0 is not an entry."""
+    or numpy integer) holding each of 0..n-1 once.  Neither 1.0 nor True
+    is an entry."""
     try:
-        values = sorted(map(operator.index, sigma))
+        entries = tuple(sigma)
+        values = sorted(map(operator.index, entries))
     except TypeError:
         return False
-    return values == list(range(n))
+    return values == list(range(n)) and bool not in map(type, entries)
 
 
 def is_isomorphism(sigma, g1, g2):
     """True iff (sigma(x), sigma(y)) is an edge of g2 exactly when (x,y) is one of g1."""
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    if not is_permutation(sigma, g1.n):
-        raise ValueError(f"not a permutation of [0,{g1.n}): {sigma}")
+    n = pair_order(g1, g2)
+    if not is_permutation(sigma, n):
+        raise ValueError(f"not a permutation of [0,{n}): {sigma}")
     image = np.asarray(sigma)
     mapped = g2.adjacency[np.ix_(image, image)]
     return bool(np.array_equal(mapped, g1.adjacency))
@@ -55,20 +63,18 @@ def enumerate_isomorphisms(g1, g2, cap=None, size_limit=DEFAULT_SIZE_LIMIT):
     ----------
     cap : int or None
         Stop after this many isomorphisms.  None means enumerate all; a cap
-        that is not an integer is a ValueError.
+        that is not an integer, or is a bool, is a ValueError.
     size_limit : int or None
         Guard against accidental huge runs; pass None (or a larger bound) to
         override.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
+    n = pair_order(g1, g2)
     if size_limit is not None and n > size_limit:
         raise ValueError(
             f"n={n} exceeds the enumeration size limit {size_limit}; "
             "pass size_limit=None to override"
         )
-    if cap is not None and not isinstance(cap, numbers.Integral):
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Integral)):
         raise ValueError(f"cap must be an integer or None, got {cap!r}")
     if cap is not None and cap <= 0:
         return []

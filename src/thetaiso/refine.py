@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import _vertex
-from .oracle import is_isomorphism
+from .oracle import is_isomorphism, pair_order
 
 __all__ = ["colour_refinement", "pinned_isomorphism", "wl2_separates"]
 
@@ -51,9 +51,7 @@ def colour_refinement(g1, g2, *pins):
     ValueError unless each v and k is an integer with 0 <= v, k < n and no
     vertex of either graph is pinned twice.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
+    n = pair_order(g1, g2)
     colours = np.zeros(2 * n, dtype=np.int64)
     pinned = set()
     for colour, pin in enumerate(pins, start=1):
@@ -123,9 +121,7 @@ def wl2_separates(g1, g2):
     (colour(i, l), colour(l, j)), n codes whatever the number of colours.  Returns True as soon as the pair-colour histograms differ and
     False once a round splits no class with them still equal.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"graph sizes differ: {g1.n} != {g2.n}")
-    n = g1.n
+    n = pair_order(g1, g2)
     eye = np.eye(n, dtype=np.int64)
     atoms = np.stack([eye + 2 * g.adjacency for g in (g1, g2)])
     colours = _rank(atoms.reshape(-1, 1)).reshape(2, n, n)

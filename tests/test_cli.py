@@ -347,13 +347,16 @@ def test_decide_oracle_fallback_settles_the_cap(non_iso_pair, capsys):
     assert "NonIsomorphic (by oracle)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("lift", [True, False], ids=["bound-decides", "oracle-decides"])
-def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypatch, capsys):
-    # The report's oracle section reuses decide's search when the fallback
-    # ran it.  Without its lift, C4 against its relabelling branches before
-    # the solve, and its first branch and then the solve that runs on
-    # converge at tolerance with nothing to check, so decide's fallback
-    # settles it.
+@pytest.mark.parametrize("route", ["bound", "branch-bound", "extraction", "oracle"],
+                         ids=lambda route: f"{route}-decides")
+def test_decide_runs_the_exact_search_once(route, c4_pair, non_iso_pair, tmp_path,
+                                          monkeypatch, capsys):
+    # decide is the one caller of the exact search, and only for a pair its
+    # ladder leaves open: a pair the bound, the branch bounds or a verified
+    # lift decides makes no search.  Without its lift, C4 against its
+    # relabelling branches before the solve, and its first branch and then
+    # the solve that runs on converge at tolerance with nothing to check,
+    # so the fallback's one search settles it.
     searches = []
     search = th.enumerate_isomorphisms
 
@@ -363,16 +366,20 @@ def test_decide_runs_the_exact_search_once(lift, c4_pair, non_iso_pair, monkeypa
 
     monkeypatch.setattr(thetaiso.cli, "enumerate_isomorphisms", counting)
     monkeypatch.setattr(thetaiso.extraction, "enumerate_isomorphisms", counting)
-    if lift:
-        pair, code = non_iso_pair, 1
-    else:
+    if route == "oracle":
         monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
-        pair, code = c4_pair, 0
+    pair, code = {
+        "bound": (non_iso_pair, 1),
+        "branch-bound": ((write_graph(tmp_path / "rook.txt", rook_graph(4)),
+                          write_graph(tmp_path / "shrikhande.txt", shrikhande_graph())), 1),
+        "extraction": (c4_pair, 0),
+        "oracle": (c4_pair, 0),
+    }[route]
     assert main(["decide", *pair, "--oracle-fallback", "--json"]) == code
     doc = json.loads(capsys.readouterr().out)
-    assert len(searches) == 1
-    assert (doc["verdict"]["decided_by"] == "oracle") is not lift
-    assert doc["oracle"] == {"isomorphic": not lift, "agrees_with_verdict": True}
+    assert doc["verdict"]["decided_by"] == route
+    assert len(searches) == (route == "oracle")
+    assert "oracle" not in doc and "oracle_seconds" not in doc["timings"]
 
 
 def test_decide_names_the_oracle_once(tmp_path, capsys):
@@ -401,7 +408,7 @@ def test_decide_json_report(c4_pair, capsys):
         {"k": 0, "dim": 7, "iterations": 2, "stop_reason": "verified-lift", "upper_bound": 4.0}]
     assert doc["solver"]["automorphisms"] == []
     assert list(doc["config"]) == ["tol", "max_iter", "oracle_fallback"]
-    assert "oracle" not in doc  # distinct key, absent unless requested
+    assert "oracle" not in doc
     sigma = tuple(doc["verdict"]["permutation"])
     g1 = th.load_graph(c4_pair[0])
     g2 = th.load_graph(c4_pair[1])
@@ -568,9 +575,18 @@ def test_decide_reports_branches_refuted_by_refinement(monkeypatch, tmp_path, ca
 
 
 def test_decide_json_oracle_key(non_iso_pair, capsys):
+    # The fallback adds no report section: a pair the bound decides carries
+    # its proof in solver.upper_bound, and one the search settles says so in
+    # the verdict.
     assert main(["decide", *non_iso_pair, "--oracle-fallback", "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["oracle"] == {"isomorphic": False, "agrees_with_verdict": True}
+    assert list(doc) == ["instance", "config", "solver", "verdict", "timings"]
+    assert doc["verdict"]["decided_by"] == "bound"
+    assert doc["solver"]["upper_bound"] < doc["verdict"]["threshold"]
+    assert main(["decide", *non_iso_pair, "--max-iter", "5", "--oracle-fallback", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["instance", "config", "solver", "verdict", "timings"]
+    assert doc["verdict"]["decided_by"] == "oracle"
 
 
 def test_decide_reports_identical_modulo_timings(c4_pair, capsys):

@@ -41,12 +41,13 @@ def test_graph_rejects_bad_edges():
         th.Graph(0, [])
     # A vertex id must be an integer; numpy would reject 0.5 and 1.0 only as
     # indices, with an IndexError that names no value.
-    for edge, value in [((0.5, 1), "0.5"), ((1.0, 2.0), "1.0"), ((0, "1"), "'1'")]:
+    for edge, value in [((0.5, 1), "0.5"), ((1.0, 2.0), "1.0"), ((0, "1"), "'1'"),
+                        ((True, 2), "True")]:
         with pytest.raises(ValueError, match=f"vertex id {value} is not an integer"):
             th.Graph(3, [edge])
     assert th.Graph(3, [(np.int64(0), np.int32(2))]).edges == frozenset({(0, 2)})
     # So must the vertex count, which numpy would reject with a TypeError.
-    for n, value in [(3.0, "3.0"), ("3", "'3'"), (None, "None")]:
+    for n, value in [(3.0, "3.0"), ("3", "'3'"), (None, "None"), (True, "True")]:
         with pytest.raises(ValueError, match=f"vertex count {value} is not an integer"):
             th.Graph(n)
     assert type(th.Graph(np.int64(3)).n) is int

@@ -28,6 +28,10 @@ def test_is_permutation():
     # Entries must be integers: 1.0 == 1, but it indexes no vertex.
     assert is_permutation((np.int64(1), 0, np.int32(2)), 3)
     assert not is_permutation((1.0, 0.0, 3.0, 2.0), 4)
+    # Nor is a bool, which operator.index reads as 0 or 1 and numpy as a mask.
+    assert not is_permutation((True, False), 2)
+    assert not is_permutation((1, False), 2)
+    assert not is_permutation(np.array([True, False]), 2)
 
 
 def test_a_non_integer_permutation_is_a_value_error():
@@ -37,6 +41,12 @@ def test_a_non_integer_permutation_is_a_value_error():
         is_isomorphism(sigma, g, g)
     with pytest.raises(ValueError, match=r"\(1\.0, 0\.0, 3\.0, 2\.0\)"):
         th.relabel(g, sigma)
+    # np.ix_ would read (True, False) as a mask and answer False on P2.
+    p2 = th.path_graph(2)
+    with pytest.raises(ValueError, match=r"\(True, False\)"):
+        is_isomorphism((True, False), p2, p2)
+    with pytest.raises(ValueError, match=r"\(True, False\)"):
+        th.relabel(p2, (True, False))
 
 
 def test_is_isomorphism_exact():
@@ -104,6 +114,8 @@ def test_cap_must_be_an_integer():
     g = th.cycle_graph(4)
     with pytest.raises(ValueError, match="got 1.5"):
         enumerate_isomorphisms(g, g, cap=1.5)
+    with pytest.raises(ValueError, match="got True"):
+        enumerate_isomorphisms(g, g, cap=True)
     assert len(enumerate_isomorphisms(g, g, cap=np.int64(3))) == 3
 
 

@@ -140,7 +140,7 @@ def test_pins_that_repeat_a_vertex_are_rejected():
             colour_refinement(c6, c6, *pins)
 
 
-@pytest.mark.parametrize("pin", [(6, 0), (-1, 0), (0, 6), (0.0, 1)])
+@pytest.mark.parametrize("pin", [(6, 0), (-1, 0), (0, 6), (0.0, 1), (False, True)])
 def test_a_pin_outside_the_vertex_range_is_rejected(pin):
     # Both graphs share one array of 2n colours, so an unchecked v = n or
     # v = -1 would pin a vertex of the second graph and refute the branch;
