@@ -24,7 +24,7 @@ verdict depends on them.  ``benchmarks/tracing.py`` patches three names
 here: ``is_isomorphism``, which ``decide`` calls, and
 ``consistent_set_search`` (re-exported from ``lifts``) and
 ``birkhoff_decompose``, which it does not; CI's traced benchmark runs fail
-without them until ROADMAP item 1 updates the tracer.
+without them until ROADMAP item 2, the benchmark refresh, updates the tracer.
 """
 
 from __future__ import annotations

@@ -58,9 +58,9 @@ CONDITION_NAMES = {
 
 def permutation_vector(sigma):
     """Row-major 0/1 vectorization of the permutation matrix of sigma.  An
-    entry must be integral: 1.0 reads as 1, and 1.9 is refused, not cut."""
+    entry must be integral and not a bool: 1.0 reads as 1; 1.9 and True fail."""
     values = tuple(sigma)
-    sigma = tuple(int(v) for v in values)
+    sigma = tuple(int(v) for v in values if not isinstance(v, (bool, np.bool_)))
     n = len(sigma)
     if n < 1 or sigma != values or not is_permutation(sigma, n):
         raise ValueError(f"not a permutation of 0..n-1 with n >= 1: {values}")

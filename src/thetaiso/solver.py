@@ -71,11 +71,12 @@ skipped.  A node, one refinement, costs far less than a sweep, so a rung
 whose tries all fail costs at most one branch solve more than solving every
 branch.  The automorphisms used are ``SolverResult.automorphisms``.
 
-A solve that converges at tolerance without a lift is polished by relaxed
-alternating projections, W <- psd(W + beta (proj_P(W) - W)) with
-beta = ``POLISH_RELAXATION``, whose fixed points are still exactly P ∩ PSD.
-A non-finite residual or an eigendecomposition that fails ends the solve as
-Diverged with the last finite iterate.
+Only ``solve`` polishes, and only the result it returns: a tolerance stop
+without a lift is walked into P ∩ PSD by relaxed alternating projections,
+W <- psd(W + beta (proj_P(W) - W)) with beta = ``POLISH_RELAXATION``, whose
+fixed points are still exactly P ∩ PSD; a branch solve, whose Y the rung
+drops, never is.  A non-finite residual or a failed eigendecomposition, in
+the loop or the polish, ends the solve as Diverged with the last finite iterate.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ STOP_STATUS = {
 @dataclass(frozen=True)
 class SolverResult:
     objective: float
-    # The last iterate, polished after a tolerance stop; None on a
-    # verified-lift or branch-bound stop.
+    # The last iterate, which solve polishes after a tolerance stop (branch
+    # solves never polish); None on a verified-lift or branch-bound stop.
     Y: np.ndarray | None
     iterations: int
     primal_residual: float
@@ -538,8 +539,9 @@ def solve(p, cfg=None):
     Otherwise, and for every other program, the result is ``_admm``'s on the
     full layout from iteration 1, with the branch rows attached; a full
     layout that 2-WL separates makes no lift try there, as no permutation
-    of a non-isomorphic pair lifts.
-    ``solve_seconds`` covers the branches too.
+    of a non-isomorphic pair lifts.  Only a tolerance stop there is polished
+    (``_polish``; a polish that fails makes it diverged, with the last Y).
+    ``solve_seconds`` covers the branches and the polish too.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -551,6 +553,12 @@ def solve(p, cfg=None):
     if stop_reason is None:
         # A full layout that 2-WL separates has no isomorphism to lift.
         result = _admm(p, cfg, lifts=equivalent or p.pin is not None)
+        if result.stop_reason == "tolerance":
+            try:
+                Y = _polish(result.Y, p, eigh_backend("numpy"))
+                result = replace(result, Y=Y, objective=objective_value(Y, p))
+            except np.linalg.LinAlgError:
+                result = replace(result, stop_reason="diverged")
     else:
         # No point of p was iterated; sigma is None on a branch-bound stop.
         lifted = sigma is not None
@@ -572,24 +580,24 @@ def _admm(p, cfg, lifts=True):
     blow up or turn non-finite, or an eigendecomposition that fails; the last
     finite iterate is returned), or at one of the checks:
     - at every iteration from 8 on, the dual upper bound falls below
-      ``decision_threshold(n)``: status Certified, no polish.  A check that
-      cannot certify stops before the eigenvalues (``_dual_upper_bound``);
+      ``decision_threshold(n)``: status Certified.  A check that cannot
+      certify stops before the eigenvalues (``_dual_upper_bound``);
     - at iterations 2, 4, 8, 16, ..., after the bound where both run, the
       polyhedral iterate rounds to a permutation whose lift is exactly
       feasible (``_verified_lift``): stop reason verified-lift, status
       Converged, ``permutation`` the permutation, Y None, objective and upper
-      bound exactly n, both residuals 0 and no polish.  S_0 = sum_i x_i x_i^T
-      below is an exact dual certificate of value n, so the lift is optimal.
+      bound exactly n, both residuals 0.  S_0 = sum_i x_i x_i^T below is an
+      exact dual certificate of value n, so the lift is optimal.
     A solve that converges at tolerance tries that rounding once more on its
-    last polyhedral iterate and ends the same way if it lifts.  With
-    ``lifts`` false, for a program known to have no lift, no rounding is
-    tried; the result is the same as with the tries, none of which could
-    lift.
+    last polyhedral iterate and ends the same way if it lifts.  With ``lifts``
+    false, for a program known to have no lift, no rounding is tried; the
+    result is the same as with the tries, none of which could lift.
     Otherwise the bound is computed once more at exit and returned as
     ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
     above n.  A cap stop whose exit bound falls below the threshold is a
     dual-bound stop.  ``stop_reason`` records which stop ended the solve.
+    Y is the last PSD iterate, unpolished: only ``solve`` polishes.
     """
     eigh = eigh_backend("numpy")
     n = p.n
@@ -602,8 +610,7 @@ def _admm(p, cfg, lifts=True):
 
     stop_reason = "max-iter"
     permutation = None
-    r_norm = s_norm = float("inf")
-    best_combined = float("inf")
+    r_norm = s_norm = best_combined = float("inf")
     it = 0
     for it in range(1, cfg.max_iter + 1):
         W = Z - U
@@ -666,25 +673,18 @@ def _admm(p, cfg, lifts=True):
         permutation = _verified_lift(X, p)
         if permutation is not None:
             stop_reason = "verified-lift"
+    Y = Z
     if stop_reason == "verified-lift":
         # The lift meets every constraint exactly and scores n, the optimum.
-        Y = None
-        r_norm, s_norm, upper_bound = 0.0, 0.0, float(n)
-    else:
-        if stop_reason != "dual-bound":
-            # The bound of the last iteration stands on that stop.  After a
-            # failed step U holds U + X_hat, which is finite; the bound is
-            # valid for any U.  A cap below the first check can still stop
-            # on a bound that certifies.
-            upper_bound = _dual_upper_bound(p, rho, U)
-            if stop_reason == "max-iter" and upper_bound < threshold:
-                stop_reason = "dual-bound"
-        Y = Z
-        if stop_reason == "tolerance":
-            try:
-                Y = _polish(Z, p, eigh)
-            except np.linalg.LinAlgError:
-                stop_reason = "diverged"
+        Y, r_norm, s_norm, upper_bound = None, 0.0, 0.0, float(n)
+    elif stop_reason != "dual-bound":
+        # The bound of the last iteration stands on that stop.  After a
+        # failed step U holds U + X_hat, which is finite; the bound is valid
+        # for any U.  A cap below the first check can still stop on a bound
+        # that certifies.
+        upper_bound = _dual_upper_bound(p, rho, U)
+        if stop_reason == "max-iter" and upper_bound < threshold:
+            stop_reason = "dual-bound"
     return SolverResult(
         objective=float(n) if Y is None else objective_value(Y, p),
         Y=Y,

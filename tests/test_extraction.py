@@ -955,6 +955,31 @@ def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on
     assert th.is_isomorphism(v.permutation, g1, g2)
 
 
+def test_branch_solves_are_never_polished(monkeypatch):
+    # With every branch's lift refused, C4's one branch stops at tolerance
+    # and leaves the pair open.  The rung reads no Y, so the branch makes
+    # one eigh an iteration and no polish sweep; the full layout (a larger
+    # dim) then lifts.  solve on the same branch program returns its Y, so
+    # it polishes: more eighs than iterations.
+    g1 = th.cycle_graph(4)
+    p = th.build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    lift_from_iteration_32(monkeypatch)
+    dims = []
+    monkeypatch.setattr(thetaiso.solver, "eigh_backend",
+                        recording_eigh_backend(lambda M: dims.append(M.shape[0])))
+    res = th.solve(p)
+    [branch] = res.branches
+    assert branch["stop_reason"] == "tolerance" and branch["dim"] < p.dim
+    assert dims.count(branch["dim"]) == branch["iterations"]
+    assert res.stop_reason == "verified-lift" and dims.count(p.dim) == res.iterations
+    dims.clear()
+    q = th.branch_program(p, 0, branch["k"])
+    alone = th.solve(q)
+    assert alone.stop_reason == "tolerance" and alone.iterations == branch["iterations"]
+    assert len(dims) > alone.iterations
+    assert thetaiso.solver._admm(q, SolverConfig()).Y.tobytes() != alone.Y.tobytes()
+
+
 def test_a_diverged_branch_leaves_the_pair_to_the_running_solve(monkeypatch):
     # eigh fails at the first branch's first call, the first eigh of all:
     # the branch row records the divergence, and the full layout, whose own

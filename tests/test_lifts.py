@@ -37,10 +37,13 @@ def test_lift_rejects_non_permutation():
 
 
 def test_lift_rejects_a_non_integral_entry():
-    # int() would truncate these to (1, 0), (1, 0, 2) and (0, 1), all
-    # permutations.
+    # int() would truncate the floats to (1, 0), (1, 0, 2) and (0, 1), and
+    # read the bools, which is_permutation refuses, as (1, 0), (1, 0) and
+    # (0, 1, 2): all permutations.
+    bools = ((True, False), np.array([True, False]), (0, True, 2))
+    assert not any(th.is_permutation(sigma, len(sigma)) for sigma in bools)
     for make in (lift, permutation_vector):
-        for sigma in ((1.9, 0.2), (1.5, 0.5, 2.0), np.array([0.0, 1.5])):
+        for sigma in ((1.9, 0.2), (1.5, 0.5, 2.0), np.array([0.0, 1.5])) + bools:
             with pytest.raises(ValueError, match="not a permutation"):
                 make(sigma)
     # Integer-valued floats are still read as the permutation they name.

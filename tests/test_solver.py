@@ -664,6 +664,31 @@ def test_polish_failure_ends_as_diverged(fail, monkeypatch):
     assert res.Y.tobytes() == unpolished.Y.tobytes()
 
 
+def test_residuals_that_blow_up_end_as_diverged(monkeypatch):
+    # From call 60 of the PSD step on, its output is scaled by 1e9, so the
+    # residuals of iteration 60 jump far above 1e6 times the best seen, yet
+    # stay finite.  Iteration 60 makes no lift try and its bound check
+    # cannot certify, so the blow-up check, armed from iteration 50, is
+    # what stops the solve there.
+    g1 = th.cycle_graph(4)
+    p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
+    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
+    calls = [0]
+
+    def scaled(W, eigh):
+        calls[0] += 1
+        Z = _psd_part(W, eigh)
+        return Z * 1e9 if calls[0] >= 60 else Z
+
+    monkeypatch.setattr(thetaiso.solver, "_psd_part", scaled)
+    res = solve(p)
+    assert res.stop_reason == "diverged" and res.status is SolverStatus.DIVERGED
+    assert res.iterations == 60 and calls[0] == 60
+    assert math.isfinite(res.primal_residual) and math.isfinite(res.dual_residual)
+    assert res.primal_residual > 1e6
+
+
 def test_dual_upper_bound_survives_an_eigvalsh_failure(monkeypatch):
     def fail(S):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
