@@ -5,11 +5,11 @@ program over an (n^2+1)-square matrix variable (``build_program``), solve the
 doubly nonnegative relaxation with a projection-splitting method (``solve``),
 and turn the result into a verdict (``decide``) that is either an exactly
 certified isomorphism, a soundly separated non-isomorphism, or an explicit
-inconclusive.  On a pair that 2-WL cannot separate, ``solve`` first pins a
-vertex and solves one smaller program per branch, skipping the
+inconclusive.  On a pair that 2-WL cannot separate, ``solve`` pins a
+vertex and solves one smaller program per branch instead, skipping the
 branches that a verified automorphism of the second graph maps from a
-refuted one; only if the branches leave the pair open is the full layout
-solved.  Supporting algebra
+refuted one; the full layout is never solved, and branches that neither
+lift nor refute leave the pair inconclusive.  Supporting algebra
 (permutation lifts, feasibility checking, united-vector factorizations,
 Birkhoff decomposition) is exported alongside.
 """

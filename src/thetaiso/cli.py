@@ -2,15 +2,15 @@
 
 Subcommands: ``build`` compiles a graph pair to a JSON program description,
 ``decide`` solves a pair and prints the verdict, led by the bound it rests
-on (and, when the pair branched before the solve, how many branches were
-tried, their largest bound, and how many were solved, refuted by
-refinement and covered by an automorphism), ``bench`` runs a corpus
-directory against its manifest (every graph file read and the report file
-opened before the first solve), ``oracle`` runs the exact search.  Exit
-codes from ``decide``/``oracle``: 0 isomorphic, 1 non-isomorphic, 2 bad
-input or an instance too large for memory, 3 inconclusive, 4 solver
-diverged (for ``decide``, the status of its one solve of the full layout,
-which follows branches that leave the pair open).
+on (and, when the pair branched, how many branches were tried, their
+largest bound, and how many were solved, refuted by refinement, covered by
+an automorphism and left open), ``bench`` runs a corpus directory against
+its manifest (every graph file read and the report file opened before the
+first solve; the table goes to stderr when the report goes to stdout),
+``oracle`` runs the exact search.  Exit codes from ``decide``/``oracle``:
+0 isomorphic, 1 non-isomorphic, 2 bad input or an instance too large for
+memory, 3 inconclusive, 4 solver diverged (for ``decide``, only in a solve
+of a full layout that 2-WL separates; diverged branches leave it open).
 Environment variables THETAISO_TOL, THETAISO_MAX_ITER, and
 THETAISO_ORACLE_FALLBACK override the corresponding defaults when the flag
 is not given explicitly; a value that does not parse is bad input (exit 2).
@@ -195,9 +195,12 @@ def cmd_decide(args):
             how = Counter(b["stop_reason"] for b in result.branches)
             refined, covered = how["refinement"], how["automorphism"]
             solved = len(result.branches) - refined - covered
+            left_open = sum(b["stop_reason"] != "verified-lift"
+                            and not b["upper_bound"] < verdict.threshold for b in result.branches)
             print(f"branches: {len(result.branches)} tried, largest bound {largest:.12f} "
                   f"(threshold {verdict.threshold:.12f}); {solved} solved, "
-                  f"{refined} refuted by refinement, {covered} covered by an automorphism")
+                  f"{refined} refuted by refinement, {covered} covered by an automorphism"
+                  + (f", {left_open} left open" if left_open else ""))
         if verdict.permutation is not None:
             print("isomorphism:", " ".join(str(j) for j in verdict.permutation))
     return _verdict_exit_code(verdict, result)
@@ -264,9 +267,10 @@ def cmd_bench(args):
 
 
 def _bench_pairs(loaded, cfg, manifest_verified, out):
-    """Solve the loaded (name, g1, g2, isomorphic) pairs, print the table,
-    write the JSON report to the open file ``out`` unless it is None, and
-    return the number of wrong verdicts."""
+    """Solve the loaded (name, g1, g2, isomorphic) pairs, print the table
+    (to stderr when ``out`` is stdout), write the JSON report to the open
+    file ``out`` unless it is None, and return the number of wrong verdicts."""
+    table = sys.stderr if out is sys.stdout else sys.stdout
     rows = []
     mismatches = 0
     for name, g1, g2, truth in loaded:
@@ -297,8 +301,8 @@ def _bench_pairs(loaded, cfg, manifest_verified, out):
 
     header = (f"{'pair':<24} {'n':>3} {'truth':>6} {'verdict':>15} {'by':>10} "
               f"{'objective':>16} {'gap':>11} {'iters':>7} {'sec':>8} {'ok':>4}")
-    print(header)
-    print("-" * len(header))
+    print(header, file=table)
+    print("-" * len(header), file=table)
     for row in rows:
         truth = "iso" if row["isomorphic"] else "non"
         ok = {True: "yes", False: "NO", None: "-"}[row["agree"]]
@@ -307,7 +311,7 @@ def _bench_pairs(loaded, cfg, manifest_verified, out):
         objective = math.nan if row["objective"] is None else row["objective"]
         print(f"{row['name']:<24} {row['n']:>3} {truth:>6} {row['verdict']:>15} "
               f"{by:>10} {objective:>16.9f} {gap:>11} "
-              f"{row['iterations']:>7} {row['seconds']:>8.2f} {ok:>4}")
+              f"{row['iterations']:>7} {row['seconds']:>8.2f} {ok:>4}", file=table)
     counts = {}
     decided = {"bound": 0, "branch-bound": 0, "extraction": 0, "oracle": 0, "inconclusive": 0}
     for row in rows:
@@ -321,8 +325,8 @@ def _bench_pairs(loaded, cfg, manifest_verified, out):
         "manifest_verified": bool(manifest_verified),
     }
     print(f"\n{len(rows)} pairs: " + ", ".join(f"{k}={v}" for k, v in counts.items())
-          + f", mismatches={mismatches}")
-    print("decided by: " + ", ".join(f"{k}={v}" for k, v in decided.items()))
+          + f", mismatches={mismatches}", file=table)
+    print("decided by: " + ", ".join(f"{k}={v}" for k, v in decided.items()), file=table)
     if out is not None:
         out.write(dumps_json({"config": asdict(cfg), "pairs": rows, "summary": summary}))
     return mismatches

@@ -8,15 +8,15 @@ primal objective never decides, because a maximization's primal iterate only
 bounds the optimum from below.  Isomorphic rests on the permutation the
 solver carries when it stopped on a verified lift (``SolverResult.permutation``);
 ``decide`` checks it exactly against both edge sets before it is believed and
-never reads Y.  A pair that 2-WL cannot tell apart branches before its
-full layout is solved (see ``solver``).  Its branch-bound stop, every pinned branch
+never reads Y.  A pair that 2-WL cannot tell apart is solved by its
+branches alone (see ``solver``).  Its branch-bound stop, every pinned branch
 refuted, is NonIsomorphic, and its ``upper_bound`` is the largest branch
 bound (a branch an automorphism of the second graph covers carries the
 bound of the refuted branch it maps from); a branch's lift reaches
 ``decide`` as the solve's permutation and is checked like any other.  If
-no route decides, the verdict is inconclusive, or, with the oracle
-fallback, settled by exact search; the solver's status (converged, out of
-iterations, diverged) changes none of these steps.
+no route decides, as on a branch-open stop, the verdict is inconclusive,
+or, with the oracle fallback, settled by exact search; the solver's status
+(converged, out of iterations, diverged) changes none of these steps.
 
 ``birkhoff_decompose`` and ``stochastic_deviation`` are tools on doubly
 stochastic matrices, such as the n x n pair diagonal of a solved Y; no

@@ -27,32 +27,30 @@ cheaper tests leave it able to certify (``_dual_upper_bound``).
 
 Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
 when the solve converges, the loop also tries to round the polyhedral
-iterate, in the layout of the program it iterates, to a permutation that
-is an isomorphism; at a shared iteration the bound goes first.  Iteration 1
-is skipped: its iterate has no positive entry between two distinct pairs,
-so it cannot round to a lift for n >= 2.  The lift of an isomorphism scores
-exactly n, which no feasible point exceeds, so the solve stops there with
-status Converged, the permutation (``SolverResult.permutation``) and no Y:
-the lift ``lifts.lift(permutation).extended()`` is fixed by the permutation
-and the solver never builds it.  This is the only place a permutation is
-read out of a solve.  A full layout whose graphs 2-WL separates has no
-isomorphism, so its solve makes none of these tries; its result is the
-same without them.  Convergence is the primal-dual tolerance test alone
-(Boyd et al. 2011, section 3.3).
-``SolverResult.stop_reason`` says which of the stops ended a solve.
+iterate of a branch program to a permutation that is an isomorphism; at a
+shared iteration the bound goes first.  Iteration 1 is skipped: its
+iterate has no positive entry between two distinct pairs, so it cannot
+round to a lift for n >= 2.  The lift of an isomorphism scores exactly n,
+which no feasible point exceeds, so the solve stops there with status
+Converged, the permutation (``SolverResult.permutation``) and no Y: the
+lift ``lifts.lift(permutation).extended()`` is fixed by the permutation and
+the solver never builds it.  This is the only place a permutation is read
+out of a solve.  Convergence is the primal-dual tolerance test alone (Boyd
+et al. 2011, section 3.3).  ``SolverResult.stop_reason`` says which of the
+stops ended a solve.
 
-The loop (``_admm``) runs one program and nothing else.  ``solve`` sits
-above it: before the solve, a full layout whose two graphs 2-WL cannot
-separate (``refine.wl2_separates``) branches, since the bound is not
-expected to separate such a pair (Mancinska, Roberson, Samal, Severini &
-Varvitsiotis, ICALP 2017).  Vertex 0 of the first graph is pinned to each
+The loop (``_admm``) runs one program and nothing else.  ``solve`` runs it
+on a full layout only when 2-WL separates the two graphs
+(``refine.wl2_separates``), which leaves no isomorphism to round to.  Any
+other full layout has optimum n (Mancinska, Roberson, Samal, Severini &
+Varvitsiotis, ICALP 2017), so its bound could never certify; it goes to
+the branch rung instead.  Vertex 0 of the first graph is pinned to each
 vertex k of the second in turn and each branch's smaller program
 (``program.branch_program``) is solved by the loop, a proof that does not
 rest on that link.  A branch's verified lift ends the solve on its
-permutation, and every branch refuted ends it as branch-bound, both with no
-Y and no iteration of the full layout.
-Otherwise the loop solves the full layout from iteration 1, exactly as for
-a 2-WL separated pair.
+permutation; a branch neither lifted nor refuted is open, and the rung goes
+on past it.  With no lift, the rung ends as branch-bound when every branch
+is refuted, else as branch-open; neither iterates the full layout.
 
 Branches are pruned by automorphisms of the second graph: if no
 isomorphism maps 0 to r and a is an automorphism, none maps 0 to a(r), or
@@ -144,10 +142,11 @@ class SolverConfig:
 # Each reason a solve can stop for, and the status it reports.  "tolerance"
 # is the convergence test, "verified-lift" an isomorphism's lift found
 # mid-solve, in a branch or at convergence, "branch-bound" every branch
-# refuted before the solve.
+# refuted, "branch-open" a rung with no lift that left some branch open.
 STOP_STATUS = {
     "tolerance": SolverStatus.CONVERGED,
     "verified-lift": SolverStatus.CONVERGED,
+    "branch-open": SolverStatus.CONVERGED,
     "dual-bound": SolverStatus.CERTIFIED,
     "branch-bound": SolverStatus.CERTIFIED,
     "max-iter": SolverStatus.MAX_ITER,
@@ -159,7 +158,7 @@ STOP_STATUS = {
 class SolverResult:
     objective: float
     # The last iterate, which solve polishes after a tolerance stop (branch
-    # solves never polish); None on a verified-lift or branch-bound stop.
+    # solves never polish); None on a verified-lift or branch-rung stop.
     Y: np.ndarray | None
     iterations: int
     primal_residual: float
@@ -167,11 +166,11 @@ class SolverResult:
     solve_seconds: float
     stop_reason: str                # why the solve stopped: a key of STOP_STATUS
     # The certified bound every NonIsomorphic verdict rests on: the dual
-    # bound capped at n, or on a branch-bound stop the largest branch bound
-    # (-inf if refinement refuted every branch); inf if never computed.
+    # bound capped at n, or on a branch-bound or branch-open stop the largest
+    # branch bound (-inf if refinement refuted all); inf if never computed.
     upper_bound: float = math.inf
     permutation: tuple | None = None  # the isomorphism of a verified-lift stop
-    branches: tuple = ()            # one row per branch tried before the solve
+    branches: tuple = ()            # one row per branch the rung tried
     automorphisms: tuple = ()       # the verified automorphisms of G2 that pruned branches
 
     @property
@@ -414,7 +413,7 @@ def _verified_lift(X, p):
 
 def _two_wl_equivalent(p):
     """Whether p is a full-layout program of two graphs that 2-WL cannot
-    separate, the test ``solve`` makes before the solve to branch."""
+    separate, the test by which ``solve`` sends p to the branch rung."""
     return p.pin is None and not wl2_separates(*p.graphs)
 
 
@@ -448,12 +447,14 @@ def _branch(p, cfg):
     skipped branch those of the refuted branch whose orbit holds it (the
     solve it skips).  A k still outside every refuted orbit is solved,
     ``_admm(branch, cfg)``, and its bound below the threshold refutes it.
+    An open branch, solved but neither lifted nor refuted, is no orbit
+    source and puts nothing in the budget; the rung goes on past it.
 
     Returns (stop_reason, permutation, rows, automorphisms): "verified-lift"
-    and the permutation of the first branch that lifts, "branch-bound" and
-    None when every branch is refuted, or None and None at the first branch
-    that does neither; rows one per branch tried, and the automorphisms
-    used, in the order found.  Each row has the keys k, dim, iterations,
+    and the permutation of the first branch that lifts, else None and
+    "branch-bound" when every branch is refuted or "branch-open" when some
+    branch is open; rows one per branch tried, and the automorphisms used,
+    in the order found.  Each row has the keys k, dim, iterations,
     stop_reason and upper_bound; refinement's reads "refinement", None, 0
     and -inf (no isomorphism maps 0 to k), an orbit's "automorphism", None,
     0 and the bound of the refuted branch r whose orbit holds k (branch k
@@ -510,57 +511,44 @@ def _branch(p, cfg):
         rows.append(row)
         if branch.permutation is not None:
             return "verified-lift", branch.permutation, tuple(rows), tuple(automorphisms)
-        if not branch.upper_bound < threshold:
-            return None, None, tuple(rows), tuple(automorphisms)
-        if not refuted:
-            budget = branch.iterations
-        refuted.append(row)
-    return "branch-bound", None, tuple(rows), tuple(automorphisms)
+        if branch.upper_bound < threshold:
+            if not refuted:
+                budget = branch.iterations
+            refuted.append(row)
+    refuted_all = all(row["upper_bound"] < threshold for row in rows)
+    stop_reason = "branch-bound" if refuted_all else "branch-open"
+    return stop_reason, None, tuple(rows), tuple(automorphisms)
 
 
 def solve(p, cfg=None):
-    """Solve a compiled program: its branches first where they apply, then
-    the splitting iteration (``_admm``).
+    """Solve a compiled program: by its branch rung where it applies, else
+    by the splitting iteration (``_admm``).
 
-    A full-layout program whose graphs 2-WL cannot separate solves its
-    branches before any iteration of the full layout (``_branch``; rows in
-    ``branches``, the automorphisms of the second graph that pruned some of
-    them in ``automorphisms``):
+    A full-layout program whose graphs 2-WL cannot separate is decided by
+    its branches alone (``_branch``; rows in ``branches``, the automorphisms
+    of the second graph that pruned some of them in ``automorphisms``), with
+    iterations 0 and no iteration of the full layout:
     - a branch's lift ends the solve as verified-lift: status Converged,
       ``permutation`` the permutation, Y None, objective and upper bound
-      exactly n, both residuals 0, iterations 0;
-    - every branch refuted ends it as branch-bound: status Certified,
-      iterations 0, Y None and objective NaN (no point of the full layout
-      was iterated), residuals inf, and upper bound the largest
-      branch row bound (-inf when refinement refuted every branch).  Each
-      row bounds its branch, and an isomorphism sigma keeps the pinned
-      colours of branch sigma(0), where its lift is a point of value n, so
-      no isomorphism exists.
-    Otherwise, and for every other program, the result is ``_admm``'s on the
-    full layout from iteration 1, with the branch rows attached; a full
-    layout that 2-WL separates makes no lift try there, as no permutation
-    of a non-isomorphic pair lifts.  Only a tolerance stop there is polished
-    (``_polish``; a polish that fails makes it diverged, with the last Y).
-    ``solve_seconds`` covers the branches and the polish too.
+      exactly n, both residuals 0;
+    - every branch refuted ends it as branch-bound: status Certified, Y None
+      and objective NaN (no point of the full layout was iterated),
+      residuals inf, and upper bound the largest branch row bound (-inf when
+      refinement refuted every branch).  Each row bounds its branch, and an
+      isomorphism sigma keeps the pinned colours of branch sigma(0), where
+      its lift is a point of value n, so no isomorphism exists;
+    - else some branch is open: branch-open, status Converged and the rest
+      as for branch-bound, with a bound at or above the threshold.
+    Any other program gives ``_admm``'s result, polished (``_polish``) only
+    on a tolerance stop; a polish that fails makes it diverged, with the
+    last Y.  ``solve_seconds`` covers the branches and the polish too.
     """
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    stop_reason, branches, automorphisms = None, (), ()
-    equivalent = _two_wl_equivalent(p)
-    if equivalent:
+    if _two_wl_equivalent(p):
         stop_reason, sigma, branches, automorphisms = _branch(p, cfg)
-    if stop_reason is None:
-        # A full layout that 2-WL separates has no isomorphism to lift.
-        result = _admm(p, cfg, lifts=equivalent or p.pin is not None)
-        if result.stop_reason == "tolerance":
-            try:
-                Y = _polish(result.Y, p, eigh_backend("numpy"))
-                result = replace(result, Y=Y, objective=objective_value(Y, p))
-            except np.linalg.LinAlgError:
-                result = replace(result, stop_reason="diverged")
-    else:
-        # No point of p was iterated; sigma is None on a branch-bound stop.
+        # No point of p was iterated; sigma is None unless a branch lifted.
         lifted = sigma is not None
         residual = 0.0 if lifted else math.inf
         bound = float(p.n) if lifted else max(b["upper_bound"] for b in branches)
@@ -568,12 +556,20 @@ def solve(p, cfg=None):
             objective=float(p.n) if lifted else math.nan, Y=None, iterations=0,
             primal_residual=residual, dual_residual=residual, solve_seconds=0.0,
             stop_reason=stop_reason, upper_bound=bound, permutation=sigma,
+            branches=branches, automorphisms=automorphisms,
         )
-    return replace(result, solve_seconds=time.perf_counter() - t0,
-                   branches=branches, automorphisms=automorphisms)
+    else:
+        result = _admm(p, cfg)
+        if result.stop_reason == "tolerance":
+            try:
+                Y = _polish(result.Y, p, eigh_backend("numpy"))
+                result = replace(result, Y=Y, objective=objective_value(Y, p))
+            except np.linalg.LinAlgError:
+                result = replace(result, stop_reason="diverged")
+    return replace(result, solve_seconds=time.perf_counter() - t0)
 
 
-def _admm(p, cfg, lifts=True):
+def _admm(p, cfg):
     """Run the splitting iteration on one program.
 
     Stops at convergence, at the iteration cap, on divergence (residuals that
@@ -589,9 +585,9 @@ def _admm(p, cfg, lifts=True):
       bound exactly n, both residuals 0.  S_0 = sum_i x_i x_i^T below is an
       exact dual certificate of value n, so the lift is optimal.
     A solve that converges at tolerance tries that rounding once more on its
-    last polyhedral iterate and ends the same way if it lifts.  With ``lifts``
-    false, for a program known to have no lift, no rounding is tried; the
-    result is the same as with the tries, none of which could lift.
+    last polyhedral iterate and ends the same way if it lifts.  Only a
+    branch program (``p.pin`` set) is rounded: ``solve`` iterates a full
+    layout only when 2-WL separates it, and then no permutation lifts.
     Otherwise the bound is computed once more at exit and returned as
     ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
@@ -640,7 +636,7 @@ def _admm(p, cfg, lifts=True):
             if upper_bound < threshold:
                 stop_reason = "dual-bound"
                 break
-        if lifts and it >= 2 and it & (it - 1) == 0:
+        if p.pin is not None and it >= 2 and it & (it - 1) == 0:
             permutation = _verified_lift(X, p)
             if permutation is not None:
                 stop_reason = "verified-lift"
@@ -669,7 +665,7 @@ def _admm(p, cfg, lifts=True):
                 rho *= 0.5
                 U *= 2.0
 
-    if lifts and stop_reason == "tolerance":
+    if p.pin is not None and stop_reason == "tolerance":
         permutation = _verified_lift(X, p)
         if permutation is not None:
             stop_reason = "verified-lift"

@@ -354,9 +354,9 @@ def test_decide_runs_the_exact_search_once(route, c4_pair, non_iso_pair, tmp_pat
     # decide is the one caller of the exact search, and only for a pair its
     # ladder leaves open: a pair the bound, the branch bounds or a verified
     # lift decides makes no search.  Without its lift, C4 against its
-    # relabelling branches before the solve, and its first branch and then
-    # the solve that runs on converge at tolerance with nothing to check,
-    # so the fallback's one search settles it.
+    # relabelling goes to its branches, each of which converges at
+    # tolerance with nothing to check; the rung ends branch-open, so the
+    # fallback's one search settles it.
     searches = []
     search = th.enumerate_isomorphisms
 
@@ -453,11 +453,12 @@ def test_decide_rook_against_shrikhande_by_branches(tmp_path, capsys):
             f"0 refuted by refinement, 15 covered by an automorphism\n") in out
 
 
-def test_decide_exits_diverged_when_the_solve_diverges_after_its_branches(
+def test_decide_reads_a_rung_of_diverged_branches_as_inconclusive(
         c4_pair, monkeypatch, capsys):
-    # With no lift and eigh failing on every call, branch 0 diverges at its
-    # first iteration, which leaves the pair open, and the solve of the full
-    # layout diverges at its first: exit 4, read from that one solve's status.
+    # With eigh failing on every call, each of C4's four branches diverges at
+    # its first iteration and is left open.  The full layout is never
+    # iterated, so no solve of it diverges: the rung ends branch-open, status
+    # Converged, and decide exits 3, inconclusive.
     def failing(name):
         def wrapped(M):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -465,17 +466,39 @@ def test_decide_exits_diverged_when_the_solve_diverges_after_its_branches(
         return wrapped
 
     monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing)
-    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
-    assert main(["decide", *c4_pair, "--json"]) == 4
+    assert main(["decide", *c4_pair, "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
-    assert doc["solver"]["status"] == "Diverged" and doc["solver"]["iterations"] == 1
+    assert doc["solver"]["stop_reason"] == "branch-open"
+    assert doc["solver"]["status"] == "Converged" and doc["solver"]["iterations"] == 0
     assert doc["verdict"]["kind"] == "Inconclusive"
     assert [(b["stop_reason"], b["iterations"]) for b in doc["solver"]["branches"]] == [
-        ("diverged", 1)]
+        ("diverged", 1)] * 4
 
-    assert main(["decide", *c4_pair]) == 4
+    assert main(["decide", *c4_pair]) == 3
     out = capsys.readouterr().out
-    assert "solver: Diverged after 1 iterations" in out and "branches: 1 tried" in out
+    assert "solver: Converged after 0 iterations" in out
+    assert "branches: 4 tried" in out and out.rstrip().endswith(", 4 left open")
+
+
+def test_decide_on_a_rung_left_open(tmp_path, capsys):
+    # Rook 4x4 vs Shrikhande with each branch solve cut at 3 iterations: no
+    # branch is refuted, so all 16 are solved and left open.  The pair is
+    # inconclusive (exit 3), and the fallback settles it by exact search.
+    files = (write_graph(tmp_path / "rook.txt", rook_graph(4)),
+             write_graph(tmp_path / "shrikhande.txt", shrikhande_graph()))
+    assert main(["decide", *files, "--max-iter", "3"]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: Inconclusive\n" in out
+    assert "; 16 solved, 0 refuted by refinement, 0 covered by an automorphism, " \
+           "16 left open\n" in out
+    assert main(["decide", *files, "--max-iter", "3", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solver"]["stop_reason"] == "branch-open"
+    assert doc["solver"]["objective"] is None and doc["solver"]["iterations"] == 0
+    assert [b["stop_reason"] for b in doc["solver"]["branches"]] == ["max-iter"] * 16
+    assert main(["decide", *files, "--max-iter", "3", "--oracle-fallback", "--json"]) == 1
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert (verdict["kind"], verdict["decided_by"]) == ("NonIsomorphic", "oracle")
 
 
 BRANCH_ROW_KEYS = {"k", "dim", "iterations", "stop_reason", "upper_bound"}
@@ -553,7 +576,7 @@ def test_decide_reports_branches_refuted_by_refinement(monkeypatch, tmp_path, ca
     # C6 against 2 C3 held open to the branch step: every branch is refuted
     # by its colour histogram, so every bound is -inf, null in the report,
     # and no program is solved.
-    def unsolved(p, cfg, lifts=True):
+    def unsolved(p, cfg):
         raise AssertionError("a branch refuted by refinement was solved")
 
     monkeypatch.setattr(thetaiso.solver, "_admm", unsolved)
@@ -715,6 +738,21 @@ def test_bench_small_corpus(tmp_path, capsys):
     assert doc["summary"]["mismatches"] == 0
     assert doc["summary"]["decided_by"]["bound"] == 1
     assert {row["name"] for row in doc["pairs"]} == {"k2", "k2e"}
+
+
+@pytest.mark.parametrize("flag", [["--json"], ["--json", "-"]], ids=["bare", "dash"])
+def test_bench_report_on_stdout_is_json_alone(flag, tmp_path, capsys):
+    # With the report on stdout, the table and the summary lines go to
+    # stderr, so stdout parses as one JSON document.
+    corpus = make_corpus(tmp_path, [
+        ("k2", th.complete_graph(2), th.complete_graph(2), True),
+        ("k2e", th.complete_graph(2), th.empty_graph(2), False),
+    ])
+    assert main(["bench", corpus, *flag]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["summary"]["mismatches"] == 0 and len(doc["pairs"]) == 2
+    assert "2 pairs: " in err and "decided by: " in err
 
 
 def test_bench_gap_of_a_branch_bound_row(tmp_path, capsys):

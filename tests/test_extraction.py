@@ -315,14 +315,15 @@ def test_decide_oracle_fallback_settles_unfinished_solves(pair, truth, stop, mon
     # A solve cut off at the cap, or by a failing eigendecomposition, before
     # any bound or lift check leaves nothing to decide on: Inconclusive, and
     # with the fallback, the exact search's answer.  C4 against its
-    # relabelling is 2-WL equivalent: its branch 0 takes the first eigh,
-    # stops at the cap unrefuted and leaves the pair to the solve, whose
-    # first eigh is the second.
+    # relabelling is 2-WL equivalent, so its full layout is never iterated:
+    # the solve is that of its branch 0.
     g1, g2 = pair
     if stop == "diverged":
-        monkeypatch.setattr(thetaiso.solver, "eigh_backend",
-                            failing_eigh_backend(2 if truth else 1))
-    res = th.solve(th.build_program(g1, g2), SolverConfig(max_iter=1))
+        monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
+    p = th.build_program(g1, g2)
+    if truth:
+        p = th.branch_program(p, 0, 0)
+    res = th.solve(p, SolverConfig(max_iter=1))
     assert res.stop_reason == stop and res.permutation is None
 
     v = decide(res, g1, g2)
@@ -698,9 +699,9 @@ def test_rook_against_shrikhande_tries_build_no_program_and_make_no_eigh(monkeyp
         built.append(graphs)
         init(self, graphs, *args, **kwargs)
 
-    def recording_admm(q, cfg, **kwargs):
+    def recording_admm(q, cfg):
         solved.append(q.pin)
-        return admm(q, cfg, **kwargs)
+        return admm(q, cfg)
 
     monkeypatch.setattr(thetaiso.program.Program, "__init__", recording_init)
     monkeypatch.setattr(thetaiso.solver, "_admm", recording_admm)
@@ -880,150 +881,85 @@ def test_branches_refuted_by_colour_histograms_need_no_solve(monkeypatch):
     ]
 
 
-def assert_same_solve(a, b):
-    # Y is None on a verified-lift stop; elsewhere its bytes match.
-    assert (a.Y is None) == (b.Y is None)
-    if a.Y is not None:
-        assert a.Y.tobytes() == b.Y.tobytes()
-    assert (a.iterations, a.stop_reason, a.upper_bound, a.permutation) == (
-        b.iterations, b.stop_reason, b.upper_bound, b.permutation)
-
-
-def test_branches_left_open_leave_the_solve_as_if_it_never_branched(monkeypatch):
-    # Without any lift, C4's first branch converges at tolerance with its
-    # bound at n, which leaves the pair open.  The full layout is then solved
-    # from iteration 1 and matches, bit for bit, the same solve whose 2-WL
-    # check reports the pair separated; only its branch rows differ.
+def test_an_open_branch_does_not_end_the_rung(monkeypatch):
+    # With branch 0's lift refused, C4's branch 0 stops at tolerance with its
+    # bound at n, which neither lifts nor refutes it.  The rung records it
+    # and goes on; branch 1 lifts, with no iteration of the full layout.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
-    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
-    p = th.build_program(g1, g2)
-    res = th.solve(p)
-    [branch] = res.branches
-    assert branch["k"] == 0 and branch["stop_reason"] == "tolerance"
-    assert branch["upper_bound"] >= decision_threshold(4)
-    assert res.stop_reason == "tolerance" and res.iterations > 16
-    monkeypatch.setattr(thetaiso.solver, "_two_wl_equivalent", lambda p: False)
-    shut = th.solve(p)
-    assert shut.branches == ()
-    assert_same_solve(res, shut)
-    v = decide(res, g1, g2)
-    assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
-    assert v == decide(shut, g1, g2)
-    v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
-    assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "oracle"
-
-
-def lift_from_iteration_32(monkeypatch):
-    """Refuse the lift in every branch and at the full layout's first four
-    checks (iterations 2, 4, 8 and 16); returns the list of full-layout
-    checks made."""
     verified_lift = thetaiso.solver._verified_lift
-    full_checks = []
-
-    def late_lift(X, p):
-        if p.pin is not None:
-            return None
-        full_checks.append(p)
-        return verified_lift(X, p) if len(full_checks) > 4 else None
-
-    monkeypatch.setattr(thetaiso.solver, "_verified_lift", late_lift)
-    return full_checks
-
-
-def test_an_isomorphic_pair_left_open_by_its_branches_lifts_as_the_solve_runs_on(monkeypatch):
-    # The lift is refused in every branch, so branch 0 leaves the pair open,
-    # and at the full layout's four checks up to iteration 16.  The full
-    # layout lifts at its next check, iteration 32, exactly as the plain
-    # loop on the full layout does.
-    g1 = th.cycle_graph(4)
-    g2 = th.relabel(g1, (2, 0, 3, 1))
-    p = th.build_program(g1, g2)
-    full_checks = lift_from_iteration_32(monkeypatch)
-    res = th.solve(p)
-    assert res.stop_reason == "verified-lift" and res.iterations == 32
-    assert len(full_checks) == 5
-    assert [b["stop_reason"] for b in res.branches] == ["tolerance"]
-    full_checks.clear()
-    plain = thetaiso.solver._admm(p, SolverConfig())
-    assert len(full_checks) == 5
-    assert_same_solve(res, plain)
-    assert res.Y is None
-    assert th.check_feasible(th.lift(res.permutation).extended(), g1, g2).feasible
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift",
+                        lambda X, q: None if q.pin == (0, 0) else verified_lift(X, q))
+    res = th.solve(th.build_program(g1, g2))
+    assert [(b["k"], b["stop_reason"]) for b in res.branches] == [
+        (0, "tolerance"), (1, "verified-lift")]
+    assert res.branches[0]["upper_bound"] >= decision_threshold(4)
+    assert res.stop_reason == "verified-lift" and res.iterations == 0
+    assert res.permutation == (1, 2, 0, 3)
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.ISOMORPHIC and v.decided_by == "extraction"
-    assert th.is_isomorphism(v.permutation, g1, g2)
+
+
+def test_a_rung_with_open_branches_and_no_lift_ends_branch_open():
+    # Rook 4x4 vs Shrikhande with every branch solve cut at 3 iterations:
+    # no branch is refuted, so none is an orbit source and every one is
+    # solved.  The rung ends branch-open, with no iteration of the full
+    # layout; that proves nothing, so decide is Inconclusive, and the
+    # fallback's exact search settles it.
+    g1, g2 = rook_graph(4), shrikhande_graph()
+    res = th.solve(th.build_program(g1, g2), SolverConfig(max_iter=3))
+    assert [(b["k"], b["iterations"], b["stop_reason"]) for b in res.branches] == [
+        (k, 3, "max-iter") for k in range(16)]
+    assert res.stop_reason == "branch-open" and res.status is th.SolverStatus.CONVERGED
+    assert res.iterations == 0 and res.Y is None and res.permutation is None
+    assert math.isnan(res.objective)
+    assert res.primal_residual == res.dual_residual == math.inf
+    assert res.automorphisms == ()
+    assert res.upper_bound == max(b["upper_bound"] for b in res.branches)
+    assert res.upper_bound >= decision_threshold(16)
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.INCONCLUSIVE and v.decided_by is None
+    v = decide(res, g1, g2, SolverConfig(oracle_fallback=True))
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "oracle"
+
+
+def test_a_pair_that_branches_never_iterates_its_full_layout(solved_corpus):
+    # Every 2-WL equivalent pair is decided, or left open, by its branches
+    # alone.
+    results = [result for _, _, _, _, result, _ in solved_corpus.values()]
+    for g1, g2 in [(rook_graph(4), shrikhande_graph()), relabelled_rook(),
+                   (cfi_k4_graph(False), cfi_k4_graph(True))]:
+        results.append(th.solve(th.build_program(g1, g2)))
+    assert sum(bool(res.branches) for res in results) >= 4
+    for res in results:
+        if res.branches:
+            assert res.iterations == 0, res.stop_reason
 
 
 def test_branch_solves_are_never_polished(monkeypatch):
-    # With every branch's lift refused, C4's one branch stops at tolerance
-    # and leaves the pair open.  The rung reads no Y, so the branch makes
-    # one eigh an iteration and no polish sweep; the full layout (a larger
-    # dim) then lifts.  solve on the same branch program returns its Y, so
-    # it polishes: more eighs than iterations.
+    # With every branch's lift refused, each of C4's four branches stops at
+    # tolerance and the rung ends open.  The rung reads no Y, so each branch
+    # makes one eigh an iteration and no polish sweep, and no eigh sees the
+    # full layout.  solve on the same branch program returns its Y, so it
+    # polishes: more eighs than iterations.
     g1 = th.cycle_graph(4)
     p = th.build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
-    lift_from_iteration_32(monkeypatch)
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, q: None)
     dims = []
     monkeypatch.setattr(thetaiso.solver, "eigh_backend",
                         recording_eigh_backend(lambda M: dims.append(M.shape[0])))
     res = th.solve(p)
-    [branch] = res.branches
-    assert branch["stop_reason"] == "tolerance" and branch["dim"] < p.dim
-    assert dims.count(branch["dim"]) == branch["iterations"]
-    assert res.stop_reason == "verified-lift" and dims.count(p.dim) == res.iterations
+    assert res.stop_reason == "branch-open" and res.iterations == 0
+    assert [b["stop_reason"] for b in res.branches] == ["tolerance"] * 4
+    branch = res.branches[0]
+    assert branch["dim"] < p.dim
+    assert dims == [branch["dim"]] * sum(b["iterations"] for b in res.branches)
     dims.clear()
     q = th.branch_program(p, 0, branch["k"])
     alone = th.solve(q)
     assert alone.stop_reason == "tolerance" and alone.iterations == branch["iterations"]
     assert len(dims) > alone.iterations
     assert thetaiso.solver._admm(q, SolverConfig()).Y.tobytes() != alone.Y.tobytes()
-
-
-def test_a_diverged_branch_leaves_the_pair_to_the_running_solve(monkeypatch):
-    # eigh fails at the first branch's first call, the first eigh of all:
-    # the branch row records the divergence, and the full layout, whose own
-    # eighs succeed, is solved and lifts at iteration 32.
-    g1 = th.cycle_graph(4)
-    g2 = th.relabel(g1, (2, 0, 3, 1))
-    monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
-    lift_from_iteration_32(monkeypatch)
-    res = th.solve(th.build_program(g1, g2))
-    [branch] = res.branches
-    assert branch["stop_reason"] == "diverged" and branch["iterations"] == 1
-    assert res.stop_reason == "verified-lift" and res.iterations == 32
-    v = decide(res, g1, g2)
-    assert v.kind is th.VerdictKind.ISOMORPHIC and "branches" not in v.diagnostics
-
-
-@pytest.mark.parametrize("branch_stop", ["diverged", "max-iter"])
-def test_a_rung_left_open_gives_the_plain_loop_result(monkeypatch, branch_stop):
-    # Branch 0 of C4 against its relabelling either diverges at its first
-    # eigh or, with its lift refused and its cap cut to 3, stops at the cap;
-    # neither refutes it, so the rung leaves the pair open.  The result is
-    # then the plain loop's on the full layout, bit for bit, with the rung's
-    # one row attached.
-    g1 = th.cycle_graph(4)
-    p = th.build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
-    if branch_stop == "diverged":
-        monkeypatch.setattr(thetaiso.solver, "eigh_backend", failing_eigh_backend(1))
-    else:
-        admm, verified_lift = thetaiso.solver._admm, thetaiso.solver._verified_lift
-        monkeypatch.setattr(thetaiso.solver, "_admm", lambda q, cfg, **kw: admm(
-            q, SolverConfig(max_iter=3) if q.pin is not None else cfg, **kw))
-        monkeypatch.setattr(thetaiso.solver, "_verified_lift",
-                            lambda X, q: None if q.pin is not None else verified_lift(X, q))
-    res = th.solve(p)
-    [branch] = res.branches
-    assert branch["k"] == 0 and branch["stop_reason"] == branch_stop
-    assert res.automorphisms == ()
-    plain = thetaiso.solver._admm(p, SolverConfig())
-    assert_same_solve(res, plain)
-    assert (res.primal_residual, res.dual_residual) == (
-        plain.primal_residual, plain.dual_residual)
-    assert res.stop_reason == "verified-lift" and res.iterations == 2
-    assert res.Y is None
-    assert th.check_feasible(th.lift(res.permutation).extended(), *p.graphs).feasible
 
 
 def test_branch_lift_goes_through_the_index_map(monkeypatch):

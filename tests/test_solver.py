@@ -404,7 +404,8 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
 
     # A lifted solve stops without a polish.  C4 against a relabelling is
     # 2-WL equivalent, so it lifts in its first branch (dim 7) before any
-    # iteration of the full layout; the plain loop lifts the full layout.
+    # iteration of the full layout; solve on that branch program alone lifts
+    # the same way.
     calls.clear()
     g1 = th.cycle_graph(4)
     p = build_program(g1, th.relabel(g1, (2, 0, 3, 1)))
@@ -413,21 +414,22 @@ def test_eigh_hook_sees_every_solver_eigendecomposition(monkeypatch):
     [branch] = res.branches
     assert calls == [branch["dim"]] * branch["iterations"] and branch["dim"] < p.dim
     calls.clear()
-    res = thetaiso.solver._admm(p, SolverConfig())
+    q = branch_program(p, 0, branch["k"])
+    res = solve(q)
     assert res.stop_reason == "verified-lift"
-    assert calls == [p.dim] * res.iterations
+    assert calls == [q.dim] * res.iterations
 
     # The polish makes exactly one eigh per sweep: replaying as many relaxed
     # sweeps W <- psd(W + beta (proj_P(W) - W)) by hand gives the same bits.
     # The start is an iterate short of P, from a solve kept past its lift.
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
-    Z = solve(p, SolverConfig(max_iter=10)).Y
+    Z = solve(q, SolverConfig(max_iter=10)).Y
     calls.clear()
-    polished = _polish(Z, p, thetaiso.solver.eigh_backend("numpy"))
+    polished = _polish(Z, q, thetaiso.solver.eigh_backend("numpy"))
     assert len(calls) >= 2
     W = Z.copy()
     for _ in calls:
-        P = _project_polyhedral(W.copy(), p)
+        P = _project_polyhedral(W.copy(), q)
         W = _psd_part(W + POLISH_RELAXATION * (P - W), np.linalg.eigh)
     assert W.tobytes() == polished.tobytes()
 
@@ -457,9 +459,10 @@ def test_checks_run_on_their_schedules(monkeypatch):
     # screen that passes computes the bound's eigvalsh (numpy's own
     # cholesky and eigvalsh are counted).  The 2-WL test runs
     # once, before iteration 1.  C10 vs 2C5 is 2-WL separated, so it does
-    # not branch, makes no lift try (no permutation can lift) and is
-    # certified at iteration 17, after screens at 12 to 16 that reject; the
-    # loop run on its own, with its lift tries, stops there too.
+    # not branch, makes no lift try (the loop rounds only a branch program)
+    # and is certified at iteration 17, after screens at 12 to 16 that
+    # reject.  Branch 0 of rook 4x4 vs Shrikhande, solved on its own, makes
+    # its lift tries and is certified at iteration 12.
     eighs, checks = [], []
 
     def recording(label, f):
@@ -487,16 +490,14 @@ def test_checks_run_on_their_schedules(monkeypatch):
                       ("bound", 14), ("screen", 14), ("bound", 15), ("screen", 15),
                       ("bound", 16), ("screen", 16),
                       ("bound", 17), ("screen", 17), ("eigvalsh", 17)]
+    q = branch_program(build_program(rook_graph(4), shrikhande_graph()), 0, 0)
     checks.clear()
     eighs.clear()
-    res = thetaiso.solver._admm(p, SolverConfig())
-    assert res.stop_reason == "dual-bound" and res.iterations == 17
-    assert checks == [("lift", 2), ("lift", 4),
+    res = solve(q)
+    assert res.stop_reason == "dual-bound" and res.iterations == 12
+    assert checks == [("gate", 0), ("lift", 2), ("lift", 4),
                       ("bound", 8), ("lift", 8), ("bound", 9), ("bound", 10), ("bound", 11),
-                      ("bound", 12), ("screen", 12), ("bound", 13), ("screen", 13),
-                      ("bound", 14), ("screen", 14), ("bound", 15), ("screen", 15),
-                      ("bound", 16), ("screen", 16), ("lift", 16),
-                      ("bound", 17), ("screen", 17), ("eigvalsh", 17)]
+                      ("bound", 12), ("screen", 12), ("eigvalsh", 12)]
 
 
 @pytest.mark.parametrize("pair", ["cube-wagner", "petersen-prism"])
@@ -797,15 +798,15 @@ def test_verified_lift_of_lift_combination():
 
 @pytest.mark.parametrize("name, stop", [("c4", "tolerance"), ("p5", "tolerance")])
 def test_converged_exit_tries_the_lift(corpus_entries, monkeypatch, name, stop):
-    # At a loose tolerance these pairs converge before iteration 16.  The
-    # tries at 2, 4 and 8 are declined, so the solve reaches its convergence
-    # test; the exit then rounds the last polyhedral iterate instead.  The
-    # branch rung, whose lift tries would be counted too, is left open, so
-    # the full layout of this 2-WL equivalent pair is solved with its tries.
+    # At a loose tolerance the branch of each pair that pins vertex 0 to its
+    # image under an isomorphism converges before iteration 16.  The tries
+    # at 2, 4 and 8 are declined, so the solve reaches its convergence test;
+    # the exit then rounds the last polyhedral iterate instead.  The branch
+    # program is solved on its own, so no other branch's tries are counted.
     g1, g2 = next((g1, g2) for entry, g1, g2, _ in corpus_entries if entry == name)
     cfg = SolverConfig(tol=0.1)
-    p = build_program(g1, g2)
-    monkeypatch.setattr(thetaiso.solver, "_branch", lambda p, cfg: (None, None, (), ()))
+    [sigma] = th.enumerate_isomorphisms(g1, g2, cap=1)
+    p = branch_program(build_program(g1, g2), 0, sigma[0])
     monkeypatch.setattr(thetaiso.solver, "_verified_lift", lambda X, p: None)
     plain = solve(p, cfg)
     assert plain.stop_reason == stop and plain.iterations < 16
@@ -835,12 +836,12 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     # A rounded permutation whose lift hits a zeroed pair is discarded: the
     # solve runs on to the same iterations and the same Y bits as a solve
     # whose rounding never finds anything.  Both then take the non-lift exit,
-    # where the polish holds the objective ceiling and feasibility.  The
-    # branch rung is left open so that both reach it with their lift tries.
+    # where the polish holds the objective ceiling and feasibility; the
+    # polished Y of C4's branch 0, put back in the full layout, is checked
+    # there.
     g1 = th.cycle_graph(4)
     g2 = th.relabel(g1, (2, 0, 3, 1))
-    p = build_program(g1, g2)
-    monkeypatch.setattr(thetaiso.solver, "_branch", lambda p, cfg: (None, None, (), ()))
+    p = branch_program(build_program(g1, g2), 0, 0)
     bad = next(s for s in itertools.permutations(range(4)) if not th.is_isomorphism(s, g1, g2))
     calls = []
 
@@ -862,7 +863,9 @@ def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
         assert res.status is SolverStatus.CONVERGED
         assert res.stop_reason == "tolerance"
         assert res.objective <= p.n + 10.0 * tol
-        report = th.check_feasible(res.Y, g1, g2, tol=tol)
+        Y = np.zeros((p.n * p.n + 1,) * 2)
+        Y[np.ix_(p.index, p.index)] = res.Y
+        report = th.check_feasible(Y, g1, g2, tol=tol)
         assert report.max_violation <= 10.0 * tol, report.describe()
     assert rounded.iterations == plain.iterations
     assert rounded.Y.tobytes() == plain.Y.tobytes()
