@@ -67,7 +67,8 @@ def _add_solver_flags(sub):
     sub.add_argument("--tol", type=float,
                      help=f"primal/dual stopping tolerance (default {SolverConfig.tol})")
     sub.add_argument("--max-iter", type=int,
-                     help=f"iteration cap (default {SolverConfig.max_iter})")
+                     help="iteration cap of each program solved, so of each branch a "
+                     f"rung solves (default {SolverConfig.max_iter})")
     sub.add_argument("--oracle-fallback", action="store_true", default=None,
                      help="settle inconclusive runs by exact search")
 

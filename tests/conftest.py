@@ -55,6 +55,45 @@ def shrikhande_graph():
     ])
 
 
+CYCLIC_LATIN_5 = [[(r + c) % 5 for c in range(5)] for r in range(5)]
+# An order-5 Latin square that is no group's Cayley table.
+NON_GROUP_LATIN_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                     [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def latin_square_graph(square):
+    """The cells of a Latin square, cell (r, c) numbered r * order + c,
+    adjacent when they share a row, a column or a symbol: SRG(25,12,5,6) at
+    order 5."""
+    m = len(square)
+    cells = [(r, c, square[r][c]) for r in range(m) for c in range(m)]
+    return th.Graph(m * m, [
+        (u, v) for u in range(m * m) for v in range(u + 1, m * m)
+        if any(x == y for x, y in zip(cells[u], cells[v]))
+    ])
+
+
+def t8_graph():
+    """The triangular graph T(8), the line graph of K8: the 2-subsets of
+    range(8) in combinations order, adjacent when they meet.
+    SRG(28,12,6,4)."""
+    pairs = list(itertools.combinations(range(8), 2))
+    return th.Graph(28, [(u, v) for u, v in itertools.combinations(range(28), 2)
+                         if set(pairs[u]) & set(pairs[v])])
+
+
+def chang_graph():
+    """A Chang graph: T(8) Seidel-switched on the 4 vertices of the perfect
+    matching {0,1}, {2,3}, {4,5}, {6,7} of K8, so that each of them swaps
+    its adjacency to every vertex outside the 4.  SRG(28,12,6,4) like T(8)
+    and not isomorphic to it."""
+    t8 = t8_graph()
+    pairs = list(itertools.combinations(range(8), 2))
+    switched = {pairs.index((i, i + 1)) for i in range(0, 8, 2)}
+    return th.Graph(28, [(u, v) for u, v in itertools.combinations(range(28), 2)
+                         if t8.has_edge(u, v) != ((u in switched) != (v in switched))])
+
+
 def cfi_k4_graph(twisted):
     """The Cai-Fuerer-Immerman graph over K4 (n = 40): each base vertex v
     becomes the even subsets of its incident edges plus two ends (v, e, 0)

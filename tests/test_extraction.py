@@ -28,8 +28,9 @@ from thetaiso.lifts import _consistent_set, diagonal_matrix
 from thetaiso.program import decision_threshold
 from thetaiso.solver import SolverConfig, SolverResult
 from conftest import (
-    cfi_k4_graph, failing_eigh_backend, random_doubly_stochastic, recording_eigh_backend,
-    rook_graph, shrikhande_graph,
+    CYCLIC_LATIN_5, NON_GROUP_LATIN_5, cfi_k4_graph, chang_graph, failing_eigh_backend,
+    latin_square_graph, random_doubly_stochastic, recording_eigh_backend, rook_graph,
+    shrikhande_graph, t8_graph,
 )
 
 
@@ -664,10 +665,10 @@ def test_a_branch_in_a_refuted_orbit_is_not_built(monkeypatch):
             built.append(k)
         return pinned(q, v, k)
 
-    def recording_try(g, r, k, cap):
+    def recording_try(g, r, k):
         tries.append(k)
         assert g is g2
-        return attempt(g, r, k, cap)
+        return attempt(g, r, k)
 
     monkeypatch.setattr(thetaiso.solver, "branch_program", recording_build)
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", recording_try)
@@ -728,16 +729,15 @@ def transposition(r, k):
                          ids=["non-automorphism", "identity"])
 def test_a_try_that_does_not_map_r_to_k_by_an_automorphism_prunes_no_branch(
         monkeypatch, offered):
-    # Each try returns after 2 nodes a permutation that fails one of the
-    # rung's checks: the transposition
-    # fails the edge-by-edge check, and the identity, a real automorphism,
-    # does not map r to k.  So every branch is solved, as it was before
-    # pruning.
+    # Each try returns a permutation that fails one of the rung's checks:
+    # the transposition fails the edge-by-edge check, and the identity, a
+    # real automorphism, does not map r to k.  So every branch is solved, as
+    # it was before pruning.
     tries = []
 
-    def offering(g, r, k, cap):
-        tries.append((r, k, cap))
-        return offered(r, k), 2
+    def offering(g, r, k):
+        tries.append((r, k))
+        return offered(r, k)
 
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", offering)
     g1, g2 = rook_graph(4), shrikhande_graph()
@@ -746,11 +746,9 @@ def test_a_try_that_does_not_map_r_to_k_by_an_automorphism_prunes_no_branch(
     assert [b["k"] for b in res.branches] == list(range(16))
     for b in res.branches:
         assert b["stop_reason"] == "dual-bound" and b["dim"] == 119, b
-    # The failed tries spend the budget branch 0 put in, its 12 iterations,
-    # 2 nodes at a time, each capped at what is left; no branch is skipped, so the
-    # budget earns nothing more and from branch 4 on no k is offered.
-    assert res.branches[0]["iterations"] == 12
-    assert tries == [(0, 1, 12), (0, 2, 10), (1, 2, 8), (0, 3, 6), (1, 3, 4), (2, 3, 2)]
+    # Every solved branch is refuted and is an orbit of its own, so each k
+    # is offered one try from every earlier branch, and all of them fail.
+    assert tries == [(r, k) for k in range(1, 16) for r in range(k)]
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
 
@@ -760,21 +758,19 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     # 4a + b.  The tries are cut down to the translations by (x, y) with
     # x + y even, real automorphisms whose two orbits are the vertices with
     # a + b even and odd; a try for odd x + y lifts to the identity, which
-    # does not map r to k.  Every try returns after 2 nodes.  Branch 0 is
-    # solved and refuted at 12 iterations; branch 1, in the other orbit,
-    # gets no automorphism from 0 and is solved too; every later branch
-    # falls in the orbit of 0 or of 1.  Each try is charged its 2 nodes
-    # and capped at the budget left: branch 0's 12 iterations pay for (0, 1)
-    # and (0, 2), and the solves that skipping branches 2 and 3 saved pay
-    # for (0, 4) and (1, 4), capped at AUTOMORPHISM_TRY_NODES.
+    # does not map r to k.  Branch 0 is solved and refuted at 12
+    # iterations; branch 1, in the other orbit, gets no automorphism from 0
+    # and is solved too; every later branch falls in the orbit of 0 or of 1.
+    # Branch 2 is covered from 0, branch 3 by the same translation from 1,
+    # and branch 4 from 1 after the try from 0 fails.
     tries = []
 
-    def even_translation(g, r, k, cap):
-        tries.append((r, k, cap))
+    def even_translation(g, r, k):
+        tries.append((r, k))
         x, y = (k // 4 - r // 4) % 4, (k % 4 - r % 4) % 4
         if (x + y) % 2:
-            return tuple(range(16)), 2
-        return tuple(4 * ((i // 4 + x) % 4) + (i % 4 + y) % 4 for i in range(16)), 2
+            return tuple(range(16))
+        return tuple(4 * ((i // 4 + x) % 4) + (i % 4 + y) % 4 for i in range(16))
 
     monkeypatch.setattr(thetaiso.solver, "_automorphism_try", even_translation)
     g1, g2 = rook_graph(4), shrikhande_graph()
@@ -784,7 +780,7 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     assert [b["k"] for b in solved] == [0, 1]
     assert all(b["stop_reason"] == "dual-bound" and b["dim"] == 119 for b in solved)
     assert solved[0]["iterations"] == 12
-    assert tries == [(0, 1, 12), (0, 2, 10), (0, 4, 16), (1, 4, 16)]   # no automorphism at (0, 1)
+    assert tries == [(0, 1), (0, 2), (0, 4), (1, 4)]   # no automorphism at (0, 1)
     assert_pruned_by_verified_automorphisms(res, g2)
     parity = {k: (k // 4 + k % 4) % 2 for k in range(16)}
     for b in res.branches:
@@ -794,6 +790,28 @@ def test_a_branch_outside_every_refuted_orbit_is_solved(monkeypatch):
     v = decide(res, g1, g2)
     assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
     assert res.upper_bound == max(b["upper_bound"] for b in solved)
+
+
+@pytest.mark.parametrize("pair, most_solves", [
+    (lambda: (latin_square_graph(CYCLIC_LATIN_5), latin_square_graph(NON_GROUP_LATIN_5)), 3),
+    (lambda: (t8_graph(), chang_graph()), 2),
+], ids=["latin-5", "t8-chang"])
+def test_a_failed_try_leaves_later_branches_their_tries(pair, most_solves):
+    # The second graph of each pair has fewer automorphisms than the first,
+    # so the first try from branch 0 finds none and that branch's k is
+    # solved.  Every later k is still offered a try from each refuted
+    # orbit, and verified automorphisms cover all but a few branches.
+    g1, g2 = pair()
+    res = th.solve(th.build_program(g1, g2))
+    assert res.stop_reason == "branch-bound" and res.iterations == 0
+    solved = [b for b in res.branches if b["dim"] is not None]
+    assert 1 < len(solved) <= most_solves
+    assert all(b["stop_reason"] == "dual-bound" for b in solved)
+    assert [b["k"] for b in res.branches] == list(range(g1.n))
+    assert res.automorphisms
+    assert_pruned_by_verified_automorphisms(res, g2)
+    v = decide(res, g1, g2)
+    assert v.kind is th.VerdictKind.NON_ISOMORPHIC and v.decided_by == "branch-bound"
 
 
 def relabelled_rook():
@@ -838,7 +856,7 @@ def test_relabelled_rook_lifts_in_its_first_branch(monkeypatch):
     # No branch is refuted before branch 0 lifts, so the control pair makes
     # no automorphism try and stops in its first branch, and no eigh ever
     # sees the full layout.
-    def no_try(g, r, k, cap):
+    def no_try(g, r, k):
         raise AssertionError("an automorphism was tried")
 
     dims = []

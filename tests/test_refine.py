@@ -12,7 +12,10 @@ import thetaiso as th
 from thetaiso.refine import colour_refinement, pinned_isomorphism, wl2_separates
 from thetaiso.solver import AUTOMORPHISM_TRY_NODES
 
-from conftest import cube_graph, rook_graph, shrikhande_graph, wagner_graph
+from conftest import (
+    CYCLIC_LATIN_5, NON_GROUP_LATIN_5, chang_graph, cube_graph, latin_square_graph,
+    rook_graph, shrikhande_graph, t8_graph, wagner_graph,
+)
 
 
 def prism_graph(k):
@@ -105,6 +108,28 @@ def test_wl2_answers_on_the_named_pairs(name):
     g1, g2, separated = NAMED_PAIRS[name]
     assert wl2_separates(g1, g2) is separated
     assert reference_wl2_separates(g1, g2) is separated
+
+
+@pytest.mark.parametrize("pair, parameters", [
+    (lambda: (latin_square_graph(CYCLIC_LATIN_5), latin_square_graph(NON_GROUP_LATIN_5)),
+     (25, 12, 5, 6)),
+    (lambda: (t8_graph(), chang_graph()), (28, 12, 6, 4)),
+], ids=["latin-5", "t8-chang"])
+def test_the_latin_and_chang_pairs_are_non_isomorphic_srg_twins(pair, parameters):
+    # Both graphs of a pair are strongly regular with the same parameters
+    # (A^2 = k I + lambda A + mu (J - I - A)), so 2-WL cannot separate them,
+    # and a complete individualisation-refinement search finds no
+    # isomorphism.
+    g1, g2 = pair()
+    n, k, lam, mu = parameters
+    for g in (g1, g2):
+        A = g.adjacency.astype(np.int64)
+        assert g.n == n
+        assert np.array_equal(A @ A, k * np.eye(n, dtype=np.int64) + lam * A
+                              + mu * (1 - np.eye(n, dtype=np.int64) - A))
+    assert not wl2_separates(g1, g2)
+    sigma, nodes = pinned_isomorphism(g1, g2, (), 10**6)
+    assert sigma is None and nodes < 10**6
 
 
 def test_wl2_never_separates_a_relabelling():
