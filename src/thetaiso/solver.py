@@ -17,65 +17,30 @@ average, which is the nearest point when every entry is counted once.
 Internally the sweep uses a variant weighted by matrix multiplicity (the
 mirrored omega column counts twice), which is the plain Frobenius projection.
 
-At every iteration from 8 on, and once at exit, the loop turns the scaled
-dual into a weak-duality upper bound on the relaxation's optimum
-(``SolverResult.upper_bound``).  Once that bound falls below
-``decision_threshold`` no isomorphism is possible, so the solve stops there
-with status Certified, however far the primal iterate still is from
-converging.  A check computes the bound's eigenvalues only where two
-cheaper tests leave it able to certify (``_dual_upper_bound``).
-
-Every power-of-two iteration from 2 on (2, 4, 8, 16, ...), and once more
-when the solve converges, the loop also tries to round the polyhedral
-iterate of a branch program to a permutation that is an isomorphism; at a
-shared iteration the bound goes first.  Iteration 1 is skipped: its
-iterate has no positive entry between two distinct pairs, so it cannot
-round to a lift for n >= 2.  The lift of an isomorphism scores exactly n,
-which no feasible point exceeds, so the solve stops there with status
-Converged, the permutation (``SolverResult.permutation``) and no Y: the
-lift ``lifts.lift(permutation).extended()`` is fixed by the permutation and
-the solver never builds it.  This is the only place a permutation is read
-out of a solve.  Convergence is the primal-dual tolerance test alone (Boyd
-et al. 2011, section 3.3).  ``SolverResult.stop_reason`` says which of the
-stops ended a solve.
-
-The loop (``_admm``) runs one program and nothing else.  ``solve`` runs it
-on a full layout only when 2-WL separates the two graphs
-(``refine.wl2_separates``), which leaves no isomorphism to round to.  Any
-other full layout has optimum n (Mancinska, Roberson, Samal, Severini &
-Varvitsiotis, ICALP 2017), so its bound could never certify; it goes to
-the branch rung instead.  Vertex 0 of the first graph is pinned to each
-vertex k of the second in turn and each branch's smaller program
-(``program.branch_program``) is solved by the loop, a proof that does not
-rest on that link.  A branch's verified lift ends the solve on its
-permutation; a branch neither lifted nor refuted is open, and the rung goes
-on past it.  With no lift, the rung ends as branch-bound when every branch
-is refuted, else as branch-open; neither iterates the full layout.
-
-Branches are pruned by automorphisms of the second graph: if no
-isomorphism maps 0 to r and a is an automorphism, none maps 0 to a(r), or
-a^-1 sigma would map 0 to r.  Once a branch r is refuted, a branch k is
-first offered to a try: an individualisation-refinement search of the
-second graph against itself pinned at (r, k) (``refine.pinned_isomorphism``,
-at most ``AUTOMORPHISM_TRY_NODES`` nodes), which builds no program and
-makes no eigh; a permutation it finds that maps r to k and that
-``oracle.is_isomorphism`` accepts edge by edge is an automorphism with
-r -> k.  Union-find keeps the orbits of the automorphisms found, and a k in
-the orbit of a refuted branch is refuted with no branch solve (or pinned
-build).  A try makes no eigh, so every k outside every refuted orbit is
-offered one try from the first refuted branch of each orbit until one
-succeeds, at most n(n - 1)/2 tries in a rung.  Making all of them took
-0.5 s on the non-group Latin square graph of order 5, 0.7 s on the Chang
-graph and 3.7 s on twisted CFI(K3,3) (one BLAS thread, 2-CPU Xeon), where
-one branch solve of those pairs takes 0.08-3.0 s.  The automorphisms used
-are ``SolverResult.automorphisms``.
-
-Only ``solve`` polishes, and only the result it returns: a tolerance stop
-without a lift is walked into P ∩ PSD by relaxed alternating projections,
-W <- psd(W + beta (proj_P(W) - W)) with beta = ``POLISH_RELAXATION``, whose
-fixed points are still exactly P ∩ PSD; a branch solve, whose Y the rung
-drops, never is.  A non-finite residual or a failed eigendecomposition, in
-the loop or the polish, ends the solve as Diverged with the last finite iterate.
+Each stage is described where it is defined:
+- the loop (``_admm``) runs one program to one of the stops of
+  ``STOP_STATUS`` (``SolverResult.stop_reason``); convergence is the
+  primal-dual tolerance test alone (Boyd et al. 2011, section 3.3);
+- the bound (``_dual_upper_bound``): the loop turns the scaled dual into a
+  weak-duality upper bound on the optimum (``SolverResult.upper_bound``),
+  and one below ``decision_threshold`` ends the solve as Certified, however
+  far the primal iterate still is from converging;
+- the lift (``_verified_lift``): on a branch program the loop rounds the
+  polyhedral iterate to a permutation whose lift is exactly feasible, an
+  isomorphism, which scores n, the optimum; the solve ends as Converged with
+  that permutation (``SolverResult.permutation``) and no Y.  This is the
+  only place a permutation is read out of a solve;
+- the rung (``_branch``): ``solve`` iterates a full layout only when 2-WL
+  separates its graphs (``refine.wl2_separates``), which leaves no
+  isomorphism to round to.  Any other full layout has optimum n (Mancinska,
+  Roberson, Samal, Severini & Varvitsiotis, ICALP 2017), so its bound could
+  never certify; its rung pins vertex 0 of the first graph to each vertex
+  of the second, solves each branch program by the loop and prunes
+  branches by automorphisms of the second graph;
+- the polish (``_polish``): only ``solve`` polishes, and only a tolerance
+  stop it returns; a branch solve, whose Y the rung drops, never is.
+A non-finite residual or a failed eigendecomposition, in the loop or the
+polish, ends the solve as Diverged with the last finite iterate.
 """
 
 from __future__ import annotations
@@ -443,20 +408,32 @@ def _branch(p, cfg):
     ``is_isomorphism`` accepts joins every i to a(i) in the orbits.  A try
     visits at most ``AUTOMORPHISM_TRY_NODES`` nodes and makes no eigh, and
     each k gets at most one try per refuted branch before it, so a rung
-    makes at most n(n - 1)/2 tries.  A k still outside every refuted orbit
-    is solved, ``_admm(branch, cfg)``, and its bound below the threshold
-    refutes it.  An open branch, solved but neither lifted nor refuted, is
-    no orbit source; the rung goes on past it.
+    makes at most n(n - 1)/2 tries.  Making all of them took 0.5 s on the
+    non-group Latin square graph of order 5, 0.7 s on the Chang graph and
+    3.7 s on twisted CFI(K3,3) (one BLAS thread, 2-CPU Xeon), where one
+    branch solve of those pairs takes 0.08-3.0 s.  A k still outside every
+    refuted orbit is solved, ``_admm(branch, cfg)``, and its bound below the
+    threshold refutes it.  An open branch, solved but neither lifted nor
+    refuted, is no orbit source; the rung goes on past it.
 
-    Returns (stop_reason, permutation, rows, automorphisms): "verified-lift"
-    and the permutation of the first branch that lifts, else None and
-    "branch-bound" when every branch is refuted or "branch-open" when some
-    branch is open; rows one per branch tried, and the automorphisms used,
-    in the order found.  Each row has the keys k, dim, iterations,
-    stop_reason and upper_bound; refinement's reads "refinement", None, 0
-    and -inf (no isomorphism maps 0 to k), an orbit's "automorphism", None,
-    0 and the bound of the refuted branch r whose orbit holds k (branch k
-    is branch a(r) relabelled by a, so that bound holds for it too).
+    Returns the rung's ``SolverResult``, with iterations 0 (no point of p is
+    iterated), ``branches`` one row per branch tried and ``automorphisms``
+    the automorphisms used, in the order found:
+    - the first branch that lifts ends the rung with its own result:
+      verified-lift, status Converged, ``permutation`` the permutation, Y
+      None, objective and upper bound exactly n, both residuals 0;
+    - with no lift, Y is None, the objective NaN, both residuals inf and the
+      upper bound the largest row bound (-inf when refinement refuted every
+      branch).  A bound below the threshold means every branch is refuted:
+      branch-bound, status Certified.  Each row bounds its branch, and an
+      isomorphism sigma keeps the pinned colours of branch sigma(0), where
+      its lift is a point of value n, so no isomorphism exists.  Else some
+      branch is open: branch-open, status Converged.
+    Each row has the keys k, dim, iterations, stop_reason and upper_bound;
+    refinement's reads "refinement", None, 0 and -inf (no isomorphism maps
+    0 to k), an orbit's "automorphism", None, 0 and the bound of the refuted
+    branch r whose orbit holds k (branch k is branch a(r) relabelled by a,
+    so that bound holds for it too).
     """
     n = p.n
     g2 = p.graphs[1]
@@ -469,21 +446,18 @@ def _branch(p, cfg):
             i = parent[i]
         return i
 
-    def refuted_orbit(k):
-        return next((row for row in refuted if root(row["k"]) == root(k)), None)
-
     rows, refuted, automorphisms = [], [], []
     for k in range(n):
-        covering = refuted_orbit(k)
+        sources = {}            # the first refuted branch of each orbit
+        for row in refuted:
+            sources.setdefault(root(row["k"]), row)
+        covering = sources.get(root(k))
         if covering is None:
             program = branch_program(p, 0, k)
             if program is None:
                 rows.append({"k": k, "dim": None, "iterations": 0,
                              "stop_reason": "refinement", "upper_bound": -math.inf})
                 continue
-            sources = {}        # the first refuted branch of each orbit
-            for row in refuted:
-                sources.setdefault(root(row["k"]), row)
             for row in sources.values():
                 r = row["k"]
                 a = _automorphism_try(g2, r, k)
@@ -503,60 +477,40 @@ def _branch(p, cfg):
                "stop_reason": branch.stop_reason, "upper_bound": branch.upper_bound}
         rows.append(row)
         if branch.permutation is not None:
-            return "verified-lift", branch.permutation, tuple(rows), tuple(automorphisms)
+            return replace(branch, iterations=0, branches=tuple(rows),
+                           automorphisms=tuple(automorphisms))
         if branch.upper_bound < threshold:
             refuted.append(row)
-    refuted_all = all(row["upper_bound"] < threshold for row in rows)
-    stop_reason = "branch-bound" if refuted_all else "branch-open"
-    return stop_reason, None, tuple(rows), tuple(automorphisms)
+    bound = max(row["upper_bound"] for row in rows)
+    return SolverResult(
+        objective=math.nan, Y=None, iterations=0, primal_residual=math.inf,
+        dual_residual=math.inf, solve_seconds=0.0,
+        stop_reason="branch-bound" if bound < threshold else "branch-open",
+        upper_bound=bound, branches=tuple(rows), automorphisms=tuple(automorphisms),
+    )
 
 
 def solve(p, cfg=None):
     """Solve a compiled program: by its branch rung where it applies, else
-    by the splitting iteration (``_admm``).
+    by the splitting iteration.
 
-    A full-layout program whose graphs 2-WL cannot separate is decided by
-    its branches alone (``_branch``; rows in ``branches``, the automorphisms
-    of the second graph that pruned some of them in ``automorphisms``), with
-    iterations 0 and no iteration of the full layout:
-    - a branch's lift ends the solve as verified-lift: status Converged,
-      ``permutation`` the permutation, Y None, objective and upper bound
-      exactly n, both residuals 0;
-    - every branch refuted ends it as branch-bound: status Certified, Y None
-      and objective NaN (no point of the full layout was iterated),
-      residuals inf, and upper bound the largest branch row bound (-inf when
-      refinement refuted every branch).  Each row bounds its branch, and an
-      isomorphism sigma keeps the pinned colours of branch sigma(0), where
-      its lift is a point of value n, so no isomorphism exists;
-    - else some branch is open: branch-open, status Converged and the rest
-      as for branch-bound, with a bound at or above the threshold.
-    Any other program gives ``_admm``'s result, polished (``_polish``) only
-    on a tolerance stop; a polish that fails makes it diverged, with the
-    last Y.  ``solve_seconds`` covers the branches and the polish too.
+    A full-layout program whose graphs 2-WL cannot separate gets its rung's
+    result (``_branch``), with iterations 0 and no iteration of the full
+    layout; any other program gets ``_admm``'s.  A tolerance stop, which
+    only ``_admm`` returns here, is polished (``_polish``); a polish that
+    fails makes it diverged, with the last Y.  ``solve_seconds`` covers the
+    branches and the polish too.
     """
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    if _two_wl_equivalent(p):
-        stop_reason, sigma, branches, automorphisms = _branch(p, cfg)
-        # No point of p was iterated; sigma is None unless a branch lifted.
-        lifted = sigma is not None
-        residual = 0.0 if lifted else math.inf
-        bound = float(p.n) if lifted else max(b["upper_bound"] for b in branches)
-        result = SolverResult(
-            objective=float(p.n) if lifted else math.nan, Y=None, iterations=0,
-            primal_residual=residual, dual_residual=residual, solve_seconds=0.0,
-            stop_reason=stop_reason, upper_bound=bound, permutation=sigma,
-            branches=branches, automorphisms=automorphisms,
-        )
-    else:
-        result = _admm(p, cfg)
-        if result.stop_reason == "tolerance":
-            try:
-                Y = _polish(result.Y, p, eigh_backend("numpy"))
-                result = replace(result, Y=Y, objective=objective_value(Y, p))
-            except np.linalg.LinAlgError:
-                result = replace(result, stop_reason="diverged")
+    result = _branch(p, cfg) if _two_wl_equivalent(p) else _admm(p, cfg)
+    if result.stop_reason == "tolerance":
+        try:
+            Y = _polish(result.Y, p, eigh_backend("numpy"))
+            result = replace(result, Y=Y, objective=objective_value(Y, p))
+        except np.linalg.LinAlgError:
+            result = replace(result, stop_reason="diverged")
     return replace(result, solve_seconds=time.perf_counter() - t0)
 
 
@@ -569,16 +523,19 @@ def _admm(p, cfg):
     - at every iteration from 8 on, the dual upper bound falls below
       ``decision_threshold(n)``: status Certified.  A check that cannot
       certify stops before the eigenvalues (``_dual_upper_bound``);
-    - at iterations 2, 4, 8, 16, ..., after the bound where both run, the
-      polyhedral iterate rounds to a permutation whose lift is exactly
-      feasible (``_verified_lift``): stop reason verified-lift, status
-      Converged, ``permutation`` the permutation, Y None, objective and upper
-      bound exactly n, both residuals 0.  S_0 = sum_i x_i x_i^T below is an
-      exact dual certificate of value n, so the lift is optimal.
-    A solve that converges at tolerance tries that rounding once more on its
-    last polyhedral iterate and ends the same way if it lifts.  Only a
-    branch program (``p.pin`` set) is rounded: ``solve`` iterates a full
-    layout only when 2-WL separates it, and then no permutation lifts.
+    - on a branch program (``p.pin`` set), the polyhedral iterate rounds to
+      a permutation whose lift is exactly feasible (``_verified_lift``):
+      stop reason verified-lift, status Converged, ``permutation`` the
+      permutation, Y None, objective and upper bound exactly n, both
+      residuals 0.  S_0 = sum_i x_i x_i^T below is an exact dual certificate
+      of value n, so the lift is optimal; it is fixed by the permutation
+      and never built.  The rounding is tried at iterations 2, 4, 8, 16, ...
+      and at the iteration that converges, once each (a converging power of
+      two is rounded once), after the bound where both run.  Iteration 1 is
+      not tried: its iterate has no positive entry between two distinct
+      pairs, so it cannot round to a lift for n >= 2.  A full layout is
+      never rounded: ``solve`` iterates one only when 2-WL separates it, and
+      then no permutation lifts.
     Otherwise the bound is computed once more at exit and returned as
     ``upper_bound``, capped at n: for each row i, x_i = e_omega - sum_j e_(i,j)
     gives 0 <= x_i^T Y x_i = 1 - sum_j Y_(ij)(ij), so no feasible Y scores
@@ -627,19 +584,21 @@ def _admm(p, cfg):
             if upper_bound < threshold:
                 stop_reason = "dual-bound"
                 break
-        if p.pin is not None and it >= 2 and it & (it - 1) == 0:
+
+        # The test needs r_norm <= tol * scale with scale <= 8, so the norm
+        # of Z is taken only when that can hold.
+        converged = False
+        if r_norm <= 8.0 * cfg.tol:
+            scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
+            converged = r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale
+        if p.pin is not None and (converged or (it >= 2 and it & (it - 1) == 0)):
             permutation = _verified_lift(X, p)
             if permutation is not None:
                 stop_reason = "verified-lift"
                 break
-
-        # The test needs r_norm <= tol * scale with scale <= 8, so the norm
-        # of Z is taken only when that can hold.
-        if r_norm <= 8.0 * cfg.tol:
-            scale = min(1.0 + float(np.linalg.norm(Z)), 8.0)
-            if r_norm <= cfg.tol * scale and s_norm <= cfg.tol * scale:
-                stop_reason = "tolerance"
-                break
+        if converged:
+            stop_reason = "tolerance"
+            break
 
         combined = max(r_norm, s_norm)
         if it >= 50:
@@ -656,10 +615,6 @@ def _admm(p, cfg):
                 rho *= 0.5
                 U *= 2.0
 
-    if p.pin is not None and stop_reason == "tolerance":
-        permutation = _verified_lift(X, p)
-        if permutation is not None:
-            stop_reason = "verified-lift"
     Y = Z
     if stop_reason == "verified-lift":
         # The lift meets every constraint exactly and scores n, the optimum.

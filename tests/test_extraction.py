@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -850,6 +851,13 @@ def test_relabelled_rook_lifts_in_a_branch(monkeypatch):
     assert branch["stop_reason"] == "verified-lift"
     assert v.permutation[0] == branch["k"]
     assert v.diagnostics["candidates_tried"] == 1
+    # The rung returns its lifting branch's own result, with iterations 0
+    # and the rung's rows and automorphisms.
+    alone = thetaiso.solver._admm(th.branch_program(th.build_program(g1, g2), 0, branch["k"]),
+                                  SolverConfig())
+    assert alone.iterations == branch["iterations"]
+    assert res == replace(alone, iterations=0, branches=res.branches,
+                          automorphisms=res.automorphisms, solve_seconds=res.solve_seconds)
 
 
 def test_relabelled_rook_lifts_in_its_first_branch(monkeypatch):

@@ -48,3 +48,10 @@ def test_verdicts_agree_with_exact_search(pair):
         assert not truth
         if verdict.decided_by in ("bound", "branch-bound"):
             assert result.upper_bound < verdict.threshold
+        # Only a full layout that 2-WL separates is iterated: any other has
+        # optimum n, so its bound could not certify, and goes to the rung,
+        # which never iterates the full layout.
+        if verdict.decided_by == "bound":
+            assert th.wl2_separates(g1, g2)
+    if result.branches:
+        assert result.iterations == 0

@@ -832,6 +832,29 @@ def test_converged_exit_tries_the_lift(corpus_entries, monkeypatch, name, stop):
     assert verdict.permutation == res.permutation
 
 
+def test_each_iterate_is_rounded_at_most_once(monkeypatch):
+    # A tolerance stop at a power-of-two iteration rounds its X once, not
+    # once for the power of two and again for the convergence.  The tol is
+    # read off the solve's own iteration-2 residuals and ||Z||, so that the
+    # stop lands on iteration 2 at any BLAS thread count.
+    g1 = th.cycle_graph(4)
+    q = branch_program(build_program(g1, th.relabel(g1, (2, 0, 3, 1))), 0, 0)
+    seen = []
+
+    def refused(X, p):
+        seen.append(X.tobytes())
+        return None
+
+    monkeypatch.setattr(thetaiso.solver, "_verified_lift", refused)
+    two = thetaiso.solver._admm(q, SolverConfig(max_iter=2))
+    scale = min(1.0 + float(np.linalg.norm(two.Y)), 8.0)
+    tol = max(two.primal_residual, two.dual_residual) / scale * (1.0 + 1e-9)
+    seen.clear()
+    res = thetaiso.solver._admm(q, SolverConfig(tol=tol))
+    assert (res.stop_reason, res.iterations) == ("tolerance", 2)
+    assert len(seen) == len(set(seen)) == 1
+
+
 def test_rounded_non_isomorphism_never_stops_the_solve(monkeypatch):
     # A rounded permutation whose lift hits a zeroed pair is discarded: the
     # solve runs on to the same iterations and the same Y bits as a solve
